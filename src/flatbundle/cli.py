@@ -8,32 +8,25 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import catalog, render, slimness
 from .cylinders import trace_direction
-from .errors import (
-    FlatBundleError,
-    MissingHoroRegion,
-    MissingInput,
-    NoClosureFound,
-    NotFound,
-    UnknownCatalogId,
-)
+from .errors import FlatBundleError, MissingInput, NoClosureFound, UnknownCatalogId
 from .hyperbolic import hyp_distance
 from .paths import (
     CombinatorialPath,
     FiberPoint,
     build_direction_graphs,
-    build_fan,
     build_preferred_path,
     check_structure_lemma,
     collapsed_length,
     combinatorial_path,
+    random_fan,
 )
-from .surface import enumerate_saddle_connections, load_surface, tighten_chain
-from .veech import build_group_data, build_horoball_family, region_for
+from .surface import enumerate_saddle_connections
+from .veech import build_group_data, build_horoball_family
 
 _COUNTS = {
     "paths": 120,
@@ -41,6 +34,8 @@ _COUNTS = {
     "slim_triangles": 40,
     "ratio_pairs": 60,
 }
+# accepted Python types for each annotated ExperimentConfig field type
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 # -- configuration -----------------------------------------------------------
@@ -58,6 +53,13 @@ class ExperimentConfig:
     out: str = "out"
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(
+                    f"{f.name.replace('_', '-')} must be of type {f.type}, "
+                    f"not {type(value).__name__}"
+                )
         if self.depth <= 0:
             raise ValueError("depth must be positive")
         if self.max_length <= 0:
@@ -76,36 +78,29 @@ def _suggest(name: str, options) -> str:
     return f"unknown catalog id {name!r}{hint}"
 
 
-def _resolve_surface(name: str):
-    if name in catalog.surface_names():
-        return catalog.load_catalog_surface(name)
+def _resolve(name: str, names, load, parse):
+    """A catalog entry by id, or one parsed from a JSON file of the same shape."""
+    if name in names:
+        return load(name)
     p = Path(name)
     if p.suffix == ".json" and p.exists():
-        d = json.loads(p.read_text())
-        polygons = [[complex(x, y) for x, y in poly] for poly in d["polygons"]]
-        gluings = {}
-        for (a, e), (b, f) in (tuple(map(tuple, g)) for g in d["gluings"]):
-            gluings[(a, e)] = (b, f)
-            gluings[(b, f)] = (a, e)
-        return load_surface(polygons, gluings, name=p.stem)
-    raise UnknownCatalogId(_suggest(name, catalog.surface_names()))
-
-
-def _resolve_group(name: str) -> dict:
-    if name in catalog.group_names():
-        return catalog.load_group_preset(name)
-    p = Path(name)
-    if p.suffix == ".json" and p.exists():
-        d = json.loads(p.read_text())
-        d["generators"] = [tuple(tuple(r) for r in m) for m in d["generators"]]
-        d.setdefault("name", p.stem)
-        return d
-    raise UnknownCatalogId(_suggest(name, catalog.group_names()))
+        return parse(json.loads(p.read_text()), p.stem)
+    raise UnknownCatalogId(_suggest(name, names))
 
 
 def _build_pipeline(cfg: ExperimentConfig):
-    surface = _resolve_surface(cfg.surface)
-    preset = _resolve_group(cfg.group)
+    surface = _resolve(
+        cfg.surface,
+        catalog.surface_names(),
+        catalog.load_catalog_surface,
+        catalog.parse_surface,
+    )
+    preset = _resolve(
+        cfg.group,
+        catalog.group_names(),
+        catalog.load_group_preset,
+        catalog.parse_group,
+    )
     if preset.get("surface") and preset["surface"] != surface.name:
         raise ValueError(
             f"group {preset.get('name', cfg.group)!r} is defined on surface "
@@ -149,24 +144,20 @@ def _suite_classification(family) -> dict:
     }
 
 
-def _suite_cylinders(surface, family, max_trace) -> dict:
-    checked, failures, decomps = 0, 0, []
-    for key in sorted(family):
-        reg = family[key]
-        if reg.kind != "ball":
-            continue
-        checked += 1
-        result = trace_direction(surface, reg.theta, max_trace)
-        if isinstance(result, NoClosureFound):
+def _suite_cylinders(surface, graphs) -> dict:
+    failures, decomps = 0, []
+    for key in sorted(graphs):
+        graph = graphs[key]
+        if isinstance(graph, NoClosureFound):
             failures += 1
             continue
-        if abs(result.area - surface.area) > 1e-6:
+        if abs(graph.decomposition.area - surface.area) > 1e-6:
             failures += 1
             continue
-        decomps.append(result)
+        decomps.append(graph.decomposition)
     return {
         "passed": failures == 0,
-        "directionsChecked": checked,
+        "directionsChecked": len(graphs),
         "areaViolationsOrUnclosed": failures,
     }, decomps
 
@@ -180,7 +171,7 @@ def _random_path(surface, saddles, family, rng):
     return build_preferred_path(surface, x, y, family, [a, b])
 
 
-def _suite_lipschitz(surface, saddles, family, graphs, rng, count) -> dict:
+def _suite_lipschitz(surface, saddles, family, rng, count) -> dict:
     done, violations, margin = 0, 0, math.inf
     attempts = 0
     if not saddles:
@@ -189,7 +180,7 @@ def _suite_lipschitz(surface, saddles, family, graphs, rng, count) -> dict:
         attempts += 1
         try:
             path = _random_path(surface, saddles, family, rng)
-            collapsed = collapsed_length(surface, path, family, graphs)
+            collapsed = collapsed_length(surface, path, family)
         except FlatBundleError:
             continue
         done += 1
@@ -213,17 +204,8 @@ def _suite_structure(surface, saddles, rng, count) -> dict:
         return {"passed": False, "fans": 0, "failures": 0}, None
     while built < count and attempts < count * 60:
         attempts += 1
-        a, b = rng.choice(saddles), rng.choice(saddles)
-        if rng.random() < 0.5:
-            a = a.reverse(surface)
-        if rng.random() < 0.5:
-            b = b.reverse(surface)
-        try:
-            bottom = tighten_chain(surface, [a.reverse(surface), b])
-            if not bottom.pieces:
-                continue
-            fan = build_fan(surface, a, bottom)
-        except FlatBundleError:
+        fan = random_fan(surface, saddles, rng)
+        if fan is None:
             continue
         built += 1
         last_fan = fan
@@ -308,11 +290,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     suites: dict = {}
     suites["gaussBonnet"] = _suite_gauss_bonnet(surface)
     suites["classification"] = _suite_classification(family)
-    suites["cylinderArea"], decomps = _suite_cylinders(
-        surface, family, cfg.max_trace
-    )
+    suites["cylinderArea"], decomps = _suite_cylinders(surface, graphs)
     suites["lipschitzCollapse"] = _suite_lipschitz(
-        surface, saddles, family, graphs, rng, _COUNTS["paths"]
+        surface, saddles, family, rng, _COUNTS["paths"]
     )
     suites["structureLemma"], last_fan = _suite_structure(
         surface, saddles, rng, _COUNTS["fans"]
@@ -365,10 +345,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
     try:
+        cfg = _config_from_args(args)
         report = run_experiment(cfg)
-    except (ValueError, UnknownCatalogId) as exc:
+    except (FlatBundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
@@ -387,15 +367,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_render(args) -> int:
-    cfg = _config_from_args(args)
     try:
+        cfg = _config_from_args(args)
         cfg.validate()
         surface, gdata, saddles, family = _build_pipeline(cfg)
-    except (ValueError, UnknownCatalogId) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rng = random.Random(cfg.seed)
-    try:
+        rng = random.Random(cfg.seed)
         if args.kind == "horoballs":
             svg = render.render_horoballs(gdata, family)
         elif args.kind == "cylinders":
@@ -412,24 +388,16 @@ def cmd_render(args) -> int:
             svg = render.render_cylinders(surface, result)
         elif args.kind == "ideal-fan":
             svg = None
-            for _ in range(2000):
-                a, b = rng.choice(saddles), rng.choice(saddles)
-                if rng.random() < 0.5:
-                    a = a.reverse(surface)
-                try:
-                    bottom = tighten_chain(surface, [a.reverse(surface), b])
-                    if not bottom.pieces:
-                        continue
-                    fan = build_fan(surface, a, bottom)
-                except FlatBundleError:
-                    continue
-                svg = render.render_ideal_fan(fan)
-                break
+            for _ in range(2000 if saddles else 0):
+                fan = random_fan(surface, saddles, rng)
+                if fan is not None:
+                    svg = render.render_ideal_fan(fan)
+                    break
             if svg is None:
                 raise MissingInput("no fan found at this seed and cutoff")
         elif args.kind == "path":
             svg = None
-            for _ in range(2000):
+            for _ in range(2000 if saddles else 0):
                 try:
                     path = _random_path(surface, saddles, family, rng)
                 except FlatBundleError:
@@ -440,7 +408,7 @@ def cmd_render(args) -> int:
                 raise MissingInput("no preferred path found at this seed")
         else:  # unreachable behind argparse choices
             raise MissingInput(f"unknown render kind {args.kind!r}")
-    except MissingInput as exc:
+    except (FlatBundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out if args.out != "out" else f"{args.kind}.svg")
@@ -514,11 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (UnknownCatalogId, NotFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -29,16 +29,8 @@ class NotAConnection(FlatBundleError):
     """A traced segment fails to be a saddle connection."""
 
 
-class HitsConePoint(NotAConnection):
-    """A traced segment runs into a cone point before its endpoint."""
-
-
 class NotAGeodesic(FlatBundleError):
     """A concatenation violates the angle >= pi condition at a junction."""
-
-
-class UnknownLift(FlatBundleError):
-    """A requested cone point lift is not present in the unfolding."""
 
 
 class BallExceeded(FlatBundleError):
@@ -65,16 +57,8 @@ class NotAnAutomorphism(FlatBundleError):
     """A matrix does not induce an automorphism of the flat structure."""
 
 
-class NotDiscreteEvidence(FlatBundleError):
-    """Sampled orbit points accumulate at the base point: the group looks indiscrete."""
-
-
 class ElementaryGroup(FlatBundleError):
     """The sampled limit set has fewer than three points."""
-
-
-class NoParabolicFound(FlatBundleError):
-    """No parabolic element was found matching a requested direction."""
 
 
 class DirectionInsideHullNotParabolic(FlatBundleError):
@@ -107,10 +91,6 @@ class UnknownCatalogId(NotFound):
 
 class MissingInput(FlatBundleError):
     """A rendering was requested without the inputs it needs."""
-
-
-class SampleTooSmall(FlatBundleError):
-    """A statistic was requested from an insufficient sample."""
 
 
 class NoClosureFound(FlatBundleError):

@@ -169,12 +169,6 @@ def hyp_distance(z1: complex, z2: complex) -> float:
     return math.acosh(1.0 + num / den)
 
 
-def uhp_distance(w1: complex, w2: complex) -> float:
-    num = abs(w1 - w2) ** 2
-    den = 2.0 * w1.imag * w2.imag
-    return math.acosh(1.0 + num / den)
-
-
 # -- flat structures as disk points -----------------------------------------
 
 
@@ -315,10 +309,6 @@ def ideal_endpoints(z1: complex, z2: complex) -> tuple[complex, complex]:
     return (disk_from_uhp(a), disk_from_uhp(b))
 
 
-def segment_length(z1: complex, z2: complex) -> float:
-    return hyp_distance(z1, z2)
-
-
 def segment_point(z1: complex, z2: complex, s: float) -> complex:
     """Point at arclength ``s`` from ``z1`` along the segment to ``z2``."""
     if abs(z1 - z2) < 1e-15:
@@ -375,7 +365,6 @@ class Horoball:
         """Point of the closed horoball nearest to ``z``."""
         if self.contains(z):
             return z
-        lo, hi = 0.0, self.distance_to_point(z) + 1.0
         # march along the geodesic from z toward the base point
         g = Geodesic(_reflect_through(z, self.base), self.base)
         M = g.to_axis()
@@ -497,10 +486,6 @@ class ConvexRegion:
                 if d < best_d:
                     best, best_d = foot, d
         return best
-
-
-def project_to_region(region: ConvexRegion, z: complex) -> complex:
-    return region.project(z)
 
 
 # -- ideal triangles ---------------------------------------------------------

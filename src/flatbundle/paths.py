@@ -12,16 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cylinders import (
-    BassSerreGraph,
-    SurfacePoint,
-    build_bass_serre,
-    trace_direction,
-    tree_distance,
-)
+from .cylinders import build_bass_serre, trace_direction
 from .errors import (
     FlatBundleError,
     MissingHoroRegion,
+    NoClosureFound,
     NotAFan,
     NotFound,
     NotReducible,
@@ -41,7 +36,7 @@ from .surface import (
     cross,
     tighten_chain,
 )
-from .veech import HoroRegion, region_for
+from .veech import HoroRegion, family_key, region_for
 
 TOL_JUNCTION = 1e-9
 
@@ -205,41 +200,37 @@ def junction_residuals(
 def build_direction_graphs(
     surface: TranslationSurface, family: dict, *, max_trace: float = 40.0
 ) -> dict:
-    """Bass-Serre graphs for every ball direction of a horoball family."""
+    """Bass-Serre graphs for every ball direction of a horoball family.
+
+    Keyed like the family.  A direction whose separatrices do not close
+    within ``max_trace`` maps to the NoClosureFound value that
+    ``trace_direction`` returned for it.
+    """
     graphs: dict = {}
     for key, reg in family.items():
         if reg.kind != "ball":
             continue
         decomp = trace_direction(surface, reg.theta, max_trace)
-        graphs[key] = build_bass_serre(decomp)
+        if isinstance(decomp, NoClosureFound):
+            graphs[key] = decomp
+        else:
+            graphs[key] = build_bass_serre(decomp)
     return graphs
 
 
-def _graph_for(graphs: dict, theta: float) -> BassSerreGraph | None:
-    key = round(theta % math.pi, 8)
-    if key in graphs:
-        return graphs[key]
-    for t, g in graphs.items():
-        if min(abs(t - theta), math.pi - abs(t - theta)) < 1e-7:
-            return g
-    return None
-
-
 def collapsed_length(
-    surface: TranslationSurface,
-    path: PreferredPath,
-    family: dict,
-    graphs: dict | None = None,
+    surface: TranslationSurface, path: PreferredPath, family: dict
 ) -> float:
     """Length of the path after collapsing horoball preimages onto trees.
 
-    Horizontal sub-segments inside a horoball contribute the tree distance
-    between their entry and exit fiber positions (zero here, because the
-    fiber is a fixed cone point along a horizontal piece); parabolic saddle
-    pieces lie in a spine and contribute zero; everything else contributes
-    its full length.  The result never exceeds the uncollapsed length.
+    Horizontal sub-segments inside a horoball would contribute the tree
+    distance between their entry and exit fiber positions; that is zero,
+    because the fiber is a fixed cone point along a horizontal piece.
+    Parabolic saddle pieces lie in a spine and contribute zero; everything
+    else contributes its full length.  The result never exceeds the
+    uncollapsed length.
     """
-    balls = [reg for reg in family.values() if reg.kind == "ball"]
+    balls = [reg.ball for reg in family.values() if reg.kind == "ball"]
     total = 0.0
     for piece in path.pieces:
         if isinstance(piece, SaddlePiece):
@@ -248,21 +239,12 @@ def collapsed_length(
             continue
         full = piece.length
         inside_sum = 0.0
-        tree_sum = 0.0
-        for reg in balls:
-            _out, inside = segment_clip_by_horoball(
-                piece.start, piece.end, reg.ball
-            )
+        for ball in balls:
+            _out, inside = segment_clip_by_horoball(piece.start, piece.end, ball)
             if inside <= 1e-12:
                 continue
             inside_sum += inside
-            graph = _graph_for(graphs, reg.theta) if graphs else None
-            if graph is not None:
-                p, i = piece.fiber
-                sp = SurfacePoint(p, surface.vertex(p, i))
-                tree_sum += tree_distance(surface, graph, sp, sp)
-        inside_sum = min(inside_sum, full)
-        total += (full - inside_sum) + tree_sum
+        total += full - min(inside_sum, full)
     return total
 
 
@@ -359,6 +341,27 @@ def build_fan(
             )
         taus.append(g.pieces[0])
     return _make_fan(surface, taus, list(pieces))
+
+
+def random_fan(surface: TranslationSurface, saddles, rng) -> Fan | None:
+    """A fan over a randomly drawn triangle, or None when the draw is no fan.
+
+    Draws two saddle connections ``a`` and ``b`` from ``saddles``, then one
+    reversal coin for each; the fan has apex ``a.start`` over the geodesic
+    tightened from ``a`` reversed followed by ``b``.
+    """
+    a, b = rng.choice(saddles), rng.choice(saddles)
+    if rng.random() < 0.5:
+        a = a.reverse(surface)
+    if rng.random() < 0.5:
+        b = b.reverse(surface)
+    try:
+        bottom = tighten_chain(surface, [a.reverse(surface), b])
+        if not bottom.pieces:
+            return None
+        return build_fan(surface, a, bottom)
+    except FlatBundleError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -556,7 +559,7 @@ def spans_triangle(
             continue
         try:
             g = tighten_chain(surface, chain)
-        except Exception:
+        except FlatBundleError:
             continue
         if len(g.pieces) <= 1:
             return True
@@ -620,18 +623,11 @@ def combinatorial_path(
     Returns a CombinatorialPath, or a NotFound instance when the budget is
     exhausted before reaching the target.
     """
-    start = round(start_theta % math.pi, 8)
-    end = round(end_theta % math.pi, 8)
-
-    def _resolve(key):
-        if key in family:
-            return key
-        for t in family:
-            if min(abs(t - key), math.pi - abs(t - key)) < 1e-7:
-                return t
-        raise MissingHoroRegion(f"direction {key} not in the family")
-
-    start, end = _resolve(start), _resolve(end)
+    try:
+        start = family_key(family, start_theta)
+        end = family_key(family, end_theta)
+    except NotFound as exc:
+        raise MissingHoroRegion(str(exc)) from exc
     if start == end:
         return CombinatorialPath((start,))
     adj = _family_adjacency(family)

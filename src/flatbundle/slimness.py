@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FlatBundleError, MissingHoroRegion, NotFound
+from .errors import FlatBundleError
 from .hyperbolic import segment_point
 from .paths import (
     FiberPoint,
     HorizontalPiece,
     SaddlePiece,
     build_preferred_path,
+    random_fan,
     spans_triangle,
 )
 from .surface import tighten_chain
@@ -400,7 +401,7 @@ def slimness_sweep(
             delta = triangle_slimness(
                 surface, family, x, y, z, ([a], [b], list(third.pieces)), step=step
             )
-        except (MissingHoroRegion, NotFound, FlatBundleError):
+        except FlatBundleError:
             continue
         deltas.append(delta)
         descs.append(_short_key(a) + "+" + _short_key(b))
@@ -422,31 +423,23 @@ def fan_sweep(
     max_attempts_factor: int = 60,
 ) -> SlimnessReport:
     """Measure the fan-lemma constant over randomized fans."""
-    from .paths import build_fan
-
     rng = random.Random(seed)
     deltas, descs = [], []
     furthermore_failures = 0
     attempts = 0
     while saddles and len(deltas) < count and attempts < count * max_attempts_factor:
         attempts += 1
-        a, b = rng.choice(saddles), rng.choice(saddles)
-        if rng.random() < 0.5:
-            a = a.reverse(surface)
-        if rng.random() < 0.5:
-            b = b.reverse(surface)
+        fan = random_fan(surface, saddles, rng)
+        if fan is None:
+            continue
         try:
-            bottom = tighten_chain(surface, [a.reverse(surface), b])
-            if not bottom.pieces:
-                continue
-            fan = build_fan(surface, a, bottom)
             delta, holds = fan_lemma_check(surface, fan, family, step=step)
-        except (MissingHoroRegion, NotFound, FlatBundleError):
+        except FlatBundleError:
             continue
         if not holds:
             furthermore_failures += 1
         deltas.append(delta)
-        descs.append(f"k={fan.k}:" + _short_key(a))
+        descs.append(f"k={fan.k}:" + _short_key(fan.top_start))
     report = _make_report(
         deltas,
         descs,

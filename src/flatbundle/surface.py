@@ -500,16 +500,6 @@ def trace_ray(
     return RayResult("budget", tuple(steps), math.nan, None, math.nan)
 
 
-def start_ray_at_corner(
-    surface: TranslationSurface, corner: Corner, phi: float
-) -> tuple[int, complex, complex]:
-    """Polygon, start point and direction for a ray leaving ``corner`` at ``phi``."""
-    p, i = corner
-    d = surface.edge_vec(p, i)
-    d = d / abs(d) * cmath.exp(1j * phi)
-    return p, surface.vertex(p, i), d
-
-
 # -- saddle connections ------------------------------------------------------
 
 

@@ -45,7 +45,6 @@ class AffineAutomorphism:
     """A matrix verified to act on the surface's saddle-connection set."""
 
     derivative: Mobius
-    cone_map: tuple[int, ...]
     checked: int  # number of holonomy images verified under the cutoff
 
 
@@ -93,8 +92,7 @@ def verify_affine(
         raise NotAnAutomorphism(
             "no holonomy image fell under the cutoff; increase max_length"
         )
-    cone_map = tuple(range(len(surface.cone_classes)))
-    return AffineAutomorphism(Mobius.from_matrix(m), cone_map, checked)
+    return AffineAutomorphism(Mobius.from_matrix(m), checked)
 
 
 # -- word enumeration ---------------------------------------------------------
@@ -254,11 +252,7 @@ def build_group_data(
                     f"word {word} does not reproduce the generator matrix"
                 )
             autos.append(
-                AffineAutomorphism(
-                    target,
-                    basis_autos[0].cone_map,
-                    sum(a.checked for a in basis_autos),
-                )
+                AffineAutomorphism(target, sum(a.checked for a in basis_autos))
             )
         autos = tuple(autos)
     else:
@@ -353,7 +347,6 @@ def horoball_separation(b1: Horoball, b2: Horoball) -> float:
 def _ball_conditions_hold(
     xi: complex,
     c: float,
-    theta: float,
     short_len: float,
     other_saddles,
     hull_sides_max_busemann,
@@ -389,12 +382,12 @@ def build_horoball_family(
     # distinct directions with their shortest holonomies
     dirs: list[tuple[float, complex]] = []
     for sc in sorted(saddles, key=lambda s: (s.length, s.direction)):
-        th = s_theta = sc.direction
+        th = sc.direction
         if any(
             min(abs(th - t), math.pi - abs(th - t)) < ANGLE_DEDUP for (t, _h) in dirs
         ):
             continue
-        dirs.append((s_theta, sc.holonomy))
+        dirs.append((th, sc.holonomy))
     dirs.sort()
 
     paras = gdata.parabolic_fixed_points
@@ -464,7 +457,7 @@ def build_horoball_family(
                 continue
             side_bmax.append(geodesic_max_busemann(g, xi))
         cond = lambda c: _ball_conditions_hold(
-            xi, c, theta, short_len, others, side_bmax
+            xi, c, short_len, others, side_bmax
         )
         if not cond(max_level):
             raise NotFound(
@@ -519,12 +512,22 @@ def build_horoball_family(
     return family
 
 
-def region_for(family: dict, theta: float) -> HoroRegion:
+def family_key(family: dict, theta: float) -> float:
+    """The key of the horoball-family entry for direction ``theta``.
+
+    An exact hit on ``round(theta mod pi, 8)``, otherwise the nearest key
+    within 1e-7 (measured mod pi); raises NotFound when there is none.
+    """
     theta = theta % math.pi
     key = round(theta, 8)
     if key in family:
-        return family[key]
-    for t, reg in family.items():
-        if min(abs(t - theta), math.pi - abs(t - theta)) < 1e-7:
-            return reg
-    raise NotFound(f"no hororegion for direction {theta}")
+        return key
+    gap = lambda t: min(abs(t - theta), math.pi - abs(t - theta))
+    nearest = min(family, key=gap, default=None)
+    if nearest is None or gap(nearest) >= 1e-7:
+        raise NotFound(f"no hororegion for direction {theta}")
+    return nearest
+
+
+def region_for(family: dict, theta: float) -> HoroRegion:
+    return family[family_key(family, theta)]

@@ -3,11 +3,9 @@
 import json
 import math
 import random
-import sys
 
 import pytest
 
-sys.path.insert(0, "tests")
 import oracles
 
 from flatbundle import cli, slimness
@@ -27,12 +25,11 @@ from flatbundle.hyperbolic import (
 from flatbundle.paths import (
     CombinatorialPath,
     FiberPoint,
-    build_direction_graphs,
-    build_fan,
     build_preferred_path,
     check_structure_lemma,
     collapsed_length,
     combinatorial_path,
+    random_fan,
 )
 from flatbundle.surface import enumerate_saddle_connections, tighten_chain
 from flatbundle.veech import build_group_data, build_horoball_family, region_for
@@ -182,17 +179,8 @@ def test_07_structure_lemma_sweep():
         saddles = enumerate_saddle_connections(s, cutoff)
         got = 0
         while got < count:
-            a, b = rng.choice(saddles), rng.choice(saddles)
-            if rng.random() < 0.5:
-                a = a.reverse(s)
-            if rng.random() < 0.5:
-                b = b.reverse(s)
-            try:
-                bottom = tighten_chain(s, [a.reverse(s), b])
-                if not bottom.pieces:
-                    continue
-                fan = build_fan(s, a, bottom)
-            except FlatBundleError:
+            fan = random_fan(s, saddles, rng)
+            if fan is None:
                 continue
             got += 1
             built += 1
@@ -205,7 +193,6 @@ def test_07_structure_lemma_sweep():
 
 def test_08_lipschitz_collapse(setups):
     s, g, saddles, family = setups["lshape_lattice"]
-    graphs = build_direction_graphs(s, family, max_trace=20.0)
     rng = random.Random(8)
     done = violations = 0
     while done < 1000:
@@ -216,7 +203,7 @@ def test_08_lipschitz_collapse(setups):
         )
         try:
             path = build_preferred_path(s, x, y, family, [a, b])
-            collapsed = collapsed_length(s, path, family, graphs)
+            collapsed = collapsed_length(s, path, family)
         except FlatBundleError:
             continue
         done += 1

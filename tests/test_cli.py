@@ -2,10 +2,15 @@
 
 import json
 from dataclasses import asdict
+from importlib import resources
 
 import pytest
 
 from flatbundle import cli
+
+OCTAGON_POLYGONS = json.loads(
+    (resources.files("flatbundle") / "data" / "octagon.json").read_text()
+)["polygons"]
 
 
 def run_cli(argv):
@@ -56,6 +61,30 @@ class TestValidation:
             ["run", "--surface", "octagon", "--group", "lshape_lattice"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["run", "render"])
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--surface", {"polygons": OCTAGON_POLYGONS}),
+            ("--surface", {"polygons": OCTAGON_POLYGONS, "gluings": []}),
+            ("--config", {"depth": "6"}),
+            ("--config", {"depht": 6}),
+        ],
+        ids=["no-gluings", "empty-gluings", "string-depth", "unknown-field"],
+    )
+    def test_bad_input_is_one_error_line(
+        self, command, flag, content, tmp_path, capsys
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+        if command == "render":
+            argv += ["--kind", "horoballs"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_config_roundtrip(self, tmp_path):
         cfg = cli.ExperimentConfig(surface="lshape", seed=9, max_trace=12.0)
@@ -128,6 +157,24 @@ class TestRun:
                 assert r1 == r2
             else:
                 assert (out2 / name).read_bytes() == blob
+
+    def test_unclosed_direction_fails_cylinder_suite(self, tmp_path, capsys):
+        # at this trace budget no ball direction closes up
+        code = run_cli(
+            [
+                "run",
+                "--surface", "octagon",
+                "--group", "octagon_lattice",
+                "--max-length", "2.5",
+                "--max-trace", "1",
+                "--out", str(tmp_path / "short"),
+            ]
+        )
+        assert code == 1
+        assert "first failing suite: cylinderArea" in capsys.readouterr().err
+        report = json.loads((tmp_path / "short" / "report.json").read_text())
+        suite = report["suites"]["cylinderArea"]
+        assert suite["areaViolationsOrUnclosed"] == suite["directionsChecked"] > 0
 
     def test_failing_suite_exits_nonzero(self, tmp_path, capsys):
         # a cutoff below the shortest saddle leaves every sweep empty

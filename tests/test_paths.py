@@ -11,6 +11,7 @@ from flatbundle.catalog import load_catalog_surface, load_group_preset
 from flatbundle.errors import (
     FlatBundleError,
     MissingHoroRegion,
+    NoClosureFound,
     NotAFan,
     NotFound,
 )
@@ -57,11 +58,6 @@ def lshape_family(lshape, lshape_saddles):
 
 
 @pytest.fixture(scope="module")
-def lshape_graphs(lshape, lshape_family):
-    return P.build_direction_graphs(lshape, lshape_family, max_trace=15.0)
-
-
-@pytest.fixture(scope="module")
 def octagon():
     return load_catalog_surface("octagon")
 
@@ -71,26 +67,10 @@ def octagon_saddles(octagon):
     return enumerate_saddle_connections(octagon, 3.5)
 
 
-def _random_fan(surface, saddles, rng):
-    """One random fan, or None when the sampled triangle is not a fan."""
-    a, b = rng.choice(saddles), rng.choice(saddles)
-    if rng.random() < 0.5:
-        a = a.reverse(surface)
-    if rng.random() < 0.5:
-        b = b.reverse(surface)
-    try:
-        bottom = tighten_chain(surface, [a.reverse(surface), b])
-        if not bottom.pieces:
-            return None
-        return P.build_fan(surface, a, bottom)
-    except FlatBundleError:
-        return None
-
-
 def _sample_fans(surface, saddles, rng, count):
     fans = []
     while len(fans) < count:
-        fan = _random_fan(surface, saddles, rng)
+        fan = P.random_fan(surface, saddles, rng)
         if fan is not None:
             fans.append(fan)
     return fans
@@ -206,9 +186,20 @@ class TestPreferredPath:
             )
 
 
+class TestDirectionGraphs:
+    def test_unclosed_directions_are_values(self, lshape, lshape_family):
+        # at this budget most separatrices stay open; each ball direction
+        # still gets an entry, the graph or the NoClosureFound
+        graphs = P.build_direction_graphs(lshape, lshape_family, max_trace=0.5)
+        balls = [k for k, reg in lshape_family.items() if reg.kind == "ball"]
+        assert sorted(graphs) == sorted(balls)
+        unclosed = [g for g in graphs.values() if isinstance(g, NoClosureFound)]
+        assert (len(unclosed), len(graphs)) == (7, 8)
+
+
 class TestCollapsedLength:
     def test_lipschitz_over_random_paths(
-        self, lshape, lshape_saddles, lshape_family, lshape_graphs
+        self, lshape, lshape_saddles, lshape_family
     ):
         rng = random.Random(12)
         done = 0
@@ -226,9 +217,7 @@ class TestCollapsedLength:
             except (MissingHoroRegion, FlatBundleError):
                 continue
             done += 1
-            collapsed = P.collapsed_length(
-                lshape, path, lshape_family, lshape_graphs
-            )
+            collapsed = P.collapsed_length(lshape, path, lshape_family)
             assert collapsed <= path.d_length + 1e-12
 
     def test_no_balls_means_no_collapse(self, octagon, octagon_saddles):
@@ -240,11 +229,11 @@ class TestCollapsedLength:
         x = P.FiberPoint(gdata.basepoint, sc.start)
         y = P.FiberPoint(gdata.basepoint, sc.end)
         path = P.build_preferred_path(octagon, x, y, family, [sc])
-        collapsed = P.collapsed_length(octagon, path, family, {})
+        collapsed = P.collapsed_length(octagon, path, family)
         assert collapsed == pytest.approx(path.d_length, abs=1e-9)
 
     def test_parabolic_saddle_collapses_to_zero(
-        self, lshape, lshape_saddles, lshape_family, lshape_graphs
+        self, lshape, lshape_saddles, lshape_family
     ):
         sc = lshape_saddles[0]
         reg = region_for(lshape_family, sc.direction)
@@ -252,9 +241,7 @@ class TestCollapsedLength:
         x = P.FiberPoint(reg.anchor, sc.start)
         y = P.FiberPoint(reg.anchor, sc.end)
         path = P.build_preferred_path(lshape, x, y, lshape_family, [sc])
-        collapsed = P.collapsed_length(
-            lshape, path, lshape_family, lshape_graphs
-        )
+        collapsed = P.collapsed_length(lshape, path, lshape_family)
         assert collapsed == pytest.approx(0.0, abs=1e-9)
 
 
@@ -263,7 +250,7 @@ class TestFans:
         rng = random.Random(21)
         found = 0
         while found < 5:
-            fan = _random_fan(octagon, octagon_saddles, rng)
+            fan = P.random_fan(octagon, octagon_saddles, rng)
             if fan is None or fan.k != 1:
                 continue
             found += 1
@@ -294,7 +281,7 @@ class TestFans:
         found = False
         for fan_seed in range(200):
             rng = random.Random(1000 + fan_seed)
-            fan = _random_fan(octagon, octagon_saddles, rng)
+            fan = P.random_fan(octagon, octagon_saddles, rng)
             if fan is None or fan.k < 2:
                 continue
             dirs = [sc.direction for sc in fan.bottom]
@@ -360,7 +347,7 @@ class TestDecomposition:
         rng = random.Random(8)
         done = 0
         while done < 5:
-            fan = _random_fan(octagon, octagon_saddles, rng)
+            fan = P.random_fan(octagon, octagon_saddles, rng)
             if fan is None:
                 continue
             sides = (
@@ -411,7 +398,7 @@ class TestSpanSet:
         rng = random.Random(31)
         fan = None
         while fan is None or fan.k != 1:
-            fan = _random_fan(octagon, octagon_saddles, rng)
+            fan = P.random_fan(octagon, octagon_saddles, rng)
         t0, s1, t1 = fan.triangles()[0]
         assert P.spans_triangle(octagon, t0, t1)
         assert P.spans_triangle(octagon, t0, s1)
@@ -465,6 +452,13 @@ class TestCombinatorialPath:
             lshape_family, keys[0], keys[-1], budget=0
         )
         assert isinstance(result, NotFound)
+
+    def test_perturbed_direction_matches_region_for(self, lshape_family):
+        for key in sorted(lshape_family):
+            theta = key + 5e-8
+            assert region_for(lshape_family, theta) is lshape_family[key]
+            path = P.combinatorial_path(lshape_family, theta, theta)
+            assert path.keys == (key,)
 
     def test_unknown_direction_raises(self, lshape_family):
         with pytest.raises(MissingHoroRegion):
