@@ -21,19 +21,39 @@ def surface_names() -> tuple[str, ...]:
     return _SURFACES
 
 
+def _array(value, shape: tuple, kind: type, what: str) -> list:
+    """``value`` checked as nested lists of the lengths in ``shape`` (None:
+    any length) of finite numbers (``kind`` float) or of integers (int)."""
+    if shape:
+        n = shape[0]
+        if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
+            size = "a list" if n is None else f"a list of {n}"
+            raise ValueError(f"{what} must be {size}, not {value!r:.40}")
+        return [_array(v, shape[1:], kind, f"{what}[{k}]") for k, v in enumerate(value)]
+    ok = isinstance(value, int if kind is int else (int, float))
+    # the range test also rejects NaN, infinities and ints beyond a float
+    if isinstance(value, bool) or not ok or not -1e308 < value < 1e308:
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{what} must be {noun}, not {value!r:.40}")
+    return value
+
+
 def parse_surface(d: dict, name: str) -> TranslationSurface:
     """A surface from its JSON form, as in the shipped data files.
 
     ``polygons`` lists vertex lists of [x, y] pairs and ``gluings`` lists
-    [[polygon, edge], [polygon, edge]] pairs.  A missing key reads as empty,
-    so ``load_surface`` reports it as a NonPlanarPolygon or GluingMismatch.
+    [[polygon, edge], [polygon, edge]] pairs; another shape raises
+    ValueError.  A missing key reads as empty, so ``load_surface`` reports it
+    as a NonPlanarPolygon or GluingMismatch.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"surface {name!r} must be a JSON object")
     polygons = [
-        [complex(x, y) for x, y in poly] for poly in d.get("polygons", [])
+        [complex(x, y) for x, y in poly]
+        for poly in _array(d.get("polygons", []), (None, None, 2), float, "polygons")
     ]
-    pairs = (tuple(map(tuple, pair)) for pair in d.get("gluings", []))
     gluings = {}
-    for (p, e), (q, f) in pairs:
+    for (p, e), (q, f) in _array(d.get("gluings", []), (None, 2, 2), int, "gluings"):
         gluings[(p, e)] = (q, f)
         gluings[(q, f)] = (p, e)
     return load_surface(polygons, gluings, name=name)
@@ -53,12 +73,24 @@ def parse_group(d: dict, name: str) -> dict:
     """A group preset from its JSON form: generator matrices as row tuples.
 
     ``name`` is used when the preset does not name itself; missing
-    ``generators`` read as none, which the group build rejects.
+    ``generators`` read as none, which the group build rejects.  Matrices
+    must be 2x2 numbers; ``verify_basis``, when given, needs one
+    ``verify_words`` word per generator in letters +-1..len(basis).
+    Another shape raises ValueError.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"group {name!r} must be a JSON object")
     g = dict(d)
-    g["generators"] = [
-        tuple(tuple(row) for row in m) for m in g.get("generators", [])
-    ]
+    matrices = lambda key: _array(g.get(key, []), (None, 2, 2), float, key)
+    g["generators"] = [tuple(tuple(row) for row in m) for m in matrices("generators")]
+    if g.get("verify_basis") is not None:
+        basis = matrices("verify_basis")
+        words = _array(
+            g.get("verify_words"), (len(g["generators"]), None), int, "verify_words"
+        )
+        if any(not 1 <= abs(l) <= len(basis) for w in words for l in w):
+            raise ValueError(f"verify_words letters must be +-1..{len(basis)}")
+        g["verify_basis"], g["verify_words"] = basis, words
     g.setdefault("name", name)
     return g
 

@@ -62,12 +62,11 @@ class ExperimentConfig:
                 )
         if self.depth <= 0:
             raise ValueError("depth must be positive")
-        if self.max_length <= 0:
-            raise ValueError("max-length must be positive")
-        if self.max_trace <= 0:
-            raise ValueError("max-trace must be positive")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        for name in ("max_length", "max_trace", "step"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(
+                    f"{name.replace('_', '-')} must be positive and finite"
+                )
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -78,13 +77,20 @@ def _suggest(name: str, options) -> str:
     return f"unknown catalog id {name!r}{hint}"
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _resolve(name: str, names, load, parse):
     """A catalog entry by id, or one parsed from a JSON file of the same shape."""
     if name in names:
         return load(name)
     p = Path(name)
     if p.suffix == ".json" and p.exists():
-        return parse(json.loads(p.read_text()), p.stem)
+        return parse(_read_json(p), p.stem)
     raise UnknownCatalogId(_suggest(name, names))
 
 
@@ -436,10 +442,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text())
+        data = _read_json(Path(args.config))
+        if not isinstance(data, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
         for key, value in data.items():
             field = key.replace("-", "_")
-            if not hasattr(cfg, field):
+            if field not in {f.name for f in fields(cfg)}:
                 raise ValueError(f"unknown config field {key!r}")
             setattr(cfg, field, value)
     for field in (

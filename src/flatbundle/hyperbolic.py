@@ -237,6 +237,13 @@ def _uhp_boundary_coord(xi: complex) -> complex:
     return complex(w.real, 0.0)
 
 
+def _uhp_boundary_vector(xi: complex) -> tuple[float, float]:
+    """Boundary point ``exp(2ih)`` as the vector (p, q) = (cos h, -sin h) of
+    the upper half plane point p / q; (a b; c d) sends it to (ap+bq, cp+dq)."""
+    h = 0.5 * cmath.phase(xi)
+    return math.cos(h), -math.sin(h)
+
+
 @lru_cache(maxsize=65536)
 def _to_zero_inf(xi1: complex, xi2: complex) -> Mobius:
     """Isometry sending the geodesic (xi1, xi2) to the upward axis (0, inf)."""
@@ -362,33 +369,13 @@ class Horoball:
         return tuple(out)
 
     def closest_point_to(self, z: complex) -> complex:
-        """Point of the closed horoball nearest to ``z``."""
+        """Point of the closed horoball nearest to ``z``: with the base at the
+        upper half plane infinity the ball is ``Im w >= e^level``, so straight above."""
         if self.contains(z):
             return z
-        # march along the geodesic from z toward the base point
-        g = Geodesic(_reflect_through(z, self.base), self.base)
-        M = g.to_axis()
-        wz = M.apply_uhp(uhp_from_disk(z))
-        uz = math.log(abs(wz))
-        f = lambda u: busemann(self.base, disk_from_uhp(M.inverse().apply_uhp(1j * math.exp(u))))
-        lo_u, hi_u = uz, uz + (self.level - busemann(self.base, z)) + 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo_u + hi_u)
-            if f(mid) < self.level:
-                lo_u = mid
-            else:
-                hi_u = mid
-        return disk_from_uhp(M.inverse().apply_uhp(1j * math.exp(0.5 * (lo_u + hi_u))))
-
-
-def _reflect_through(z: complex, xi: complex) -> complex:
-    """Second ideal endpoint of the geodesic from ``z`` into ``xi``."""
-    # rotate xi to the disk point 1 (uhp infinity); the geodesic through z
-    # toward uhp infinity is vertical, hitting the boundary at Re(w)
-    rot = cmath.exp(-1j * cmath.phase(xi))
-    w = uhp_from_disk(z * rot)
-    other = disk_from_uhp(complex(w.real, 0.0))
-    return other / rot / abs(other / rot)
+        rot = cmath.exp(-1j * cmath.phase(self.base))
+        w = uhp_from_disk(z * rot)
+        return disk_from_uhp(complex(w.real, math.exp(self.level))) / rot
 
 
 def geodesic_max_busemann(g: Geodesic, xi: complex) -> float:
@@ -412,7 +399,13 @@ def geodesic_max_busemann(g: Geodesic, xi: complex) -> float:
 def segment_clip_by_horoball(
     z1: complex, z2: complex, ball: Horoball
 ) -> tuple[float, float]:
-    """(length outside, length inside) of the segment [z1, z2] w.r.t. a horoball."""
+    """(length outside, length inside) of the segment [z1, z2] w.r.t. a horoball.
+
+    In the upper half plane the ball is ``Im w >= |q w - p|^2`` for (p, q)
+    the ``_uhp_boundary_vector`` of its base scaled by ``e^(level/2)``.
+    Once the segment is ``i t`` with ``log t`` in [u1, u2], the ball is
+    ``q^2 t^2 - t + p^2 <= 0``: an interval of t, or a ray when q = 0.
+    """
     total = hyp_distance(z1, z2)
     if total < 1e-15:
         return (0.0, 0.0)
@@ -422,28 +415,20 @@ def segment_clip_by_horoball(
     u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))
     if u1 > u2:
         u1, u2 = u2, u1
-    f = lambda u: busemann(ball.base, g.point(u)) - ball.level
-    # concave along the geodesic: find the sub-interval where f >= 0
-    n = 64
-    us = [u1 + (u2 - u1) * k / n for k in range(n + 1)]
-    vals = [f(u) for u in us]
-    if max(vals) < 0.0:
+    p, q = _uhp_boundary_vector(ball.base)
+    k = math.exp(0.5 * ball.level)
+    p, q = k * p, k * q
+    p, q = M.a * p + M.b * q, M.c * p + M.d * q
+    pp, qq = p * p, q * q
+    if qq == 0.0:
+        lo, hi = math.log(pp), math.inf
+    elif 4.0 * pp * qq > 1.0:
         return (total, 0.0)
-    kmax = max(range(n + 1), key=lambda k: vals[k])
-
-    def _root(ulo, uhi, increasing):
-        for _ in range(80):
-            um = 0.5 * (ulo + uhi)
-            if (f(um) > 0.0) == increasing:
-                uhi = um
-            else:
-                ulo = um
-        return 0.5 * (ulo + uhi)
-
-    lo = u1 if vals[0] >= 0.0 else _root(us[kmax], u1, increasing=False)
-    hi = u2 if vals[n] >= 0.0 else _root(us[kmax], u2, increasing=False)
-    lo, hi = min(lo, hi), max(lo, hi)
-    inside = hi - lo
+    else:
+        top = (1.0 + math.sqrt(1.0 - 4.0 * pp * qq)) / (2.0 * qq)
+        bottom = pp / (qq * top)  # the product of the roots is pp / qq
+        lo, hi = (math.log(bottom) if bottom > 0.0 else -math.inf), math.log(top)
+    inside = max(0.0, min(hi, u2) - max(lo, u1))
     return (total - inside, inside)
 
 
@@ -454,8 +439,12 @@ def segment_clip_by_horoball(
 class ConvexRegion:
     """Intersection of left half planes of oriented complete geodesics.
 
-    An empty side list is the whole disk (the hull of a dense limit set is
-    approximated by many short sides instead of being special cased).
+    The sides must bound an ideal polygon, as ``veech.build_hull`` makes
+    them: its complement is the disjoint union of the half planes beyond the
+    sides, so a point outside lies beyond exactly one side (``side_beyond``)
+    and ``project`` sends it to its foot there.  An empty side list is the
+    whole disk (the hull of a dense limit set is approximated by many short
+    sides instead of being special cased).
     """
 
     sides: tuple[Geodesic, ...]
@@ -463,29 +452,17 @@ class ConvexRegion:
     def contains(self, z: complex, *, tol: float = 1e-9) -> bool:
         return all(g.side_of(z) >= -tol for g in self.sides)
 
+    def side_beyond(self, z: complex) -> Geodesic | None:
+        """The side that ``z`` lies beyond, or None when ``contains(z)``."""
+        # side_of is -tanh of the signed distance: the most negative value
+        # is the one side that z lies beyond
+        g = min(self.sides, key=lambda g: g.side_of(z), default=None)
+        return g if g is not None and g.side_of(z) < -1e-9 else None
+
     def project(self, z: complex) -> complex:
         """Closest point of the region (identity on the region itself)."""
-        _check_disk(z)
-        if self.contains(z):
-            return z
-        best = None
-        best_d = math.inf
-        for g in self.sides:
-            foot = g.foot(z)
-            d = hyp_distance(z, foot)
-            ok = all(
-                h.side_of(foot) >= -1e-7 for h in self.sides if h is not g
-            )
-            if ok and d < best_d:
-                best, best_d = foot, d
-        if best is None:
-            # numerically awkward corner: fall back to the nearest foot
-            for g in self.sides:
-                foot = g.foot(z)
-                d = hyp_distance(z, foot)
-                if d < best_d:
-                    best, best_d = foot, d
-        return best
+        g = self.side_beyond(_check_disk(z))
+        return z if g is None else g.foot(z)
 
 
 # -- ideal triangles ---------------------------------------------------------

@@ -23,14 +23,12 @@ from .hyperbolic import (
     Geodesic,
     Horoball,
     Mobius,
-    _uhp_boundary_coord,
+    _uhp_boundary_vector,
     boundary_from_direction,
     busemann,
     disk_from_uhp,
     geodesic_max_busemann,
-    hyp_distance,
     saddle_length_at_uhp,
-    uhp_from_disk,
 )
 from .surface import TranslationSurface, enumerate_saddle_connections
 
@@ -284,45 +282,23 @@ class HoroRegion:
 
 
 def _boundary_foot(g: Geodesic, xi: complex) -> complex:
-    """Foot of the perpendicular from a boundary point onto a geodesic."""
+    """Foot of the perpendicular from a boundary point onto a geodesic: with
+    ``g`` on the axis (0, inf), ``xi`` is a real p / q and the foot is i |p / q|."""
     M = g.to_axis()
-    x = _uhp_boundary_coord(xi)
-    (a, b), (c, d) = M.matrix
-    if math.isinf(x.real):
-        if abs(c) < 1e-15:
-            raise NotFound("boundary point is an endpoint of the geodesic")
-        w = a / c
-    else:
-        den = c * x.real + d
-        if abs(den) < 1e-15:
-            w = math.inf
-        else:
-            w = (a * x.real + b) / den
-    if not math.isfinite(w) or abs(w) < 1e-15:
+    p, q = _uhp_boundary_vector(xi)
+    p, q = M.a * p + M.b * q, M.c * p + M.d * q
+    if min(abs(p), abs(q)) < 1e-15 * max(abs(p), abs(q)):
         raise NotFound("boundary point is an endpoint of the geodesic")
-    return disk_from_uhp(M.inverse().apply_uhp(1j * abs(w)))
+    return disk_from_uhp(M.inverse().apply_uhp(1j * abs(p / q)))
 
 
 def _project_boundary_to_hull(hull: ConvexRegion, xi: complex) -> complex:
-    """Limit of projecting points tending to ``xi`` onto the region."""
-    near = 0.999999 * xi
-    best = None
-    best_d = math.inf
-    for g in hull.sides:
-        if g.side_of(near) >= 0:
-            continue
-        try:
-            foot = _boundary_foot(g, xi)
-        except NotFound:
-            continue
-        if not all(h.side_of(foot) >= -1e-7 for h in hull.sides if h is not g):
-            continue
-        d = hyp_distance(near, foot)
-        if d < best_d:
-            best, best_d = foot, d
-    if best is None:
+    """Limit of projecting points tending to ``xi`` onto the region: the foot
+    of ``xi`` on the one side that separates it from the region."""
+    g = hull.side_beyond(0.999999 * xi)
+    if g is None:
         raise NotFound("no hull side separates the boundary point")
-    return best
+    return _boundary_foot(g, xi)
 
 
 def _ball_point_toward(xi: complex, c: float) -> complex:

@@ -1,15 +1,25 @@
 """Slow independent reference implementations used to check fast code paths.
 
 Everything here favors obviousness over speed: exhaustive unfolding trees,
-numerical integration, dense graph searches.
+numerical integration, dense graph searches, sampled and bisected
+hyperbolic searches.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
+from flatbundle.hyperbolic import (
+    Geodesic,
+    busemann,
+    disk_from_uhp,
+    hyp_distance,
+    ideal_endpoints,
+    uhp_from_disk,
+)
 from flatbundle.surface import (
     Corner,
     SaddleConnection,
@@ -143,3 +153,99 @@ def graph_distances_from(n, edges, source):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+def project_to_region(region, z):
+    """Closest point of a ConvexRegion by trying the foot on every side.
+
+    Keeps the feet that every other side accepts (to 1e-7) and returns the
+    nearest; when none passes, the nearest foot overall.
+    """
+    if region.contains(z):
+        return z
+    best = None
+    best_d = math.inf
+    for g in region.sides:
+        foot = g.foot(z)
+        d = hyp_distance(z, foot)
+        ok = all(h.side_of(foot) >= -1e-7 for h in region.sides if h is not g)
+        if ok and d < best_d:
+            best, best_d = foot, d
+    if best is None:
+        for g in region.sides:
+            foot = g.foot(z)
+            d = hyp_distance(z, foot)
+            if d < best_d:
+                best, best_d = foot, d
+    return best
+
+
+def _reflect_through(z, xi):
+    """Second ideal endpoint of the geodesic from ``z`` into ``xi``."""
+    # rotate xi to the disk point 1 (uhp infinity); the geodesic through z
+    # toward uhp infinity is vertical, hitting the boundary at Re(w)
+    rot = cmath.exp(-1j * cmath.phase(xi))
+    w = uhp_from_disk(z * rot)
+    other = disk_from_uhp(complex(w.real, 0.0))
+    return other / rot / abs(other / rot)
+
+
+def horoball_closest_point(ball, z):
+    """Nearest point of a Horoball by bisecting the Busemann level along the
+    geodesic from ``z`` into the base."""
+    if ball.contains(z):
+        return z
+    g = Geodesic(_reflect_through(z, ball.base), ball.base)
+    M = g.to_axis()
+    uz = math.log(abs(M.apply_uhp(uhp_from_disk(z))))
+    at = lambda u: disk_from_uhp(M.inverse().apply_uhp(1j * math.exp(u)))
+    f = lambda u: busemann(ball.base, at(u))
+    lo_u, hi_u = uz, uz + (ball.level - busemann(ball.base, z)) + 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo_u + hi_u)
+        if f(mid) < ball.level:
+            lo_u = mid
+        else:
+            hi_u = mid
+    return at(0.5 * (lo_u + hi_u))
+
+
+def clip_by_horoball(z1, z2, ball):
+    """(outside, inside) lengths of the segment [z1, z2] against a Horoball.
+
+    Samples the Busemann excess at 65 evenly spaced points, then
+    bisects for the crossings on both sides of the best sample (the excess
+    is concave along a geodesic).  Reports 0 inside when no sample is in the
+    ball, so an intersection shorter than the sample spacing is missed.
+    """
+    total = hyp_distance(z1, z2)
+    if total < 1e-15:
+        return (0.0, 0.0)
+    g = Geodesic(*ideal_endpoints(z1, z2))
+    M = g.to_axis()
+    u1 = math.log(abs(M.apply_uhp(uhp_from_disk(z1))))
+    u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))
+    if u1 > u2:
+        u1, u2 = u2, u1
+    f = lambda u: busemann(ball.base, g.point(u)) - ball.level
+    n = 64
+    us = [u1 + (u2 - u1) * k / n for k in range(n + 1)]
+    vals = [f(u) for u in us]
+    if max(vals) < 0.0:
+        return (total, 0.0)
+    kmax = max(range(n + 1), key=lambda k: vals[k])
+
+    def _root(ulo, uhi):
+        for _ in range(80):
+            um = 0.5 * (ulo + uhi)
+            if f(um) > 0.0:
+                ulo = um
+            else:
+                uhi = um
+        return 0.5 * (ulo + uhi)
+
+    lo = u1 if vals[0] >= 0.0 else _root(us[kmax], u1)
+    hi = u2 if vals[n] >= 0.0 else _root(us[kmax], u2)
+    lo, hi = min(lo, hi), max(lo, hi)
+    inside = hi - lo
+    return (total - inside, inside)

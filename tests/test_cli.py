@@ -1,16 +1,26 @@
 """Tests for the command line driver: catalog, run pipeline, rendering."""
 
+import argparse
+import copy
 import json
 from dataclasses import asdict
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatbundle import cli
+from flatbundle import catalog, cli
+from flatbundle.errors import FlatBundleError
 
-OCTAGON_POLYGONS = json.loads(
-    (resources.files("flatbundle") / "data" / "octagon.json").read_text()
-)["polygons"]
+
+def _data(name):
+    return json.loads(
+        (resources.files("flatbundle") / "data" / f"{name}.json").read_text()
+    )
+
+
+OCTAGON_POLYGONS = _data("octagon")["polygons"]
 
 
 def run_cli(argv):
@@ -70,14 +80,25 @@ class TestValidation:
             ("--surface", {"polygons": OCTAGON_POLYGONS, "gluings": []}),
             ("--config", {"depth": "6"}),
             ("--config", {"depht": 6}),
+            ("--surface", {"polygons": OCTAGON_POLYGONS, "gluings": [[0, 1]]}),
+            ("--surface", {"polygons": 3}),
+            ("--group", {"surface": "octagon", "generators": 5}),
+            ("--group", {"surface": "octagon", "generators": [[[1, "x"], [0, 1]]]}),
+            ("--config", [1, 2]),
+            ("--config", None),
         ],
-        ids=["no-gluings", "empty-gluings", "string-depth", "unknown-field"],
+        ids=[
+            "no-gluings", "empty-gluings", "string-depth", "unknown-field",
+            "flat-gluing-pair", "number-polygons", "number-generators",
+            "string-matrix-entry", "list-config", "missing-config",
+        ],
     )
     def test_bad_input_is_one_error_line(
         self, command, flag, content, tmp_path, capsys
     ):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(content))
+        if content is not None:  # None: the file does not exist
+            path.write_text(json.dumps(content))
         argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
         if command == "render":
             argv += ["--kind", "horoballs"]
@@ -94,6 +115,69 @@ class TestValidation:
             **json.loads(path.read_text())
         )
         assert loaded == cfg
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _substitute(data, doc, value):
+    """``doc`` with the whole, one field or one nested entry set to ``value``."""
+    doc = copy.deepcopy(doc)
+    key = data.draw(st.sampled_from([None] + sorted(doc)))
+    if key is None:
+        return value
+    node = doc
+    while node[key] and isinstance(node[key], (list, dict)):
+        if not data.draw(st.booleans()):
+            break
+        node = node[key]
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+    node[key] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+class TestParserFuzz:
+    """Malformed but parseable JSON gives a result or a typed error."""
+
+    @given(st.data(), st.sampled_from(catalog.surface_names()), json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_surface(self, data, name, value):
+        doc = _substitute(data, _data(name), value)
+        try:
+            catalog.parse_surface(doc, name)
+        except (FlatBundleError, ValueError):
+            pass
+
+    @given(st.data(), st.sampled_from(catalog.group_names()), json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_group(self, data, name, value):
+        doc = _substitute(data, _data("groups")[name], value)
+        try:
+            catalog.parse_group(doc, name)
+        except (FlatBundleError, ValueError):
+            pass
+
+    @given(st.data(), json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_config(self, config_path, data, value):
+        doc = _substitute(data, asdict(cli.ExperimentConfig()), value)
+        config_path.write_text(json.dumps(doc))
+        args = argparse.Namespace(config=str(config_path))
+        try:
+            cli._config_from_args(args).validate()
+        except (FlatBundleError, ValueError):
+            pass
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,18 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatbundle import hyperbolic as H
-from flatbundle.errors import DegenerateTriple, NonInvertible, NotOnBoundary
+from flatbundle.catalog import load_group_preset
+from flatbundle.errors import (
+    DegenerateTriple,
+    ElementaryGroup,
+    NonInvertible,
+    NotOnBoundary,
+)
+from flatbundle.veech import build_hull, sample_limit_set
 
 import oracles
 
@@ -242,3 +249,97 @@ class TestRegionsAndIncenters:
         c = H.balance_point(v1, v2, v3)
         lengths = [H.saddle_length_at(c, v) for v in (v1, v2, v3)]
         assert max(lengths) - min(lengths) < 1e-9
+
+
+def _beyond(g, u, alpha):
+    """A point right of ``g`` (outside a region it bounds), ``alpha`` off its axis."""
+    w = math.exp(u) * complex(math.sin(alpha), math.cos(alpha))
+    return H.disk_from_uhp(g.to_axis().inverse().apply_uhp(w))
+
+
+@pytest.fixture(scope="module")
+def cusped_hull():
+    gens = load_group_preset("octagon_cusped")["generators"]
+    return build_hull(sample_limit_set([H.Mobius.from_matrix(m) for m in gens], 6))
+
+
+balls = st.builds(
+    H.Horoball, angles.map(lambda t: cmath.exp(1j * t)), st.floats(-3.0, 6.0)
+)
+
+
+class TestClosedFormsAgainstOracles:
+    @given(
+        st.lists(angles, min_size=3, max_size=12),
+        st.integers(0, 11),
+        st.floats(-3.0, 3.0),
+        st.floats(0.01, 1.5),
+    )
+    @settings(max_examples=150)
+    def test_project_random_polygons(self, vertex_angles, k, u, alpha):
+        try:
+            hull = build_hull([cmath.exp(1j * a) for a in vertex_angles])
+        except ElementaryGroup:
+            assume(False)
+        g = hull.sides[k % len(hull.sides)]
+        z = _beyond(g, u, alpha)
+        assume(abs(z) < 0.999 and not hull.contains(z))
+        assert hull.side_beyond(z) is g
+        assert abs(hull.project(z) - oracles.project_to_region(hull, z)) < 1e-9
+
+    @given(st.lists(angles, min_size=3, max_size=12), disk_points)
+    @settings(max_examples=150)
+    def test_side_beyond_only_outside(self, vertex_angles, z):
+        try:
+            hull = build_hull([cmath.exp(1j * a) for a in vertex_angles])
+        except ElementaryGroup:
+            assume(False)
+        assert (hull.side_beyond(z) is None) == hull.contains(z)
+
+    @given(st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_project_octagon_cusped_hull(self, cusped_hull, data):
+        # O(sides^2) oracle on 1371 sides: a few seconds per example
+        g = data.draw(st.sampled_from(cusped_hull.sides))
+        z = _beyond(g, data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(0.05, 1.5)))
+        assume(abs(z) < 1.0 - 1e-9 and not cusped_hull.contains(z))
+        ref = oracles.project_to_region(cusped_hull, z)
+        assert abs(cusped_hull.project(z) - ref) < 1e-9
+
+    @given(balls, disk_points)
+    @settings(max_examples=150)
+    def test_closest_point(self, ball, z):
+        ref = oracles.horoball_closest_point(ball, z)
+        assert abs(ball.closest_point_to(z) - ref) < 1e-9
+
+    @given(balls, disk_points, disk_points)
+    @settings(max_examples=300)
+    def test_clip(self, ball, z1, z2):
+        out, ins = H.segment_clip_by_horoball(z1, z2, ball)
+        ref_out, ref_ins = oracles.clip_by_horoball(z1, z2, ball)
+        total = H.hyp_distance(z1, z2)
+        assert ins >= 0.0 and out + ins == pytest.approx(total, abs=1e-9)
+        if ins == ref_ins == 0.0:
+            return
+        # near a tangency the inside length goes as the square root of the
+        # depth, so input rounding of 1e-16 moves it by up to ~1e-8
+        g = H.Geodesic(*H.ideal_endpoints(z1, z2))
+        grazing = H.geodesic_max_busemann(g, ball.base) - ball.level < 1e-9
+        tol = 1e-7 if grazing else 1e-9
+        if ref_ins > 0.0:
+            assert abs(ins - ref_ins) < tol and abs(out - ref_out) < tol
+        else:
+            # the oracle's 64 samples all missed: at most one sample gap inside
+            assert ins < total / 64 + tol
+
+    def test_clip_grazing_arc(self):
+        # the arc |w| = 1.0005 e of the semicircle rises just above the
+        # horocycle Im w = e; every one of the oracle's samples misses it
+        ball = H.Horoball(complex(1, 0), 1.0)
+        radius = 1.0005 * math.e
+        z1 = H.disk_from_uhp(radius * cmath.exp(0.02j))
+        z2 = H.disk_from_uhp(radius * cmath.exp(1j * (math.pi - 0.3)))
+        theta_a = math.asin(1.0 / 1.0005)
+        out, ins = H.segment_clip_by_horoball(z1, z2, ball)
+        assert ins == pytest.approx(2.0 * math.atanh(math.cos(theta_a)), abs=1e-9)
+        assert out + ins == pytest.approx(H.hyp_distance(z1, z2), abs=1e-9)
