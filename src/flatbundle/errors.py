@@ -33,10 +33,6 @@ class NotAGeodesic(FlatBundleError):
     """A concatenation violates the angle >= pi condition at a junction."""
 
 
-class BallExceeded(FlatBundleError):
-    """A geodesic query left the configured unfolding ball."""
-
-
 class NotOnBoundary(FlatBundleError):
     """A point expected on the boundary circle is not on it."""
 

@@ -122,14 +122,6 @@ class PreferredPath:
     def d_length(self) -> float:
         return sum(p.length for p in self.pieces)
 
-    @property
-    def saddle_pieces(self) -> tuple[SaddlePiece, ...]:
-        return tuple(p for p in self.pieces if isinstance(p, SaddlePiece))
-
-    @property
-    def horizontal_pieces(self) -> tuple[HorizontalPiece, ...]:
-        return tuple(p for p in self.pieces if isinstance(p, HorizontalPiece))
-
 
 def build_preferred_path(
     surface: TranslationSurface,

@@ -311,15 +311,6 @@ class SlimnessReport:
     per_triangle: tuple
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "deltaMax": self.delta_max,
-            "deltaQuantiles": self.delta_quantiles,
-            "perTriangle": [[desc, val] for desc, val in self.per_triangle],
-            "config": self.config,
-        }
-
 
 def _quantiles(values) -> dict:
     if not values:

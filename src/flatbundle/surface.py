@@ -6,6 +6,16 @@ connection enumeration, direction tracing, flat geodesics) reduces to marching
 straight segments through the glued polygons, so the marching primitives here
 are written once and shared.
 
+Every cone angle is at least 2*pi, so the universal cover is CAT(0) and each
+homotopy class of chains of saddle connections holds exactly one flat
+geodesic.  :func:`tighten_chain` finds it in a *sleeve*, the list of placed
+polygons the chain passes through: the funnel algorithm (Lee & Preparata
+1984) gives the shortest path in the sleeve, and where that path turns by
+less than pi on the outside of a cone point the sleeve is rerouted around
+the other side, as in the homotopy-class shortening of Hershberger &
+Snoeyink ("Computing minimum length paths of a given homotopy class", CGTA
+1994).
+
 Points and vectors are complex numbers; polygon vertices are listed
 counterclockwise and edge ``i`` runs from vertex ``i`` to vertex ``i + 1``.
 """
@@ -14,11 +24,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
-    BallExceeded,
     ConeAngleInvalid,
     CutoffTooLarge,
     GenusTooSmall,
@@ -36,6 +46,8 @@ TOL_GLUE = 1e-12
 TOL_ANGLE = 1e-10
 #: absolute tolerance for "this point is a vertex"
 TOL_VERTEX = 1e-9
+#: slack below pi still accepted as a geodesic junction angle
+TOL_GEODESIC = 1e-9
 #: rounding used when deduplicating holonomy vectors
 DEDUP_DIGITS = 8
 
@@ -535,12 +547,6 @@ class SaddleConnection:
             th = 0.0
         return th
 
-    def start_coord(self, surface: TranslationSurface) -> float:
-        return surface.coord_of(self.start, self.start_phi)
-
-    def end_coord(self, surface: TranslationSurface) -> float:
-        return surface.coord_of(self.end, self.end_phi)
-
     def reverse(self, surface: TranslationSurface) -> "SaddleConnection":
         rcross = tuple(surface.gluings[c] for c in reversed(self.crossings))
         return SaddleConnection(
@@ -676,14 +682,25 @@ def junction_gaps(
     return g, cc.angle - g
 
 
+def bent_junction(
+    surface: TranslationSurface, pieces: Sequence[SaddleConnection]
+) -> tuple[int, bool] | None:
+    """First junction with an angle below pi as ``(k, ccw)``, or None.
+
+    ``k`` is the junction after ``pieces[k]``; ``ccw`` says the small angle
+    is the counterclockwise one (cone angles are >= 2 pi, so only one is).
+    """
+    for k, (a, b) in enumerate(zip(pieces, pieces[1:])):
+        g_ccw, g_cw = junction_gaps(surface, a, b)
+        if min(g_ccw, g_cw) < math.pi - TOL_GEODESIC:
+            return k, g_ccw < g_cw
+    return None
+
+
 def is_local_geodesic(
-    surface: TranslationSurface, pieces: tuple[SaddleConnection, ...]
+    surface: TranslationSurface, pieces: Sequence[SaddleConnection]
 ) -> bool:
-    for a, b in zip(pieces, pieces[1:]):
-        g1, g2 = junction_gaps(surface, a, b)
-        if min(g1, g2) < math.pi - 1e-9:
-            return False
-    return True
+    return bent_junction(surface, pieces) is None
 
 
 @dataclass(frozen=True)
@@ -704,371 +721,273 @@ class FlatGeodesic:
         return FlatGeodesic(tuple(p.reverse(surface) for p in reversed(self.pieces)))
 
 
-def concatenate(
-    surface: TranslationSurface, pieces: list[SaddleConnection]
-) -> FlatGeodesic:
-    """Assemble pieces into a geodesic, checking the angle condition."""
-    pieces = list(pieces)
-    if not is_local_geodesic(surface, tuple(pieces)):
-        raise NotAGeodesic("junction angle below pi")
-    return FlatGeodesic(tuple(pieces))
+class _Node(NamedTuple):
+    """A placement in a sleeve, with the edge it was entered through."""
+
+    poly: int
+    t: complex
+    entry: int  # -1 for the first placement
 
 
-class Corridor:
-    """A sheet-aware patch of placed polygon copies in the plane.
+def _cross(surface: TranslationSurface, sleeve: list[_Node], e: int) -> None:
+    """Extend the sleeve across edge ``e`` of its last placement.
 
-    Nodes are placements ``(polygon, translation)``; links pair placement
-    edges according to the surface gluings.  The patch is grown only through
-    :meth:`grow`, so two overlapping placements on different sheets are never
-    confused.
+    Crossing back over the entry edge returns to the previous placement, so
+    that placement is dropped instead: a sleeve never folds onto itself.
+    """
+    poly, t, entry = sleeve[-1]
+    if e == entry:
+        sleeve.pop()
+        return
+    q, f = surface.gluings[(poly, e)]
+    sleeve.append(_Node(q, surface.vertex(poly, e + 1) + t - surface.vertex(q, f), f))
+
+
+def _exit_edge(surface: TranslationSurface, sleeve: list[_Node], k: int) -> int:
+    """Edge of placement ``k`` glued to the entry edge of placement ``k + 1``."""
+    nxt = sleeve[k + 1]
+    return surface.gluings[(nxt.poly, nxt.entry)][1]
+
+
+def _fan(
+    surface: TranslationSurface, sleeve: list[_Node], j: int, target: Corner, ccw: bool
+) -> int:
+    """Rotate around vertex ``j`` of the last placement until its corner is ``target``.
+
+    Each step crosses the corner's incoming edge (``ccw``) or its outgoing
+    edge; returns the vertex index of the cone point in the final placement.
+    """
+    for _ in range(len(surface.corner_class) + 1):
+        poly = sleeve[-1].poly
+        if Corner(poly, j) == target:
+            return j
+        n = surface.n_edges(poly)
+        e = (j - 1) % n if ccw else j
+        q, f = surface.gluings[(poly, e)]
+        _cross(surface, sleeve, e)
+        j = f if ccw else (f + 1) % surface.n_edges(q)
+    raise NotAGeodesic("segments do not share a cone point")
+
+
+def _chain_sleeve(
+    surface: TranslationSurface, chain: list[SaddleConnection]
+) -> tuple[list[_Node], int, int]:
+    """Sleeve of a chain: its placements and the start and end vertex indices.
+
+    Each piece adds the placements its crossings pass through; at a junction
+    the fan around the cone point is added on the side of the smaller angle.
+    """
+    p0, i0 = chain[0].start
+    sleeve = [_Node(p0, -surface.vertex(p0, i0), -1)]
+    j = i0
+    for k, sc in enumerate(chain):
+        if k:
+            g_ccw, g_cw = junction_gaps(surface, chain[k - 1], sc)
+            j = _fan(surface, sleeve, j, sc.start, ccw=g_ccw <= g_cw)
+        for poly, e in sc.crossings:
+            if sleeve[-1].poly != poly:
+                raise NotAConnection("crossing does not leave the current polygon")
+            _cross(surface, sleeve, e)
+        if sleeve[-1].poly != sc.end.poly:
+            raise NotAConnection("piece does not end in its end polygon")
+        j = sc.end.vertex
+    return sleeve, i0, j
+
+
+@dataclass(eq=False)
+class _Vertex:
+    """A vertex lift on the sleeve boundary.
+
+    ``first`` and ``last`` are its first and last (placement, vertex index)
+    occurrences in the sleeve; ``left`` says which side of the sleeve it
+    bounds.
     """
 
-    def __init__(self, surface: TranslationSurface):
-        self.surface = surface
-        self.nodes: list[tuple[int, complex]] = []
-        self.links: dict[tuple[int, int], tuple[int, int]] = {}
-        self._see_cache: dict = {}
+    point: complex
+    first: tuple[int, int]
+    last: tuple[int, int]
+    left: bool
 
-    def add(self, poly: int, t: complex) -> int:
-        self.nodes.append((poly, t))
-        return len(self.nodes) - 1
 
-    def grow(self, n: int, e: int) -> int:
-        """Placement across edge ``e`` of node ``n`` (created if missing)."""
-        if (n, e) in self.links:
-            return self.links[(n, e)][0]
-        poly, t = self.nodes[n]
-        q, f = self.surface.gluings[(poly, e)]
-        B = self.surface.vertex(poly, e + 1) + t
-        t2 = B - self.surface.vertex(q, f)
-        m = self.add(q, t2)
-        self.links[(n, e)] = (m, f)
-        self.links[(m, f)] = (n, e)
-        return m
+def _blocks(a: complex, b: complex, c: complex, sign: float) -> bool:
+    """Does ``c`` block the chord from ``a`` to ``b`` from one side?
 
-    def pos(self, n: int, j: int) -> complex:
-        poly, t = self.nodes[n]
-        return self.surface.vertex(poly, j) + t
+    True when ``c`` lies on the left (``sign`` +1) or right (-1) of the
+    chord, or within ``TOL_VERTEX`` of the chord itself.  Two lifts at the
+    same planar position (the sleeve is immersed, not embedded) have no
+    straight chord, so every vertex blocks it.
+    """
+    d = b - a
+    if abs(d) < TOL_VERTEX:
+        return True
+    dist = sign * cross(d, c - a) / abs(d)
+    if abs(dist) > TOL_VERTEX:
+        return dist > 0.0
+    u = c - a
+    return 0.0 < u.real * d.real + u.imag * d.imag < abs(d) ** 2
 
-    def placed(self, n: int) -> list[complex]:
-        poly, t = self.nodes[n]
-        return [v + t for v in self.surface.polygons[poly]]
 
-    def star(self, n: int, j: int) -> list[tuple[int, int]]:
-        """All (node, vertex) occurrences of the same vertex lift around it."""
-        out = [(n, j)]
-        # clockwise: cross the outgoing edge
-        cur = (n, j)
-        guard = 0
-        while True:
-            poly, _t = self.nodes[cur[0]]
-            link = self.links.get((cur[0], cur[1]))
-            if link is None:
+def _funnel(
+    surface: TranslationSurface, sleeve: list[_Node], i0: int, j_end: int
+) -> list[_Vertex]:
+    """Pivots of the shortest path through the sleeve, start and end included.
+
+    The funnel algorithm of Lee & Preparata: an apex with a concave chain of
+    boundary vertices on each side.  The vertices of each placement are fed
+    in, left and right of the path, up to the portal (the edge glued to the
+    next placement).  A new vertex pops the vertices on its own side that it
+    sees past; when that side is empty, the apex advances along the other
+    side while the new vertex is hidden behind it.  Every apex is a pivot.
+    A vertex within ``TOL_VERTEX`` of a chord blocks it, so no piece passes
+    through a cone point.
+    """
+
+    def at(k: int, j: int) -> complex:
+        return surface.vertex(sleeve[k].poly, j) + sleeve[k].t
+
+    def straight(k: int, j: int) -> bool:
+        angle = surface.interior_angle(Corner(sleeve[k].poly, j))
+        return abs(angle - math.pi) < TOL_ANGLE
+
+    start = _Vertex(at(0, i0), (0, i0), (0, i0), True)
+    path = [start]
+    apex = start
+    cur = {True: start, False: start}  # latest boundary vertex on each side
+    chains = {True: deque(), False: deque()}
+
+    def add(v: _Vertex) -> None:
+        nonlocal apex
+        own, other = chains[v.left], chains[not v.left]
+        sign = 1.0 if v.left else -1.0
+        while own:
+            prev = own[-2] if len(own) > 1 else apex
+            if _blocks(prev.point, v.point, own[-1].point, -sign):
                 break
-            m, f = link
-            nf = self.surface.n_edges(self.nodes[m][0])
-            cur = (m, (f + 1) % nf)
-            if cur == (n, j) or cur in out:
-                return out  # closed star
-            out.append(cur)
-            guard += 1
-            if guard > 1000:
-                break
-        # counterclockwise: cross the incoming edge
-        cur = (n, j)
-        while True:
-            poly, _t = self.nodes[cur[0]]
-            ne = self.surface.n_edges(poly)
-            link = self.links.get((cur[0], (cur[1] - 1) % ne))
-            if link is None:
-                break
-            m, f = link
-            cur = (m, f)
-            if cur in out:
-                break
-            out.insert(0, cur)
-            guard += 1
-            if guard > 1000:
-                break
-        return out
+            own.pop()
+        if not own:
+            while other and _blocks(apex.point, v.point, other[0].point, sign):
+                apex = other.popleft()
+                path.append(apex)
+        own.append(v)
+        cur[v.left] = v
 
-    def fan(self, n: int, j: int, target: Corner, ccw: bool) -> tuple[int, int]:
-        """Grow placements rotating around the vertex lift until ``target``.
-
-        Returns the (node, vertex) occurrence whose corner equals ``target``.
-        """
-        cur = (n, j)
-        cc = self.surface.class_of(Corner(self.nodes[n][0], j))
-        for _ in range(len(cc.corners) + 2):
-            poly = self.nodes[cur[0]][0]
-            if Corner(poly, cur[1]) == target:
-                return cur
-            if ccw:
-                ne = self.surface.n_edges(poly)
-                m = self.grow(cur[0], (cur[1] - 1) % ne)
-                _m2, f = self.links[(cur[0], (cur[1] - 1) % ne)]
-                cur = (m, f)
-            else:
-                m = self.grow(cur[0], cur[1])
-                _m2, f = self.links[(cur[0], cur[1])]
-                nf = self.surface.n_edges(self.nodes[m][0])
-                cur = (m, (f + 1) % nf)
-        raise BallExceeded(f"fan around {target} did not close")
-
-    # -- visibility by marching through the patch ---------------------------
-
-    def see_cached(
-        self, a: tuple[int, int], b: tuple[int, int]
-    ) -> tuple[int, int] | None:
-        """Like ``see`` but memoized.
-
-        A positive answer stays valid as the corridor grows; a negative
-        answer is retried once new placements have been added.
-        """
-        key = (a, b)
-        hit = self._see_cache.get(key)
-        n = len(self.nodes)
-        if hit is not None and (hit[0] is not None or hit[1] == n):
-            return hit[0]
-        res = self.see(a, b)
-        self._see_cache[key] = (res, n)
-        return res
-
-    def see(
-        self, a: tuple[int, int], b: tuple[int, int], *, budget: int = 2000
-    ) -> tuple[int, int] | None:
-        """Is the straight segment between vertex lifts inside the patch?
-
-        Returns the (start occurrence vertex, end occurrence vertex) pair of
-        corner occurrences actually used, or None.
-        """
-        U = self.pos(*a)
-        V = self.pos(*b)
-        w = V - U
-        if abs(w) < TOL_VERTEX:
-            return None
-        for (n, j) in self.star(*a):
-            poly, t = self.nodes[n]
-            evec = self.surface.edge_vec(poly, j)
-            ang = self.surface.interior_angle(Corner(poly, j))
-            phi = ccw_angle(evec, w)
-            if phi < TOL_ANGLE:
-                # along the outgoing edge: visible iff b is its far endpoint
-                if abs(w - evec) < TOL_VERTEX:
-                    nf = self.surface.n_edges(poly)
-                    return (n, j), (n, (j + 1) % nf)
-                continue
-            if phi > ang - TOL_ANGLE:
-                # along the incoming edge, backwards: cross to the partner
-                # copy, where the same segment runs along an outgoing edge
-                ne = self.surface.n_edges(poly)
-                if abs(w + self.surface.edge_vec(poly, (j - 1) % ne)) < TOL_VERTEX:
-                    m = self.grow(n, (j - 1) % ne)
-                    _m, f = self.links[(n, (j - 1) % ne)]
-                    nf = self.surface.n_edges(self.nodes[m][0])
-                    return (m, f), (m, (f + 1) % nf)
-                continue
-            hit = self._march(n, U, V)
-            if hit is not None:
-                return (n, j), hit
-        return None
-
-    def _march(self, n: int, U: complex, V: complex) -> tuple[int, int] | None:
-        c = U
-        entry = -1
-        for _ in range(2000):
-            poly, t = self.nodes[n]
-            ex = _find_exit(self.surface, poly, t, c, V, entry)
-            if ex is None or ex.s * abs(V - c) >= abs(V - c) - TOL_VERTEX:
-                for j, v in enumerate(self.surface.polygons[poly]):
-                    if abs(v + t - V) < TOL_VERTEX:
-                        return (n, j)
-                return None
-            if ex.at_vertex >= 0:
-                if abs(ex.point - V) < TOL_VERTEX:
-                    return (n, ex.at_vertex)
-                return None
-            link = self.links.get((n, ex.edge))
-            if link is None:
-                return None
-            n, entry = link
-            c = ex.point
-        return None
-
-
-def _chain_corridor(
-    surface: TranslationSurface, pieces: list[SaddleConnection]
-) -> tuple[Corridor, tuple[int, int], tuple[int, int]]:
-    """Corridor containing a chain of saddle connections; returns (corridor, S, E)."""
-    c = Corridor(surface)
-    p0, i0 = pieces[0].start
-    n = c.add(p0, -surface.vertex(p0, i0))
-    S = (n, i0)
-    cur_occ = S
-    for k, sc in enumerate(pieces):
-        # walk this piece's crossings from its start occurrence
-        node = cur_occ[0]
-        # the piece starts at corner sc.start; cur_occ may sit at a different
-        # occurrence of the same lift, so rotate to it first
-        occ = c.fan(cur_occ[0], cur_occ[1], sc.start, ccw=True)
-        node = occ[0]
-        for (poly, e) in sc.crossings:
-            assert c.nodes[node][0] == poly
-            node = c.grow(node, e)
-        end_occ = (node, sc.end.vertex)
-        assert c.nodes[node][0] == sc.end.poly
-        if k + 1 < len(pieces):
-            nxt = pieces[k + 1]
-            occ2 = c.fan(end_occ[0], end_occ[1], nxt.start, ccw=True)
-            # also pre-open the clockwise side so shortcuts on either side exist
-            c.fan(end_occ[0], end_occ[1], nxt.start, ccw=False)
-            cur_occ = occ2
+    last = len(sleeve) - 1
+    for k, node in enumerate(sleeve):
+        n = surface.n_edges(node.poly)
+        if k < last:
+            # the exit edge e has vertex e + 1 on the left and e on the right
+            e = _exit_edge(surface, sleeve, k)
+            stops = ((True, (e + 1) % n), (False, e))
+        elif j_end in (cur[True].last[1], cur[False].last[1]):
+            stops = ()
         else:
-            cur_occ = end_occ
-    return c, S, cur_occ
+            stops = ((True, (j_end + 1) % n), (False, (j_end - 1) % n))
+        # boundary vertices up to the exit: clockwise on the left,
+        # counterclockwise on the right
+        walks = {True: [], False: []}
+        for left, stop in stops:
+            j = cur[left].last[1]
+            while j != stop:
+                j = (j + (-1 if left else 1)) % n
+                walks[left].append(j)
+        # a straight corner goes in as soon as it is next on its side, so no
+        # chord between the two sides runs along the edges through it
+        while walks[True] or walks[False]:
+            left = bool(walks[True]) and (
+                not walks[False]
+                or straight(k, walks[True][0])
+                or not straight(k, walks[False][0])
+            )
+            j = walks[left].pop(0)
+            add(_Vertex(at(k, j), (k, j), (k, j), left))
+        if k < last:
+            f = sleeve[k + 1].entry
+            cur[True].last = (k + 1, f)
+            cur[False].last = (k + 1, (f + 1) % surface.n_edges(sleeve[k + 1].poly))
+    for left in (True, False):
+        if cur[left].last[1] == j_end:
+            return path + list(chains[left])
+    add(_Vertex(at(last, j_end), (last, j_end), (last, j_end), True))
+    return path + list(chains[True])
 
 
-def _dijkstra_pivots(
-    corridor: Corridor, S: tuple[int, int], E: tuple[int, int]
-) -> list[tuple[int, int]] | None:
-    """Shortest pivot chain from S to E bending only at vertex lifts."""
-    import heapq
+def _piece(
+    surface: TranslationSurface, sleeve: list[_Node], a: _Vertex, b: _Vertex
+) -> SaddleConnection:
+    """The saddle connection from pivot ``a`` to pivot ``b``.
 
-    surface = corridor.surface
-    # canonical id for each vertex lift = lexicographically least occurrence
-    canon: dict[tuple[int, int], tuple[int, int]] = {}
-    lifts: list[tuple[int, int]] = []
-    for n in range(len(corridor.nodes)):
-        poly, _t = corridor.nodes[n]
-        for j in range(surface.n_edges(poly)):
-            if (n, j) in canon:
-                continue
-            st = corridor.star(n, j)
-            rep = min(st)
-            for occ in st:
-                canon[occ] = rep
-            lifts.append(rep)
-    Sc, Ec = canon[S], canon[E]
-    pos = {v: corridor.pos(*v) for v in lifts}
-    dist = {Sc: 0.0}
-    prev: dict[tuple[int, int], tuple[int, int]] = {}
-    heap = [(0.0, Sc)]
-    done: set[tuple[int, int]] = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        if v == Ec:
-            break
-        pv = pos[v]
-        for u in lifts:
-            if u in done:
-                continue
-            # the chord weight equals the straight-line distance, so the
-            # visibility march only runs when it could actually improve
-            nd = d + abs(pos[u] - pv)
-            if nd >= dist.get(u, math.inf) - 1e-15:
-                continue
-            if corridor.see_cached(v, u) is None:
-                continue
-            dist[u] = nd
-            prev[u] = v
-            heapq.heappush(heap, (nd, u))
-    if Ec not in done:
-        return None
-    path = [Ec]
-    while path[-1] != Sc:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
-def _pieces_from_pivots(
-    corridor: Corridor, path: list[tuple[int, int]]
-) -> list[SaddleConnection]:
-    surface = corridor.surface
-    pieces = []
-    for a, b in zip(path, path[1:]):
-        occ = corridor.see_cached(a, b)
-        if occ is None:
-            raise NotAGeodesic("pivot chain lost visibility")
-        (n1, j1), (n2, j2) = occ
-        start = Corner(corridor.nodes[n1][0], j1)
-        w = corridor.pos(*b) - corridor.pos(*a)
-        pieces.append(connect(surface, start, w))
-    return pieces
-
-
-def _shorten(
-    corridor: Corridor,
-    S: tuple[int, int],
-    E: tuple[int, int],
-    *,
-    max_rounds: int = 60,
-    max_nodes: int = 4000,
-) -> FlatGeodesic:
-    """Local-shortening fixpoint inside a growing corridor.
-
-    Compute the shortest bending chain in the patch, check the angle condition
-    around every pivot on the surface, and where it fails open the patch on
-    the short side and repeat.
+    It leaves ``a`` from the last placement around ``a``; when it runs back
+    along that corner's incoming edge it starts from the next corner
+    counterclockwise, where the same edge is outgoing.
     """
-    surface = corridor.surface
-    if abs(corridor.pos(*S) - corridor.pos(*E)) < TOL_VERTEX:
-        return FlatGeodesic(())
-    for _ in range(max_rounds):
-        if len(corridor.nodes) > max_nodes:
-            raise BallExceeded("corridor grew past the node budget")
-        path = _dijkstra_pivots(corridor, S, E)
-        if path is None:
-            raise NotAGeodesic("endpoints are not connected in the corridor")
-        pieces = _pieces_from_pivots(corridor, path)
-        worst = None
-        for k in range(len(pieces) - 1):
-            g_ccw, g_cw = junction_gaps(surface, pieces[k], pieces[k + 1])
-            if min(g_ccw, g_cw) < math.pi - 1e-9:
-                worst = (k, g_ccw < g_cw)
-                break
-        if worst is None:
-            return FlatGeodesic(tuple(pieces))
-        k, short_ccw = worst
-        # open the corridor around the offending pivot on the short side
-        occ = corridor.see_cached(path[k], path[k + 1])
-        (_sn, _sj), (en, ej) = occ
-        corridor.fan(en, ej, pieces[k + 1].start, ccw=short_ccw)
-    raise NotAGeodesic("local shortening did not converge")
+    k, j = a.last
+    corner = Corner(sleeve[k].poly, j)
+    w = b.point - a.point
+    phi = ccw_angle(surface.edge_vec(*corner), w)
+    if phi > surface.interior_angle(corner) - TOL_ANGLE:
+        corner = _next_corner(surface.gluings, surface.polygons, corner)
+    return connect(surface, corner, w)
+
+
+def _reroute(
+    surface: TranslationSurface, sleeve: list[_Node], v: _Vertex
+) -> list[_Node]:
+    """Sleeve with the placements around ``v`` replaced by the fan on its other side."""
+    (k0, j0), (k1, j1) = v.first, v.last
+    out = sleeve[: k0 + 1]
+    # a left-side vertex is passed with the sleeve turning counterclockwise
+    _fan(surface, out, j0, Corner(sleeve[k1].poly, j1), ccw=not v.left)
+    for k in range(k1, len(sleeve) - 1):
+        _cross(surface, out, _exit_edge(surface, sleeve, k))
+    return out
+
+
+#: guard on the number of reroutes; each one strictly shortens the path
+MAX_REROUTES = 100
 
 
 def tighten_chain(
-    surface: TranslationSurface, chain: list[SaddleConnection], **kw
+    surface: TranslationSurface, chain: list[SaddleConnection]
 ) -> FlatGeodesic:
-    """Geodesic between the endpoints of a saddle connection chain."""
-    if not chain:
-        return FlatGeodesic(())
-    corridor, S, E = _chain_corridor(surface, list(chain))
-    return _shorten(corridor, S, E, **kw)
+    """Geodesic between the endpoints of a saddle connection chain.
 
+    The universal cover of the surface is CAT(0), so the homotopy class of
+    the chain (rel endpoints) holds exactly one geodesic, and a chain of
+    saddle connections is that geodesic as soon as it is locally geodesic:
+    at every junction both angles are at least pi.  The search follows the
+    homotopy-class shortening of Hershberger & Snoeyink ("Computing minimum
+    length paths of a given homotopy class", CGTA 1994):
 
-def flat_geodesic(
-    surface: TranslationSurface,
-    start: Corner,
-    crossings: list[tuple[int, int]],
-    end_vertex: int,
-    **kw,
-) -> FlatGeodesic:
-    """Geodesic from ``start`` to a cone lift reached through ``crossings``.
+    * the *sleeve* is the list of placed polygons the chain passes through,
+      with the fan of polygons around each junction's cone point on one
+      side;
+    * the funnel algorithm (Lee & Preparata 1984) gives the shortest path
+      through the sleeve, bending only at vertex lifts (the pivots), and
+      each piece between pivots is traced with :func:`connect`;
+    * at the first pivot whose angle outside the sleeve is below pi, the
+      placements around that cone point are replaced by the fan on the
+      other side and the funnel runs again.  The old path lies in the new
+      sleeve and can be shortened there, so each reroute strictly shortens
+      the path; ``MAX_REROUTES`` is only a guard.
 
-    ``crossings`` is a homotopy hint: the sequence of (polygon, edge) pairs a
-    path from the start corner crosses; ``end_vertex`` is the vertex index of
-    the final polygon copy.
+    Raises ``NotAGeodesic`` when consecutive pieces do not share a cone
+    point or the guard is reached, and ``NotAConnection`` when a piece's
+    crossings do not match the polygons.
     """
-    corridor = Corridor(surface)
-    p, i = start
-    n = corridor.add(p, -surface.vertex(p, i))
-    S = (n, i)
-    for (poly, e) in crossings:
-        if corridor.nodes[n][0] != poly:
-            raise NotAConnection("crossing hint does not match the polygons")
-        n = corridor.grow(n, e)
-    return _shorten(corridor, S, (n, end_vertex), **kw)
+    chain = list(chain)
+    if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
+        return FlatGeodesic(())
+    sleeve, i0, j_end = _chain_sleeve(surface, chain)
+    for _ in range(MAX_REROUTES):
+        pivots = _funnel(surface, sleeve, i0, j_end)
+        pieces = [_piece(surface, sleeve, a, b) for a, b in zip(pivots, pivots[1:])]
+        bent = bent_junction(surface, pieces)
+        if bent is None:
+            return FlatGeodesic(tuple(pieces))
+        k, ccw = bent
+        v = pivots[k + 1]
+        if ccw == v.left:
+            # small angle inside the sleeve: the funnel bent at a grazed vertex
+            raise NotAGeodesic("path grazes a cone point")
+        sleeve = _reroute(surface, sleeve, v)
+    raise NotAGeodesic("geodesic search exceeded its reroute guard")

@@ -1,8 +1,8 @@
 """Slow independent reference implementations used to check fast code paths.
 
 Everything here favors obviousness over speed: exhaustive unfolding trees,
-numerical integration, dense graph searches, sampled and bisected
-hyperbolic searches.
+numerical integration, dense graph searches, all-pairs visibility
+shortening of flat geodesics, sampled and bisected hyperbolic searches.
 """
 
 from __future__ import annotations
@@ -20,10 +20,19 @@ from flatbundle.hyperbolic import (
     ideal_endpoints,
     uhp_from_disk,
 )
+from flatbundle.errors import NotAGeodesic
 from flatbundle.surface import (
+    TOL_ANGLE,
+    TOL_VERTEX,
     Corner,
+    FlatGeodesic,
     SaddleConnection,
+    TranslationSurface,
+    _find_exit,
+    bent_junction,
     canonical_holonomy,
+    ccw_angle,
+    connect,
     trace_segment,
 )
 
@@ -249,3 +258,388 @@ def clip_by_horoball(z1, z2, ball):
     lo, hi = min(lo, hi), max(lo, hi)
     inside = hi - lo
     return (total - inside, inside)
+
+
+# -- flat geodesics by all-pairs visibility ---------------------------------
+
+
+class Corridor:
+    """A sheet-aware patch of placed polygon copies in the plane.
+
+    Nodes are placements ``(polygon, translation)``; links pair placement
+    edges according to the surface gluings.  The patch is grown only through
+    :meth:`grow`, so two overlapping placements on different sheets are
+    separate nodes; :meth:`see` still matches the end of a march by planar
+    position only.
+    """
+
+    def __init__(self, surface: TranslationSurface):
+        self.surface = surface
+        self.nodes: list[tuple[int, complex]] = []
+        self.links: dict[tuple[int, int], tuple[int, int]] = {}
+        self._see_cache: dict = {}
+
+    def add(self, poly: int, t: complex) -> int:
+        self.nodes.append((poly, t))
+        return len(self.nodes) - 1
+
+    def grow(self, n: int, e: int) -> int:
+        """Placement across edge ``e`` of node ``n`` (created if missing)."""
+        if (n, e) in self.links:
+            return self.links[(n, e)][0]
+        poly, t = self.nodes[n]
+        q, f = self.surface.gluings[(poly, e)]
+        B = self.surface.vertex(poly, e + 1) + t
+        t2 = B - self.surface.vertex(q, f)
+        m = self.add(q, t2)
+        self.links[(n, e)] = (m, f)
+        self.links[(m, f)] = (n, e)
+        return m
+
+    def pos(self, n: int, j: int) -> complex:
+        poly, t = self.nodes[n]
+        return self.surface.vertex(poly, j) + t
+
+    def star(self, n: int, j: int) -> list[tuple[int, int]]:
+        """All (node, vertex) occurrences of the same vertex lift around it."""
+        out = [(n, j)]
+        # clockwise: cross the outgoing edge
+        cur = (n, j)
+        guard = 0
+        while True:
+            poly, _t = self.nodes[cur[0]]
+            link = self.links.get((cur[0], cur[1]))
+            if link is None:
+                break
+            m, f = link
+            nf = self.surface.n_edges(self.nodes[m][0])
+            cur = (m, (f + 1) % nf)
+            if cur == (n, j) or cur in out:
+                return out  # closed star
+            out.append(cur)
+            guard += 1
+            if guard > 1000:
+                break
+        # counterclockwise: cross the incoming edge
+        cur = (n, j)
+        while True:
+            poly, _t = self.nodes[cur[0]]
+            ne = self.surface.n_edges(poly)
+            link = self.links.get((cur[0], (cur[1] - 1) % ne))
+            if link is None:
+                break
+            m, f = link
+            cur = (m, f)
+            if cur in out:
+                break
+            out.insert(0, cur)
+            guard += 1
+            if guard > 1000:
+                break
+        return out
+
+    def fan(self, n: int, j: int, target: Corner, ccw: bool) -> tuple[int, int]:
+        """Grow placements rotating around the vertex lift until ``target``.
+
+        Returns the (node, vertex) occurrence whose corner equals ``target``.
+        """
+        cur = (n, j)
+        cc = self.surface.class_of(Corner(self.nodes[n][0], j))
+        for _ in range(len(cc.corners) + 2):
+            poly = self.nodes[cur[0]][0]
+            if Corner(poly, cur[1]) == target:
+                return cur
+            if ccw:
+                ne = self.surface.n_edges(poly)
+                m = self.grow(cur[0], (cur[1] - 1) % ne)
+                _m2, f = self.links[(cur[0], (cur[1] - 1) % ne)]
+                cur = (m, f)
+            else:
+                m = self.grow(cur[0], cur[1])
+                _m2, f = self.links[(cur[0], cur[1])]
+                nf = self.surface.n_edges(self.nodes[m][0])
+                cur = (m, (f + 1) % nf)
+        raise NotAGeodesic(f"fan around {target} did not close")
+
+    # -- visibility by marching through the patch ---------------------------
+
+    def see_cached(
+        self, a: tuple[int, int], b: tuple[int, int]
+    ) -> tuple[int, int] | None:
+        """Like ``see`` but memoized.
+
+        A positive answer stays valid as the corridor grows; a negative
+        answer is retried once new placements have been added.
+        """
+        key = (a, b)
+        hit = self._see_cache.get(key)
+        n = len(self.nodes)
+        if hit is not None and (hit[0] is not None or hit[1] == n):
+            return hit[0]
+        res = self.see(a, b)
+        self._see_cache[key] = (res, n)
+        return res
+
+    def see(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | None:
+        """Is the straight segment between vertex lifts inside the patch?
+
+        Returns the (start occurrence vertex, end occurrence vertex) pair of
+        corner occurrences actually used, or None.  The end occurrence is
+        only matched by planar position, so it can lie on another sheet than
+        ``b`` (see :func:`tighten_chain_dijkstra`).
+        """
+        U = self.pos(*a)
+        V = self.pos(*b)
+        w = V - U
+        if abs(w) < TOL_VERTEX:
+            return None
+        for (n, j) in self.star(*a):
+            poly, t = self.nodes[n]
+            evec = self.surface.edge_vec(poly, j)
+            ang = self.surface.interior_angle(Corner(poly, j))
+            phi = ccw_angle(evec, w)
+            if phi < TOL_ANGLE:
+                # along the outgoing edge: visible iff b is its far endpoint
+                if abs(w - evec) < TOL_VERTEX:
+                    nf = self.surface.n_edges(poly)
+                    return (n, j), (n, (j + 1) % nf)
+                continue
+            if phi > ang - TOL_ANGLE:
+                # along the incoming edge, backwards: cross to the partner
+                # copy, where the same segment runs along an outgoing edge
+                ne = self.surface.n_edges(poly)
+                if abs(w + self.surface.edge_vec(poly, (j - 1) % ne)) < TOL_VERTEX:
+                    m = self.grow(n, (j - 1) % ne)
+                    _m, f = self.links[(n, (j - 1) % ne)]
+                    nf = self.surface.n_edges(self.nodes[m][0])
+                    return (m, f), (m, (f + 1) % nf)
+                continue
+            hit = self._march(n, U, V)
+            if hit is not None:
+                return (n, j), hit
+        return None
+
+    def _march(self, n: int, U: complex, V: complex) -> tuple[int, int] | None:
+        c = U
+        entry = -1
+        for _ in range(2000):
+            poly, t = self.nodes[n]
+            ex = _find_exit(self.surface, poly, t, c, V, entry)
+            if ex is None or ex.s * abs(V - c) >= abs(V - c) - TOL_VERTEX:
+                for j, v in enumerate(self.surface.polygons[poly]):
+                    if abs(v + t - V) < TOL_VERTEX:
+                        return (n, j)
+                return None
+            if ex.at_vertex >= 0:
+                if abs(ex.point - V) < TOL_VERTEX:
+                    return (n, ex.at_vertex)
+                return None
+            link = self.links.get((n, ex.edge))
+            if link is None:
+                return None
+            n, entry = link
+            c = ex.point
+        return None
+
+
+def _chain_corridor(
+    surface: TranslationSurface, pieces: list[SaddleConnection]
+) -> tuple[Corridor, tuple[int, int], tuple[int, int]]:
+    """Corridor containing a chain of saddle connections; returns (corridor, S, E).
+
+    At each junction the corridor is opened around the cone point on both
+    sides.
+    """
+    c = Corridor(surface)
+    p0, i0 = pieces[0].start
+    n = c.add(p0, -surface.vertex(p0, i0))
+    S = (n, i0)
+    cur_occ = S
+    for k, sc in enumerate(pieces):
+        # walk this piece's crossings from its start occurrence
+        node = cur_occ[0]
+        # the piece starts at corner sc.start; cur_occ may sit at a different
+        # occurrence of the same lift, so rotate to it first
+        occ = c.fan(cur_occ[0], cur_occ[1], sc.start, ccw=True)
+        node = occ[0]
+        for (poly, e) in sc.crossings:
+            assert c.nodes[node][0] == poly
+            node = c.grow(node, e)
+        end_occ = (node, sc.end.vertex)
+        assert c.nodes[node][0] == sc.end.poly
+        if k + 1 < len(pieces):
+            nxt = pieces[k + 1]
+            occ2 = c.fan(end_occ[0], end_occ[1], nxt.start, ccw=True)
+            # also pre-open the clockwise side so shortcuts on either side exist
+            c.fan(end_occ[0], end_occ[1], nxt.start, ccw=False)
+            cur_occ = occ2
+        else:
+            cur_occ = end_occ
+    return c, S, cur_occ
+
+
+def _dijkstra_pivots(
+    corridor: Corridor, S: tuple[int, int], E: tuple[int, int]
+) -> list[tuple[int, int]] | None:
+    """Shortest pivot chain from S to E bending only at vertex lifts."""
+    import heapq
+
+    surface = corridor.surface
+    # canonical id for each vertex lift = lexicographically least occurrence
+    canon: dict[tuple[int, int], tuple[int, int]] = {}
+    lifts: list[tuple[int, int]] = []
+    for n in range(len(corridor.nodes)):
+        poly, _t = corridor.nodes[n]
+        for j in range(surface.n_edges(poly)):
+            if (n, j) in canon:
+                continue
+            st = corridor.star(n, j)
+            rep = min(st)
+            for occ in st:
+                canon[occ] = rep
+            lifts.append(rep)
+    Sc, Ec = canon[S], canon[E]
+    pos = {v: corridor.pos(*v) for v in lifts}
+    dist = {Sc: 0.0}
+    prev: dict[tuple[int, int], tuple[int, int]] = {}
+    heap = [(0.0, Sc)]
+    done: set[tuple[int, int]] = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        if v == Ec:
+            break
+        pv = pos[v]
+        for u in lifts:
+            if u in done:
+                continue
+            # the chord weight equals the straight-line distance, so the
+            # visibility march only runs when it could actually improve
+            nd = d + abs(pos[u] - pv)
+            if nd >= dist.get(u, math.inf) - 1e-15:
+                continue
+            if corridor.see_cached(v, u) is None:
+                continue
+            dist[u] = nd
+            prev[u] = v
+            heapq.heappush(heap, (nd, u))
+    if Ec not in done:
+        return None
+    path = [Ec]
+    while path[-1] != Sc:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def _pieces_from_pivots(
+    corridor: Corridor, path: list[tuple[int, int]]
+) -> list[SaddleConnection]:
+    surface = corridor.surface
+    pieces = []
+    for a, b in zip(path, path[1:]):
+        occ = corridor.see_cached(a, b)
+        if occ is None:
+            raise NotAGeodesic("pivot chain lost visibility")
+        (n1, j1), (n2, j2) = occ
+        start = Corner(corridor.nodes[n1][0], j1)
+        w = corridor.pos(*b) - corridor.pos(*a)
+        pieces.append(connect(surface, start, w))
+    return pieces
+
+
+def _shorten(
+    corridor: Corridor, S: tuple[int, int], E: tuple[int, int]
+) -> tuple[FlatGeodesic, bool]:
+    """Local-shortening fixpoint inside a growing corridor.
+
+    Compute the shortest bending chain in the patch, check the angle condition
+    around every pivot on the surface, and where it fails open the patch on
+    the short side and repeat.  Also returns whether every chord of the
+    final chain ends on the lift it was aimed at.
+    """
+    surface = corridor.surface
+    if abs(corridor.pos(*S) - corridor.pos(*E)) < TOL_VERTEX:
+        return FlatGeodesic(()), True
+    # give up after 60 rounds or 4000 placements
+    for _ in range(60):
+        if len(corridor.nodes) > 4000:
+            raise NotAGeodesic("corridor grew past the node budget")
+        path = _dijkstra_pivots(corridor, S, E)
+        if path is None:
+            raise NotAGeodesic("endpoints are not connected in the corridor")
+        pieces = _pieces_from_pivots(corridor, path)
+        worst = bent_junction(surface, pieces)
+        if worst is None:
+            on_sheet = all(
+                corridor.see_cached(a, b)[1] in corridor.star(*b)
+                for a, b in zip(path, path[1:])
+            )
+            return FlatGeodesic(tuple(pieces)), on_sheet
+        k, short_ccw = worst
+        # open the corridor around the offending pivot on the short side
+        occ = corridor.see_cached(path[k], path[k + 1])
+        (_sn, _sj), (en, ej) = occ
+        corridor.fan(en, ej, pieces[k + 1].start, ccw=short_ccw)
+    raise NotAGeodesic("local shortening did not converge")
+
+
+def tighten_chain_dijkstra(surface, chain):
+    """Geodesic of a chain by shortest visibility paths in a growing corridor.
+
+    The corridor is a tree of placed polygons opened on both sides of every
+    junction; each round runs a Dijkstra over every vertex lift, with a
+    straight-line march through the corridor as the visibility test, and
+    fans the corridor open around the first pivot that fails the angle
+    condition.  Raises ``NotAGeodesic`` when it does not converge.
+
+    Returns ``(geodesic, on_sheet)``.  A march counts as reaching its target
+    when it ends on any vertex at the target's planar position, which may
+    be a different lift in the corridor; ``on_sheet`` is False when a chord
+    of the returned chain did so.  Such a chain is a local geodesic in
+    another homotopy class than the chain's, so only answers with
+    ``on_sheet`` are a reference.
+    """
+    if not chain:
+        return FlatGeodesic(()), True
+    corridor, S, E = _chain_corridor(surface, list(chain))
+    return _shorten(corridor, S, E)
+
+
+def crossing_class(surface, pieces, start, end):
+    """Signed edge-crossing counts of a chain pushed off its cone points.
+
+    The chain runs from corner ``start`` to corner ``end``; at its ends and
+    junctions it is pushed off the cone point counterclockwise, from the
+    corner it arrives at to the corner it leaves from.  Each crossing adds
+    +1 to its edge pair when it leaves through the pair's lesser edge, -1
+    otherwise.  On a surface with one cone point a loop around it crosses
+    every pair once each way, so the counts depend only on the homology
+    class of the chain rel its end points: two chains with the same ends
+    and different counts are not homotopic.
+    """
+    if len(surface.cone_classes) != 1:
+        raise ValueError("crossing counts need a surface with one cone point")
+    counts = {}
+
+    def add(poly, e):
+        edge = (poly, e)
+        pair = min(edge, surface.gluings[edge])
+        counts[pair] = counts.get(pair, 0) + (1 if edge == pair else -1)
+
+    def rotate(a, b):
+        while a != b:
+            add(a.poly, (a.vertex - 1) % surface.n_edges(a.poly))
+            q, f = surface.gluings[(a.poly, (a.vertex - 1) % surface.n_edges(a.poly))]
+            a = Corner(q, f)
+
+    at = start
+    for sc in pieces:
+        rotate(at, sc.start)
+        for poly, e in sc.crossings:
+            add(poly, e)
+        at = sc.end
+    rotate(at, end)
+    return {pair: c for pair, c in counts.items() if c}

@@ -1,7 +1,9 @@
 """Tests for glued-polygon surfaces and straight-line geometry on them."""
 
 import cmath
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -15,10 +17,8 @@ from flatbundle.errors import (
 from flatbundle.surface import (
     Corner,
     canonical_holonomy,
-    concatenate,
     connect,
     enumerate_saddle_connections,
-    flat_geodesic,
     is_local_geodesic,
     junction_gaps,
     load_surface,
@@ -177,8 +177,7 @@ class TestGeodesics:
         # a connection followed by its own continuation leaves angle >= pi on
         # both sides only if the turn is flat; its reverse concatenation is not
         sc = connect(octagon, Corner(0, 0), 1 + 0j)
-        with pytest.raises(NotAGeodesic):
-            concatenate(octagon, [sc, sc.reverse(octagon)])
+        assert not is_local_geodesic(octagon, (sc, sc.reverse(octagon)))
 
     def test_tighten_two_edges(self, octagon):
         a = connect(octagon, Corner(0, 0), 1 + 0j)
@@ -216,6 +215,174 @@ class TestGeodesics:
         scs = enumerate_saddle_connections(lshape, 1.0)
         assert scs
         sc = scs[0]
-        geo = flat_geodesic(lshape, sc.start, list(sc.crossings), sc.end.vertex)
+        geo = tighten_chain(lshape, [sc])
         assert geo.length <= sc.length + 1e-9
 
+    def test_mismatched_crossings_raise(self, lshape):
+        sc = next(
+            sc for sc in enumerate_saddle_connections(lshape, 3.0) if sc.crossings
+        )
+        poly, e = sc.crossings[0]
+        bad = dataclasses.replace(sc, crossings=((1 - poly, e),) + sc.crossings[1:])
+        with pytest.raises(NotAConnection):
+            tighten_chain(lshape, [bad])
+
+
+def _connections(surface):
+    """Saddle connections up to length 3 in both orientations."""
+    scs = enumerate_saddle_connections(surface, 3.0)
+    return list(scs) + [sc.reverse(surface) for sc in scs]
+
+
+def _random_chains(surface, n, seed=7):
+    """``n`` random chains of 2 or 3 connections joined at their cone points."""
+    pool = _connections(surface)
+    by_cone = {}
+    for sc in pool:
+        by_cone.setdefault(surface.corner_class[sc.start], []).append(sc)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        size = rng.choice([2, 3])
+        chain = [rng.choice(pool)]
+        for _ in range(size - 1):
+            chain.append(rng.choice(by_cone[surface.corner_class[chain[-1].end]]))
+        out.append(chain)
+    return out
+
+
+def _chain(surface, spec):
+    """The chain of connections given as (start corner, holonomy) pairs."""
+    pool = _connections(surface)
+    return [
+        next(
+            sc
+            for sc in pool
+            if sc.start == Corner(*start) and abs(sc.holonomy - w) < 1e-9
+        )
+        for start, w in spec
+    ]
+
+
+def _same_pieces(a, b):
+    return len(a) == len(b) and all(
+        p.start == q.start and abs(p.holonomy - q.holonomy) < 1e-9
+        for p, q in zip(a, b)
+    )
+
+
+def _assert_certified(surface, chain, geo):
+    """Development, length and angle certificates of a tightened chain."""
+    dev = sum((sc.holonomy for sc in chain), 0j)
+    assert geo.length <= sum(sc.length for sc in chain) + 1e-9
+    assert is_local_geodesic(surface, geo.pieces)
+    if not geo.pieces:
+        # a chain that develops to a closed loop tightens to the empty chain
+        assert abs(dev) < 1e-9
+        return
+    assert abs(geo.development - dev) < 1e-9
+    ends = chain[0].start, chain[-1].end
+    assert oracles.crossing_class(surface, geo.pieces, *ends) == (
+        oracles.crossing_class(surface, chain, *ends)
+    )
+
+
+#: chains on which corridor shortening with an all-pairs visibility search
+#: stalled ("local shortening did not converge"): the first is the known
+#: lshape case, the rest come from ``_random_chains(surface, 300)``
+STALLED_CHAINS = [
+    ("lshape", [((0, 5), 1 - 1j), ((0, 4), -1 - 1j), ((0, 3), -1 - 2j)]),
+    ("lshape", [((0, 1), 1j), ((1, 0), 2 + 1j), ((1, 0), 1 + 0j)]),
+    ("lshape", [((0, 4), -1 - 1j), ((1, 2), -1 - 2j)]),
+    ("lshape", [((0, 1), -1 + 1j), ((0, 1), 1 + 2j), ((1, 0), 1 + 1j)]),
+    ("lshape", [((0, 1), -1 + 0j), ((0, 1), 2 + 1j), ((0, 1), 2 + 1j)]),
+    ("lshape", [((0, 1), -1 + 0j), ((1, 1), -1 + 2j), ((0, 1), 1 + 1j)]),
+    (
+        "octagon",
+        [
+            ((0, 4), 0.7071067811865475 - 1.7071067811865475j),
+            ((0, 4), 1.4142135623730954 - 2.414213562373095j),
+        ],
+    ),
+    (
+        "octagon",
+        [
+            ((0, 5), 2.7071067811865475 - 0.7071067811865475j),
+            ((0, 1), 0.7071067811865475 + 0.7071067811865475j),
+            ((0, 6), 1.7071067811865477 + 0.7071067811865475j),
+        ],
+    ),
+    (
+        "double_pentagon",
+        [
+            ((0, 3), 1.3090169943749475 - 2.1266270208801j),
+            ((0, 4), 1.618033988749895 - 1.9021130325903075j),
+        ],
+    ),
+    (
+        "double_pentagon",
+        [
+            ((0, 4), 1.618033988749895 - 2.220446049250313e-16j),
+            ((0, 4), 2.4270509831248424 + 0.5877852522924728j),
+        ],
+    ),
+    (
+        "double_pentagon",
+        [
+            ((0, 3), 0.8090169943749473 - 0.5877852522924732j),
+            ((1, 1), 1.3090169943749475 - 0.9510565162951538j),
+            ((1, 2), 2.4270509831248424 - 0.5877852522924735j),
+        ],
+    ),
+]
+
+
+class TestTightenChain:
+    @pytest.mark.parametrize("name,spec", STALLED_CHAINS)
+    def test_stalled_chains_converge(self, name, spec):
+        surface = load_catalog_surface(name)
+        chain = _chain(surface, spec)
+        _assert_certified(surface, chain, tighten_chain(surface, chain))
+
+    @pytest.mark.parametrize("name", ["octagon", "lshape", "double_pentagon"])
+    def test_random_chains_are_certified(self, name):
+        surface = load_catalog_surface(name)
+        for chain in _random_chains(surface, 300):
+            geo = tighten_chain(surface, chain)
+            _assert_certified(surface, chain, geo)
+            if geo.pieces and is_local_geodesic(surface, tuple(chain)):
+                # the geodesic of a homotopy class is unique, so a locally
+                # geodesic chain is its own
+                assert [p.holonomy for p in geo.pieces] == pytest.approx(
+                    [sc.holonomy for sc in chain], abs=1e-9
+                )
+
+    def test_locally_geodesic_chain_is_its_own_geodesic(self, lshape):
+        # develops to 1+1j like the single connection from (0, 0), but in
+        # another homotopy class; a search that took any lift at the right
+        # planar position for the end point returned that connection
+        chain = _chain(lshape, [((0, 0), 2 + 1j), ((1, 1), -2 + 1j), ((0, 4), 1 - 1j)])
+        assert is_local_geodesic(lshape, tuple(chain))
+        assert _same_pieces(tighten_chain(lshape, chain).pieces, chain)
+
+    @pytest.mark.parametrize("name", ["octagon", "lshape", "double_pentagon"])
+    def test_agrees_with_dijkstra_oracle(self, name):
+        surface = load_catalog_surface(name)
+        agreed_on_sheet = 0
+        for chain in _random_chains(surface, 300):
+            try:
+                ref, on_sheet = oracles.tighten_chain_dijkstra(surface, chain)
+            except NotAGeodesic:
+                continue
+            geo = tighten_chain(surface, chain)
+            if _same_pieces(geo.pieces, ref.pieces):
+                agreed_on_sheet += on_sheet
+                continue
+            # the oracle left the chain's sheets: its answer is another local
+            # geodesic with the same development, so by uniqueness of the
+            # geodesic in a homotopy class it lies in another class
+            assert not on_sheet
+            assert is_local_geodesic(surface, ref.pieces)
+            assert abs(ref.development - geo.development) < 1e-9
+            assert ref.length <= sum(sc.length for sc in chain) + 1e-9
+        assert agreed_on_sheet >= 60
