@@ -237,6 +237,8 @@ def _suite_slimness(surface, family, saddles, seed, step, count):
         "deltaMax": report.delta_max,
         "deltaSecondHalf": second,
         "quantiles": report.delta_quantiles,
+        "attempts": report.attempts,
+        "rejected": report.rejected,
     }, report
 
 

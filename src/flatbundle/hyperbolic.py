@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DegenerateTriple, NonInvertible, NotInDisk, NotOnBoundary
 
 TOL_DET = 1e-9
@@ -316,16 +318,21 @@ def ideal_endpoints(z1: complex, z2: complex) -> tuple[complex, complex]:
     return (disk_from_uhp(a), disk_from_uhp(b))
 
 
-def segment_point(z1: complex, z2: complex, s: float) -> complex:
-    """Point at arclength ``s`` from ``z1`` along the segment to ``z2``."""
+def segment_points(z1: complex, z2: complex, n: int) -> np.ndarray:
+    """The n + 1 points at arclength fractions 0, 1/n, ..., 1 from ``z1`` to ``z2``.
+
+    The isometry ``phi(z) = (z - z1) / (1 - conj(z1) z)`` sends ``z1`` to 0
+    and ``z2`` to ``r exp(i theta)``; the point at fraction ``t`` is
+    ``phi^-1(tanh(t atanh r) exp(i theta))``.
+    """
+    _check_disk(z1)
+    _check_disk(z2)
     if abs(z1 - z2) < 1e-15:
-        return z1
-    g = Geodesic(*ideal_endpoints(z1, z2))
-    M = g.to_axis()
-    u1 = math.log(abs(M.apply_uhp(uhp_from_disk(z1))))
-    u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))
-    u = u1 + (u2 - u1) * (s / hyp_distance(z1, z2))
-    return disk_from_uhp(M.inverse().apply_uhp(1j * math.exp(u)))
+        return np.full(n + 1, z1, dtype=complex)
+    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
+    r = abs(w)
+    p = np.tanh((np.arange(n + 1) / n) * math.atanh(r)) * (w / r)
+    return (p + z1) / (1.0 + z1.conjugate() * p)
 
 
 # -- horoballs ---------------------------------------------------------------

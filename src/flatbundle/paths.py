@@ -34,6 +34,7 @@ from .surface import (
     SaddleConnection,
     TranslationSurface,
     cross,
+    is_local_geodesic,
     tighten_chain,
 )
 from .veech import HoroRegion, family_key, region_for
@@ -340,15 +341,21 @@ def random_fan(surface: TranslationSurface, saddles, rng) -> Fan | None:
 
     Draws two saddle connections ``a`` and ``b`` from ``saddles``, then one
     reversal coin for each; the fan has apex ``a.start`` over the geodesic
-    tightened from ``a`` reversed followed by ``b``.
+    tightened from ``a`` reversed followed by ``b``. When that chain is
+    already locally geodesic it is its own geodesic, so the bottom starts
+    with ``a`` reversed and the triangle is degenerate: the draw is rejected
+    before anything is tightened.
     """
     a, b = rng.choice(saddles), rng.choice(saddles)
     if rng.random() < 0.5:
         a = a.reverse(surface)
     if rng.random() < 0.5:
         b = b.reverse(surface)
+    chain = [a.reverse(surface), b]
     try:
-        bottom = tighten_chain(surface, [a.reverse(surface), b])
+        if is_local_geodesic(surface, chain):
+            return None
+        bottom = tighten_chain(surface, chain)
         if not bottom.pieces:
             return None
         return build_fan(surface, a, bottom)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .hyperbolic import Geodesic, boundary_from_direction, segment_point
+from .hyperbolic import Geodesic, boundary_from_direction, segment_points
 from .paths import HorizontalPiece, SaddlePiece
 
 CANVAS = 1000
@@ -168,14 +168,9 @@ def render_path(path) -> str:
     el = [_disk_boundary()]
     for piece in path.pieces:
         if isinstance(piece, HorizontalPiece):
-            length = piece.length
-            if length < 1e-12:
+            if piece.length < 1e-12:
                 continue
-            n = 32
-            pts = [
-                segment_point(piece.start, piece.end, length * i / n)
-                for i in range(n + 1)
-            ]
+            pts = segment_points(piece.start, piece.end, 32)
             el.append(_polyline(pts, "#4878cf", 2.0))
         elif isinstance(piece, SaddlePiece):
             el.append(_dot(piece.at_base, 5.0, "#d65f5f"))

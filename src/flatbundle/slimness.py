@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FlatBundleError
-from .hyperbolic import segment_point
+from .hyperbolic import segment_points
 from .paths import (
     FiberPoint,
     HorizontalPiece,
@@ -43,6 +44,7 @@ class SampleSet:
     clearance: np.ndarray  # fiber travel needed to reach the base point
     sig: np.ndarray  # integer signature of the carrying piece
     s: np.ndarray  # arc position within the carrying piece
+    horo: tuple  # per collapsed horoball, each sample's distance to it
 
     def __len__(self) -> int:
         return len(self.base)
@@ -69,48 +71,47 @@ class _SigTable:
         return self._ids.setdefault(key, len(self._ids))
 
 
-def sample_path(path, table: _SigTable, *, step: float = DEFAULT_STEP) -> SampleSet:
-    """Discretize a preferred path at arc-length ``step`` in the collapsed model."""
-    base, clearance, sig, s = [], [], [], []
+def _piece_count(length: float, step: float) -> int:
+    return min(_MAX_SAMPLES_PER_PIECE, max(1, math.ceil(length / step)))
 
-    def put(z, c, g, t):
-        base.append(z)
-        clearance.append(c)
-        sig.append(g)
-        s.append(t)
 
+def sample_path(path, table: _SigTable, balls, *, step: float = DEFAULT_STEP) -> SampleSet:
+    """Discretize a preferred path at arc-length ``step`` in the collapsed model.
+
+    Each sample also gets its distance to each of the collapsed ``balls``.
+    """
+    parts = []  # (base, clearance, arc position, signature) per piece
     for piece in path.pieces:
+        length = piece.length
         if isinstance(piece, HorizontalPiece):
-            length = piece.length
             a, b = _round_z(piece.start), _round_z(piece.end)
-            flip = b < a
             g = table.sig_of(("h", min(a, b), max(a, b)))
-            n = min(_MAX_SAMPLES_PER_PIECE, max(1, math.ceil(length / step)))
-            for i in range(n + 1):
-                t = i / n
-                z = piece.start if length == 0 else segment_point(
-                    piece.start, piece.end, t * length
-                )
-                put(z, 0.0, g, (1 - t) * length if flip else t * length)
-        else:
-            length = piece.length
-            r, i2, flip = _canon_hol(piece.connection.holonomy)
-            g = table.sig_of(("s", (r, i2), _round_z(piece.at_base)))
-            if piece.region.kind == "ball":
-                # parabolic saddle: collapses into the spine
-                put(piece.at_base, 0.0, g, 0.0)
-                continue
-            n = min(_MAX_SAMPLES_PER_PIECE, max(1, math.ceil(length / step)))
-            for i in range(n + 1):
-                t = (i / n) * length
-                c = min(t, length - t)
-                put(piece.at_base, c, g, length - t if flip else t)
-
+            n = _piece_count(length, step)
+            t = np.arange(n + 1) / n
+            z = segment_points(piece.start, piece.end, n)
+            parts.append((z, np.zeros(n + 1), (1 - t) * length if b < a else t * length, g))
+            continue
+        r, i2, flip = _canon_hol(piece.connection.holonomy)
+        g = table.sig_of(("s", (r, i2), _round_z(piece.at_base)))
+        if piece.region.kind == "ball":
+            # parabolic saddle: collapses into the spine
+            parts.append((np.full(1, piece.at_base), np.zeros(1), np.zeros(1), g))
+            continue
+        n = _piece_count(length, step)
+        t = (np.arange(n + 1) / n) * length
+        parts.append((
+            np.full(n + 1, piece.at_base),
+            np.minimum(t, length - t),
+            length - t if flip else t,
+            g,
+        ))
+    base = np.concatenate([p[0] for p in parts], dtype=complex)
     return SampleSet(
-        np.asarray(base, dtype=complex),
-        np.asarray(clearance, dtype=float),
-        np.asarray(sig, dtype=int),
-        np.asarray(s, dtype=float),
+        base,
+        np.concatenate([p[1] for p in parts]),
+        np.concatenate([np.full(len(p[0]), p[3]) for p in parts]),
+        np.concatenate([p[2] for p in parts]),
+        tuple(_ball_distances(base, ball) for ball in balls),
     )
 
 
@@ -140,16 +141,17 @@ def _rho_matrix(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.arccosh(1.0 + num / den)
 
 
-def sample_distance_matrix(a: SampleSet, b: SampleSet, balls) -> np.ndarray:
+def sample_distance_matrix(a: SampleSet, b: SampleSet) -> np.ndarray:
     """Collapsed surrogate distances between two sample sets.
 
     Base travel is the cheaper of the direct hyperbolic distance and a chain
     through a single collapsed horoball; fiber clearances are added, except
     between samples of the same piece, which meet at their arc distance.
+    Every step is symmetric in ``a`` and ``b``, so swapping them gives the
+    transpose exactly.
     """
     d = _rho_matrix(a.base, b.base)
-    for ball in balls:
-        da, db = _ball_distances(a.base, ball), _ball_distances(b.base, ball)
+    for da, db in zip(a.horo, b.horo):
         np.minimum(d, da[:, None] + db[None, :], out=d)
     d += a.clearance[:, None] + b.clearance[None, :]
     same = a.sig[:, None] == b.sig[None, :]
@@ -159,16 +161,29 @@ def sample_distance_matrix(a: SampleSet, b: SampleSet, balls) -> np.ndarray:
     return d
 
 
-def one_sided_distance(a: SampleSet, targets, balls) -> float:
-    """max over samples of ``a`` of the distance to the union of targets."""
-    if not len(a):
-        return 0.0
-    best = np.full(len(a), np.inf)
-    for t in targets:
-        if not len(t):
-            continue
-        np.minimum(best, sample_distance_matrix(a, t, balls).min(axis=1), out=best)
-    return float(best.max())
+def _side_distances(paths, family, step: float) -> dict:
+    """Distances from each sample of one side of a triangle to each other side.
+
+    Maps ``(i, j)`` to the distances of side ``i``'s samples to side ``j``.
+    One matrix per unordered pair of sides gives both directions: its row
+    minima for ``(i, j)`` and its column minima for ``(j, i)``.
+    """
+    table = _SigTable()
+    balls = _family_balls(family)
+    sides = [sample_path(p, table, balls, step=step) for p in paths]
+    near = {}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        d = sample_distance_matrix(sides[i], sides[j])
+        near[i, j], near[j, i] = d.min(axis=1), d.min(axis=0)
+    return near
+
+
+def _thinness(near: dict) -> float:
+    """Max over sides of the max sample distance to the union of the other two."""
+    return max(
+        float(np.minimum(near[i, j], near[i, k]).max())
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    )
 
 
 # -- triangle slimness -------------------------------------------------------
@@ -196,13 +211,7 @@ def triangle_slimness(
         build_preferred_path(surface, y, z, family, cyz),
         build_preferred_path(surface, x, z, family, cxz),
     )
-    table = _SigTable()
-    sides = [sample_path(p, table, step=step) for p in paths]
-    balls = _family_balls(family)
-    return max(
-        one_sided_distance(sides[i], [sides[j] for j in range(3) if j != i], balls)
-        for i in range(3)
-    )
+    return _thinness(_side_distances(paths, family, step))
 
 
 def euclidean_triangle_slimness(a: complex, b: complex, c: complex, *, step: float = DEFAULT_STEP) -> float:
@@ -251,23 +260,15 @@ def fan_lemma_check(
         build_preferred_path(surface, p0, pk, family, list(fan.bottom)),
         build_preferred_path(surface, apex, pk, family, [topk]),
     )
-    table = _SigTable()
-    sides = [sample_path(p, table, step=step) for p in paths]
-    balls = _family_balls(family)
-    delta = max(
-        one_sided_distance(sides[i], [sides[j] for j in range(3) if j != i], balls)
-        for i in range(3)
-    )
+    near = _side_distances(paths, family, step)
+    delta = _thinness(near)
     applicable = (
         reg0.kind == "ball"
         and regk.kind == "ball"
         and spans_triangle(surface, top0, topk)
     )
     if applicable:
-        contain = max(
-            one_sided_distance(sides[0], [sides[1]], balls),
-            one_sided_distance(sides[2], [sides[1]], balls),
-        )
+        contain = max(float(near[0, 1].max()), float(near[2, 1].max()))
         delta = max(delta, contain)
         return delta, math.isfinite(contain)
     return delta, True
@@ -309,6 +310,8 @@ class SlimnessReport:
     delta_max: float
     delta_quantiles: dict
     per_triangle: tuple
+    attempts: int  # random draws made
+    rejected: dict  # draws dropped, counted by reason
     config: dict = field(default_factory=dict)
 
 
@@ -320,13 +323,15 @@ def _quantiles(values) -> dict:
     return {f"q{int(100 * q):02d}": float(np.quantile(arr, q)) for q in qs}
 
 
-def _make_report(deltas, descs, config) -> SlimnessReport:
+def _make_report(deltas, descs, config, attempts, rejected) -> SlimnessReport:
     return SlimnessReport(
         samples=len(deltas),
         delta_max=max(deltas) if deltas else 0.0,
         delta_quantiles=_quantiles(deltas),
         per_triangle=tuple(zip(descs, deltas)),
         config=config,
+        attempts=attempts,
+        rejected=dict(sorted(rejected.items())),
     )
 
 
@@ -371,11 +376,13 @@ def slimness_sweep(
     """Measure slimness over randomized preferred-path triangles."""
     rng = random.Random(seed)
     deltas, descs = [], []
+    rejected: Counter = Counter()
     attempts = 0
     while len(deltas) < count and attempts < count * max_attempts_factor:
         attempts += 1
         tri = random_triangle_chains(surface, saddles, rng)
         if tri is None:
+            rejected["noTriangle"] += 1
             continue
         a, b, third = tri
         try:
@@ -392,7 +399,8 @@ def slimness_sweep(
             delta = triangle_slimness(
                 surface, family, x, y, z, ([a], [b], list(third.pieces)), step=step
             )
-        except FlatBundleError:
+        except FlatBundleError as exc:
+            rejected[type(exc).__name__] += 1
             continue
         deltas.append(delta)
         descs.append(_short_key(a) + "+" + _short_key(b))
@@ -400,6 +408,8 @@ def slimness_sweep(
         deltas,
         descs,
         {"kind": "triangles", "seed": seed, "step": step, "requested": count},
+        attempts,
+        rejected,
     )
 
 
@@ -417,15 +427,18 @@ def fan_sweep(
     rng = random.Random(seed)
     deltas, descs = [], []
     furthermore_failures = 0
+    rejected: Counter = Counter()
     attempts = 0
     while saddles and len(deltas) < count and attempts < count * max_attempts_factor:
         attempts += 1
         fan = random_fan(surface, saddles, rng)
         if fan is None:
+            rejected["noFan"] += 1
             continue
         try:
             delta, holds = fan_lemma_check(surface, fan, family, step=step)
-        except FlatBundleError:
+        except FlatBundleError as exc:
+            rejected[type(exc).__name__] += 1
             continue
         if not holds:
             furthermore_failures += 1
@@ -435,6 +448,8 @@ def fan_sweep(
         deltas,
         descs,
         {"kind": "fans", "seed": seed, "step": step, "requested": count},
+        attempts,
+        rejected,
     )
     report.config["furthermoreFailures"] = furthermore_failures
     return report

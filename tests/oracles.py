@@ -2,7 +2,9 @@
 
 Everything here favors obviousness over speed: exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
-shortening of flat geodesics, sampled and bisected hyperbolic searches.
+shortening of flat geodesics, sampled and bisected hyperbolic searches,
+per-point geodesic sampling and one distance matrix per ordered pair of
+triangle sides.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from flatbundle.hyperbolic import (
     ideal_endpoints,
     uhp_from_disk,
 )
-from flatbundle.errors import NotAGeodesic
+from flatbundle.errors import FlatBundleError, NotAGeodesic
+from flatbundle.paths import FiberPoint, build_fan, build_preferred_path, spans_triangle
+from flatbundle.slimness import (
+    _SigTable,
+    _ball_distances,
+    _family_balls,
+    _rho_matrix,
+    sample_path,
+)
 from flatbundle.surface import (
     TOL_ANGLE,
     TOL_VERTEX,
@@ -33,8 +43,10 @@ from flatbundle.surface import (
     canonical_holonomy,
     ccw_angle,
     connect,
+    tighten_chain,
     trace_segment,
 )
+from flatbundle.veech import region_for
 
 
 def brute_saddle_connections(surface, max_length, depth):
@@ -643,3 +655,111 @@ def crossing_class(surface, pieces, start, end):
         at = sc.end
     rotate(at, end)
     return {pair: c for pair, c in counts.items() if c}
+
+
+# -- hyperbolic segments -------------------------------------------------------
+
+
+def segment_point(z1, z2, s):
+    """Point at arclength ``s`` from ``z1`` along the segment to ``z2``,
+    through the ideal endpoints of its geodesic and the axis (0, inf)."""
+    if abs(z1 - z2) < 1e-15:
+        return z1
+    g = Geodesic(*ideal_endpoints(z1, z2))
+    M = g.to_axis()
+    u1 = math.log(abs(M.apply_uhp(uhp_from_disk(z1))))
+    u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))
+    u = u1 + (u2 - u1) * (s / hyp_distance(z1, z2))
+    return disk_from_uhp(M.inverse().apply_uhp(1j * math.exp(u)))
+
+
+# -- fans and slimness -------------------------------------------------------
+
+
+def random_fan(surface, saddles, rng):
+    """``paths.random_fan`` without the early rejection of locally geodesic
+    draws: every draw is tightened and offered to ``build_fan``."""
+    a, b = rng.choice(saddles), rng.choice(saddles)
+    if rng.random() < 0.5:
+        a = a.reverse(surface)
+    if rng.random() < 0.5:
+        b = b.reverse(surface)
+    try:
+        bottom = tighten_chain(surface, [a.reverse(surface), b])
+        if not bottom.pieces:
+            return None
+        return build_fan(surface, a, bottom)
+    except FlatBundleError:
+        return None
+
+
+def _sample_distance_matrix(a, b, balls):
+    """Surrogate distance matrix recomputing both sides' horoball distances."""
+    d = _rho_matrix(a.base, b.base)
+    for ball in balls:
+        da, db = _ball_distances(a.base, ball), _ball_distances(b.base, ball)
+        np.minimum(d, da[:, None] + db[None, :], out=d)
+    d += a.clearance[:, None] + b.clearance[None, :]
+    same = a.sig[:, None] == b.sig[None, :]
+    if same.any():
+        arc = np.abs(a.s[:, None] - b.s[None, :])
+        d = np.where(same, np.minimum(d, arc), d)
+    return d
+
+
+def _one_sided_distance(a, targets, balls):
+    """max over samples of ``a`` of the distance to the union of targets."""
+    if not len(a):
+        return 0.0
+    best = np.full(len(a), np.inf)
+    for t in targets:
+        if len(t):
+            np.minimum(best, _sample_distance_matrix(a, t, balls).min(axis=1), out=best)
+    return float(best.max())
+
+
+def _sides(surface, family, pairs, step):
+    table = _SigTable()
+    balls = _family_balls(family)
+    paths = [build_preferred_path(surface, u, v, family, c) for u, v, c in pairs]
+    return [sample_path(p, table, balls, step=step) for p in paths], balls
+
+
+def _six_matrix_thinness(sides, balls):
+    return max(
+        _one_sided_distance(sides[i], [sides[j] for j in range(3) if j != i], balls)
+        for i in range(3)
+    )
+
+
+def triangle_slimness(surface, family, x, y, z, chains, *, step):
+    """Thinness of a preferred-path triangle from six distance matrices, one
+    per ordered pair of sides."""
+    cxy, cyz, cxz = chains
+    sides, balls = _sides(surface, family, ((x, y, cxy), (y, z, cyz), (x, z, cxz)), step)
+    return _six_matrix_thinness(sides, balls)
+
+
+def fan_lemma_check(surface, fan, family, *, step):
+    """``slimness.fan_lemma_check`` from six distance matrices plus two more
+    for the containment of the single sides in the bottom side."""
+    top0, topk = fan.top_start, fan.top_end
+    reg0 = region_for(family, top0.direction)
+    regk = region_for(family, topk.direction)
+    regb = region_for(family, fan.bottom[0].direction)
+    apex = FiberPoint(reg0.anchor, fan.apex)
+    p0 = FiberPoint(regb.anchor, top0.end)
+    pk = FiberPoint(regk.anchor, topk.end)
+    sides, balls = _sides(
+        surface, family,
+        ((apex, p0, [top0]), (p0, pk, list(fan.bottom)), (apex, pk, [topk])),
+        step,
+    )
+    delta = _six_matrix_thinness(sides, balls)
+    if reg0.kind == "ball" and regk.kind == "ball" and spans_triangle(surface, top0, topk):
+        contain = max(
+            _one_sided_distance(sides[0], [sides[1]], balls),
+            _one_sided_distance(sides[2], [sides[1]], balls),
+        )
+        return max(delta, contain), math.isfinite(contain)
+    return delta, True

@@ -276,6 +276,63 @@ class TestRun:
         assert "first failing suite" in capsys.readouterr().err
 
 
+# Scientific outputs of the two benchmark workloads at --max-length 2.5
+# --seed 1, recorded before the slimness kernel was vectorised. A change
+# that is only meant to be faster must leave them where they are.
+PINNED_SCIENCE = {
+    ("lshape", "lshape_lattice"): {
+        "saddleConnections": 24,
+        "deltaMax": 3.203932449220881,
+        "quantiles": {
+            "q00": 0.0, "q25": 0.0, "q50": 0.0, "q75": 0.8618638407104131,
+            "q90": 1.087762305460068, "q100": 3.203932449220881,
+        },
+        "minMargin": 0.17448963693023245,
+        "maxRatio": 0.5878612080717203,
+        "pairs": 51,
+        "samples": {"paths": 120, "fans": 60, "triangles": 40},
+    },
+    ("octagon", "octagon_cusped"): {
+        "saddleConnections": 20,
+        "deltaMax": 2.937015002507895,
+        "quantiles": {
+            "q00": 0.0, "q25": 0.0, "q50": 0.0, "q75": 0.24974034266745967,
+            "q90": 1.1433488217761953, "q100": 2.937015002507895,
+        },
+        "minMargin": 0.0,
+        "maxRatio": 1.4247064488787322,
+        "pairs": 53,
+        "samples": {"paths": 120, "fans": 60, "triangles": 40},
+    },
+}
+
+
+@pytest.mark.parametrize("surface, group", sorted(PINNED_SCIENCE))
+def test_benchmark_science_pinned(surface, group, tmp_path):
+    out = tmp_path / "run"
+    code = run_cli([
+        "run", "--surface", surface, "--group", group, "--max-length", "2.5",
+        "--depth", "6", "--max-trace", "40", "--seed", "1", "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    suites = report["suites"]
+    want = PINNED_SCIENCE[surface, group]
+    assert report["surface"]["saddleConnections"] == want["saddleConnections"]
+    assert suites["slimness"]["deltaMax"] == pytest.approx(want["deltaMax"], abs=1e-9)
+    assert suites["slimness"]["quantiles"] == pytest.approx(want["quantiles"], abs=1e-9)
+    assert suites["lipschitzCollapse"]["minMargin"] == pytest.approx(want["minMargin"], abs=1e-9)
+    assert suites["combinatorialRatio"]["maxRatio"] == pytest.approx(want["maxRatio"], abs=1e-9)
+    assert suites["combinatorialRatio"]["pairs"] == want["pairs"]
+    assert {
+        "paths": suites["lipschitzCollapse"]["paths"],
+        "fans": suites["structureLemma"]["fans"],
+        "triangles": suites["slimness"]["triangles"],
+    } == want["samples"]
+    slim = suites["slimness"]
+    assert slim["attempts"] == slim["triangles"] + sum(slim["rejected"].values())
+
+
 class TestRender:
     @pytest.mark.parametrize("kind", ["horoballs", "cylinders", "ideal-fan", "path"])
     def test_kinds_deterministic(self, kind, tmp_path, capsys):

@@ -13,6 +13,7 @@ from flatbundle.errors import (
     DegenerateTriple,
     ElementaryGroup,
     NonInvertible,
+    NotInDisk,
     NotOnBoundary,
 )
 from flatbundle.veech import build_hull, sample_limit_set
@@ -22,7 +23,13 @@ import oracles
 LOG_SQRT3 = math.log(math.sqrt(3.0))
 
 disk_points = st.complex_numbers(max_magnitude=0.92).filter(lambda z: abs(z) < 0.92)
+deep_points = st.complex_numbers(max_magnitude=0.99).filter(lambda z: abs(z) < 0.99)
 angles = st.floats(0.0, 2 * math.pi - 1e-9)
+
+
+def _distance(a, b):
+    """Hyperbolic distance in a form that stays accurate for near points."""
+    return 2.0 * math.asinh(abs(a - b) / math.sqrt((1 - abs(a) ** 2) * (1 - abs(b) ** 2)))
 
 
 def _loxo(t):
@@ -176,11 +183,9 @@ class TestGeodesicsAndHoroballs:
         z1, z2 = H.disk_from_uhp(-3 + 0.5j), H.disk_from_uhp(3 + 0.5j)
         out, ins = H.segment_clip_by_horoball(z1, z2, ball)
         total = H.hyp_distance(z1, z2)
-        n = 4000
         inside = 0.0
         prev = z1
-        for k in range(1, n + 1):
-            zk = H.segment_point(z1, z2, total * k / n)
+        for zk in H.segment_points(z1, z2, 4000)[1:]:
             if ball.contains(prev) and ball.contains(zk):
                 inside += H.hyp_distance(prev, zk)
             prev = zk
@@ -331,6 +336,49 @@ class TestClosedFormsAgainstOracles:
         else:
             # the oracle's 64 samples all missed: at most one sample gap inside
             assert ins < total / 64 + tol
+
+    @given(deep_points, deep_points, st.integers(1, 40))
+    @settings(max_examples=300)
+    def test_segment_points(self, z1, z2, n):
+        # the oracle's arclength comes from hyp_distance, which is accurate
+        # to 1e-9 only from ~1e-7 up (acosh near 1); near points: edge cases
+        total = H.hyp_distance(z1, z2)
+        assume(total > 1e-6)
+        refs = [oracles.segment_point(z1, z2, total * i / n) for i in range(n + 1)]
+        # the oracle goes through the ideal endpoints, which lose digits when
+        # the geodesic's half-plane circle is huge (z1 = 0.5, z2 = 1e-8j
+        # misses its own start by 2e-9); it is no reference there
+        assume(_distance(refs[0], z1) < 1e-11 and _distance(refs[-1], z2) < 1e-11)
+        pts = H.segment_points(z1, z2, n)
+        assert len(pts) == n + 1 and pts[0] == z1
+        for p, ref in zip(pts, refs):
+            assert _distance(p, ref) < 1e-9
+
+    @given(deep_points, deep_points, st.integers(1, 40))
+    @settings(max_examples=300)
+    def test_segment_points_certificate(self, z1, z2, n):
+        # hyp_distance is accurate to 1e-9 only from ~1e-7 up (acosh near 1),
+        # so every step must be longer; short steps: the edge cases
+        total = H.hyp_distance(z1, z2)
+        assume(total == 0.0 or total / n > 1e-6)
+        for i, p in enumerate(H.segment_points(z1, z2, n)):
+            assert abs(H.hyp_distance(z1, p) - total * i / n) < 1e-9
+
+    def test_segment_points_edge_cases(self):
+        z = 0.3 - 0.855j
+        assert list(H.segment_points(z, z, 4)) == [z] * 5
+        assert list(H.segment_points(z, z + 1e-16, 2)) == [z] * 3
+        pts = H.segment_points(z, -0.2j, 1)
+        assert pts[0] == z and _distance(pts[1], -0.2j) < 1e-12
+        near = z + 3e-9j
+        for i, p in enumerate(H.segment_points(z, near, 3)):
+            assert abs(_distance(z, p) - _distance(z, near) * i / 3) < 1e-15
+        with pytest.raises(NotInDisk):
+            H.segment_points(1.0 + 0j, 0j, 3)
+        with pytest.raises(NotInDisk):
+            H.segment_points(0j, 1j, 3)
+        with pytest.raises(NotInDisk):
+            H.segment_points(1j, 1j, 3)
 
     def test_clip_grazing_arc(self):
         # the arc |w| = 1.0005 e of the semicircle rises just above the

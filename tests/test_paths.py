@@ -28,6 +28,8 @@ from flatbundle.veech import (
 )
 from flatbundle import paths as P
 
+import oracles
+
 
 def _group(surface, name, **kw):
     preset = load_group_preset(name)
@@ -256,6 +258,20 @@ class TestFans:
             found += 1
             t0, s1, t1 = fan.triangles()[0]
             assert abs(t0.holonomy + s1.holonomy - t1.holonomy) < 1e-9
+
+    @pytest.mark.parametrize("surface", ["lshape", "octagon"])
+    def test_random_fan_matches_reference(self, surface, request):
+        # rejecting locally geodesic draws before tightening loses no fan
+        s = request.getfixturevalue(surface)
+        saddles = request.getfixturevalue(f"{surface}_saddles")
+        fans = 0
+        for seed in range(250):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            fan = P.random_fan(s, saddles, rng)
+            assert fan == oracles.random_fan(s, saddles, ref_rng)
+            assert rng.random() == ref_rng.random()
+            fans += fan is not None
+        assert fans > 25
 
     def test_empty_bottom_rejected(self, octagon, octagon_saddles):
         with pytest.raises(NotAFan):

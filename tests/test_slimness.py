@@ -10,10 +10,12 @@ import pytest
 
 from flatbundle.catalog import load_catalog_surface, load_group_preset
 from flatbundle.errors import FlatBundleError
-from flatbundle.paths import FiberPoint, build_preferred_path
+from flatbundle.paths import FiberPoint, build_preferred_path, random_fan
 from flatbundle.surface import enumerate_saddle_connections, tighten_chain
 from flatbundle.veech import build_group_data, build_horoball_family, region_for
 from flatbundle import slimness as S
+
+import oracles
 
 
 def four_point_oracle(points, dist):
@@ -124,10 +126,8 @@ class TestSampleDistances:
         x = FiberPoint(reg.anchor, sc.start)
         y = FiberPoint(0.2 + 0.1j, sc.end)
         path = build_preferred_path(s, x, y, fam, [sc])
-        table = S._SigTable()
-        samples = S.sample_path(path, table)
-        balls = S._family_balls(fam)
-        d = S.sample_distance_matrix(samples, samples, balls)
+        samples = S.sample_path(path, S._SigTable(), S._family_balls(fam))
+        d = S.sample_distance_matrix(samples, samples)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
         assert (d >= -1e-12).all()
@@ -183,6 +183,39 @@ class TestTriangleSlimness:
             assert abs(d1 - d2) < 0.05
             checked += 1
 
+    def test_sweep_counts_rejections(self, lshape_setup):
+        s, fam, saddles = lshape_setup
+        rep = S.slimness_sweep(s, fam, saddles, count=20, seed=2)
+        assert rep.rejected and all(n > 0 for n in rep.rejected.values())
+        assert rep.attempts == rep.samples + sum(rep.rejected.values())
+
+    def test_matches_six_matrix_reference(self, lshape_setup):
+        # one matrix per unordered pair of sides, read by rows and by
+        # columns, gives exactly the six-matrix answer
+        s, fam, saddles = lshape_setup
+        rng = random.Random(31)
+        checked = 0
+        while checked < 30:
+            tri = S.random_triangle_chains(s, saddles, rng)
+            if tri is None:
+                continue
+            a, b, third = tri
+            try:
+                ra = region_for(fam, a.direction)
+                rb = region_for(fam, b.direction)
+            except FlatBundleError:
+                continue
+            x = FiberPoint(ra.anchor, a.start)
+            y = FiberPoint(rb.anchor, a.end)
+            z = FiberPoint(rb.anchor, b.end)
+            chains = ([a], [b], list(third.pieces))
+            try:
+                ref = oracles.triangle_slimness(s, fam, x, y, z, chains, step=0.05)
+            except FlatBundleError:
+                continue
+            assert S.triangle_slimness(s, fam, x, y, z, chains) == ref
+            checked += 1
+
     def test_stability_split(self, lshape_setup):
         s, fam, saddles = lshape_setup
         rep = S.slimness_sweep(s, fam, saddles, count=16, seed=4)
@@ -213,9 +246,25 @@ class TestFanLemma:
             assert math.isfinite(delta) and delta >= 0
             done += 1
 
+    def test_matches_six_matrix_reference(self, lshape_setup):
+        s, fam, saddles = lshape_setup
+        rng = random.Random(32)
+        checked = 0
+        while checked < 30:
+            fan = random_fan(s, saddles, rng)
+            if fan is None:
+                continue
+            try:
+                ref = oracles.fan_lemma_check(s, fan, fam, step=0.05)
+            except FlatBundleError:
+                continue
+            assert S.fan_lemma_check(s, fan, fam) == ref
+            checked += 1
+
     def test_sweep(self, lshape_setup):
         s, fam, saddles = lshape_setup
         rep = S.fan_sweep(s, fam, saddles, count=15, seed=7)
+        assert rep.attempts == rep.samples + sum(rep.rejected.values())
         assert rep.samples == 15
         assert math.isfinite(rep.delta_max)
         assert rep.config["furthermoreFailures"] == 0
