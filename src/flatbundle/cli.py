@@ -153,14 +153,14 @@ def _suite_classification(family) -> dict:
 def _suite_cylinders(surface, graphs) -> dict:
     failures, decomps = 0, []
     for key in sorted(graphs):
-        graph = graphs[key]
-        if isinstance(graph, NoClosureFound):
+        decomp = graphs[key]
+        if isinstance(decomp, NoClosureFound):
             failures += 1
             continue
-        if abs(graph.decomposition.area - surface.area) > 1e-6:
+        if abs(decomp.area - surface.area) > 1e-6:
             failures += 1
             continue
-        decomps.append(graph.decomposition)
+        decomps.append(decomp)
     return {
         "passed": failures == 0,
         "directionsChecked": len(graphs),

@@ -1,4 +1,4 @@
-"""Cylinder decompositions of flow directions and their weighted dual graphs.
+"""Cylinder decompositions of flow directions.
 
 A direction is *periodic* when every straight trajectory leaving a cone point
 in that direction (a separatrix) closes up into a saddle connection.  The
@@ -7,20 +7,19 @@ complement of those saddle connections is then a union of flat cylinders.
 or reports that some separatrix survived the trace budget, which proves
 nothing about longer budgets.
 
-The *dual graph* of a decomposition has one vertex per spine (connected
-component of the union of boundary saddle connections) and one edge per
-cylinder, weighted by the cylinder's width.  Distances in it realize the
-transverse-measure metric on the quotient of the direction's foliation.
+A decomposition records its *spines* (connected components of the union of
+boundary saddle connections) and, per cylinder, the boundary sides on each of
+its two boundary circles; together they give the weighted dual graph, with
+one vertex per spine and one edge per cylinder of the cylinder's width.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import NoClosureFound, NoCylinders, NotOnBoundary
+from .errors import NoClosureFound, NoCylinders
 from .surface import (
     TOL_ANGLE,
     TOL_VERTEX,
@@ -36,14 +35,6 @@ from .surface import (
 
 SIDE_EPS = 1e-7  # transverse offset when stepping off a boundary leaf
 WIDTH_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point of the surface in polygon-local coordinates."""
-
-    poly: int
-    z: complex
 
 
 @dataclass(frozen=True)
@@ -403,123 +394,3 @@ def _inside(surface, poly, z, margin=1e-12):
             return False
     return True
 
-
-# -- dual graph --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BassSerreGraph:
-    """Weighted dual graph: vertices are spines, edges are cylinders."""
-
-    decomposition: CylinderDecomposition
-    n_vertices: int
-    edges: tuple[tuple[int, int, float], ...]  # (vertex low, vertex high, width)
-    spine_of_saddle: dict = field(hash=False, compare=False, default_factory=dict)
-
-    def vertex_of(self, saddle_index: int) -> int:
-        return self.spine_of_saddle[saddle_index]
-
-
-def build_bass_serre(decomp: CylinderDecomposition) -> BassSerreGraph:
-    spine_of = {}
-    for vi, spine in enumerate(decomp.spines):
-        for k in spine:
-            spine_of[k] = vi
-    edges = []
-    for cyl in decomp.cylinders:
-        vlow = spine_of[cyl.boundary_low[0][0]]
-        vhigh = spine_of[cyl.boundary_high[0][0]]
-        edges.append((vlow, vhigh, cyl.width))
-    return BassSerreGraph(decomp, len(decomp.spines), tuple(edges), spine_of)
-
-
-def _project(surface, decomp, graph, p: SurfacePoint):
-    """Project a surface point to the dual graph.
-
-    Returns ("v", vertex) on a spine, else ("e", cylinder index, t) with
-    t in [0, width] measured from the low boundary.
-    """
-    theta = decomp.direction
-    u = cmath.exp(1j * theta)
-    n = 1j * u
-    barriers = _barrier_segments(
-        surface, [_develop(surface, sc) for sc in decomp.saddles]
-    )
-    # on a boundary leaf?
-    for (k, a, b) in barriers.get(p.poly, ()):
-        if seg_point_dist(a, b, p.z) < 1e-9:
-            return ("v", graph.vertex_of(k))
-    max_width = max(c.width for c in decomp.cylinders) + 1.0
-    down = _ray_to_barrier(surface, barriers, p.poly, p.z, -n, max_width)
-    up = _ray_to_barrier(surface, barriers, p.poly, p.z, n, max_width)
-    if down is None or up is None:
-        raise NotOnBoundary("point does not project into the decomposition")
-    dist_low, k_low = down
-    # marching down (-n) we approach the hit barrier from its left (+1) side,
-    # so the point lies in the cylinder owning that side
-    for ci, cyl in enumerate(decomp.cylinders):
-        if (k_low, +1) not in cyl.sides:
-            continue
-        if abs((down[0] + up[0]) - cyl.width) > 10 * WIDTH_TOL:
-            continue
-        t = dist_low if (k_low, +1) in cyl.boundary_low else cyl.width - dist_low
-        return ("e", ci, min(max(t, 0.0), cyl.width))
-    raise NotOnBoundary("point could not be matched to a cylinder")
-
-
-def tree_distance(
-    surface: TranslationSurface,
-    graph: BassSerreGraph,
-    p: SurfacePoint,
-    q: SurfacePoint,
-) -> float:
-    """Transverse-measure distance between two points in the dual graph.
-
-    This is the quotient-graph distance: a lower bound for the distance in
-    the universal-cover tree, adequate for single-traversal accounting.
-    """
-    decomp = graph.decomposition
-    pp = _project(surface, decomp, graph, p)
-    qq = _project(surface, decomp, graph, q)
-    return projected_distance(graph, pp, qq)
-
-
-def projected_distance(graph: BassSerreGraph, pp, qq) -> float:
-    if pp == qq:
-        return 0.0
-    nv = graph.n_vertices
-    adj = [[] for _ in range(nv + 2)]
-    for (a, b, w) in graph.edges:
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    P, Q = nv, nv + 1
-    direct = math.inf
-    for node, proj in ((P, pp), (Q, qq)):
-        if proj[0] == "v":
-            adj[node].append((proj[1], 0.0))
-            adj[proj[1]].append((node, 0.0))
-        else:
-            _e, ci, t = proj
-            vlow, vhigh, w = (
-                graph.edges[ci][0],
-                graph.edges[ci][1],
-                graph.edges[ci][2],
-            )
-            adj[node].append((vlow, t))
-            adj[vlow].append((node, t))
-            adj[node].append((vhigh, w - t))
-            adj[vhigh].append((node, w - t))
-    if pp[0] == "e" and qq[0] == "e" and pp[1] == qq[1]:
-        direct = abs(pp[2] - qq[2])
-    dist = [math.inf] * (nv + 2)
-    dist[P] = 0.0
-    heap = [(0.0, P)]
-    while heap:
-        d, x = heapq.heappop(heap)
-        if d > dist[x] + 1e-15:
-            continue
-        for (y, w) in adj[x]:
-            if d + w < dist[y] - 1e-15:
-                dist[y] = d + w
-                heapq.heappush(heap, (d + w, y))
-    return min(direct, dist[Q])

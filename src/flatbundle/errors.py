@@ -69,10 +69,6 @@ class MissingHoroRegion(FlatBundleError):
     """A saddle direction has no entry in the horoball family."""
 
 
-class NotReducible(FlatBundleError):
-    """A triangle could not be decomposed further into fans."""
-
-
 class NotAFan(FlatBundleError):
     """A triangle does not have two single-connection sides."""
 

@@ -53,11 +53,6 @@ def boundary_from_direction(theta: float) -> complex:
     return cmath.exp(-2j * theta)
 
 
-def direction_from_boundary(xi: complex) -> float:
-    xi = _check_boundary(xi)
-    return (-cmath.phase(xi) / 2.0) % math.pi
-
-
 @dataclass(frozen=True)
 class Mobius:
     """An orientation preserving isometry, stored as a unit determinant matrix."""
@@ -221,12 +216,6 @@ def busemann(xi: complex, z: complex) -> float:
     return math.log((1.0 - abs(z) ** 2) / abs(xi - z) ** 2)
 
 
-def saddle_length_via_busemann(z: complex, hol: complex) -> float:
-    """Same as :func:`saddle_length_at` through the Busemann identity."""
-    xi = boundary_from_direction(math.atan2(hol.imag, hol.real) % math.pi)
-    return abs(hol) * math.exp(-0.5 * busemann(xi, z))
-
-
 # -- geodesics ---------------------------------------------------------------
 
 
@@ -350,18 +339,6 @@ class Horoball:
 
     def distance_to_point(self, z: complex) -> float:
         return max(0.0, self.level - busemann(self.base, z))
-
-    def boundary_sample(self, count: int) -> tuple[complex, ...]:
-        """Evenly spread points of the bounding horocycle."""
-        psi = cmath.phase(self.base)
-        out = []
-        y0 = math.exp(self.level)
-        for k in range(count):
-            alpha = -math.pi / 2 + math.pi * (k + 0.5) / count
-            w = complex(y0 * math.tan(alpha), y0)
-            z = disk_from_uhp(w)  # horoball at uhp infinity, i.e. disk point 1
-            out.append(z * cmath.exp(1j * psi))  # rotate 1 -> base
-        return tuple(out)
 
     def boundary_uhp(self, count: int) -> tuple[complex, ...]:
         """Boundary horocycle as upper half plane points (stable at any depth)."""

@@ -1,5 +1,5 @@
-"""The bundle model over the disk: fiber comparison maps, preferred paths,
-collapsed-length accounting, fans, span sets, and combinatorial paths.
+"""The bundle model over the disk: preferred paths, collapsed-length
+accounting, fans, and combinatorial paths.
 
 A point of the bundle pairs a disk point (the base) with a cone-point lift
 (the fiber position).  Preferred paths alternate horizontal geodesics in the
@@ -12,21 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cylinders import build_bass_serre, trace_direction
+from .cylinders import trace_direction
 from .errors import (
     FlatBundleError,
     MissingHoroRegion,
-    NoClosureFound,
     NotAFan,
     NotFound,
-    NotReducible,
 )
 from .hyperbolic import (
-    Horoball,
     hyp_distance,
     saddle_length_at,
     segment_clip_by_horoball,
-    structure_matrix,
 )
 from .surface import (
     Corner,
@@ -38,40 +34,6 @@ from .surface import (
     tighten_chain,
 )
 from .veech import HoroRegion, family_key, region_for
-
-TOL_JUNCTION = 1e-9
-
-
-# -- fiber comparison maps ----------------------------------------------------
-
-
-def fiber_matrix(X: complex, Y: complex) -> tuple[float, float, float, float]:
-    """The linear comparison map between the fibers over X and Y.
-
-    Returns A_X @ A_Y^-1 where A_Z is the upper-triangular marking matrix
-    of the disk point Z; applying it to holonomies carries the flat metric
-    of the fiber over Y to the one over X.
-    """
-    ax, bx, cx, dx = structure_matrix(X)
-    ay, by, cy, dy = structure_matrix(Y)
-    # inverse of the unit-determinant (ay, by; cy, dy)
-    ia, ib, ic, id_ = dy, -by, -cy, ay
-    return (
-        ax * ia + bx * ic,
-        ax * ib + bx * id_,
-        cx * ia + dx * ic,
-        cx * ib + dx * id_,
-    )
-
-
-def fiber_map(X: complex, Y: complex, hol: complex) -> complex:
-    """Transport a holonomy vector from the fiber over Y to the fiber over X.
-
-    The map is exp(rho(X, Y))-bilipschitz and satisfies the composition law
-    fiber_map(X, Y, fiber_map(Y, Z, v)) == fiber_map(X, Z, v).
-    """
-    a, b, c, d = fiber_matrix(X, Y)
-    return complex(a * hol.real + b * hol.imag, c * hol.real + d * hol.imag)
 
 
 # -- preferred paths ----------------------------------------------------------
@@ -162,53 +124,21 @@ def build_preferred_path(
     return PreferredPath(x, y, tuple(pieces))
 
 
-def junction_residuals(
-    surface: TranslationSurface, path: PreferredPath
-) -> tuple[float, ...]:
-    """Base-point and fiber mismatches at consecutive piece junctions.
-
-    The base residual is the disk distance between the shared endpoints;
-    the fiber residual is 0 when the adjacent cone lifts belong to the same
-    cone class and inf otherwise.
-    """
-    out = []
-    pieces = path.pieces
-    for a, b in zip(pieces, pieces[1:]):
-        if isinstance(a, HorizontalPiece) and isinstance(b, SaddlePiece):
-            base = hyp_distance(a.end, b.at_base)
-            same = surface.class_of(a.fiber) is surface.class_of(
-                b.connection.start
-            )
-        elif isinstance(a, SaddlePiece) and isinstance(b, HorizontalPiece):
-            base = hyp_distance(a.at_base, b.start)
-            same = surface.class_of(a.connection.end) is surface.class_of(
-                b.fiber
-            )
-        else:  # two pieces of the same kind never abut
-            return out + [math.inf]
-        out.append(base if same else math.inf)
-    return tuple(out)
-
-
 def build_direction_graphs(
     surface: TranslationSurface, family: dict, *, max_trace: float = 40.0
 ) -> dict:
-    """Bass-Serre graphs for every ball direction of a horoball family.
+    """Cylinder decompositions of every ball direction of a horoball family.
 
-    Keyed like the family.  A direction whose separatrices do not close
-    within ``max_trace`` maps to the NoClosureFound value that
-    ``trace_direction`` returned for it.
+    Keyed like the family.  Each key maps to what ``trace_direction``
+    returned for its direction: the CylinderDecomposition, or the
+    NoClosureFound value when the separatrices do not close within
+    ``max_trace``.
     """
-    graphs: dict = {}
-    for key, reg in family.items():
-        if reg.kind != "ball":
-            continue
-        decomp = trace_direction(surface, reg.theta, max_trace)
-        if isinstance(decomp, NoClosureFound):
-            graphs[key] = decomp
-        else:
-            graphs[key] = build_bass_serre(decomp)
-    return graphs
+    return {
+        key: trace_direction(surface, reg.theta, max_trace)
+        for key, reg in family.items()
+        if reg.kind == "ball"
+    }
 
 
 def collapsed_length(
@@ -410,168 +340,6 @@ def check_structure_lemma(fan: Fan) -> StructureReport:
             if gap < -1e-9:
                 offending.append(i)
     return StructureReport(not offending, tuple(offending), tuple(pos))
-
-
-# -- fan decomposition of triangles ------------------------------------------
-
-
-def _strip_degenerate(surface, prev: list, nxt: list) -> None:
-    """Strip the shared saddle-connection prefix at a triangle vertex."""
-    while prev and nxt:
-        rev = prev[-1].reverse(surface)
-        sc = nxt[0]
-        if (
-            rev.start == sc.start
-            and abs(rev.holonomy - sc.holonomy) < TOL_JUNCTION
-            and rev.crossings == sc.crossings
-        ):
-            prev.pop()
-            nxt.pop(0)
-        else:
-            break
-
-
-def reduce_degenerate(
-    surface: TranslationSurface,
-    side_a: FlatGeodesic,
-    side_b: FlatGeodesic,
-    side_c: FlatGeodesic,
-) -> tuple[FlatGeodesic, FlatGeodesic, FlatGeodesic]:
-    """Nondegenerate subtriangle of a cyclically oriented triangle.
-
-    Sides whose neighbours overlap along saddle connections at a shared
-    vertex are stripped of the overlap.
-    """
-    sides = [list(side_a.pieces), list(side_b.pieces), list(side_c.pieces)]
-    for i in range(3):
-        _strip_degenerate(surface, sides[i - 1], sides[i])
-    return tuple(FlatGeodesic(tuple(s)) for s in sides)
-
-
-def _peel(surface, s: SaddleConnection, P: list, Q: list) -> list[Fan]:
-    """Fans of the triangle with single side s: u->v, P: v->w, Q: w->u."""
-    if len(P) == 1:
-        # whole triangle is a fan with apex v
-        fan = build_fan(
-            surface, s.reverse(surface), [q.reverse(surface) for q in reversed(Q)]
-        )
-        if abs(fan.taus[-1].holonomy - P[0].holonomy) > 1e-7 and abs(
-            fan.taus[0].holonomy - P[0].holonomy
-        ) > 1e-7:
-            raise NotAFan("fan does not close up with the single opposite side")
-        return [fan]
-    if len(Q) == 1:
-        fan = build_fan(surface, s, list(P))
-        return [fan]
-    # peel a fan with apex u over a prefix of P
-    taus = [s]
-    consumed: list[SaddleConnection] = []
-    for sc in P[:-1]:
-        try:
-            g = tighten_chain(surface, [taus[-1], sc])
-        except FlatBundleError:
-            break
-        if len(g.pieces) != 1:
-            break
-        taus.append(g.pieces[0])
-        consumed.append(sc)
-    if consumed:
-        fan = _make_fan(surface, list(taus), list(consumed))
-        chord = taus[-1]  # u -> last consumed junction
-        rest = _peel(surface, chord, P[len(consumed):], Q)
-        return [fan] + rest
-    # could not advance along P: try peeling from the other endpoint of s
-    taus = [s.reverse(surface)]
-    consumed = []
-    for sc in [q.reverse(surface) for q in reversed(Q)][:-1]:
-        try:
-            g = tighten_chain(surface, [taus[-1], sc])
-        except FlatBundleError:
-            break
-        if len(g.pieces) != 1:
-            break
-        taus.append(g.pieces[0])
-        consumed.append(sc)
-    if not consumed:
-        raise NotReducible("no single-connection chord advances the decomposition")
-    fan = _make_fan(surface, list(taus), list(consumed))
-    chord = taus[-1].reverse(surface)  # last junction -> v
-    newQ = [q.reverse(surface) for q in reversed(Q)][len(consumed):]
-    rest = _peel(
-        surface,
-        chord,
-        P,
-        [q.reverse(surface) for q in reversed(newQ)],
-    )
-    return [fan] + rest
-
-
-def decompose_into_fans(
-    surface: TranslationSurface,
-    side_a: FlatGeodesic,
-    side_b: FlatGeodesic,
-    side_c: FlatGeodesic,
-) -> list[Fan]:
-    """Tile a triangle with a single-connection side by fans.
-
-    The sides are cyclically oriented (a: x->y, b: y->z, c: z->x).  The
-    triangle is first reduced to its nondegenerate subtriangle; a fully
-    degenerate triangle yields no fans.
-    """
-    sides = reduce_degenerate(surface, side_a, side_b, side_c)
-    if any(len(s.pieces) == 0 for s in sides):
-        return []
-    for i in range(3):
-        if len(sides[i].pieces) == 1:
-            s = sides[i].pieces[0]
-            P = list(sides[(i + 1) % 3].pieces)
-            Q = list(sides[(i + 2) % 3].pieces)
-            return _peel(surface, s, P, Q)
-    raise NotReducible("no side is a single saddle connection")
-
-
-# -- span sets ----------------------------------------------------------------
-
-
-def spans_triangle(
-    surface: TranslationSurface, a: SaddleConnection, b: SaddleConnection
-) -> bool:
-    """Do two saddle connections span a triangle?
-
-    True when some pairing of endpoints shares a cone point and the
-    geodesic joining the other endpoints is a single (possibly degenerate)
-    saddle connection.
-    """
-    ka, kb = a.key(), b.key()
-    if kb in (ka, a.reverse(surface).key()):
-        return False
-    chains = (
-        [a.reverse(surface), b],
-        [a.reverse(surface), b.reverse(surface)],
-        [a, b],
-        [a, b.reverse(surface)],
-    )
-    for chain in chains:
-        if surface.class_of(chain[0].end) is not surface.class_of(
-            chain[1].start
-        ):
-            continue
-        try:
-            g = tighten_chain(surface, chain)
-        except FlatBundleError:
-            continue
-        if len(g.pieces) <= 1:
-            return True
-    return False
-
-
-def span_set(
-    surface: TranslationSurface,
-    sigma: SaddleConnection,
-    pool,
-) -> list[SaddleConnection]:
-    """Members of the pool spanning a triangle with ``sigma``."""
-    return [sc for sc in pool if spans_triangle(surface, sigma, sc)]
 
 
 # -- combinatorial paths ------------------------------------------------------

@@ -23,8 +23,6 @@ from .paths import (
     HorizontalPiece,
     SaddlePiece,
     build_preferred_path,
-    random_fan,
-    spans_triangle,
 )
 from .surface import tighten_chain
 from .veech import region_for
@@ -161,31 +159,6 @@ def sample_distance_matrix(a: SampleSet, b: SampleSet) -> np.ndarray:
     return d
 
 
-def _side_distances(paths, family, step: float) -> dict:
-    """Distances from each sample of one side of a triangle to each other side.
-
-    Maps ``(i, j)`` to the distances of side ``i``'s samples to side ``j``.
-    One matrix per unordered pair of sides gives both directions: its row
-    minima for ``(i, j)`` and its column minima for ``(j, i)``.
-    """
-    table = _SigTable()
-    balls = _family_balls(family)
-    sides = [sample_path(p, table, balls, step=step) for p in paths]
-    near = {}
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        d = sample_distance_matrix(sides[i], sides[j])
-        near[i, j], near[j, i] = d.min(axis=1), d.min(axis=0)
-    return near
-
-
-def _thinness(near: dict) -> float:
-    """Max over sides of the max sample distance to the union of the other two."""
-    return max(
-        float(np.minimum(near[i, j], near[i, k]).max())
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    )
-
-
 # -- triangle slimness -------------------------------------------------------
 
 
@@ -203,7 +176,9 @@ def triangle_slimness(
 
     ``chains`` holds the flat chains for the sides (x,y), (y,z), (x,z).
     Returns the max over sides of the max sample distance to the union of the
-    other two sides.
+    other two sides.  One distance matrix per unordered pair of sides gives
+    both directions: its row minima for side ``i`` against side ``j`` and its
+    column minima for ``j`` against ``i``.
     """
     cxy, cyz, cxz = chains
     paths = (
@@ -211,92 +186,17 @@ def triangle_slimness(
         build_preferred_path(surface, y, z, family, cyz),
         build_preferred_path(surface, x, z, family, cxz),
     )
-    return _thinness(_side_distances(paths, family, step))
-
-
-def euclidean_triangle_slimness(a: complex, b: complex, c: complex, *, step: float = DEFAULT_STEP) -> float:
-    """Thinness of a flat triangle, sampled sides against exact segments."""
-
-    def seg_dist(p, u, v):
-        w = v - u
-        t = 0.0 if w == 0 else max(0.0, min(1.0, ((p - u) / w).real))
-        return abs(p - (u + t * w))
-
-    delta = 0.0
-    for u, v, p1, q1, p2, q2 in (
-        (a, b, a, c, c, b),
-        (b, c, b, a, a, c),
-        (a, c, a, b, b, c),
-    ):
-        n = max(1, math.ceil(abs(v - u) / step))
-        for i in range(n + 1):
-            p = u + (v - u) * i / n
-            delta = max(delta, min(seg_dist(p, p1, q1), seg_dist(p, p2, q2)))
-    return delta
-
-
-# -- fan lemma ---------------------------------------------------------------
-
-
-def fan_lemma_check(
-    surface, fan, family, *, step: float = DEFAULT_STEP
-) -> tuple[float, bool]:
-    """Slimness of a fan's triangle, plus the stronger containment check.
-
-    The returned constant makes both the slimness claim and, when the two
-    single sides cut out balls and span a triangle, the containment of both
-    single-side paths in a neighborhood of the bottom path true.  The boolean
-    reports that the containment was verified (vacuously when inapplicable).
-    """
-    top0, topk = fan.top_start, fan.top_end
-    reg0 = region_for(family, top0.direction)
-    regk = region_for(family, topk.direction)
-    regb = region_for(family, fan.bottom[0].direction)
-    apex = FiberPoint(reg0.anchor, fan.apex)
-    p0 = FiberPoint(regb.anchor, top0.end)
-    pk = FiberPoint(regk.anchor, topk.end)
-    paths = (
-        build_preferred_path(surface, apex, p0, family, [top0]),
-        build_preferred_path(surface, p0, pk, family, list(fan.bottom)),
-        build_preferred_path(surface, apex, pk, family, [topk]),
+    table = _SigTable()
+    balls = _family_balls(family)
+    sides = [sample_path(p, table, balls, step=step) for p in paths]
+    near = {}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        d = sample_distance_matrix(sides[i], sides[j])
+        near[i, j], near[j, i] = d.min(axis=1), d.min(axis=0)
+    return max(
+        float(np.minimum(near[i, j], near[i, k]).max())
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
     )
-    near = _side_distances(paths, family, step)
-    delta = _thinness(near)
-    applicable = (
-        reg0.kind == "ball"
-        and regk.kind == "ball"
-        and spans_triangle(surface, top0, topk)
-    )
-    if applicable:
-        contain = max(float(near[0, 1].max()), float(near[2, 1].max()))
-        delta = max(delta, contain)
-        return delta, math.isfinite(contain)
-    return delta, True
-
-
-# -- four-point hyperbolicity ------------------------------------------------
-
-
-def gromov_four_point(points, dist_oracle) -> float:
-    """Minimal four-point hyperbolicity constant of a finite sample.
-
-    Exact over all ordered 4-tuples; the sample is capped at 60 points.
-    """
-    n = len(points)
-    if n < 4:
-        raise ValueError("need at least 4 points")
-    if n > 60:
-        raise ValueError("sample capped at 60 points")
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = float(dist_oracle(points[i], points[j]))
-    delta = 0.0
-    for w in range(n):
-        g = 0.5 * (d[w][:, None] + d[w][None, :] - d)
-        t = np.minimum(g[:, None, :], g[None, :, :]).max(axis=-1)
-        delta = max(delta, float((t - g).max()))
-    return max(0.0, delta)
 
 
 # -- sweep harness -----------------------------------------------------------
@@ -411,48 +311,6 @@ def slimness_sweep(
         attempts,
         rejected,
     )
-
-
-def fan_sweep(
-    surface,
-    family,
-    saddles,
-    *,
-    count: int,
-    seed: int,
-    step: float = DEFAULT_STEP,
-    max_attempts_factor: int = 60,
-) -> SlimnessReport:
-    """Measure the fan-lemma constant over randomized fans."""
-    rng = random.Random(seed)
-    deltas, descs = [], []
-    furthermore_failures = 0
-    rejected: Counter = Counter()
-    attempts = 0
-    while saddles and len(deltas) < count and attempts < count * max_attempts_factor:
-        attempts += 1
-        fan = random_fan(surface, saddles, rng)
-        if fan is None:
-            rejected["noFan"] += 1
-            continue
-        try:
-            delta, holds = fan_lemma_check(surface, fan, family, step=step)
-        except FlatBundleError as exc:
-            rejected[type(exc).__name__] += 1
-            continue
-        if not holds:
-            furthermore_failures += 1
-        deltas.append(delta)
-        descs.append(f"k={fan.k}:" + _short_key(fan.top_start))
-    report = _make_report(
-        deltas,
-        descs,
-        {"kind": "fans", "seed": seed, "step": step, "requested": count},
-        attempts,
-        rejected,
-    )
-    report.config["furthermoreFailures"] = furthermore_failures
-    return report
 
 
 def stability_split(report: SlimnessReport) -> tuple[float, float]:

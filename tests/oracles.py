@@ -23,7 +23,7 @@ from flatbundle.hyperbolic import (
     uhp_from_disk,
 )
 from flatbundle.errors import FlatBundleError, NotAGeodesic
-from flatbundle.paths import FiberPoint, build_fan, build_preferred_path, spans_triangle
+from flatbundle.paths import build_fan, build_preferred_path
 from flatbundle.slimness import (
     _SigTable,
     _ball_distances,
@@ -46,7 +46,6 @@ from flatbundle.surface import (
     tighten_chain,
     trace_segment,
 )
-from flatbundle.veech import region_for
 
 
 def brute_saddle_connections(surface, max_length, depth):
@@ -718,48 +717,17 @@ def _one_sided_distance(a, targets, balls):
     return float(best.max())
 
 
-def _sides(surface, family, pairs, step):
+def triangle_slimness(surface, family, x, y, z, chains, *, step):
+    """Thinness of a preferred-path triangle from six distance matrices, one
+    per ordered pair of sides."""
     table = _SigTable()
     balls = _family_balls(family)
-    paths = [build_preferred_path(surface, u, v, family, c) for u, v, c in pairs]
-    return [sample_path(p, table, balls, step=step) for p in paths], balls
-
-
-def _six_matrix_thinness(sides, balls):
+    pairs = ((x, y, chains[0]), (y, z, chains[1]), (x, z, chains[2]))
+    sides = [
+        sample_path(build_preferred_path(surface, u, v, family, c), table, balls, step=step)
+        for u, v, c in pairs
+    ]
     return max(
         _one_sided_distance(sides[i], [sides[j] for j in range(3) if j != i], balls)
         for i in range(3)
     )
-
-
-def triangle_slimness(surface, family, x, y, z, chains, *, step):
-    """Thinness of a preferred-path triangle from six distance matrices, one
-    per ordered pair of sides."""
-    cxy, cyz, cxz = chains
-    sides, balls = _sides(surface, family, ((x, y, cxy), (y, z, cyz), (x, z, cxz)), step)
-    return _six_matrix_thinness(sides, balls)
-
-
-def fan_lemma_check(surface, fan, family, *, step):
-    """``slimness.fan_lemma_check`` from six distance matrices plus two more
-    for the containment of the single sides in the bottom side."""
-    top0, topk = fan.top_start, fan.top_end
-    reg0 = region_for(family, top0.direction)
-    regk = region_for(family, topk.direction)
-    regb = region_for(family, fan.bottom[0].direction)
-    apex = FiberPoint(reg0.anchor, fan.apex)
-    p0 = FiberPoint(regb.anchor, top0.end)
-    pk = FiberPoint(regk.anchor, topk.end)
-    sides, balls = _sides(
-        surface, family,
-        ((apex, p0, [top0]), (p0, pk, list(fan.bottom)), (apex, pk, [topk])),
-        step,
-    )
-    delta = _six_matrix_thinness(sides, balls)
-    if reg0.kind == "ball" and regk.kind == "ball" and spans_triangle(surface, top0, topk):
-        contain = max(
-            _one_sided_distance(sides[0], [sides[1]], balls),
-            _one_sided_distance(sides[2], [sides[1]], balls),
-        )
-        return max(delta, contain), math.isfinite(contain)
-    return delta, True

@@ -1,18 +1,12 @@
-"""Tests for periodic-direction classification, cylinder decompositions,
-the weighted dual graph, and transverse tree distance."""
+"""Tests for periodic-direction classification, cylinder decompositions
+and their weighted dual graphs."""
 
 import math
 
 import pytest
 
 from flatbundle.catalog import load_catalog_surface
-from flatbundle.cylinders import (
-    NoClosureFound,
-    SurfacePoint,
-    build_bass_serre,
-    trace_direction,
-    tree_distance,
-)
+from flatbundle.cylinders import NoClosureFound, trace_direction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -101,73 +95,22 @@ class TestDecompositions:
 
 
 class TestDualGraph:
+    # the dual graph has one vertex per spine and one edge per cylinder,
+    # weighted by the cylinder's width
+
     def test_lshape_graph_two_loops(self):
         s = load_catalog_surface("lshape")
-        g = build_bass_serre(trace_direction(s, 0.0, 60.0))
-        assert g.n_vertices == 1
-        assert len(g.edges) == 2
-        assert all(a == 0 and b == 0 for (a, b, _w) in g.edges)
-        assert sorted(round(w, 9) for (_a, _b, w) in g.edges) == [1.0, 1.0]
+        d = trace_direction(s, 0.0, 60.0)
+        assert len(d.spines) == 1
+        # each cylinder's edge joins the spine to itself: a loop
+        assert all(c.boundary_low and c.boundary_high for c in d.cylinders)
+        assert sorted(round(c.width, 9) for c in d.cylinders) == [1.0, 1.0]
 
     def test_octagon_graph_widths(self):
         s = load_catalog_surface("octagon")
-        g = build_bass_serre(trace_direction(s, 0.0, 60.0))
-        assert g.n_vertices == 1
-        assert sorted(round(w, 9) for (_a, _b, w) in g.edges) == [
+        d = trace_direction(s, 0.0, 60.0)
+        assert len(d.spines) == 1
+        assert sorted(round(c.width, 9) for c in d.cylinders) == [
             round(SQRT2 / 2, 9),
             round(1.0, 9),
         ]
-
-
-class TestTreeDistance:
-    @pytest.fixture()
-    def lshape_graph(self):
-        s = load_catalog_surface("lshape")
-        return s, build_bass_serre(trace_direction(s, 0.0, 60.0))
-
-    def test_same_point_zero(self, lshape_graph):
-        s, g = lshape_graph
-        p = SurfacePoint(0, 0.5 + 0.25j)
-        assert tree_distance(s, g, p, p) == 0.0
-
-    def test_within_cylinder(self, lshape_graph):
-        # transverse coordinate difference inside one cylinder
-        s, g = lshape_graph
-        p = SurfacePoint(0, 0.5 + 0.25j)
-        q = SurfacePoint(0, 0.5 + 0.75j)
-        assert tree_distance(s, g, p, q) == pytest.approx(0.5, abs=1e-9)
-        assert tree_distance(s, g, q, p) == pytest.approx(0.5, abs=1e-9)
-
-    def test_across_cylinders_through_spine(self, lshape_graph):
-        # 0.25 up to the spine plus 0.5 into the square cylinder
-        s, g = lshape_graph
-        p = SurfacePoint(0, 0.5 + 0.25j)
-        r = SurfacePoint(1, 0.5 + 1.5j)
-        assert tree_distance(s, g, p, r) == pytest.approx(0.75, abs=1e-9)
-
-    def test_boundary_point_projects_to_spine(self, lshape_graph):
-        s, g = lshape_graph
-        p = SurfacePoint(0, 0.5 + 0.25j)
-        b = SurfacePoint(0, 0.5 + 0j)
-        assert tree_distance(s, g, p, b) == pytest.approx(0.25, abs=1e-9)
-        assert tree_distance(s, g, b, b) == 0.0
-
-    def test_triangle_inequality(self, lshape_graph):
-        s, g = lshape_graph
-        pts = [
-            SurfacePoint(0, 0.5 + 0.25j),
-            SurfacePoint(0, 1.5 + 0.6j),
-            SurfacePoint(1, 0.5 + 1.5j),
-            SurfacePoint(0, 0.5 + 0j),
-        ]
-        d = {
-            (i, j): tree_distance(s, g, a, b)
-            for i, a in enumerate(pts)
-            for j, b in enumerate(pts)
-        }
-        for i in range(len(pts)):
-            assert d[(i, i)] == 0.0
-            for j in range(len(pts)):
-                assert d[(i, j)] == pytest.approx(d[(j, i)], abs=1e-9)
-                for k in range(len(pts)):
-                    assert d[(i, k)] <= d[(i, j)] + d[(j, k)] + 1e-9

@@ -1,9 +1,8 @@
-"""Tests for the bundle-path machinery: fiber maps, preferred paths,
-collapsed lengths, fans, span sets, and combinatorial paths."""
+"""Tests for the bundle-path machinery: fiber lengths, preferred paths,
+collapsed lengths, fans, and combinatorial paths."""
 
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -15,12 +14,14 @@ from flatbundle.errors import (
     NotAFan,
     NotFound,
 )
-from flatbundle.hyperbolic import busemann, hyp_distance, saddle_length_at
-from flatbundle.surface import (
-    FlatGeodesic,
-    enumerate_saddle_connections,
-    tighten_chain,
+from flatbundle.hyperbolic import (
+    busemann,
+    hyp_distance,
+    saddle_length_at,
+    saddle_length_at_uhp,
+    uhp_from_disk,
 )
+from flatbundle.surface import FlatGeodesic, enumerate_saddle_connections
 from flatbundle.veech import (
     build_group_data,
     build_horoball_family,
@@ -79,55 +80,34 @@ def _sample_fans(surface, saddles, rng, count):
 
 
 class TestFiberMap:
-    def test_identity(self):
-        z = 0.3 - 0.2j
-        assert P.fiber_map(z, z, 1.5 + 0.7j) == pytest.approx(1.5 + 0.7j)
+    # the fiber over a disk point carries the flat metric whose lengths
+    # saddle_length_at evaluates
 
     def test_matches_length_function_at_center(self):
-        # the fiber over the disk center carries the unmarked flat metric
+        # the fiber over the disk center carries the unmarked flat metric,
+        # and the disk and half-plane forms of the length function agree
         rng = random.Random(0)
         for _ in range(20):
             X = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
             hol = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            assert abs(P.fiber_map(X, 0j, hol)) == pytest.approx(
-                saddle_length_at(X, hol), abs=1e-12
+            assert saddle_length_at(0j, hol) == pytest.approx(abs(hol), abs=1e-12)
+            assert saddle_length_at(X, hol) == pytest.approx(
+                saddle_length_at_uhp(uhp_from_disk(X), hol), abs=1e-12
             )
 
     def test_flow_toward_direction_contracts_at_half_rate(self):
         # moving distance t along the ray toward the direction of hol scales
-        # the transported length by exp(-t/2): the unit-slope horocycle
-        # level function is the log of the squared length
+        # its length by exp(-t/2): the unit-slope horocycle level function
+        # is the log of the squared length
         hol = 1.0 + 0.0j
         xi = 1.0 + 0.0j
         for t in (0.5, 1.0, 2.0):
             X = math.tanh(0.5 * t) * xi
-            out = abs(P.fiber_map(X, 0j, hol))
+            out = saddle_length_at(X, hol)
             assert math.log(out) == pytest.approx(
                 -0.5 * busemann(xi, X), abs=1e-9
             )
             assert out == pytest.approx(math.exp(-0.5 * t), abs=1e-9)
-
-    def test_composition_law(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            X, Y, Z = (
-                complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-                for _ in range(3)
-            )
-            v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            lhs = P.fiber_map(X, Y, P.fiber_map(Y, Z, v))
-            rhs = P.fiber_map(X, Z, v)
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_bilipschitz_bound(self):
-        rng = random.Random(4)
-        for _ in range(30):
-            X = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-            Y = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-            v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            rho = hyp_distance(X, Y)
-            ratio = abs(P.fiber_map(X, Y, v)) / abs(v)
-            assert math.exp(-rho) - 1e-9 <= ratio <= math.exp(rho) + 1e-9
 
 
 class TestPreferredPath:
@@ -175,8 +155,14 @@ class TestPreferredPath:
                     P.HorizontalPiece if i % 2 == 0 else P.SaddlePiece
                 )
                 assert isinstance(piece, expected)
-            residuals = P.junction_residuals(lshape, path)
-            assert all(r < 1e-9 for r in residuals)
+            # consecutive pieces meet at one base point and one cone class
+            for a, b in zip(path.pieces, path.pieces[1:]):
+                if isinstance(a, P.HorizontalPiece):
+                    za, zb, ca, cb = a.end, b.at_base, a.fiber, b.connection.start
+                else:
+                    za, zb, ca, cb = a.at_base, b.start, a.connection.end, b.fiber
+                assert hyp_distance(za, zb) < 1e-9
+                assert lshape.class_of(ca) is lshape.class_of(cb)
 
     def test_missing_direction_raises(self, lshape, lshape_saddles):
         sparse = {}  # empty family: every direction is missing
@@ -191,7 +177,7 @@ class TestPreferredPath:
 class TestDirectionGraphs:
     def test_unclosed_directions_are_values(self, lshape, lshape_family):
         # at this budget most separatrices stay open; each ball direction
-        # still gets an entry, the graph or the NoClosureFound
+        # still gets an entry, the decomposition or the NoClosureFound
         graphs = P.build_direction_graphs(lshape, lshape_family, max_trace=0.5)
         balls = [k for k, reg in lshape_family.items() if reg.kind == "ball"]
         assert sorted(graphs) == sorted(balls)
@@ -309,143 +295,6 @@ class TestFans:
                 found = True
                 break
         assert found, "no fan with parallel bottom connections sampled"
-
-
-class TestDecomposition:
-    @staticmethod
-    def _canon(h):
-        r, i = round(h.real, 7) + 0.0, round(h.imag, 7) + 0.0
-        if r < 0 or (r == 0 and i < 0):
-            r, i = -r + 0.0, -i + 0.0
-        return (r, i)
-
-    def _random_triangle(self, surface, saddles, rng):
-        a = rng.choice(saddles)
-        c1, c2 = rng.choice(saddles), rng.choice(saddles)
-        if rng.random() < 0.5:
-            c1 = c1.reverse(surface)
-        if rng.random() < 0.5:
-            c2 = c2.reverse(surface)
-        side_b = tighten_chain(surface, [c1, c2])
-        side_c = tighten_chain(
-            surface,
-            [c2.reverse(surface), c1.reverse(surface), a.reverse(surface)],
-        )
-        return FlatGeodesic((a,)), side_b, side_c
-
-    def test_reassembly_multiset(self, octagon, octagon_saddles):
-        rng = random.Random(7)
-        checked = 0
-        while checked < 15:
-            try:
-                sides = self._random_triangle(octagon, octagon_saddles, rng)
-                fans = P.decompose_into_fans(octagon, *sides)
-            except FlatBundleError:
-                continue
-            if not fans:
-                continue
-            checked += 1
-            got = Counter()
-            for fan in fans:
-                for sc in fan.bottom:
-                    got[self._canon(sc.holonomy)] += 1
-                got[self._canon(fan.top_start.holonomy)] += 1
-                got[self._canon(fan.top_end.holonomy)] += 1
-            exp = Counter()
-            for side in P.reduce_degenerate(octagon, *sides):
-                for sc in side.pieces:
-                    exp[self._canon(sc.holonomy)] += 1
-            # triangle sides appear once; internal chords appear twice
-            assert not (exp - got)
-            assert all(v % 2 == 0 for v in (got - exp).values())
-
-    def test_two_single_sides_is_one_fan(self, octagon, octagon_saddles):
-        rng = random.Random(8)
-        done = 0
-        while done < 5:
-            fan = P.random_fan(octagon, octagon_saddles, rng)
-            if fan is None:
-                continue
-            sides = (
-                FlatGeodesic((fan.top_start,)),
-                FlatGeodesic(tuple(fan.bottom)),
-                FlatGeodesic((fan.top_end.reverse(octagon),)),
-            )
-            fans = P.decompose_into_fans(octagon, *sides)
-            assert len(fans) == 1
-            assert fans[0].k == fan.k
-            done += 1
-
-    def test_degenerate_prefix_stripped(self, octagon, octagon_saddles):
-        a, c, d = octagon_saddles[0], octagon_saddles[2], octagon_saddles[3]
-        prev = FlatGeodesic((c, a))
-        nxt = FlatGeodesic((a.reverse(octagon), d))
-        third = FlatGeodesic(())
-        ra, rb, _ = P.reduce_degenerate(octagon, prev, nxt, third)
-        assert [sc.key() for sc in ra.pieces] == [c.key()]
-        assert [sc.key() for sc in rb.pieces] == [d.key()]
-
-    def test_fully_cancelling_sides_reduce_to_nothing(
-        self, octagon, octagon_saddles
-    ):
-        a, b = octagon_saddles[0], octagon_saddles[1]
-        prev = FlatGeodesic((b, a))
-        nxt = FlatGeodesic((a.reverse(octagon), b.reverse(octagon)))
-        third = FlatGeodesic(())
-        reduced = P.reduce_degenerate(octagon, prev, nxt, third)
-        assert all(not side.pieces for side in reduced)
-
-    def test_fully_degenerate_yields_no_fans(self, octagon, octagon_saddles):
-        a = octagon_saddles[0]
-        sides = (
-            FlatGeodesic((a,)),
-            FlatGeodesic((a.reverse(octagon),)),
-            FlatGeodesic(()),
-        )
-        assert P.decompose_into_fans(octagon, *sides) == []
-
-
-class TestSpanSet:
-    def test_self_pool_empty(self, octagon, octagon_saddles):
-        sigma = octagon_saddles[0]
-        assert P.span_set(octagon, sigma, [sigma]) == []
-
-    def test_euclidean_triangle_sides_span(self, octagon, octagon_saddles):
-        rng = random.Random(31)
-        fan = None
-        while fan is None or fan.k != 1:
-            fan = P.random_fan(octagon, octagon_saddles, rng)
-        t0, s1, t1 = fan.triangles()[0]
-        assert P.spans_triangle(octagon, t0, t1)
-        assert P.spans_triangle(octagon, t0, s1)
-
-    def test_symmetry(self, octagon):
-        pool = enumerate_saddle_connections(octagon, 2.0)
-        for i, a in enumerate(pool):
-            for b in pool[i + 1:]:
-                assert P.spans_triangle(octagon, a, b) == P.spans_triangle(
-                    octagon, b, a
-                )
-
-    def test_span_closing_holonomy_exists(self, octagon):
-        # the closing side of every spanning pair is itself a saddle
-        # connection, so its holonomy must be a difference or sum of the
-        # pair's holonomies and appear in a long-enough enumeration
-        pool = enumerate_saddle_connections(octagon, 2.0)
-        deep = {
-            TestDecomposition._canon(sc.holonomy)
-            for sc in enumerate_saddle_connections(octagon, 4.2)
-        }
-        deep.add((0.0, 0.0))
-        for a in pool[:6]:
-            for b in P.span_set(octagon, a, pool):
-                combos = [
-                    b.holonomy - a.holonomy,
-                    b.holonomy + a.holonomy,
-                ]
-                assert any(
-                    TestDecomposition._canon(c) in deep for c in combos
-                )
 
 
 class TestCombinatorialPath:

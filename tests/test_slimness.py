@@ -1,7 +1,6 @@
-"""Tests for slimness measurements: sample distances, triangle/fan slimness,
-and the four-point hyperbolicity constant."""
+"""Tests for slimness measurements: sample distances, triangle slimness
+and slimness sweeps."""
 
-import itertools
 import math
 import random
 
@@ -10,36 +9,12 @@ import pytest
 
 from flatbundle.catalog import load_catalog_surface, load_group_preset
 from flatbundle.errors import FlatBundleError
-from flatbundle.paths import FiberPoint, build_preferred_path, random_fan
-from flatbundle.surface import enumerate_saddle_connections, tighten_chain
+from flatbundle.paths import FiberPoint, build_preferred_path
+from flatbundle.surface import enumerate_saddle_connections
 from flatbundle.veech import build_group_data, build_horoball_family, region_for
 from flatbundle import slimness as S
 
 import oracles
-
-
-def four_point_oracle(points, dist):
-    """Independent brute-force minimal four-point constant."""
-    n = len(points)
-    best = 0.0
-    for w, x, y, z in itertools.product(range(n), repeat=4):
-        pxy = 0.5 * (
-            dist(points[w], points[x])
-            + dist(points[w], points[y])
-            - dist(points[x], points[y])
-        )
-        pxz = 0.5 * (
-            dist(points[w], points[x])
-            + dist(points[w], points[z])
-            - dist(points[x], points[z])
-        )
-        pyz = 0.5 * (
-            dist(points[w], points[y])
-            + dist(points[w], points[z])
-            - dist(points[y], points[z])
-        )
-        best = max(best, min(pxz, pyz) - pxy)
-    return best
 
 
 @pytest.fixture(scope="module")
@@ -55,67 +30,6 @@ def lshape_setup():
     )
     saddles = enumerate_saddle_connections(s, 3.0)
     return s, build_horoball_family(g, saddles), saddles
-
-
-class TestGromovFourPoint:
-    def test_line_is_tree(self):
-        points = [0.0, 1.0, 2.5, 7.0, -3.0]
-        assert S.gromov_four_point(points, lambda a, b: abs(a - b)) == 0.0
-
-    def test_star_tree(self):
-        # 3-leaf star with center: tree metric, zero-hyperbolic
-        def dist(a, b):
-            if a == b:
-                return 0.0
-            if a == "c" or b == "c":
-                return 1.0
-            return 2.0
-
-        assert S.gromov_four_point(["c", "x", "y", "z"], dist) == 0.0
-
-    def test_l1_square_corners_anti_test(self):
-        # flat space is not hyperbolic: the constant grows with the square
-        side = 10.0
-        corners = [(0, 0), (side, 0), (0, side), (side, side)]
-        dist = lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1])
-        got = S.gromov_four_point(corners, dist)
-        assert got == pytest.approx(four_point_oracle(corners, dist))
-        assert got == pytest.approx(side)
-
-    def test_matches_oracle_on_random_metric(self):
-        rng = random.Random(5)
-        points = [
-            (rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(7)
-        ]
-        dist = lambda a, b: math.hypot(a[0] - b[0], a[1] - b[1])
-        assert S.gromov_four_point(points, dist) == pytest.approx(
-            four_point_oracle(points, dist)
-        )
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            S.gromov_four_point([0, 1, 2], lambda a, b: abs(a - b))
-        with pytest.raises(ValueError):
-            S.gromov_four_point(list(range(61)), lambda a, b: abs(a - b))
-
-
-class TestEuclideanSlimness:
-    def test_area_bound_random_triangles(self):
-        rng = random.Random(6)
-        for _ in range(30):
-            a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            area = abs(((b - a).conjugate() * (c - a)).imag) / 2
-            if area < 1e-3:
-                continue
-            delta = S.euclidean_triangle_slimness(a, b, c)
-            assert delta <= 2 * math.sqrt(area) / 3**0.75 + S.DEFAULT_STEP
-
-    def test_degenerate_triangle(self):
-        assert S.euclidean_triangle_slimness(0, 2.0, 2.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
 
 
 class TestSampleDistances:
@@ -221,53 +135,6 @@ class TestTriangleSlimness:
         rep = S.slimness_sweep(s, fam, saddles, count=16, seed=4)
         full, second = S.stability_split(rep)
         assert second <= full + 1e-12
-
-
-class TestFanLemma:
-    def test_k1_fan_passes(self, lshape_setup):
-        s, fam, saddles = lshape_setup
-        rng = random.Random(13)
-        done = 0
-        while done < 3:
-            a, b = rng.choice(saddles), rng.choice(saddles)
-            if rng.random() < 0.5:
-                a = a.reverse(s)
-            try:
-                bottom = tighten_chain(s, [a.reverse(s), b])
-                if len(bottom.pieces) != 1:
-                    continue
-                from flatbundle.paths import build_fan
-
-                fan = build_fan(s, a, bottom)
-                delta, holds = S.fan_lemma_check(s, fan, fam)
-            except FlatBundleError:
-                continue
-            assert holds
-            assert math.isfinite(delta) and delta >= 0
-            done += 1
-
-    def test_matches_six_matrix_reference(self, lshape_setup):
-        s, fam, saddles = lshape_setup
-        rng = random.Random(32)
-        checked = 0
-        while checked < 30:
-            fan = random_fan(s, saddles, rng)
-            if fan is None:
-                continue
-            try:
-                ref = oracles.fan_lemma_check(s, fan, fam, step=0.05)
-            except FlatBundleError:
-                continue
-            assert S.fan_lemma_check(s, fan, fam) == ref
-            checked += 1
-
-    def test_sweep(self, lshape_setup):
-        s, fam, saddles = lshape_setup
-        rep = S.fan_sweep(s, fam, saddles, count=15, seed=7)
-        assert rep.attempts == rep.samples + sum(rep.rejected.values())
-        assert rep.samples == 15
-        assert math.isfinite(rep.delta_max)
-        assert rep.config["furthermoreFailures"] == 0
 
 
 class TestConvexCocompact:
