@@ -158,12 +158,15 @@ class Mobius:
 
 
 def hyp_distance(z1: complex, z2: complex) -> float:
-    """Distance between two points of the disk."""
-    num = 2.0 * abs(z1 - z2) ** 2
+    """Distance between two points of the disk.
+
+    The asinh form keeps every digit for nearby points, where the textbook
+    ``acosh(1 + 2 |z1 - z2|^2 / den)`` rounds distances below ~1e-8 to 0.
+    """
     den = (1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2)
     if den <= 0:
         raise NotInDisk("points must lie inside the open disk")
-    return math.acosh(1.0 + num / den)
+    return 2.0 * math.asinh(abs(z1 - z2) / math.sqrt(den))
 
 
 # -- flat structures as disk points -----------------------------------------

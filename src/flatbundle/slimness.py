@@ -29,6 +29,7 @@ from .veech import region_for
 
 DEFAULT_STEP = 0.05
 _MAX_SAMPLES_PER_PIECE = 400
+MAX_ATTEMPTS_FACTOR = 60  # a sweep gives up after this many draws per triangle
 
 
 # -- sampling ----------------------------------------------------------------
@@ -134,9 +135,9 @@ def _ball_distances(z: np.ndarray, ball) -> np.ndarray:
 
 
 def _rho_matrix(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    num = 2.0 * np.abs(z1[:, None] - z2[None, :]) ** 2
-    den = (1.0 - np.abs(z1) ** 2)[:, None] * (1.0 - np.abs(z2) ** 2)[None, :]
-    return np.arccosh(1.0 + num / den)
+    # vectorized hyp_distance
+    s1, s2 = np.sqrt(1.0 - np.abs(z1) ** 2), np.sqrt(1.0 - np.abs(z2) ** 2)
+    return 2.0 * np.arcsinh(np.abs(z1[:, None] - z2[None, :]) / (s1[:, None] * s2[None, :]))
 
 
 def sample_distance_matrix(a: SampleSet, b: SampleSet) -> np.ndarray:
@@ -271,14 +272,13 @@ def slimness_sweep(
     count: int,
     seed: int,
     step: float = DEFAULT_STEP,
-    max_attempts_factor: int = 60,
 ) -> SlimnessReport:
     """Measure slimness over randomized preferred-path triangles."""
     rng = random.Random(seed)
     deltas, descs = [], []
     rejected: Counter = Counter()
     attempts = 0
-    while len(deltas) < count and attempts < count * max_attempts_factor:
+    while len(deltas) < count and attempts < count * MAX_ATTEMPTS_FACTOR:
         attempts += 1
         tri = random_triangle_chains(surface, saddles, rng)
         if tri is None:

@@ -33,6 +33,9 @@ from .hyperbolic import (
 from .surface import TranslationSurface, enumerate_saddle_connections
 
 ANGLE_DEDUP = 1e-8
+MAX_BALL_LEVEL = 30.0  # deepest horoball level the bisection searches
+ORBIT_DEPTH = 4  # word length that groups parabolic directions into orbits
+HOROCYCLE_SAMPLES = 16  # boundary points checked for the 1/3 length condition
 
 
 # -- generator verification --------------------------------------------------
@@ -213,7 +216,6 @@ def build_group_data(
     matrices,
     *,
     depth: int = 6,
-    verify_length: float = 2.5,
     verify_basis=None,
     verify_words=None,
 ) -> VeechGroupData:
@@ -226,10 +228,7 @@ def build_group_data(
     property then follows by closure.
     """
     if verify_basis is not None:
-        basis_autos = tuple(
-            verify_affine(surface, m, max_length=verify_length)
-            for m in verify_basis
-        )
+        basis_autos = tuple(verify_affine(surface, m) for m in verify_basis)
         basis_mob = tuple(a.derivative for a in basis_autos)
         autos = []
         for word, m in zip(verify_words, matrices):
@@ -254,9 +253,7 @@ def build_group_data(
             )
         autos = tuple(autos)
     else:
-        autos = tuple(
-            verify_affine(surface, m, max_length=verify_length) for m in matrices
-        )
+        autos = tuple(verify_affine(surface, m) for m in matrices)
     gens = tuple(a.derivative for a in autos)
     sample = sample_limit_set(gens, depth)
     hull = build_hull(sample)
@@ -326,28 +323,20 @@ def _ball_conditions_hold(
     short_len: float,
     other_saddles,
     hull_sides_max_busemann,
-    *,
-    n_samples: int = 16,
 ) -> bool:
     for bmax in hull_sides_max_busemann:
         if c - bmax < 1.0:
             return False
     ball = Horoball(xi, c)
     here = short_len * math.exp(-0.5 * c)
-    for w in ball.boundary_uhp(n_samples):
+    for w in ball.boundary_uhp(HOROCYCLE_SAMPLES):
         other = min(saddle_length_at_uhp(w, hol) for hol in other_saddles)
         if here > other / 3.0:
             return False
     return True
 
 
-def build_horoball_family(
-    gdata: VeechGroupData,
-    saddles,
-    *,
-    max_level: float = 30.0,
-    orbit_depth: int = 4,
-) -> dict:
+def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     """One HoroRegion per saddle-connection direction.
 
     Keyed by ``round(theta, 8)``; parabolic directions receive maximal
@@ -396,7 +385,7 @@ def build_horoball_family(
     # group parabolic directions into orbits under short words
     orbit_words = [((), Mobius.identity())] + [
         (w, word_element(gdata.generators, w))
-        for w in reduced_words(len(gdata.generators), orbit_depth)
+        for w in reduced_words(len(gdata.generators), ORBIT_DEPTH)
     ]
     reps: list[int] = []
     orbit_of: dict[int, tuple[int, Mobius]] = {}
@@ -435,11 +424,11 @@ def build_horoball_family(
         cond = lambda c: _ball_conditions_hold(
             xi, c, short_len, others, side_bmax
         )
-        if not cond(max_level):
+        if not cond(MAX_BALL_LEVEL):
             raise NotFound(
-                f"no admissible horoball level below {max_level} for {theta}"
+                f"no admissible horoball level below {MAX_BALL_LEVEL} for {theta}"
             )
-        lo, hi = 0.0, max_level
+        lo, hi = 0.0, MAX_BALL_LEVEL
         if cond(lo):
             rep_level[r] = lo
             continue
