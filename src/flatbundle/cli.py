@@ -8,6 +8,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -179,15 +180,14 @@ def _random_path(surface, saddles, family, rng):
 
 def _suite_lipschitz(surface, saddles, family, rng, count) -> dict:
     done, violations, margin = 0, 0, math.inf
-    attempts = 0
-    if not saddles:
-        return {"passed": False, "paths": 0, "violations": 0, "minMargin": None}
-    while done < count and attempts < count * 40:
+    attempts, rejected = 0, Counter()
+    while saddles and done < count and attempts < count * 40:
         attempts += 1
         try:
             path = _random_path(surface, saddles, family, rng)
             collapsed = collapsed_length(surface, path, family)
-        except FlatBundleError:
+        except FlatBundleError as exc:
+            rejected[type(exc).__name__] += 1
             continue
         done += 1
         gap = path.d_length - collapsed
@@ -199,19 +199,20 @@ def _suite_lipschitz(surface, saddles, family, rng, count) -> dict:
         "paths": done,
         "violations": violations,
         "minMargin": margin if done else None,
+        "attempts": attempts,
+        "rejected": dict(rejected),
     }
 
 
 def _suite_structure(surface, saddles, rng, count) -> dict:
     built, failures = 0, 0
-    attempts = 0
+    attempts, rejected = 0, Counter()
     last_fan = None
-    if not saddles:
-        return {"passed": False, "fans": 0, "failures": 0}, None
-    while built < count and attempts < count * 60:
+    while saddles and built < count and attempts < count * 60:
         attempts += 1
         fan = random_fan(surface, saddles, rng)
         if fan is None:
+            rejected["noFan"] += 1
             continue
         built += 1
         last_fan = fan
@@ -221,6 +222,8 @@ def _suite_structure(surface, saddles, rng, count) -> dict:
         "passed": built > 0 and failures == 0,
         "fans": built,
         "failures": failures,
+        "attempts": attempts,
+        "rejected": dict(rejected),
     }, last_fan
 
 

@@ -329,8 +329,11 @@ def test_benchmark_science_pinned(surface, group, tmp_path):
         "fans": suites["structureLemma"]["fans"],
         "triangles": suites["slimness"]["triangles"],
     } == want["samples"]
-    slim = suites["slimness"]
-    assert slim["attempts"] == slim["triangles"] + sum(slim["rejected"].values())
+    for suite, accepted in (
+        ("slimness", "triangles"), ("lipschitzCollapse", "paths"), ("structureLemma", "fans"),
+    ):
+        got = suites[suite]
+        assert got["attempts"] == got[accepted] + sum(got["rejected"].values())
 
 
 class TestRender:
