@@ -1,0 +1,80 @@
+"""Every function, class and method of the package is reachable from
+``flatbundle.cli.main``.
+
+The call graph is name-level: a definition reaches every definition whose
+name it mentions, as a bare name or as an attribute.  A reached class
+reaches what its body mentions outside its methods, and its dunder methods,
+which Python calls implicitly.  Module-level statements run at import, so
+what they mention is reached too.
+"""
+
+import ast
+from pathlib import Path
+
+import flatbundle
+
+# Live only in the tests: acceptance 05 checks balance_point with
+# Geodesic.distance_to, and the geodesic certificates compare
+# FlatGeodesic.development with the chain's.
+ALLOWED = {
+    "hyperbolic.balance_point",
+    "hyperbolic.ideal_incenter",
+    "hyperbolic._mobius_three_points",
+    "hyperbolic.Geodesic.distance_to",
+    "surface.FlatGeodesic.development",
+}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _mentions(nodes) -> set:
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def _call_graph():
+    """(mentions of each definition, mentions of module-level code)."""
+    edges, roots = {}, set()
+    for path in sorted(Path(flatbundle.__file__).parent.glob("*.py")):
+        mod = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, _FUNCS):
+                edges[f"{mod}.{node.name}"] = _mentions([node])
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, _FUNCS)]
+                rest = [m for m in node.body if not isinstance(m, _FUNCS)]
+                edges[f"{mod}.{node.name}"] = _mentions(
+                    node.bases + node.decorator_list + rest
+                ) | {m.name for m in methods if m.name.startswith("__")}
+                for m in methods:
+                    edges[f"{mod}.{node.name}.{m.name}"] = _mentions([m])
+            else:
+                roots |= _mentions([node])
+    return edges, roots
+
+
+def _unreached() -> set:
+    edges, roots = _call_graph()
+    by_name = {}
+    for qual in edges:
+        by_name.setdefault(qual.rsplit(".", 1)[1], set()).add(qual)
+    seen = {"cli.main"}
+    todo = ["cli.main"] + [q for n in roots for q in by_name.get(n, ())]
+    while todo:
+        qual = todo.pop()
+        seen.add(qual)
+        for name in edges[qual]:
+            todo += [q for q in by_name.get(name, ()) if q not in seen]
+    return set(edges) - seen
+
+
+def test_every_definition_is_reached_from_main():
+    unreached = _unreached()
+    assert sorted(unreached - ALLOWED) == [], "no caller in flatbundle run"
+    assert sorted(ALLOWED - unreached) == [], "allowlisted but reached or gone"
