@@ -14,6 +14,7 @@ from flatbundle.errors import (
     ElementaryGroup,
     NonInvertible,
     NotInDisk,
+    NotOnBoundary,
 )
 from flatbundle.veech import build_hull, sample_limit_set
 
@@ -43,6 +44,10 @@ class TestModels:
         xi = H.boundary_from_direction(theta)
         assert abs(abs(xi) - 1.0) < 1e-12
         assert (-cmath.phase(xi) / 2.0) % math.pi == pytest.approx(theta, abs=1e-9)
+
+    def test_boundary_guard(self):
+        with pytest.raises(NotOnBoundary):
+            H.busemann(0.5 + 0j, 0j)
 
 
 class TestMobius:

@@ -15,10 +15,12 @@ from flatbundle.errors import (
     NotFound,
 )
 from flatbundle.hyperbolic import (
+    Mobius,
     busemann,
     hyp_distance,
     saddle_length_at,
     saddle_length_at_uhp,
+    structure_matrix,
     uhp_from_disk,
 )
 from flatbundle.surface import FlatGeodesic, enumerate_saddle_connections
@@ -79,9 +81,25 @@ def _sample_fans(surface, saddles, rng, count):
     return fans
 
 
+def _act(g, hol):
+    # the linear action of an SL(2, R) element on a holonomy vector
+    (a, b), (c, d) = g.matrix
+    return complex(a * hol.real + b * hol.imag, c * hol.real + d * hol.imag)
+
+
+def _random_sl2(rng):
+    a = rng.uniform(0.7, 1.4)
+    b, c = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+    return Mobius.from_matrix(((a, b), (c, (1.0 + b * c) / a)))
+
+
 class TestFiberMap:
     # the fiber over a disk point carries the flat metric whose lengths
     # saddle_length_at evaluates
+
+    def test_identity(self):
+        # the disk center carries the base flat structure itself
+        assert structure_matrix(0j) == pytest.approx((1.0, 0.0, 0.0, 1.0), abs=1e-15)
 
     def test_matches_length_function_at_center(self):
         # the fiber over the disk center carries the unmarked flat metric,
@@ -108,6 +126,34 @@ class TestFiberMap:
                 -0.5 * busemann(xi, X), abs=1e-9
             )
             assert out == pytest.approx(math.exp(-0.5 * t), abs=1e-9)
+
+    def test_composition_law(self):
+        # g carries the fiber over z isometrically to the fiber over g z,
+        # and doing h then g is the same map as doing g @ h
+        rng = random.Random(3)
+        for _ in range(30):
+            g, h = _random_sl2(rng), _random_sl2(rng)
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            base = saddle_length_at(z, v)
+            stepwise = saddle_length_at(
+                g.apply_disk(h.apply_disk(z)), _act(g, _act(h, v))
+            )
+            composed = saddle_length_at((g @ h).apply_disk(z), _act(g @ h, v))
+            assert stepwise == pytest.approx(base, rel=1e-9)
+            assert composed == pytest.approx(base, rel=1e-9)
+
+    def test_bilipschitz_bound(self):
+        # comparing the fibers over X and Y stretches a length by at most
+        # exp(rho(X, Y) / 2), the Teichmuller distance
+        rng = random.Random(4)
+        for _ in range(30):
+            X = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+            Y = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+            v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            half_rho = 0.5 * hyp_distance(X, Y)
+            ratio = saddle_length_at(X, v) / saddle_length_at(Y, v)
+            assert math.exp(-half_rho) - 1e-9 <= ratio <= math.exp(half_rho) + 1e-9
 
 
 class TestPreferredPath:
