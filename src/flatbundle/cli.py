@@ -256,14 +256,16 @@ def _surrogate_distance(family, key1, key2) -> float:
 def _suite_ratio(family, rng, count) -> dict:
     keys = sorted(family)
     ratios = []
-    if len(keys) < 2:
-        return {"passed": False, "pairs": 0, "maxRatio": None}
-    for _ in range(count):
+    attempts, rejected = 0, Counter()
+    for _ in range(count if len(keys) >= 2 else 0):
+        attempts += 1
         k1, k2 = rng.choice(keys), rng.choice(keys)
         if k1 == k2:
+            rejected["sameDirection"] += 1
             continue
         result = combinatorial_path(family, k1, k2)
         if not isinstance(result, CombinatorialPath):
+            rejected[type(result).__name__] += 1
             continue
         dist = max(_surrogate_distance(family, k1, k2), 0.1)
         ratios.append(result.length / dist)
@@ -271,6 +273,8 @@ def _suite_ratio(family, rng, count) -> dict:
         "passed": bool(ratios) and all(math.isfinite(r) for r in ratios),
         "pairs": len(ratios),
         "maxRatio": max(ratios) if ratios else None,
+        "attempts": attempts,
+        "rejected": dict(rejected),
     }
 
 

@@ -3,9 +3,11 @@
 A direction is *periodic* when every straight trajectory leaving a cone point
 in that direction (a separatrix) closes up into a saddle connection.  The
 complement of those saddle connections is then a union of flat cylinders.
-``trace_direction`` semi-decides this: it either assembles the decomposition
-or reports that some separatrix survived the trace budget, which proves
-nothing about longer budgets.
+``trace_direction`` semi-decides this: it traces each outgoing separatrix
+once and either assembles the decomposition or reports that one survived
+the trace budget, which proves nothing about longer budgets.  Widths come
+from transverse rays; sides on one boundary circle are paired by angle at
+the cone points.
 
 A decomposition records its *spines* (connected components of the union of
 boundary saddle connections) and, per cylinder, the boundary sides on each of
@@ -22,19 +24,19 @@ from dataclasses import dataclass
 from .errors import NoClosureFound, NoCylinders
 from .surface import (
     TOL_ANGLE,
-    TOL_VERTEX,
     Corner,
     SaddleConnection,
     TranslationSurface,
-    canonical_holonomy,
     ccw_angle,
     connect,
+    cross,
     seg_point_dist,
     trace_ray,
 )
 
 SIDE_EPS = 1e-7  # transverse offset when stepping off a boundary leaf
 WIDTH_TOL = 1e-6
+CONTINUE_TOL = 1e-6  # angular slack; separatrices at a cone point are 2*pi apart
 
 
 @dataclass(frozen=True)
@@ -58,93 +60,68 @@ class CylinderDecomposition:
         return sum(c.circumference * c.width for c in self.cylinders)
 
 
-def _separatrix_connection(surface, corner, u, max_trace):
-    """Follow one separatrix; a saddle connection, None (skip), or no-closure."""
-    p, i = corner
-    evec = surface.edge_vec(p, i)
-    ang = surface.interior_angle(corner)
-    phi = ccw_angle(evec, u)
-    if phi < TOL_ANGLE:
-        # along the outgoing edge: the edge is itself a saddle connection
-        if abs(cmath.phase(evec / u)) < TOL_ANGLE:
-            return connect(surface, corner, evec)
-        return None
-    if phi > ang - TOL_ANGLE:
-        return None  # along the incoming edge; counted at the partner corner
-    res = trace_ray(surface, p, surface.vertex(p, i), u, max_trace)
-    if res.outcome != "vertex":
-        return NoClosureFound(
-            f"separatrix from {corner} still open after length {max_trace}"
-        )
-    crossings = tuple(
-        (st.poly, st.edge) for st in res.steps if st.edge >= 0
-    )
-    hol = res.length * u
-    return SaddleConnection(corner, res.end, hol, phi, res.end_phi, crossings)
+def _separatrices(surface, u, max_trace):
+    """Saddle connections leaving the cone points in direction ``u``.
 
-
-def _direction_saddles(surface, theta, max_trace):
-    """Canonical saddle connections in the direction, or a NoClosureFound."""
-    u = cmath.exp(1j * theta)
-    found = {}
+    Each comes with its development, the marching steps as (poly,
+    translation, entry, exit) with the points in the start polygon's frame.
+    Returns a NoClosureFound value when a separatrix is still open after
+    ``max_trace``.
+    """
+    out = []
     for p in range(len(surface.polygons)):
         for i in range(surface.n_edges(p)):
-            for sgn in (u, -u):
-                out = _separatrix_connection(surface, Corner(p, i), sgn, max_trace)
-                if out is None:
-                    continue
-                if isinstance(out, NoClosureFound):
-                    return out
-                sc = out
-                if not canonical_holonomy(sc.holonomy):
-                    sc = sc.reverse(surface)
-                sc = _canonical_rep(surface, sc)
-                found.setdefault(sc.key(), sc)
-    saddles = sorted(found.values(), key=lambda sc: (sc.length, sc.key()))
-    return saddles
-
-
-def _canonical_rep(surface, sc):
-    """The unique representative an enumeration would report.
-
-    Edge connections are traceable from either glued side; the tracer accepts
-    only the corner whose outgoing edge carries the segment, so re-trace and
-    fall back to the glued partner corner when rejected.
-    """
-    from .surface import trace_segment
-
-    res = trace_segment(surface, sc.start, sc.holonomy)
-    if res.ok:
-        return SaddleConnection(
-            sc.start, res.end, sc.holonomy, res.start_phi, res.end_phi, res.crossings
-        )
-    p, i = sc.start
-    ne = surface.n_edges(p)
-    q, f = surface.gluings[(p, (i - 1) % ne)]
-    return connect(surface, Corner(q, f), sc.holonomy)
-
-
-def _develop(surface, sc):
-    """Per-polygon sub-segments of a saddle connection.
-
-    Returns a list of (poly, translation, entry, exit) in the plane frame
-    whose origin is the start cone point of the connection.
-    """
-    p0 = sc.start.poly
-    v0 = surface.vertex(*sc.start)
-    if not sc.crossings and abs(surface.edge_vec(p0, sc.start.vertex) - sc.holonomy) < TOL_VERTEX:
-        # the connection runs along a polygon edge; the marcher cannot follow it
-        return [(p0, 0j, v0, v0 + sc.holonomy)]
-    res = trace_ray(
-        surface, p0, v0, sc.holonomy / abs(sc.holonomy), abs(sc.holonomy) * (1 + 1e-6)
-    )
-    if res.outcome != "vertex":
-        raise NoCylinders(f"could not re-develop saddle connection {sc.key()}")
-    out = []
-    for st in res.steps:
-        exit_pt = st.exit if st.exit is not None else v0 + sc.holonomy
-        out.append((st.poly, st.t, st.entry, exit_pt))
+            corner = Corner(p, i)
+            evec = surface.edge_vec(p, i)
+            v0 = surface.vertex(p, i)
+            phi = ccw_angle(evec, u)
+            if phi < TOL_ANGLE:
+                # along the outgoing edge: the edge is itself a saddle
+                # connection, which the marcher cannot follow
+                if abs(cmath.phase(evec / u)) < TOL_ANGLE:
+                    sc = connect(surface, corner, evec)
+                    out.append((sc, [(p, 0j, v0, v0 + evec)]))
+                continue
+            if phi > surface.interior_angle(corner) - TOL_ANGLE:
+                continue  # along the incoming edge; traced from the partner corner
+            res = trace_ray(surface, p, v0, u, max_trace)
+            if res.outcome != "vertex":
+                return NoClosureFound(
+                    f"separatrix from {corner} still open after length {max_trace}"
+                )
+            crossings = tuple((st.poly, st.edge) for st in res.steps if st.edge >= 0)
+            sc = SaddleConnection(
+                corner, res.end, res.length * u, phi, res.end_phi, crossings
+            )
+            out.append((sc, [(st.poly, st.t, st.entry, st.exit) for st in res.steps]))
     return out
+
+
+def _continuations(surface, saddles):
+    """Same-circle pairs ``((k, side), (k2, side))``, read off at the cone points.
+
+    Past the end of saddle ``k`` its left (right) side continues along the
+    saddle leaving pi clockwise (counterclockwise) of its arrival direction.
+    """
+    leaving: dict[int, list[tuple[float, int]]] = {}
+    for k, sc in enumerate(saddles):
+        leaving.setdefault(surface.corner_class[sc.start], []).append(
+            (surface.coord_of(sc.start, sc.start_phi), k)
+        )
+    pairs = []
+    for k, sc in enumerate(saddles):
+        cc = surface.class_of(sc.end)
+        arrival = surface.coord_of(sc.end, sc.end_phi)
+        for side in (+1, -1):
+            want = arrival - side * math.pi
+            gap, k2 = min(
+                (min((a - want) % cc.angle, (want - a) % cc.angle), k2)
+                for a, k2 in leaving[cc.index]
+            )
+            if gap > CONTINUE_TOL:
+                raise NoCylinders(f"no separatrix continues saddle {k} side {side}")
+            pairs.append(((k, side), (k2, side)))
+    return pairs
 
 
 def _barrier_segments(surface, developed):
@@ -158,16 +135,10 @@ def _barrier_segments(surface, developed):
         for (poly, t, a, b) in segs:
             la, lb = a - t, b - t
             barriers.setdefault(poly, []).append((k, la, lb))
-            ne = surface.n_edges(poly)
-            for e in range(ne):
-                va = surface.vertex(poly, e)
-                vb = surface.vertex(poly, (e + 1) % ne)
-                if (
-                    seg_point_dist(va, vb, la) < 1e-9
-                    and seg_point_dist(va, vb, lb) < 1e-9
-                ):
-                    q, f = surface.gluings[(poly, e)]
-                    shift = vb - surface.vertex(q, f)
+            for e in range(surface.n_edges(poly)):
+                va, vb = surface.vertex(poly, e), surface.vertex(poly, e + 1)
+                if max(seg_point_dist(va, vb, la), seg_point_dist(va, vb, lb)) < 1e-9:
+                    q, _f, shift = surface.across(poly, e)
                     barriers.setdefault(q, []).append((k, la - shift, lb - shift))
     return barriers
 
@@ -198,14 +169,12 @@ def _ray_to_barrier(surface, barriers, poly, z0, n, max_dist):
 
 def _seg_seg(a1, b1, a2, b2):
     """Parameter on [a1, b1] of its intersection with [a2, b2], None if absent."""
-    d1 = b1 - a1
-    d2 = b2 - a2
-    den = d1.real * d2.imag - d1.imag * d2.real
+    d1, d2, w = b1 - a1, b2 - a2, a2 - a1
+    den = cross(d1, d2)
     if abs(den) < 1e-14 * max(abs(d1), 1.0) * max(abs(d2), 1.0):
         return None
-    w = a2 - a1
-    s = (w.real * d2.imag - w.imag * d2.real) / den
-    t = (w.real * d1.imag - w.imag * d1.real) / den
+    s = cross(w, d2) / den
+    t = cross(w, d1) / den
     if -1e-12 <= t <= 1 + 1e-12 and 1e-9 < s <= 1 + 1e-12:
         return s
     return None
@@ -229,23 +198,26 @@ class _UnionFind:
 
 
 def trace_direction(surface: TranslationSurface, theta: float, max_trace: float):
-    """Classify a flow direction by separatrix tracing.
+    """Classify a flow direction by tracing each outgoing separatrix once.
 
+    The incoming separatrices are the same saddle connections reversed.
     Returns a :class:`CylinderDecomposition` when every separatrix closes up
-    within ``max_trace``, else a :class:`NoClosureFound` value.  The latter is
-    a semi-decision: the direction may still be periodic past the budget.
+    within ``max_trace``, else a :class:`NoClosureFound` value, a
+    semi-decision.  Same-circle sides come from :func:`_continuations`.
+    Saddles are ordered by length and cylinders by decreasing area, rounded
+    to 9 digits so that equal values tie.
     """
     theta = theta % math.pi
-    out = _direction_saddles(surface, theta, max_trace)
-    if isinstance(out, NoClosureFound):
-        return out
-    saddles = out
-    if not saddles:
-        raise NoCylinders(f"no saddle connection in direction {theta}")
+    if math.pi - theta < TOL_ANGLE:
+        theta = 0.0  # as SaddleConnection.direction reads it
     u = cmath.exp(1j * theta)
+    found = _separatrices(surface, u, max_trace)
+    if isinstance(found, NoClosureFound):
+        return found
+    found.sort(key=lambda f: (round(f[0].length, 9), f[0].key()))
+    saddles = [sc for sc, _dev in found]
+    developed = [dev for _sc, dev in found]
     n = 1j * u  # left normal of the canonical orientation
-
-    developed = [_develop(surface, sc) for sc in saddles]
     barriers = _barrier_segments(surface, developed)
 
     uf = _UnionFind()
@@ -280,33 +252,9 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
                     uf.union((k, side), (kk, -side))
                     opposite.append(((k, side), (kk, -side)))
 
-    # connect sides lying on one boundary circle: flow a leaf just inside the
-    # cylinder past the end cone point of each saddle and identify the saddle
-    # it continues along
-    min_len = min(sc.length for sc in saddles)
-    samecircle: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for k, sc in enumerate(saddles):
-        segs = developed[k]
-        poly_t = segs[-1]
-        poly, t, a, b = poly_t
-        for side in (+1, -1):
-            back = min(0.25 * abs(b - a), 0.5 * min_len)
-            start_pl = b - back * u + side * SIDE_EPS * n
-            start_poly, start_z = _locate(surface, poly, t, start_pl)
-            if start_poly is None:
-                continue
-            flow = trace_ray(surface, start_poly, start_z, u, back + 0.3 * min_len)
-            if flow.outcome != "maxlen":
-                continue
-            last = flow.steps[-1]
-            land_pl = start_z + u * (back + 0.3 * min_len)
-            land_local = land_pl - last.t
-            hit = _ray_to_barrier(
-                surface, barriers, last.poly, land_local, -side * n, 3 * SIDE_EPS
-            )
-            if hit is not None:
-                uf.union((k, side), (hit[1], side))
-                samecircle.append(((k, side), (hit[1], side)))
+    samecircle = _continuations(surface, saddles)
+    for a, b in samecircle:
+        uf.union(a, b)
 
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k in range(len(saddles)):
@@ -347,7 +295,11 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
         cylinders.append(
             Cylinder(circ, width, tuple(sorted(sides)), low, high)
         )
-    cylinders.sort(key=lambda c: (-c.circumference * c.width, c.circumference))
+    cylinders.sort(
+        key=lambda c: (
+            -round(c.circumference * c.width, 9), -round(c.circumference, 9), c.sides
+        )
+    )
 
     spine_uf = _UnionFind()
     for k, sc in enumerate(saddles):
@@ -376,8 +328,7 @@ def _locate(surface, poly, t, plane_pt):
     if _inside(surface, poly, local):
         return poly, local
     for e in range(surface.n_edges(poly)):
-        q, f = surface.gluings[(poly, e)]
-        shift = surface.vertex(poly, (e + 1) % surface.n_edges(poly)) - surface.vertex(q, f)
+        q, _f, shift = surface.across(poly, e)
         local2 = local - shift
         if _inside(surface, q, local2):
             return q, local2
@@ -386,11 +337,6 @@ def _locate(surface, poly, t, plane_pt):
 
 def _inside(surface, poly, z, margin=1e-12):
     verts = surface.polygons[poly]
-    m = len(verts)
-    for e in range(m):
-        a, b = verts[e], verts[(e + 1) % m]
-        d = b - a
-        if (d.real * (z - a).imag - d.imag * (z - a).real) < -margin * abs(d):
-            return False
-    return True
+    edges = zip(verts, verts[1:] + verts[:1])
+    return all(cross(b - a, z - a) >= -margin * abs(b - a) for a, b in edges)
 

@@ -89,5 +89,5 @@ class NoClosureFound(FlatBundleError):
     """A separatrix exceeded the trace budget without closing up.
 
     This is a *value-like* outcome: callers of direction tracing receive it as
-    a result rather than an exception unless they opt into raising.
+    a result rather than an exception.
     """

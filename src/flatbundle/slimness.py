@@ -21,7 +21,6 @@ from .hyperbolic import segment_points
 from .paths import (
     FiberPoint,
     HorizontalPiece,
-    SaddlePiece,
     build_preferred_path,
 )
 from .surface import tighten_chain

@@ -26,7 +26,7 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ConeAngleInvalid,
@@ -97,6 +97,17 @@ class ConeClass:
         return self.starts[self.corners.index(corner)]
 
 
+def _corner_angle(poly: Sequence[complex], i: int) -> float:
+    """Interior angle of a polygon at vertex ``i``; a straight corner is pi."""
+    n = len(poly)
+    out = poly[(i + 1) % n] - poly[i % n]
+    back = poly[(i - 1) % n] - poly[i % n]
+    ang = ccw_angle(out, back)
+    if ang < TOL_ANGLE and abs(cross(out, back)) < 1e-12:
+        ang = math.pi
+    return ang
+
+
 class TranslationSurface:
     """A glued-polygon translation surface of genus >= 2."""
 
@@ -136,12 +147,16 @@ class TranslationSurface:
 
     def interior_angle(self, corner: Corner) -> float:
         p, i = corner
-        out = self.edge_vec(p, i)
-        inc = self.edge_vec(p, (i - 1) % self.n_edges(p))
-        ang = ccw_angle(out, -inc)
-        if ang < TOL_ANGLE:  # straight corner
-            ang = math.pi if abs(cross(out, inc)) < 1e-12 else ang
-        return ang
+        return _corner_angle(self.polygons[p], i)
+
+    def across(self, p: int, e: int, t: complex = 0j) -> tuple[int, int, complex]:
+        """The polygon glued to edge ``e`` of polygon ``p`` placed at ``t``.
+
+        Returns ``(q, f, t')``: edge ``f`` of polygon ``q`` placed at ``t'``
+        lies on edge ``e``.
+        """
+        q, f = self.gluings[(p, e)]
+        return q, f, self.vertex(p, e + 1) + t - self.vertex(q, f)
 
     def class_of(self, corner: Corner) -> ConeClass:
         return self.cone_classes[self.corner_class[corner]]
@@ -241,16 +256,6 @@ def load_surface(
         raise GluingMismatch("surface is not connected")
 
     # cone classes by walking corners around each glued vertex
-    def interior(corner: Corner) -> float:
-        p, i = corner
-        n = len(polys[p])
-        out = polys[p][(i + 1) % n] - polys[p][i]
-        back = polys[p][(i - 1) % n] - polys[p][i]
-        ang = ccw_angle(out, back)
-        if ang < TOL_ANGLE and abs(cross(out, back)) < 1e-12:
-            ang = math.pi
-        return ang
-
     seen: set[Corner] = set()
     classes: list[ConeClass] = []
     for p in range(len(polys)):
@@ -269,7 +274,7 @@ def load_surface(
                 guard += 1
                 if guard > 10 * len(all_edges):
                     raise GluingMismatch("corner walk does not close up")
-            angles = [interior(c) for c in cycle]
+            angles = [_corner_angle(polys[p], i) for p, i in cycle]
             total = sum(angles)
             k = round(total / TWO_PI)
             if k < 1 or abs(total - k * TWO_PI) > 1e-9:
@@ -351,12 +356,54 @@ def _find_exit(
     return best
 
 
+class RayStep(NamedTuple):
+    """The part of a marched segment inside one placed polygon."""
+
+    poly: int
+    t: complex
+    entry: complex
+    exit: complex | None  # None where the segment ends inside the polygon
+    edge: int  # edge crossed on leaving, -1 at the final step
+
+
+def _march(
+    surface: TranslationSurface,
+    poly: int,
+    t: complex,
+    c: complex,
+    W: complex,
+    budget: int,
+) -> tuple[list[RayStep], int | None]:
+    """Walk the segment ``[c, W]`` through the glued polygons.
+
+    It starts in polygon ``poly`` placed at ``t`` and stops at the first cone
+    point it meets, where it ends, or after ``budget`` polygons.  Returns the
+    steps and how the walk stopped: the index of the vertex of the last
+    step's polygon that it hit, -1 when ``W`` lies in that polygon (within
+    ``TOL_VERTEX``), or None when the budget ran out.
+    """
+    steps: list[RayStep] = []
+    entry = -1
+    for _ in range(budget):
+        ex = _find_exit(surface, poly, t, c, W, entry)
+        remaining = abs(W - c)
+        if ex is None or ex.s * remaining >= remaining - TOL_VERTEX:
+            steps.append(RayStep(poly, t, c, None, -1))
+            return steps, -1
+        if ex.at_vertex >= 0:
+            steps.append(RayStep(poly, t, c, ex.point, -1))
+            return steps, ex.at_vertex
+        steps.append(RayStep(poly, t, c, ex.point, ex.edge))
+        poly, entry, t = surface.across(poly, ex.edge, t)
+        c = ex.point
+    return steps, None
+
+
 @dataclass(frozen=True)
 class TraceResult:
     ok: bool
     reason: str
     crossings: tuple[tuple[int, int], ...]
-    placements: tuple[tuple[int, complex], ...]
     end: Corner | None
     start_phi: float
     end_phi: float
@@ -378,88 +425,31 @@ def trace_segment(
     single corner.
     """
     p, i = start
-    t0 = -surface.vertex(p, i)
     evec = surface.edge_vec(p, i)
-    ang = surface.interior_angle(start)
     phi = ccw_angle(evec, w)
     if phi < TOL_ANGLE:
         if abs(w - evec) < TOL_VERTEX:
             end = Corner(p, (i + 1) % surface.n_edges(p))
-            return TraceResult(
-                True, "edge", (), ((p, t0),), end, 0.0, surface.interior_angle(end)
-            )
-        return TraceResult(False, "along-edge", (), ((p, t0),), None, phi, math.nan)
-    if phi > ang - TOL_ANGLE:
-        return TraceResult(False, "outside-wedge", (), ((p, t0),), None, phi, math.nan)
+            return TraceResult(True, "edge", (), end, 0.0, surface.interior_angle(end))
+        return TraceResult(False, "along-edge", (), None, phi, math.nan)
+    if phi > surface.interior_angle(start) - TOL_ANGLE:
+        return TraceResult(False, "outside-wedge", (), None, phi, math.nan)
 
-    crossings: list[tuple[int, int]] = []
-    placements: list[tuple[int, complex]] = [(p, t0)]
-    c = 0j
-    W = w
-    poly, t = p, t0
-    entry = -1
-    start_phi = phi
-    for _ in range(budget):
-        ex = _find_exit(surface, poly, t, c, W, entry)
-        remaining = abs(W - c)
-        if ex is None or ex.s * abs(W - c) >= remaining - TOL_VERTEX:
-            # the target lies in (or on the boundary of) this polygon
-            for j, v in enumerate(surface.polygons[poly]):
-                if abs(v + t - W) < TOL_VERTEX:
-                    rdir = -(W - c)
-                    ephi = ccw_angle(surface.edge_vec(poly, j), rdir)
-                    return TraceResult(
-                        True,
-                        "ok",
-                        tuple(crossings),
-                        tuple(placements),
-                        Corner(poly, j),
-                        start_phi,
-                        ephi,
-                    )
-            return TraceResult(
-                False, "end-not-cone", tuple(crossings), tuple(placements), None,
-                start_phi, math.nan,
-            )
-        if ex.at_vertex >= 0:
-            X = ex.point
-            if abs(X - W) < TOL_VERTEX:
-                j = ex.at_vertex
-                rdir = -(W - c)
-                ephi = ccw_angle(surface.edge_vec(poly, j), rdir)
-                return TraceResult(
-                    True,
-                    "ok",
-                    tuple(crossings),
-                    tuple(placements),
-                    Corner(poly, j),
-                    start_phi,
-                    ephi,
-                )
-            return TraceResult(
-                False, "hits-cone-point", tuple(crossings), tuple(placements), None,
-                start_phi, math.nan,
-            )
-        # cross into the glued neighbour
-        q, f = surface.gluings[(poly, ex.edge)]
-        B = surface.vertex(poly, ex.edge + 1) + t
-        t = B - surface.vertex(q, f)
-        crossings.append((poly, ex.edge))
-        placements.append((q, t))
-        c = ex.point
-        poly, entry = q, f
-    return TraceResult(
-        False, "budget", tuple(crossings), tuple(placements), None, start_phi, math.nan
-    )
-
-
-@dataclass(frozen=True)
-class RayStep:
-    poly: int
-    t: complex
-    entry: complex
-    exit: complex | None
-    edge: int  # edge crossed on leaving, -1 at the final step
+    steps, j = _march(surface, p, -surface.vertex(p, i), 0j, w, budget)
+    crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
+    if j is None:
+        return TraceResult(False, "budget", crossings, None, phi, math.nan)
+    last = steps[-1]
+    if j < 0:
+        # the target lies in (or on the boundary of) the last polygon
+        t, verts = last.t, surface.polygons[last.poly]
+        j = next((k for k, v in enumerate(verts) if abs(v + t - w) < TOL_VERTEX), -1)
+        if j < 0:
+            return TraceResult(False, "end-not-cone", crossings, None, phi, math.nan)
+    elif abs(last.exit - w) >= TOL_VERTEX:
+        return TraceResult(False, "hits-cone-point", crossings, None, phi, math.nan)
+    ephi = ccw_angle(surface.edge_vec(last.poly, j), -(w - last.entry))
+    return TraceResult(True, "ok", crossings, Corner(last.poly, j), phi, ephi)
 
 
 @dataclass(frozen=True)
@@ -480,36 +470,22 @@ def trace_ray(
     *,
     budget: int = 100000,
 ) -> RayResult:
-    """March a ray from an interior point until it hits a cone point.
+    """March a ray from a point of a polygon until it hits a cone point.
 
     Returns the full list of marching steps so callers can post-process them
-    (closed-leaf detection for cylinders uses this).
+    (cylinder decompositions keep a separatrix's steps as its development).
     """
     d = direction / abs(direction)
-    c = point
-    W = point + d * max_length
-    t = 0j
-    entry = -1
-    steps: list[RayStep] = []
-    for _ in range(budget):
-        ex = _find_exit(surface, poly, t, c, W, entry)
-        if ex is None or ex.s >= 1.0 - TOL_VERTEX / max_length:
-            steps.append(RayStep(poly, t, c, None, -1))
-            return RayResult("maxlen", tuple(steps), max_length, None, math.nan)
-        if ex.at_vertex >= 0:
-            steps.append(RayStep(poly, t, c, ex.point, -1))
-            j = ex.at_vertex
-            ephi = ccw_angle(surface.edge_vec(poly, j), -d)
-            return RayResult(
-                "vertex", tuple(steps), abs(ex.point - point), Corner(poly, j), ephi
-            )
-        steps.append(RayStep(poly, t, c, ex.point, ex.edge))
-        q, f = surface.gluings[(poly, ex.edge)]
-        B = surface.vertex(poly, ex.edge + 1) + t
-        t = B - surface.vertex(q, f)
-        c = ex.point
-        poly, entry = q, f
-    return RayResult("budget", tuple(steps), math.nan, None, math.nan)
+    steps, j = _march(surface, poly, 0j, point, point + d * max_length, budget)
+    if j is None:
+        return RayResult("budget", tuple(steps), math.nan, None, math.nan)
+    if j < 0:
+        return RayResult("maxlen", tuple(steps), max_length, None, math.nan)
+    last = steps[-1]
+    ephi = ccw_angle(surface.edge_vec(last.poly, j), -d)
+    return RayResult(
+        "vertex", tuple(steps), abs(last.exit - point), Corner(last.poly, j), ephi
+    )
 
 
 # -- saddle connections ------------------------------------------------------
@@ -642,8 +618,7 @@ def enumerate_saddle_connections(
                         # a window this thin can only contain directions that
                         # pass through an earlier cone point
                         continue
-                    r, f = surface.gluings[(q, e)]
-                    t2 = B - surface.vertex(r, f)
+                    r, f, t2 = surface.across(q, e, t)
                     queue.append((r, t2, nlo, nhi, f))
             for w in candidates.values():
                 if not canonical_holonomy(w):
@@ -739,8 +714,8 @@ def _cross(surface: TranslationSurface, sleeve: list[_Node], e: int) -> None:
     if e == entry:
         sleeve.pop()
         return
-    q, f = surface.gluings[(poly, e)]
-    sleeve.append(_Node(q, surface.vertex(poly, e + 1) + t - surface.vertex(q, f), f))
+    q, f, t = surface.across(poly, e, t)
+    sleeve.append(_Node(q, t, f))
 
 
 def _exit_edge(surface: TranslationSurface, sleeve: list[_Node], k: int) -> int:

@@ -31,7 +31,7 @@ from flatbundle.paths import (
     combinatorial_path,
     random_fan,
 )
-from flatbundle.surface import enumerate_saddle_connections, tighten_chain
+from flatbundle.surface import enumerate_saddle_connections
 from flatbundle.veech import build_group_data, build_horoball_family, region_for
 
 PRESETS = (

@@ -331,6 +331,7 @@ def test_benchmark_science_pinned(surface, group, tmp_path):
     } == want["samples"]
     for suite, accepted in (
         ("slimness", "triangles"), ("lipschitzCollapse", "paths"), ("structureLemma", "fans"),
+        ("combinatorialRatio", "pairs"),
     ):
         got = suites[suite]
         assert got["attempts"] == got[accepted] + sum(got["rejected"].values())

@@ -1,12 +1,14 @@
 """Tests for periodic-direction classification, cylinder decompositions
 and their weighted dual graphs."""
 
+import functools
 import math
 
 import pytest
 
 from flatbundle.catalog import load_catalog_surface
 from flatbundle.cylinders import NoClosureFound, trace_direction
+from flatbundle.surface import TOL_VERTEX, enumerate_saddle_connections
 
 SQRT2 = math.sqrt(2.0)
 
@@ -114,3 +116,69 @@ class TestDualGraph:
             round(SQRT2 / 2, 9),
             round(1.0, 9),
         ]
+
+
+# every direction of a saddle connection of length <= CUTOFF on the catalog
+# surfaces: 16 on lshape, 16 on octagon and 20 on double_pentagon
+CUTOFF = 4.0
+SURFACES = ("lshape", "octagon", "double_pentagon")
+
+
+@functools.lru_cache(maxsize=None)
+def _directions(name):
+    """(surface, {direction: saddle connections of length <= CUTOFF in it})."""
+    s = load_catalog_surface(name)
+    by_direction = {}
+    for sc in enumerate_saddle_connections(s, CUTOFF):
+        by_direction.setdefault(round(sc.direction, 9), []).append(sc)
+    return s, {scs[0].direction: scs for scs in by_direction.values()}
+
+
+def test_direction_count():
+    assert sum(len(_directions(name)[1]) for name in SURFACES) == 52
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_saddles_match_enumeration(self, name):
+        # the forward-only trace finds every saddle connection the
+        # enumeration finds in its direction, and no other as short
+        s, directions = _directions(name)
+        for theta, scs in directions.items():
+            d = trace_direction(s, theta, 80.0)
+            short = {sc.key() for sc in d.saddles if sc.length <= CUTOFF + TOL_VERTEX}
+            assert short == {sc.key() for sc in scs}, theta
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_boundary_circles_have_the_circumference(self, name):
+        s, directions = _directions(name)
+        for theta in directions:
+            d = trace_direction(s, theta, 80.0)
+            for c in d.cylinders:
+                for circle in (c.boundary_low, c.boundary_high):
+                    total = sum(d.saddles[k].length for k, _side in circle)
+                    assert total == pytest.approx(c.circumference, abs=1e-9), theta
+
+
+class TestOrder:
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_order_survives_rounding(self, name):
+        # theta + pi and theta +- 1e-14 are the same direction: the same
+        # saddles in the same order, the same cylinders in the same order
+        # (ties of equal lengths and areas are not broken by rounding, and
+        # theta just below pi reads as 0)
+        s, directions = _directions(name)
+        for theta in directions:
+            d0 = trace_direction(s, theta, 80.0)
+            keys = [sc.key() for sc in d0.saddles]
+            sides = [c.sides for c in d0.cylinders]
+            for other in (
+                theta + math.pi,
+                theta + 1e-14,
+                theta - 1e-14,
+                theta + math.pi + 1e-14,
+                theta + math.pi - 1e-14,
+            ):
+                d = trace_direction(s, other, 80.0)
+                assert [sc.key() for sc in d.saddles] == keys, (theta, other)
+                assert [c.sides for c in d.cylinders] == sides, (theta, other)

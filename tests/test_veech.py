@@ -13,7 +13,6 @@ from flatbundle.errors import (
     NotAnAutomorphism,
 )
 from flatbundle.hyperbolic import (
-    Horoball,
     Mobius,
     boundary_from_direction,
     busemann,
