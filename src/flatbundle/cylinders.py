@@ -30,6 +30,7 @@ from .surface import (
     ccw_angle,
     connect,
     cross,
+    fold_direction,
     seg_point_dist,
     trace_ray,
 )
@@ -41,6 +42,9 @@ CONTINUE_TOL = 1e-6  # angular slack; separatrices at a cone point are 2*pi apar
 
 @dataclass(frozen=True)
 class Cylinder:
+    """A cylinder whose height coordinate t runs along the left normal of the
+    direction, so it lies left of its t = 0 circle and right of the other."""
+
     circumference: float
     width: float
     sides: tuple[tuple[int, int], ...]  # (saddle index, +1 left / -1 right)
@@ -207,9 +211,7 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
     Saddles are ordered by length and cylinders by decreasing area, rounded
     to 9 digits so that equal values tie.
     """
-    theta = theta % math.pi
-    if math.pi - theta < TOL_ANGLE:
-        theta = 0.0  # as SaddleConnection.direction reads it
+    theta = fold_direction(theta)
     u = cmath.exp(1j * theta)
     found = _separatrices(surface, u, max_trace)
     if isinstance(found, NoClosureFound):
@@ -222,7 +224,6 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
 
     uf = _UnionFind()
     width_of: dict[tuple[int, int], float] = {}
-    opposite: list[tuple[tuple[int, int], tuple[int, int]]] = []
     max_width = surface.area / min(sc.length for sc in saddles) + 1.0
     for k, sc in enumerate(saddles):
         segs = developed[k]
@@ -250,10 +251,8 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
             for (d, kk) in hits:
                 if d <= nearest + 1e-9:
                     uf.union((k, side), (kk, -side))
-                    opposite.append(((k, side), (kk, -side)))
 
-    samecircle = _continuations(surface, saddles)
-    for a, b in samecircle:
+    for a, b in _continuations(surface, saddles):
         uf.union(a, b)
 
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -262,36 +261,16 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
             groups.setdefault(uf.find((k, side)), []).append((k, side))
 
     cylinders = []
-    for root, sides in groups.items():
+    for sides in groups.values():
         widths = [width_of[s] for s in sides]
         width = sum(widths) / len(widths)
         if max(widths) - min(widths) > WIDTH_TOL:
             raise NoCylinders(
                 f"inconsistent widths {min(widths)}..{max(widths)} in one cylinder"
             )
-        # 2-color the sides into the two boundary circles via opposite pairs
-        color = {sides[0]: 0}
-        queue = [sides[0]]
-        rel: dict[tuple[int, int], set] = {}
-        for pairs, flip in ((opposite, 1), (samecircle, 0)):
-            for a, b in pairs:
-                if uf.find(a) == root:
-                    rel.setdefault(a, set()).add((b, flip))
-                    rel.setdefault(b, set()).add((a, flip))
-        while queue:
-            x = queue.pop()
-            for (y, flip) in rel.get(x, ()):
-                want = color[x] ^ flip
-                if y not in color:
-                    color[y] = want
-                    queue.append(y)
-                elif color[y] != want:
-                    raise NoCylinders("boundary two-coloring failed")
-        if set(color) != set(sides):
-            raise NoCylinders("cylinder boundary hit graph is disconnected")
         circ = sum(saddles[k].length for (k, _s) in sides) / 2.0
-        low = tuple(sorted(s for s in sides if color[s] == 0))
-        high = tuple(sorted(s for s in sides if color[s] == 1))
+        low = tuple(sorted(s for s in sides if s[1] == +1))
+        high = tuple(sorted(s for s in sides if s[1] == -1))
         cylinders.append(
             Cylinder(circ, width, tuple(sorted(sides)), low, high)
         )

@@ -193,21 +193,6 @@ def saddle_length_at(z: complex, hol: complex) -> float:
     return math.hypot(vx, vy)
 
 
-def saddle_length_at_uhp(w: complex, hol: complex) -> float:
-    """Holonomy length at an upper half plane point (stable near the boundary)."""
-    x, y = w.real, w.imag
-    r = math.sqrt(y)
-    vx = (hol.real - x * hol.imag) / r
-    vy = r * hol.imag
-    return math.hypot(vx, vy)
-
-
-def rotation_uhp(psi: float) -> Mobius:
-    """The upper half plane form of the disk rotation z -> exp(i psi) z."""
-    h = 0.5 * psi
-    return Mobius.from_matrix(((math.cos(h), math.sin(h)), (-math.sin(h), math.cos(h))))
-
-
 def busemann(xi: complex, z: complex) -> float:
     """Busemann function toward ``xi``, normalized to 0 at the disk center.
 
@@ -342,18 +327,6 @@ class Horoball:
 
     def distance_to_point(self, z: complex) -> float:
         return max(0.0, self.level - busemann(self.base, z))
-
-    def boundary_uhp(self, count: int) -> tuple[complex, ...]:
-        """Boundary horocycle as upper half plane points (stable at any depth)."""
-        psi = cmath.phase(self.base)
-        rot = rotation_uhp(psi)
-        y0 = math.exp(self.level)
-        out = []
-        for k in range(count):
-            alpha = -math.pi / 2 + math.pi * (k + 0.5) / count
-            w = complex(y0 * math.tan(alpha), y0)
-            out.append(rot.apply_uhp(w))
-        return tuple(out)
 
     def closest_point_to(self, z: complex) -> complex:
         """Point of the closed horoball nearest to ``z``: with the base at the

@@ -30,10 +30,11 @@ from .surface import (
     SaddleConnection,
     TranslationSurface,
     cross,
+    fold_direction,
     is_local_geodesic,
     tighten_chain,
 )
-from .veech import HoroRegion, family_key, region_for
+from .veech import HoroRegion, family_balls, family_key, region_for
 
 
 # -- preferred paths ----------------------------------------------------------
@@ -153,7 +154,7 @@ def collapsed_length(
     else contributes its full length.  The result never exceeds the
     uncollapsed length.
     """
-    balls = [reg.ball for reg in family.values() if reg.kind == "ball"]
+    balls = family_balls(family)
     total = 0.0
     for piece in path.pieces:
         if isinstance(piece, SaddlePiece):
@@ -302,13 +303,6 @@ class StructureReport:
     positions: tuple[float, ...]
 
 
-def _dir_angle(w: complex) -> float:
-    th = math.atan2(w.imag, w.real) % math.pi
-    if math.pi - th < 1e-10:
-        th = 0.0
-    return th
-
-
 def check_structure_lemma(fan: Fan) -> StructureReport:
     """Verify the counterclockwise cyclic order of the ideal fan vertices.
 
@@ -326,8 +320,9 @@ def check_structure_lemma(fan: Fan) -> StructureReport:
     )
     # position along the boundary circle in the direction identification,
     # measured from the first vertex (doubled angle, so the pi-wrap is seamless)
-    a0 = (2.0 * _dir_angle(hols[0])) % (2.0 * math.pi)
-    pos = [((2.0 * _dir_angle(w)) % (2.0 * math.pi) - a0) % (2.0 * math.pi) for w in hols]
+    dirs = [fold_direction(math.atan2(w.imag, w.real)) for w in hols]
+    a0 = (2.0 * dirs[0]) % (2.0 * math.pi)
+    pos = [((2.0 * d) % (2.0 * math.pi) - a0) % (2.0 * math.pi) for d in dirs]
     pos[0] = 0.0
     offending = []
     for i in range(1, len(pos)):
@@ -377,18 +372,14 @@ def _family_adjacency(family: dict) -> dict:
 
 
 def combinatorial_path(
-    family: dict,
-    start_theta: float,
-    end_theta: float,
-    *,
-    budget: int = 10000,
-):
+    family: dict, start_theta: float, end_theta: float
+) -> CombinatorialPath:
     """Shortest hop path between two directions of the horoball family.
 
     Moves are horizontal jumps between adjacent regions (consecutive in the
     circular direction order, or with anchors within a bounded distance).
-    Returns a CombinatorialPath, or a NotFound instance when the budget is
-    exhausted before reaching the target.
+    Consecutive regions are always adjacent, so the breadth-first search
+    always reaches the target.
     """
     try:
         start = family_key(family, start_theta)
@@ -400,20 +391,15 @@ def combinatorial_path(
     adj = _family_adjacency(family)
     prev = {start: None}
     frontier = [start]
-    steps = 0
-    while frontier and steps < budget:
+    while end not in prev:
         nxt = []
         for k in frontier:
             for m in adj[k]:
-                if m in prev:
-                    continue
-                prev[m] = k
-                if m == end:
-                    out = [m]
-                    while prev[out[-1]] is not None:
-                        out.append(prev[out[-1]])
-                    return CombinatorialPath(tuple(reversed(out)))
-                nxt.append(m)
-            steps += 1
+                if m not in prev:
+                    prev[m] = k
+                    nxt.append(m)
         frontier = nxt
-    return NotFound(f"no path within budget {budget}")
+    out = [end]
+    while prev[out[-1]] is not None:
+        out.append(prev[out[-1]])
+    return CombinatorialPath(tuple(reversed(out)))

@@ -24,7 +24,7 @@ from .paths import (
     build_preferred_path,
 )
 from .surface import tighten_chain
-from .veech import region_for
+from .veech import family_balls, region_for
 
 DEFAULT_STEP = 0.05
 _MAX_SAMPLES_PER_PIECE = 400
@@ -116,17 +116,6 @@ def sample_path(path, table: _SigTable, balls, *, step: float = DEFAULT_STEP) ->
 # -- collapsed sample distances ----------------------------------------------
 
 
-def _family_balls(family) -> list:
-    seen, balls = set(), []
-    for reg in family.values():
-        if reg.kind == "ball" and reg.ball is not None:
-            key = (_round_z(reg.ball.base), round(reg.ball.level, 9))
-            if key not in seen:
-                seen.add(key)
-                balls.append(reg.ball)
-    return balls
-
-
 def _ball_distances(z: np.ndarray, ball) -> np.ndarray:
     # vectorized Horoball.distance_to_point
     bus = np.log((1.0 - np.abs(z) ** 2) / np.abs(ball.base - z) ** 2)
@@ -187,7 +176,7 @@ def triangle_slimness(
         build_preferred_path(surface, x, z, family, cxz),
     )
     table = _SigTable()
-    balls = _family_balls(family)
+    balls = family_balls(family)
     sides = [sample_path(p, table, balls, step=step) for p in paths]
     near = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):

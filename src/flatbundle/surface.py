@@ -64,6 +64,13 @@ def ccw_angle(a: complex, b: complex) -> float:
     return ang
 
 
+def fold_direction(theta: float) -> float:
+    """Undirected direction of the angle ``theta``: mod pi in [0, pi), with
+    angles within ``TOL_ANGLE`` below pi read as 0."""
+    th = theta % math.pi
+    return 0.0 if math.pi - th < TOL_ANGLE else th
+
+
 def seg_point_dist(a: complex, b: complex, p: complex) -> float:
     """Distance from point ``p`` to the segment ``[a, b]``."""
     d = b - a
@@ -518,10 +525,7 @@ class SaddleConnection:
     @property
     def direction(self) -> float:
         """Undirected direction in [0, pi)."""
-        th = math.atan2(self.holonomy.imag, self.holonomy.real) % math.pi
-        if math.pi - th < TOL_ANGLE:
-            th = 0.0
-        return th
+        return fold_direction(math.atan2(self.holonomy.imag, self.holonomy.real))
 
     def reverse(self, surface: TranslationSurface) -> "SaddleConnection":
         rcross = tuple(surface.gluings[c] for c in reversed(self.crossings))

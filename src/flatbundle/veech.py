@@ -28,14 +28,11 @@ from .hyperbolic import (
     busemann,
     disk_from_uhp,
     geodesic_max_busemann,
-    saddle_length_at_uhp,
 )
-from .surface import TranslationSurface, enumerate_saddle_connections
+from .surface import TranslationSurface, cross, enumerate_saddle_connections
 
 ANGLE_DEDUP = 1e-8
-MAX_BALL_LEVEL = 30.0  # deepest horoball level the bisection searches
 ORBIT_DEPTH = 4  # word length that groups parabolic directions into orbits
-HOROCYCLE_SAMPLES = 16  # boundary points checked for the 1/3 length condition
 
 
 # -- generator verification --------------------------------------------------
@@ -317,25 +314,6 @@ def horoball_separation(b1: Horoball, b2: Horoball) -> float:
     return (b1.level - k1) + (b2.level - k2)
 
 
-def _ball_conditions_hold(
-    xi: complex,
-    c: float,
-    short_len: float,
-    other_saddles,
-    hull_sides_max_busemann,
-) -> bool:
-    for bmax in hull_sides_max_busemann:
-        if c - bmax < 1.0:
-            return False
-    ball = Horoball(xi, c)
-    here = short_len * math.exp(-0.5 * c)
-    for w in ball.boundary_uhp(HOROCYCLE_SAMPLES):
-        other = min(saddle_length_at_uhp(w, hol) for hol in other_saddles)
-        if here > other / 3.0:
-            return False
-    return True
-
-
 def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     """One HoroRegion per saddle-connection direction.
 
@@ -343,6 +321,15 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     horoballs satisfying the 1/3 length condition and unit clearance from
     the hull boundary, constructed once per group orbit and transported by
     the matching group element; the others receive projection feet.
+
+    Both conditions are closed forms in the level c.  With the base rotated
+    to the upper half plane infinity the horocycle is ``Im w = e^c``, the
+    cusp saddle ``h`` has length ``|h| e^(-c/2)`` all along it, and any
+    other saddle ``v`` has length at least ``e^(c/2) |h x v| / |h|``, with
+    equality at one point.  So the 1/3 condition holds on the whole
+    horocycle exactly when ``c >= log(3 |h|^2 / min_v |h x v|)``.  A hull
+    side stays one unit clear when c is at least its maximal Busemann value
+    plus one.  Each level is the largest of these bounds and 0.
     """
     # distinct directions with their shortest holonomies
     dirs: list[tuple[float, complex]] = []
@@ -403,42 +390,30 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
             reps.append(i)
             orbit_of[i] = (i, Mobius.identity())
 
-    # per-representative maximal admissible level, by bisection
+    # per-representative minimal admissible level, in closed form
     rep_level: dict[int, float] = {}
     for r in reps:
         theta, hol, xi, _w = ball_dirs[r]
-        short_len = abs(hol)
-        others = [
-            sc.holonomy
-            for sc in saddles
-            if min(abs(sc.direction - theta), math.pi - abs(sc.direction - theta))
-            > ANGLE_DEDUP
-        ]
-        if not others:
-            raise NotFound("need saddle connections in a second direction")
-        side_bmax = []
-        for g in hull.sides:
-            if abs(g.start - xi) < 1e-9 or abs(g.end - xi) < 1e-9:
-                continue
-            side_bmax.append(geodesic_max_busemann(g, xi))
-        cond = lambda c: _ball_conditions_hold(
-            xi, c, short_len, others, side_bmax
+        cross_min = min(
+            (
+                abs(cross(hol, sc.holonomy))
+                for sc in saddles
+                if min(abs(sc.direction - theta), math.pi - abs(sc.direction - theta))
+                > ANGLE_DEDUP
+            ),
+            default=None,
         )
-        if not cond(MAX_BALL_LEVEL):
-            raise NotFound(
-                f"no admissible horoball level below {MAX_BALL_LEVEL} for {theta}"
-            )
-        lo, hi = 0.0, MAX_BALL_LEVEL
-        if cond(lo):
-            rep_level[r] = lo
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if cond(mid):
-                hi = mid
-            else:
-                lo = mid
-        rep_level[r] = hi
+        if cross_min is None:
+            raise NotFound("need saddle connections in a second direction")
+        hull_level = max(
+            (
+                geodesic_max_busemann(g, xi) + 1.0
+                for g in hull.sides
+                if abs(g.start - xi) >= 1e-9 and abs(g.end - xi) >= 1e-9
+            ),
+            default=0.0,
+        )
+        rep_level[r] = max(0.0, math.log(3.0 * abs(hol) ** 2 / cross_min), hull_level)
 
     # transport levels along the orbits
     balls: dict[int, Horoball] = {}
@@ -475,6 +450,11 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
             witness=witness,
         )
     return family
+
+
+def family_balls(family: dict) -> list[Horoball]:
+    """The horoballs of the family's ball regions, in the family's order."""
+    return [reg.ball for reg in family.values() if reg.kind == "ball"]
 
 
 def family_key(family: dict, theta: float) -> float:

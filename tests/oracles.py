@@ -16,6 +16,7 @@ import numpy as np
 
 from flatbundle.hyperbolic import (
     Geodesic,
+    Mobius,
     busemann,
     disk_from_uhp,
     hyp_distance,
@@ -27,7 +28,6 @@ from flatbundle.paths import build_fan, build_preferred_path
 from flatbundle.slimness import (
     _SigTable,
     _ball_distances,
-    _family_balls,
     _rho_matrix,
     sample_path,
 )
@@ -46,6 +46,7 @@ from flatbundle.surface import (
     tighten_chain,
     trace_segment,
 )
+from flatbundle.veech import family_balls
 
 
 def brute_saddle_connections(surface, max_length, depth):
@@ -269,6 +270,55 @@ def clip_by_horoball(z1, z2, ball):
     lo, hi = min(lo, hi), max(lo, hi)
     inside = hi - lo
     return (total - inside, inside)
+
+
+# -- horocycles ---------------------------------------------------------------
+
+
+def saddle_length_at_uhp(w, hol):
+    """Holonomy length at an upper half plane point (stable near the boundary)."""
+    x, y = w.real, w.imag
+    r = math.sqrt(y)
+    return math.hypot((hol.real - x * hol.imag) / r, r * hol.imag)
+
+
+def rotation_uhp(psi):
+    """The upper half plane form of the disk rotation z -> exp(i psi) z."""
+    h = 0.5 * psi
+    return Mobius.from_matrix(((math.cos(h), math.sin(h)), (-math.sin(h), math.cos(h))))
+
+
+def _horocycle_at(ball, alpha):
+    """Upper half plane point of the horocycle bounding ``ball``: with the base
+    rotated to infinity the horocycle is Im w = e^level, and ``alpha`` in
+    (-pi/2, pi/2) is the angle whose tangent is Re w / Im w there."""
+    y0 = math.exp(ball.level)
+    w = complex(y0 * math.tan(alpha), y0)
+    return rotation_uhp(cmath.phase(ball.base)).apply_uhp(w)
+
+
+def horocycle_uhp(ball, count):
+    """``count`` points of the horocycle bounding ``ball``, evenly spaced in angle."""
+    return tuple(
+        _horocycle_at(ball, -math.pi / 2 + math.pi * (k + 0.5) / count)
+        for k in range(count)
+    )
+
+
+def horocycle_min_length(ball, hol):
+    """Minimum of the length of ``hol`` on the horocycle bounding ``ball``, by
+    golden-section search (the squared length is a convex quadratic in Re w
+    once the base sits at infinity)."""
+    f = lambda a: saddle_length_at_uhp(_horocycle_at(ball, a), hol)
+    lo, hi = -math.pi / 2, math.pi / 2
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(120):
+        a1, a2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        if f(a1) < f(a2):
+            hi = a2
+        else:
+            lo = a1
+    return f(0.5 * (lo + hi))
 
 
 # -- flat geodesics by all-pairs visibility ---------------------------------
@@ -721,7 +771,7 @@ def triangle_slimness(surface, family, x, y, z, chains, *, step):
     """Thinness of a preferred-path triangle from six distance matrices, one
     per ordered pair of sides."""
     table = _SigTable()
-    balls = _family_balls(family)
+    balls = family_balls(family)
     pairs = ((x, y, chains[0]), (y, z, chains[1]), (x, z, chains[2]))
     sides = [
         sample_path(build_preferred_path(surface, u, v, family, c), table, balls, step=step)

@@ -32,7 +32,12 @@ from flatbundle.paths import (
     random_fan,
 )
 from flatbundle.surface import enumerate_saddle_connections
-from flatbundle.veech import build_group_data, build_horoball_family, region_for
+from flatbundle.veech import (
+    build_group_data,
+    build_horoball_family,
+    family_balls,
+    region_for,
+)
 
 PRESETS = (
     ("octagon", "octagon_lattice", 2.5),
@@ -229,7 +234,7 @@ def test_09_slimness_stability(setups):
 def test_10_convex_cocompact(setups):
     s, g, saddles, family = setups["octagon_hyperbolic"]
     assert all(reg.kind == "point" for reg in family.values())
-    assert slimness._family_balls(family) == []
+    assert family_balls(family) == []
     rep = slimness.slimness_sweep(s, family, saddles, count=50, seed=12)
     assert rep.samples == 50
     assert math.isfinite(rep.delta_max)

@@ -151,13 +151,16 @@ class TestCertificates:
 
     @pytest.mark.parametrize("name", SURFACES)
     def test_boundary_circles_have_the_circumference(self, name):
+        # t runs along the left normal, so the cylinder lies left of the
+        # saddles on its t = 0 circle and right of those on its t = width one
         s, directions = _directions(name)
         for theta in directions:
             d = trace_direction(s, theta, 80.0)
             for c in d.cylinders:
-                for circle in (c.boundary_low, c.boundary_high):
+                for circle, side in ((c.boundary_low, +1), (c.boundary_high, -1)):
                     total = sum(d.saddles[k].length for k, _side in circle)
                     assert total == pytest.approx(c.circumference, abs=1e-9), theta
+                    assert {sgn for _k, sgn in circle} == {side}, theta
 
 
 class TestOrder:

@@ -159,7 +159,7 @@ class TestGeodesicsAndHoroballs:
 
     def test_horocycle_samples_on_level(self):
         ball = H.Horoball(cmath.exp(2.5j), -0.3)
-        for w in ball.boundary_uhp(13):
+        for w in oracles.horocycle_uhp(ball, 13):
             p = H.disk_from_uhp(w)
             assert H.busemann(ball.base, p) == pytest.approx(-0.3, abs=1e-9)
 

@@ -1,5 +1,5 @@
 """Every function, class and method of the package is reachable from
-``flatbundle.cli.main``.
+``flatbundle.cli.main``, and every module-level constant is read somewhere.
 
 The call graph is name-level: a definition reaches every definition whose
 name it mentions, as a bare name or as an attribute.  A reached class
@@ -38,12 +38,16 @@ def _mentions(nodes) -> set:
     return names
 
 
+def _modules():
+    for path in sorted(Path(flatbundle.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
 def _call_graph():
     """(mentions of each definition, mentions of module-level code)."""
     edges, roots = {}, set()
-    for path in sorted(Path(flatbundle.__file__).parent.glob("*.py")):
-        mod = path.stem
-        for node in ast.parse(path.read_text()).body:
+    for mod, tree in _modules():
+        for node in tree.body:
             if isinstance(node, _FUNCS):
                 edges[f"{mod}.{node.name}"] = _mentions([node])
             elif isinstance(node, ast.ClassDef):
@@ -78,3 +82,22 @@ def test_every_definition_is_reached_from_main():
     unreached = _unreached()
     assert sorted(unreached - ALLOWED) == [], "no caller in flatbundle run"
     assert sorted(ALLOWED - unreached) == [], "allowlisted but reached or gone"
+
+
+def test_every_module_constant_is_read():
+    assigned, read = set(), set()
+    for mod, tree in _modules():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)
+            ]
+            assigned |= {
+                (mod, t.id) for t in targets if isinstance(t, ast.Name)
+            }
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+    unread = {f"{mod}.{name}" for mod, name in assigned if name not in read}
+    assert sorted(unread - {"__init__.__version__"}) == [], "assigned, never read"

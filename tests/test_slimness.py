@@ -11,7 +11,12 @@ from flatbundle.catalog import load_catalog_surface, load_group_preset
 from flatbundle.errors import FlatBundleError
 from flatbundle.paths import FiberPoint, build_preferred_path
 from flatbundle.surface import enumerate_saddle_connections
-from flatbundle.veech import build_group_data, build_horoball_family, region_for
+from flatbundle.veech import (
+    build_group_data,
+    build_horoball_family,
+    family_balls,
+    region_for,
+)
 from flatbundle import slimness as S
 
 import oracles
@@ -40,7 +45,7 @@ class TestSampleDistances:
         x = FiberPoint(reg.anchor, sc.start)
         y = FiberPoint(0.2 + 0.1j, sc.end)
         path = build_preferred_path(s, x, y, fam, [sc])
-        samples = S.sample_path(path, S._SigTable(), S._family_balls(fam))
+        samples = S.sample_path(path, S._SigTable(), family_balls(fam))
         d = S.sample_distance_matrix(samples, samples)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
@@ -152,7 +157,7 @@ class TestConvexCocompact:
         saddles = enumerate_saddle_connections(s, 3.0)
         fam = build_horoball_family(g, saddles)
         assert all(reg.kind == "point" for reg in fam.values())
-        assert S._family_balls(fam) == []
+        assert family_balls(fam) == []
         rep = S.slimness_sweep(s, fam, saddles, count=10, seed=2)
         assert rep.samples == 10
         assert math.isfinite(rep.delta_max)

@@ -2,7 +2,9 @@
 detection, and the horoball/horopoint family."""
 
 import cmath
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -13,17 +15,19 @@ from flatbundle.errors import (
     NotAnAutomorphism,
 )
 from flatbundle.hyperbolic import (
+    ConvexRegion,
+    Horoball,
     Mobius,
     boundary_from_direction,
     busemann,
     hyp_distance,
-    saddle_length_at_uhp,
 )
 from flatbundle.surface import enumerate_saddle_connections
 from flatbundle.veech import (
     build_group_data,
     build_horoball_family,
     build_hull,
+    family_balls,
     find_parabolic_fixed_points,
     horoball_separation,
     region_for,
@@ -32,6 +36,8 @@ from flatbundle.veech import (
     verify_affine,
     word_element,
 )
+
+import oracles
 
 SQRT2 = math.sqrt(2.0)
 SHEAR = ((1.0, 2.0 * (1.0 + SQRT2)), (0.0, 1.0))
@@ -232,9 +238,9 @@ class TestHoroballFamily:
             if r.kind != "ball":
                 continue
             here = r.length_level
-            for w in r.ball.boundary_uhp(16):
+            for w in oracles.horocycle_uhp(r.ball, 16):
                 other = min(
-                    saddle_length_at_uhp(w, sc.holonomy)
+                    oracles.saddle_length_at_uhp(w, sc.holonomy)
                     for sc in saddles
                     if min(
                         abs(sc.direction - r.theta),
@@ -244,9 +250,50 @@ class TestHoroballFamily:
                 )
                 assert here <= other / 3.0 + 1e-6
 
+    @pytest.mark.parametrize("name", ["lshape_lattice", "octagon_lattice"])
+    def test_one_third_condition_tight_on_whole_horocycle(self, name):
+        # without the hull the length condition alone sets each level, so
+        # on the whole horocycle the shortest other saddle is exactly three
+        # times the cusp saddle
+        s, g = group_data(name)
+        g = dataclasses.replace(g, hull=ConvexRegion(()))
+        saddles = enumerate_saddle_connections(s, 2.5)
+        for r in build_horoball_family(g, saddles).values():
+            other = min(
+                oracles.horocycle_min_length(r.ball, sc.holonomy)
+                for sc in saddles
+                if min(
+                    abs(sc.direction - r.theta), math.pi - abs(sc.direction - r.theta)
+                )
+                > 1e-8
+            )
+            assert other / (3.0 * r.length_level) == pytest.approx(1.0, abs=1e-12)
+
+    def test_horocycle_minimum_formula(self):
+        # on the horocycle at level c toward the direction of h, the length
+        # of v is at least e^(c/2) |h x v| / |h|, with equality at one point
+        rng = random.Random(3)
+        for _ in range(10):
+            theta = rng.uniform(0.0, math.pi)
+            ball = Horoball(boundary_from_direction(theta), rng.uniform(-1.0, 3.0))
+            hol = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            h = cmath.exp(1j * theta)
+            formula = math.exp(0.5 * ball.level) * abs(
+                h.real * hol.imag - h.imag * hol.real
+            )
+            sampled = min(
+                oracles.saddle_length_at_uhp(w, hol)
+                for w in oracles.horocycle_uhp(ball, 20001)
+            )
+            assert formula <= sampled * (1.0 + 1e-12)
+            assert sampled == pytest.approx(formula, rel=1e-4)
+            assert oracles.horocycle_min_length(ball, hol) == pytest.approx(
+                formula, rel=1e-12
+            )
+
     def test_balls_unit_separated(self, lattice):
         _s, _g, _saddles, fam = lattice
-        balls = [r.ball for r in fam.values() if r.kind == "ball"]
+        balls = family_balls(fam)
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
                 assert horoball_separation(balls[i], balls[j]) >= 1.0 - 1e-6
