@@ -5,9 +5,10 @@ in that direction (a separatrix) closes up into a saddle connection.  The
 complement of those saddle connections is then a union of flat cylinders.
 ``trace_direction`` semi-decides this: it traces each outgoing separatrix
 once and either assembles the decomposition or reports that one survived
-the trace budget, which proves nothing about longer budgets.  Widths come
-from transverse rays; sides on one boundary circle are paired by angle at
-the cone points.
+the trace budget, which proves nothing about longer budgets.  The heights of
+the vertices and separatrices, taken along the left normal of the direction,
+cut each polygon into strips; the strips glued across polygon edges make up
+the cylinders, and each strip spans its cylinder's width.
 
 A decomposition records its *spines* (connected components of the union of
 boundary saddle connections) and, per cylinder, the boundary sides on each of
@@ -18,12 +19,13 @@ one vertex per spine and one edge per cylinder of the cylinder's width.
 from __future__ import annotations
 
 import cmath
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import NoClosureFound, NoCylinders
 from .surface import (
     TOL_ANGLE,
+    TOL_VERTEX,
     Corner,
     SaddleConnection,
     TranslationSurface,
@@ -35,9 +37,7 @@ from .surface import (
     trace_ray,
 )
 
-SIDE_EPS = 1e-7  # transverse offset when stepping off a boundary leaf
 WIDTH_TOL = 1e-6
-CONTINUE_TOL = 1e-6  # angular slack; separatrices at a cone point are 2*pi apart
 
 
 @dataclass(frozen=True)
@@ -101,87 +101,77 @@ def _separatrices(surface, u, max_trace):
     return out
 
 
-def _continuations(surface, saddles):
-    """Same-circle pairs ``((k, side), (k2, side))``, read off at the cone points.
+def _piece_heights(surface, u, developed):
+    """Per polygon, (height, saddle index) of each piece of the developed saddles.
 
-    Past the end of saddle ``k`` its left (right) side continues along the
-    saddle leaving pi clockwise (counterclockwise) of its arrival direction.
+    The height of a polygon-local point ``z`` is ``cross(u, z)``.  A piece
+    lying along a glued polygon edge bounds the polygons on both sides of
+    the gluing, so it is listed in the partner polygon as well.
     """
-    leaving: dict[int, list[tuple[float, int]]] = {}
-    for k, sc in enumerate(saddles):
-        leaving.setdefault(surface.corner_class[sc.start], []).append(
-            (surface.coord_of(sc.start, sc.start_phi), k)
-        )
-    pairs = []
-    for k, sc in enumerate(saddles):
-        cc = surface.class_of(sc.end)
-        arrival = surface.coord_of(sc.end, sc.end_phi)
-        for side in (+1, -1):
-            want = arrival - side * math.pi
-            gap, k2 = min(
-                (min((a - want) % cc.angle, (want - a) % cc.angle), k2)
-                for a, k2 in leaving[cc.index]
-            )
-            if gap > CONTINUE_TOL:
-                raise NoCylinders(f"no separatrix continues saddle {k} side {side}")
-            pairs.append(((k, side), (k2, side)))
-    return pairs
-
-
-def _barrier_segments(surface, developed):
-    """Per-polygon local segments of the developed saddles.
-
-    A sub-segment lying along a glued polygon edge is visible from both sides
-    of the gluing, so it is mirrored into the partner polygon as well.
-    """
-    barriers: dict[int, list] = {}
+    pieces: dict[int, list[tuple[float, int]]] = {}
     for k, segs in enumerate(developed):
         for (poly, t, a, b) in segs:
             la, lb = a - t, b - t
-            barriers.setdefault(poly, []).append((k, la, lb))
+            pieces.setdefault(poly, []).append((cross(u, la), k))
             for e in range(surface.n_edges(poly)):
                 va, vb = surface.vertex(poly, e), surface.vertex(poly, e + 1)
-                if max(seg_point_dist(va, vb, la), seg_point_dist(va, vb, lb)) < 1e-9:
+                if max(seg_point_dist(va, vb, la), seg_point_dist(va, vb, lb)) < TOL_VERTEX:
                     q, _f, shift = surface.across(poly, e)
-                    barriers.setdefault(q, []).append((k, la - shift, lb - shift))
-    return barriers
+                    pieces.setdefault(q, []).append((cross(u, la - shift), k))
+    return pieces
 
 
-def _ray_to_barrier(surface, barriers, poly, z0, n, max_dist):
-    """First intersection of the ray from (poly, z0) with the barrier family.
+def _strips(surface, u, developed):
+    """The cylinders of a periodic direction as connected sets of strips.
 
-    Returns (distance, saddle index) or None.  ``barriers`` maps polygon id to
-    a list of (saddle index, a, b) local segments.
+    In each polygon the heights of its vertices and of the pieces crossing
+    it, merged within ``TOL_VERTEX``, cut it into strips.  A strip holds no
+    saddle, so it lies in one cylinder and spans its width; the strips
+    crossing a glued edge match one to one in height order.  Returns one
+    ``(strip widths, sides)`` pair per connected set of strips, where a
+    piece of saddle ``k`` puts side ``(k, +1)`` on the strip above it and
+    ``(k, -1)`` on the strip below.
     """
-    res = trace_ray(surface, poly, z0, n, max_dist)
-    for st in res.steps:
-        a_pl = st.entry
-        b_pl = st.exit if st.exit is not None else st.entry + n * max_dist
-        best = None
-        for (k, sa, sb) in barriers.get(st.poly, ()):
-            hit = _seg_seg(a_pl - st.t, b_pl - st.t, sa, sb)
-            if hit is None:
-                continue
-            if best is None or hit < best[0]:
-                best = (hit, k)
-        if best is not None:
-            s_loc, k = best
-            hit_pl = a_pl + s_loc * (b_pl - a_pl)
-            return abs(hit_pl - z0), k
-    return None
+    pieces = _piece_heights(surface, u, developed)
+    vertex_level, width, sides = {}, {}, {}
+    for p, verts in enumerate(surface.polygons):
+        heights = [cross(u, v) for v in verts]
+        levels: list[float] = []
+        for h in sorted(heights + [h for h, _k in pieces.get(p, ())]):
+            if not levels or h - levels[-1] > TOL_VERTEX:
+                levels.append(h)
+        vertex_level[p] = [bisect_right(levels, h) - 1 for h in heights]
+        for j in range(len(levels) - 1):
+            width[(p, j)] = levels[j + 1] - levels[j]
+            sides[(p, j)] = set()
+        for h, k in pieces.get(p, ()):
+            j = bisect_right(levels, h) - 1
+            if j < len(levels) - 1:
+                sides[(p, j)].add((k, +1))
+            if j > 0:
+                sides[(p, j - 1)].add((k, -1))
 
+    def crossing(p, e):
+        """The strips of polygon ``p`` that cross its edge ``e``."""
+        a, b = vertex_level[p][e], vertex_level[p][(e + 1) % surface.n_edges(p)]
+        return range(min(a, b), max(a, b))
 
-def _seg_seg(a1, b1, a2, b2):
-    """Parameter on [a1, b1] of its intersection with [a2, b2], None if absent."""
-    d1, d2, w = b1 - a1, b2 - a2, a2 - a1
-    den = cross(d1, d2)
-    if abs(den) < 1e-14 * max(abs(d1), 1.0) * max(abs(d2), 1.0):
-        return None
-    s = cross(w, d2) / den
-    t = cross(w, d1) / den
-    if -1e-12 <= t <= 1 + 1e-12 and 1e-9 < s <= 1 + 1e-12:
-        return s
-    return None
+    uf = _UnionFind()
+    for (p, e), (q, f) in surface.gluings.items():
+        mine, theirs = crossing(p, e), crossing(q, f)
+        if len(mine) != len(theirs):
+            raise NoCylinders(
+                f"edge {(p, e)} meets {len(mine)} strips, its partner {len(theirs)}"
+            )
+        for j, j2 in zip(mine, theirs):
+            uf.union((p, j), (q, j2))
+
+    groups: dict = {}
+    for strip in width:
+        widths, group_sides = groups.setdefault(uf.find(strip), ([], set()))
+        widths.append(width[strip])
+        group_sides |= sides[strip]
+    return list(groups.values())
 
 
 class _UnionFind:
@@ -207,9 +197,9 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
     The incoming separatrices are the same saddle connections reversed.
     Returns a :class:`CylinderDecomposition` when every separatrix closes up
     within ``max_trace``, else a :class:`NoClosureFound` value, a
-    semi-decision.  Same-circle sides come from :func:`_continuations`.
-    Saddles are ordered by length and cylinders by decreasing area, rounded
-    to 9 digits so that equal values tie.
+    semi-decision.  The cylinders come from :func:`_strips`.  Saddles are
+    ordered by length and cylinders by decreasing area, rounded to 9 digits
+    so that equal values tie.
     """
     theta = fold_direction(theta)
     u = cmath.exp(1j * theta)
@@ -218,62 +208,19 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
         return found
     found.sort(key=lambda f: (round(f[0].length, 9), f[0].key()))
     saddles = [sc for sc, _dev in found]
-    developed = [dev for _sc, dev in found]
-    n = 1j * u  # left normal of the canonical orientation
-    barriers = _barrier_segments(surface, developed)
-
-    uf = _UnionFind()
-    width_of: dict[tuple[int, int], float] = {}
-    max_width = surface.area / min(sc.length for sc in saddles) + 1.0
-    for k, sc in enumerate(saddles):
-        segs = developed[k]
-        for side in (+1, -1):
-            hits = []
-            for (poly, t, a, b) in segs:
-                for frac in (0.5, 0.25, 0.75):
-                    base = a + frac * (b - a)
-                    start_poly, start_z = _locate(
-                        surface, poly, t, base + side * SIDE_EPS * n
-                    )
-                    if start_poly is None:
-                        continue
-                    hit = _ray_to_barrier(
-                        surface, barriers, start_poly, start_z, side * n, max_width
-                    )
-                    if hit is not None:
-                        hits.append(hit)
-            if not hits:
-                raise NoCylinders(
-                    f"transverse march from saddle {k} side {side} found no boundary"
-                )
-            nearest = min(h[0] for h in hits)
-            width_of[(k, side)] = nearest + SIDE_EPS
-            for (d, kk) in hits:
-                if d <= nearest + 1e-9:
-                    uf.union((k, side), (kk, -side))
-
-    for a, b in _continuations(surface, saddles):
-        uf.union(a, b)
-
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k in range(len(saddles)):
-        for side in (+1, -1):
-            groups.setdefault(uf.find((k, side)), []).append((k, side))
-
     cylinders = []
-    for sides in groups.values():
-        widths = [width_of[s] for s in sides]
-        width = sum(widths) / len(widths)
+    for widths, sides in _strips(surface, u, [dev for _sc, dev in found]):
         if max(widths) - min(widths) > WIDTH_TOL:
             raise NoCylinders(
                 f"inconsistent widths {min(widths)}..{max(widths)} in one cylinder"
             )
-        circ = sum(saddles[k].length for (k, _s) in sides) / 2.0
-        low = tuple(sorted(s for s in sides if s[1] == +1))
-        high = tuple(sorted(s for s in sides if s[1] == -1))
-        cylinders.append(
-            Cylinder(circ, width, tuple(sorted(sides)), low, high)
-        )
+        cylinders.append(Cylinder(
+            sum(saddles[k].length for (k, _s) in sides) / 2.0,
+            sum(widths) / len(widths),
+            tuple(sorted(sides)),
+            tuple(sorted(s for s in sides if s[1] == +1)),
+            tuple(sorted(s for s in sides if s[1] == -1)),
+        ))
     cylinders.sort(
         key=lambda c: (
             -round(c.circumference * c.width, 9), -round(c.circumference, 9), c.sides
@@ -295,27 +242,4 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
             f"cylinder areas {decomp.area} do not tile the surface {surface.area}"
         )
     return decomp
-
-
-def _locate(surface, poly, t, plane_pt):
-    """Polygon-local coordinates of a plane point near a developed segment.
-
-    Tries the developing placement itself, then its neighbours across each
-    edge (needed when the offset point falls off a boundary-running segment).
-    """
-    local = plane_pt - t
-    if _inside(surface, poly, local):
-        return poly, local
-    for e in range(surface.n_edges(poly)):
-        q, _f, shift = surface.across(poly, e)
-        local2 = local - shift
-        if _inside(surface, q, local2):
-            return q, local2
-    return None, None
-
-
-def _inside(surface, poly, z, margin=1e-12):
-    verts = surface.polygons[poly]
-    edges = zip(verts, verts[1:] + verts[:1])
-    return all(cross(b - a, z - a) >= -margin * abs(b - a) for a, b in edges)
 

@@ -78,10 +78,6 @@ class Mobius:
         return Mobius(1.0, 0.0, 0.0, 1.0)
 
     @property
-    def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-    @property
     def trace(self) -> float:
         return self.a + self.d
 
@@ -128,33 +124,12 @@ class Mobius:
             return "parabolic"
         return "hyperbolic"
 
-    def fixed_boundary_points(self) -> tuple[complex, ...]:
-        """Boundary fixed points: one if parabolic, two if hyperbolic."""
-        kind = self.classify()
-        if kind == "parabolic":
-            if abs(self.c) < 1e-13:
-                return (boundary_from_direction(0.0),)  # fixes infinity
-            x = (self.a - self.d) / (2.0 * self.c)
-            return (disk_from_uhp(complex(x, 0.0)) / abs(disk_from_uhp(complex(x, 0.0))),)
-        if kind == "hyperbolic":
-            tr = self.trace
-            disc = math.sqrt(tr * tr - 4.0)
-            out = []
-            for lam in ((tr - disc) / 2.0, (tr + disc) / 2.0):
-                # eigenvector (x, 1) with a x + b = lam x, unless c == 0
-                if abs(self.c) > 1e-13:
-                    x = (lam - self.d) / self.c
-                    xi = disk_from_uhp(complex(x, 0.0))
-                    out.append(xi / abs(xi))
-                else:
-                    if abs(self.a - lam) > 1e-13:
-                        x = self.b / (lam - self.a)
-                        xi = disk_from_uhp(complex(x, 0.0))
-                        out.append(xi / abs(xi))
-                    else:
-                        out.append(complex(1.0, 0.0))  # fixes infinity
-            return tuple(out)
-        return ()
+    def parabolic_fixed_point(self) -> complex:
+        """The boundary point fixed by this element, which must be parabolic."""
+        if abs(self.c) < 1e-13:
+            return boundary_from_direction(0.0)  # fixes infinity
+        xi = disk_from_uhp(complex((self.a - self.d) / (2.0 * self.c), 0.0))
+        return xi / abs(xi)
 
 
 def hyp_distance(z1: complex, z2: complex) -> float:

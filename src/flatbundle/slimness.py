@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,38 +59,30 @@ def _round_z(z: complex) -> tuple:
     return (round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0)
 
 
-class _SigTable:
-    """Shared piece signatures so identical pieces compare at arc distance."""
-
-    def __init__(self):
-        self._ids: dict = {}
-
-    def sig_of(self, key) -> int:
-        return self._ids.setdefault(key, len(self._ids))
-
-
 def _piece_count(length: float, step: float) -> int:
     return min(_MAX_SAMPLES_PER_PIECE, max(1, math.ceil(length / step)))
 
 
-def sample_path(path, table: _SigTable, balls, *, step: float = DEFAULT_STEP) -> SampleSet:
+def sample_path(path, table: dict, balls, *, step: float = DEFAULT_STEP) -> SampleSet:
     """Discretize a preferred path at arc-length ``step`` in the collapsed model.
 
-    Each sample also gets its distance to each of the collapsed ``balls``.
+    ``table`` numbers the pieces by signature, shared between the paths
+    compared, so identical pieces compare at arc distance.  Each sample also
+    gets its distance to each of the collapsed ``balls``.
     """
     parts = []  # (base, clearance, arc position, signature) per piece
     for piece in path.pieces:
         length = piece.length
         if isinstance(piece, HorizontalPiece):
             a, b = _round_z(piece.start), _round_z(piece.end)
-            g = table.sig_of(("h", min(a, b), max(a, b)))
+            g = table.setdefault(("h", min(a, b), max(a, b)), len(table))
             n = _piece_count(length, step)
             t = np.arange(n + 1) / n
             z = segment_points(piece.start, piece.end, n)
             parts.append((z, np.zeros(n + 1), (1 - t) * length if b < a else t * length, g))
             continue
         r, i2, flip = _canon_hol(piece.connection.holonomy)
-        g = table.sig_of(("s", (r, i2), _round_z(piece.at_base)))
+        g = table.setdefault(("s", (r, i2), _round_z(piece.at_base)), len(table))
         if piece.region.kind == "ball":
             # parabolic saddle: collapses into the spine
             parts.append((np.full(1, piece.at_base), np.zeros(1), np.zeros(1), g))
@@ -175,7 +167,7 @@ def triangle_slimness(
         build_preferred_path(surface, y, z, family, cyz),
         build_preferred_path(surface, x, z, family, cxz),
     )
-    table = _SigTable()
+    table: dict = {}
     balls = family_balls(family)
     sides = [sample_path(p, table, balls, step=step) for p in paths]
     near = {}
@@ -201,7 +193,6 @@ class SlimnessReport:
     per_triangle: tuple
     attempts: int  # random draws made
     rejected: dict  # draws dropped, counted by reason
-    config: dict = field(default_factory=dict)
 
 
 def _quantiles(values) -> dict:
@@ -210,18 +201,6 @@ def _quantiles(values) -> dict:
     arr = np.asarray(values, dtype=float)
     qs = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
     return {f"q{int(100 * q):02d}": float(np.quantile(arr, q)) for q in qs}
-
-
-def _make_report(deltas, descs, config, attempts, rejected) -> SlimnessReport:
-    return SlimnessReport(
-        samples=len(deltas),
-        delta_max=max(deltas) if deltas else 0.0,
-        delta_quantiles=_quantiles(deltas),
-        per_triangle=tuple(zip(descs, deltas)),
-        config=config,
-        attempts=attempts,
-        rejected=dict(sorted(rejected.items())),
-    )
 
 
 def _short_key(sc) -> str:
@@ -292,12 +271,13 @@ def slimness_sweep(
             continue
         deltas.append(delta)
         descs.append(_short_key(a) + "+" + _short_key(b))
-    return _make_report(
-        deltas,
-        descs,
-        {"kind": "triangles", "seed": seed, "step": step, "requested": count},
-        attempts,
-        rejected,
+    return SlimnessReport(
+        samples=len(deltas),
+        delta_max=max(deltas) if deltas else 0.0,
+        delta_quantiles=_quantiles(deltas),
+        per_triangle=tuple(zip(descs, deltas)),
+        attempts=attempts,
+        rejected=dict(sorted(rejected.items())),
     )
 
 

@@ -179,12 +179,9 @@ def find_parabolic_fixed_points(generators, depth: int):
     found = []
     for word in reduced_words(len(gens), depth):
         g = word_element(gens, word)
-        (a, b), (c, d) = g.matrix
-        if abs(abs(a + d) - 2.0) > 1e-9:
+        if g.classify() != "parabolic":
             continue
-        if abs(b) + abs(c) + abs(a - d) < 1e-9:
-            continue  # the identity is not parabolic
-        xi = g.fixed_boundary_points()[0]
+        xi = g.parabolic_fixed_point()
         if any(abs(xi - x) < ANGLE_DEDUP for (x, _w, _g) in found):
             continue
         found.append((xi, word, g))

@@ -3,8 +3,8 @@
 Everything here favors obviousness over speed: exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
 shortening of flat geodesics, sampled and bisected hyperbolic searches,
-per-point geodesic sampling and one distance matrix per ordered pair of
-triangle sides.
+per-point geodesic sampling, one distance matrix per ordered pair of
+triangle sides and cylinder decompositions from transverse ray probes.
 """
 
 from __future__ import annotations
@@ -23,10 +23,16 @@ from flatbundle.hyperbolic import (
     ideal_endpoints,
     uhp_from_disk,
 )
-from flatbundle.errors import FlatBundleError, NotAGeodesic
+from flatbundle.cylinders import (
+    WIDTH_TOL,
+    Cylinder,
+    CylinderDecomposition,
+    _separatrices,
+    _UnionFind,
+)
+from flatbundle.errors import FlatBundleError, NoClosureFound, NoCylinders, NotAGeodesic
 from flatbundle.paths import build_fan, build_preferred_path
 from flatbundle.slimness import (
-    _SigTable,
     _ball_distances,
     _rho_matrix,
     sample_path,
@@ -43,7 +49,11 @@ from flatbundle.surface import (
     canonical_holonomy,
     ccw_angle,
     connect,
+    cross,
+    fold_direction,
+    seg_point_dist,
     tighten_chain,
+    trace_ray,
     trace_segment,
 )
 from flatbundle.veech import family_balls
@@ -770,7 +780,7 @@ def _one_sided_distance(a, targets, balls):
 def triangle_slimness(surface, family, x, y, z, chains, *, step):
     """Thinness of a preferred-path triangle from six distance matrices, one
     per ordered pair of sides."""
-    table = _SigTable()
+    table: dict = {}
     balls = family_balls(family)
     pairs = ((x, y, chains[0]), (y, z, chains[1]), (x, z, chains[2]))
     sides = [
@@ -781,3 +791,183 @@ def triangle_slimness(surface, family, x, y, z, chains, *, step):
         _one_sided_distance(sides[i], [sides[j] for j in range(3) if j != i], balls)
         for i in range(3)
     )
+
+
+# -- cylinder decompositions by transverse rays --------------------------------
+
+SIDE_EPS = 1e-7  # transverse offset when stepping off a boundary leaf
+CONTINUE_TOL = 1e-6  # angular slack; separatrices at a cone point are 2*pi apart
+
+
+def _continuations(surface, saddles):
+    """Same-circle pairs ``((k, side), (k2, side))``, read off at the cone points.
+
+    Past the end of saddle ``k`` its left (right) side continues along the
+    saddle leaving pi clockwise (counterclockwise) of its arrival direction.
+    """
+    leaving = {}
+    for k, sc in enumerate(saddles):
+        leaving.setdefault(surface.corner_class[sc.start], []).append(
+            (surface.coord_of(sc.start, sc.start_phi), k)
+        )
+    pairs = []
+    for k, sc in enumerate(saddles):
+        cc = surface.class_of(sc.end)
+        arrival = surface.coord_of(sc.end, sc.end_phi)
+        for side in (+1, -1):
+            want = arrival - side * math.pi
+            gap, k2 = min(
+                (min((a - want) % cc.angle, (want - a) % cc.angle), k2)
+                for a, k2 in leaving[cc.index]
+            )
+            if gap > CONTINUE_TOL:
+                raise NoCylinders(f"no separatrix continues saddle {k} side {side}")
+            pairs.append(((k, side), (k2, side)))
+    return pairs
+
+
+def _barrier_segments(surface, developed):
+    """Per-polygon local segments of the developed saddles, those along a
+    glued edge mirrored into the partner polygon."""
+    barriers = {}
+    for k, segs in enumerate(developed):
+        for (poly, t, a, b) in segs:
+            la, lb = a - t, b - t
+            barriers.setdefault(poly, []).append((k, la, lb))
+            for e in range(surface.n_edges(poly)):
+                va, vb = surface.vertex(poly, e), surface.vertex(poly, e + 1)
+                if max(seg_point_dist(va, vb, la), seg_point_dist(va, vb, lb)) < 1e-9:
+                    q, _f, shift = surface.across(poly, e)
+                    barriers.setdefault(q, []).append((k, la - shift, lb - shift))
+    return barriers
+
+
+def _seg_seg(a1, b1, a2, b2):
+    """Parameter on [a1, b1] of its intersection with [a2, b2], None if absent."""
+    d1, d2, w = b1 - a1, b2 - a2, a2 - a1
+    den = cross(d1, d2)
+    if abs(den) < 1e-14 * max(abs(d1), 1.0) * max(abs(d2), 1.0):
+        return None
+    s = cross(w, d2) / den
+    t = cross(w, d1) / den
+    if -1e-12 <= t <= 1 + 1e-12 and 1e-9 < s <= 1 + 1e-12:
+        return s
+    return None
+
+
+def _ray_to_barrier(surface, barriers, poly, z0, n, max_dist):
+    """(distance, saddle index) of the first barrier the ray from (poly, z0)
+    meets, or None."""
+    res = trace_ray(surface, poly, z0, n, max_dist)
+    for st in res.steps:
+        a_pl = st.entry
+        b_pl = st.exit if st.exit is not None else st.entry + n * max_dist
+        best = None
+        for (k, sa, sb) in barriers.get(st.poly, ()):
+            hit = _seg_seg(a_pl - st.t, b_pl - st.t, sa, sb)
+            if hit is not None and (best is None or hit < best[0]):
+                best = (hit, k)
+        if best is not None:
+            s_loc, k = best
+            return abs(a_pl + s_loc * (b_pl - a_pl) - z0), k
+    return None
+
+
+def _inside(surface, poly, z, margin=1e-12):
+    verts = surface.polygons[poly]
+    edges = zip(verts, verts[1:] + verts[:1])
+    return all(cross(b - a, z - a) >= -margin * abs(b - a) for a, b in edges)
+
+
+def _locate(surface, poly, t, plane_pt):
+    """Polygon-local coordinates of a plane point near a developed segment:
+    in the developing placement or in a neighbour across one of its edges."""
+    local = plane_pt - t
+    if _inside(surface, poly, local):
+        return poly, local
+    for e in range(surface.n_edges(poly)):
+        q, _f, shift = surface.across(poly, e)
+        if _inside(surface, q, local - shift):
+            return q, local - shift
+    return None, None
+
+
+def trace_direction_rays(surface, theta, max_trace):
+    """``cylinders.trace_direction`` assembled from transverse ray probes.
+
+    Six rays per separatrix piece, started ``SIDE_EPS`` off the leaf on each
+    side, give each side's width and the side across the cylinder; the
+    angle rule at the cone points (``_continuations``) joins the sides of
+    one boundary circle.  Same separatrices, orders and output type.
+    """
+    theta = fold_direction(theta)
+    u = cmath.exp(1j * theta)
+    found = _separatrices(surface, u, max_trace)
+    if isinstance(found, NoClosureFound):
+        return found
+    found.sort(key=lambda f: (round(f[0].length, 9), f[0].key()))
+    saddles = [sc for sc, _dev in found]
+    developed = [dev for _sc, dev in found]
+    n = 1j * u
+    barriers = _barrier_segments(surface, developed)
+
+    uf = _UnionFind()
+    width_of = {}
+    max_width = surface.area / min(sc.length for sc in saddles) + 1.0
+    for k, segs in enumerate(developed):
+        for side in (+1, -1):
+            hits = []
+            for (poly, t, a, b) in segs:
+                for frac in (0.5, 0.25, 0.75):
+                    base = a + frac * (b - a)
+                    start_poly, start_z = _locate(
+                        surface, poly, t, base + side * SIDE_EPS * n
+                    )
+                    if start_poly is None:
+                        continue
+                    hit = _ray_to_barrier(
+                        surface, barriers, start_poly, start_z, side * n, max_width
+                    )
+                    if hit is not None:
+                        hits.append(hit)
+            if not hits:
+                raise NoCylinders(f"no boundary across saddle {k} side {side}")
+            nearest = min(h[0] for h in hits)
+            width_of[(k, side)] = nearest + SIDE_EPS
+            for (d, kk) in hits:
+                if d <= nearest + 1e-9:
+                    uf.union((k, side), (kk, -side))
+    for a, b in _continuations(surface, saddles):
+        uf.union(a, b)
+
+    groups = {}
+    for k in range(len(saddles)):
+        for side in (+1, -1):
+            groups.setdefault(uf.find((k, side)), []).append((k, side))
+    cylinders = []
+    for sides in groups.values():
+        widths = [width_of[s] for s in sides]
+        if max(widths) - min(widths) > WIDTH_TOL:
+            raise NoCylinders(f"inconsistent widths {min(widths)}..{max(widths)}")
+        cylinders.append(Cylinder(
+            sum(saddles[k].length for (k, _s) in sides) / 2.0,
+            sum(widths) / len(widths),
+            tuple(sorted(sides)),
+            tuple(sorted(s for s in sides if s[1] == +1)),
+            tuple(sorted(s for s in sides if s[1] == -1)),
+        ))
+    cylinders.sort(
+        key=lambda c: (
+            -round(c.circumference * c.width, 9), -round(c.circumference, 9), c.sides
+        )
+    )
+
+    spine_uf = _UnionFind()
+    for k, sc in enumerate(saddles):
+        spine_uf.union(("s", k), ("c", surface.class_of(sc.start).index))
+        spine_uf.union(("s", k), ("c", surface.class_of(sc.end).index))
+    spine_groups = {}
+    for k in range(len(saddles)):
+        spine_groups.setdefault(spine_uf.find(("s", k)), []).append(k)
+    spines = tuple(tuple(sorted(g)) for g in sorted(spine_groups.values()))
+    return CylinderDecomposition(theta, tuple(saddles), tuple(cylinders), spines)

@@ -1,14 +1,16 @@
 """Tests for periodic-direction classification, cylinder decompositions
 and their weighted dual graphs."""
 
+import cmath
 import functools
 import math
 
 import pytest
 
+import oracles
 from flatbundle.catalog import load_catalog_surface
 from flatbundle.cylinders import NoClosureFound, trace_direction
-from flatbundle.surface import TOL_VERTEX, enumerate_saddle_connections
+from flatbundle.surface import TOL_VERTEX, enumerate_saddle_connections, load_surface
 
 SQRT2 = math.sqrt(2.0)
 
@@ -161,6 +163,61 @@ class TestCertificates:
                     total = sum(d.saddles[k].length for k, _side in circle)
                     assert total == pytest.approx(c.circumference, abs=1e-9), theta
                     assert {sgn for _k, sgn in circle} == {side}, theta
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_sides_partition_the_saddle_sides(self, name):
+        # each side of each saddle bounds exactly one cylinder
+        s, directions = _directions(name)
+        for theta in directions:
+            d = trace_direction(s, theta, 80.0)
+            sides = sorted(side for c in d.cylinders for side in c.sides)
+            assert sides == [(k, sgn) for k in range(len(d.saddles)) for sgn in (-1, 1)]
+
+
+def _regular(n):
+    """The regular n-gon (n even) with opposite sides glued."""
+    verts = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    gluings = {(0, e): (0, (e + n // 2) % n) for e in range(n)}
+    return load_surface([verts], gluings, name=f"{n}-gon")
+
+
+def _sheared(name):
+    """A catalog surface under the shear (x, y) -> (x + y / 2, y)."""
+    s = load_catalog_surface(name)
+    polygons = [[v + v.imag / 2 for v in poly] for poly in s.polygons]
+    return load_surface(polygons, s.gluings, name=f"sheared {name}")
+
+
+BUILDERS = {
+    "10-gon": lambda: _regular(10),  # two cone points
+    "12-gon": lambda: _regular(12),
+    "14-gon": lambda: _regular(14),
+    **{f"sheared {name}": functools.partial(_sheared, name) for name in SURFACES},
+    **{name: functools.partial(load_catalog_surface, name) for name in SURFACES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_strips_match_ray_probes(name):
+    # every direction of a saddle connection of length <= 3 (40, 60 and 98
+    # on the regular 10-, 12- and 14-gons, 37 on the sheared catalog
+    # surfaces): the strip sweep and the ray probes give the same saddles,
+    # spines, cylinders and circles, and widths and circumferences within
+    # 1e-12
+    s = BUILDERS[name]()
+    thetas = {round(sc.direction, 9): sc.direction for sc in enumerate_saddle_connections(s, 3.0)}
+    for theta in thetas.values():
+        d = trace_direction(s, theta, 80.0)
+        ref = oracles.trace_direction_rays(s, theta, 80.0)
+        assert [sc.key() for sc in d.saddles] == [sc.key() for sc in ref.saddles]
+        assert d.spines == ref.spines
+        assert len(d.cylinders) == len(ref.cylinders)
+        for c, c_ref in zip(d.cylinders, ref.cylinders):
+            assert (c.sides, c.boundary_low, c.boundary_high) == (
+                c_ref.sides, c_ref.boundary_low, c_ref.boundary_high
+            ), theta
+            assert c.width == pytest.approx(c_ref.width, abs=1e-12)
+            assert c.circumference == pytest.approx(c_ref.circumference, abs=1e-12)
 
 
 class TestOrder:

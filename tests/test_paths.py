@@ -81,8 +81,7 @@ def _sample_fans(surface, saddles, rng, count):
 
 def _act(g, hol):
     # the linear action of an SL(2, R) element on a holonomy vector
-    (a, b), (c, d) = g.matrix
-    return complex(a * hol.real + b * hol.imag, c * hol.real + d * hol.imag)
+    return complex(g.a * hol.real + g.b * hol.imag, g.c * hol.real + g.d * hol.imag)
 
 
 def _random_sl2(rng):

@@ -45,7 +45,7 @@ class TestSampleDistances:
         x = FiberPoint(reg.anchor, sc.start)
         y = FiberPoint(0.2 + 0.1j, sc.end)
         path = build_preferred_path(s, x, y, fam, [sc])
-        samples = S.sample_path(path, S._SigTable(), family_balls(fam))
+        samples = S.sample_path(path, {}, family_balls(fam))
         d = S.sample_distance_matrix(samples, samples)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)

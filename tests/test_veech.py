@@ -117,7 +117,7 @@ class TestWordsAndLimitSet:
         # a parabolic orbit converges to its fixed point like 1/n, so the
         # tail of the sample approaches it as depth grows
         g = Mobius.from_matrix(SHEAR)
-        fix = g.fixed_boundary_points()[0]
+        fix = g.parabolic_fixed_point()
         gap = lambda depth: min(
             abs(x - fix) for x in sample_limit_set((g,), depth)
         )
@@ -207,7 +207,7 @@ class TestParabolicScan:
         shear = g.generators[1]
         rot = g.generators[0]
         conj = rot @ shear @ rot.inverse()
-        target = rot.apply_boundary(shear.fixed_boundary_points()[0])
+        target = rot.apply_boundary(shear.parabolic_fixed_point())
         assert abs(conj.apply_boundary(target) - target) < 1e-9
         found = find_parabolic_fixed_points(g.generators, 3)
         assert min(abs(x - target) for (x, _w, _g) in found) < 1e-9
