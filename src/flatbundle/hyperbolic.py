@@ -26,6 +26,7 @@ from .errors import DegenerateTriple, NonInvertible, NotInDisk, NotOnBoundary
 
 TOL_DET = 1e-9
 TOL_BOUNDARY = 1e-9
+TOL_CLASSIFY = 1e-9  # trace and identity tolerance of Mobius.classify
 
 
 def _check_disk(z: complex) -> complex:
@@ -114,8 +115,9 @@ class Mobius:
         out = (a * xi + b) / (c * xi + d)
         return out / abs(out)
 
-    def classify(self, *, tol: float = 1e-9) -> str:
+    def classify(self) -> str:
         t = abs(self.trace)
+        tol = TOL_CLASSIFY
         if abs(self.a - self.d) < tol and abs(self.b) < tol and abs(self.c) < tol:
             return "identity"
         if t < 2.0 - tol:

@@ -16,6 +16,7 @@ from .cylinders import trace_direction
 from .errors import (
     FlatBundleError,
     MissingHoroRegion,
+    NoCylinders,
     NotAFan,
     NotFound,
 )
@@ -133,13 +134,18 @@ def build_direction_graphs(
     Keyed like the family.  Each key maps to what ``trace_direction``
     returned for its direction: the CylinderDecomposition, or the
     NoClosureFound value when the separatrices do not close within
-    ``max_trace``.
+    ``max_trace``; a direction whose cylinders fail to assemble maps to the
+    NoCylinders it raised.
     """
-    return {
-        key: trace_direction(surface, reg.theta, max_trace)
-        for key, reg in family.items()
-        if reg.kind == "ball"
-    }
+    graphs = {}
+    for key, reg in family.items():
+        if reg.kind != "ball":
+            continue
+        try:
+            graphs[key] = trace_direction(surface, reg.theta, max_trace)
+        except NoCylinders as exc:
+            graphs[key] = exc
+    return graphs
 
 
 def collapsed_length(
@@ -180,11 +186,11 @@ class Fan:
     """A triangle with two single-connection sides meeting at the apex.
 
     ``bottom`` is the geodesic side; ``taus`` are the connections from the
-    apex to the bottom junctions (taus[0] and taus[-1] are the two single
-    sides).  Consecutive taus cut the fan into Euclidean triangles.
+    apex (where every tau starts) to the bottom junctions (taus[0] and
+    taus[-1] are the two single sides).  Consecutive taus cut the fan into
+    Euclidean triangles.
     """
 
-    apex: Corner
     bottom: tuple[SaddleConnection, ...]
     taus: tuple[SaddleConnection, ...]
 
@@ -236,7 +242,7 @@ def _make_fan(surface, taus, bottom) -> Fan:
         )
         if wedge < math.pi - 1e-9:
             raise NotAFan(f"junction {i} wedge below pi (fan not embedded)")
-    return Fan(taus[0].start, tuple(bottom), tuple(taus))
+    return Fan(tuple(bottom), tuple(taus))
 
 
 def build_fan(
@@ -300,7 +306,6 @@ class StructureReport:
 
     ok: bool
     offending: tuple[int, ...]
-    positions: tuple[float, ...]
 
 
 def check_structure_lemma(fan: Fan) -> StructureReport:
@@ -334,7 +339,7 @@ def check_structure_lemma(fan: Fan) -> StructureReport:
         else:
             if gap < -1e-9:
                 offending.append(i)
-    return StructureReport(not offending, tuple(offending), tuple(pos))
+    return StructureReport(not offending, tuple(offending))
 
 
 # -- combinatorial paths ------------------------------------------------------

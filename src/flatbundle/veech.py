@@ -3,6 +3,10 @@
 Generator verification, limit-set sampling, convex-hull approximation,
 parabolic detection, and the horoball / horopoint family attached to the
 saddle-connection directions of a surface.
+
+The group's reduced words are enumerated once, each element built from its
+parent word's element, and three readers use them: the limit-set sample,
+the parabolic scan and the grouping of parabolic directions into orbits.
 """
 
 from __future__ import annotations
@@ -33,17 +37,10 @@ from .surface import TranslationSurface, cross, enumerate_saddle_connections
 
 ANGLE_DEDUP = 1e-8
 ORBIT_DEPTH = 4  # word length that groups parabolic directions into orbits
+PARABOLIC_DEPTH = 5  # longest word searched for parabolic fixed points
 
 
 # -- generator verification --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineAutomorphism:
-    """A matrix verified to act on the surface's saddle-connection set."""
-
-    derivative: Mobius
-    checked: int  # number of holonomy images verified under the cutoff
 
 
 def _apply_matrix(m, v: complex) -> complex:
@@ -60,7 +57,7 @@ def _holonomy_key(v: complex):
 
 def verify_affine(
     surface: TranslationSurface, m, *, max_length: float = 2.5
-) -> AffineAutomorphism:
+) -> Mobius:
     """Check that a unit-determinant matrix preserves the saddle set.
 
     The saddle-connection holonomies (up to sign) form a complete affine
@@ -90,28 +87,34 @@ def verify_affine(
         raise NotAnAutomorphism(
             "no holonomy image fell under the cutoff; increase max_length"
         )
-    return AffineAutomorphism(Mobius.from_matrix(m), checked)
+    return Mobius.from_matrix(m)
 
 
 # -- word enumeration ---------------------------------------------------------
 
 
-def reduced_words(n_gens: int, depth: int):
-    """All nonempty reduced words up to ``depth``, shortest first.
+def group_words(generators, depth: int) -> list[tuple[tuple[int, ...], Mobius]]:
+    """All nonempty reduced words up to ``depth`` with their elements.
 
     A word is a tuple of nonzero ints: letter ``i+1`` is generator ``i``,
-    ``-(i+1)`` its inverse; adjacent cancelling letters are excluded.
+    ``-(i+1)`` its inverse; adjacent cancelling letters are excluded.  Words
+    come shortest first, and in each length ordered by their prefix, then by
+    the last letter.  A word's element is its prefix's element times the last
+    letter, the product :func:`word_element` forms letter by letter.
     """
-    letters = [i + 1 for i in range(n_gens)] + [-(i + 1) for i in range(n_gens)]
-    frontier = [(l,) for l in letters]
+    letters = [(i + 1, g) for i, g in enumerate(generators)]
+    letters += [(-l, g.inverse()) for l, g in letters]
+    frontier = [((), Mobius.identity())]
+    words = []
     for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            yield w
-            for l in letters:
-                if l != -w[-1]:
-                    nxt.append(w + (l,))
-        frontier = nxt
+        frontier = [
+            (w + (l,), el @ g)
+            for w, el in frontier
+            for l, g in letters
+            if not w or l != -w[-1]
+        ]
+        words += frontier
+    return words
 
 
 def word_element(generators: tuple[Mobius, ...], word) -> Mobius:
@@ -125,41 +128,37 @@ def word_element(generators: tuple[Mobius, ...], word) -> Mobius:
 # -- limit set, hull, parabolic points ---------------------------------------
 
 
-def sample_limit_set(
-    generators, depth: int, base: complex = 0j
-) -> tuple[complex, ...]:
-    """Boundary directions of the orbit of ``base`` under reduced words.
+def _circular_dedup(points, tol: float) -> list[complex]:
+    """The points sorted by angle, without any point within ``tol`` of the
+    one before it, circularly."""
+    out = []
+    for x in sorted(points, key=lambda z: cmath.phase(z) % (2 * math.pi)):
+        if out and abs(x - out[-1]) < tol:
+            continue
+        out.append(x)
+    if len(out) > 1 and abs(out[0] - out[-1]) < tol:
+        out.pop()
+    return out
+
+
+def sample_limit_set(words) -> tuple[complex, ...]:
+    """Boundary directions of the orbit of the center under the elements of
+    ``(word, element)`` pairs.
 
     Deduplicated at angular tolerance 1e-8 and returned sorted by angle.
     """
-    gens = tuple(generators)
     pts = []
-    for word in reduced_words(len(gens), depth):
-        z = word_element(gens, word).apply_disk(base)
+    for _word, g in words:
+        z = g.apply_disk(0j)
         if abs(z) < 1e-9:
             continue
         pts.append(z / abs(z))
-    pts.sort(key=lambda x: cmath.phase(x) % (2 * math.pi))
-    out = []
-    for x in pts:
-        if out and abs(x - out[-1]) < ANGLE_DEDUP:
-            continue
-        out.append(x)
-    if len(out) > 1 and abs(out[0] - out[-1]) < ANGLE_DEDUP:
-        out.pop()
-    return tuple(out)
+    return tuple(_circular_dedup(pts, ANGLE_DEDUP))
 
 
 def build_hull(sample) -> ConvexRegion:
     """Ideal polygon on the circularly sorted sample points."""
-    pts = sorted(set(sample), key=lambda x: cmath.phase(x) % (2 * math.pi))
-    dedup = []
-    for x in pts:
-        if dedup and abs(x - dedup[-1]) < 1e-10:
-            continue
-        dedup.append(x)
-    if len(dedup) > 1 and abs(dedup[0] - dedup[-1]) < 1e-10:
-        dedup.pop()
+    dedup = _circular_dedup(set(sample), 1e-10)
     if len(dedup) < 3:
         raise ElementaryGroup(f"only {len(dedup)} distinct limit points")
     sides = tuple(
@@ -168,35 +167,32 @@ def build_hull(sample) -> ConvexRegion:
     return ConvexRegion(sides)
 
 
-def find_parabolic_fixed_points(generators, depth: int):
-    """Fixed points of the parabolic words of length <= depth.
+def find_parabolic_fixed_points(words):
+    """Fixed points of the parabolic elements of ``(word, element)`` pairs.
 
-    Returns a list of (boundary point, witness word, element), one entry per
-    fixed point at angular tolerance 1e-8, with the first witness found in
-    shortest-first order.
+    Returns a list of (boundary point, witness word), one entry per fixed
+    point at angular tolerance 1e-8, with the first witness in the order of
+    ``words``.
     """
-    gens = tuple(generators)
     found = []
-    for word in reduced_words(len(gens), depth):
-        g = word_element(gens, word)
+    for word, g in words:
         if g.classify() != "parabolic":
             continue
         xi = g.parabolic_fixed_point()
-        if any(abs(xi - x) < ANGLE_DEDUP for (x, _w, _g) in found):
+        if any(abs(xi - x) < ANGLE_DEDUP for (x, _w) in found):
             continue
-        found.append((xi, word, g))
+        found.append((xi, word))
     return found
 
 
 @dataclass(frozen=True)
 class VeechGroupData:
-    surface: TranslationSurface
     generators: tuple[Mobius, ...]
-    automorphisms: tuple[AffineAutomorphism, ...]
-    word_depth: int
     limit_sample: tuple[complex, ...]
     hull: ConvexRegion
     parabolic_fixed_points: tuple = field(hash=False, compare=False)
+    # the (word, element) pairs of length <= ORBIT_DEPTH, shortest first
+    orbit_words: tuple = field(hash=False, compare=False)
 
     @property
     def basepoint(self) -> complex:
@@ -219,40 +215,37 @@ def build_group_data(
     check can be supplied factored: ``verify_basis`` lists small matrices
     verified directly, and ``verify_words`` writes each generator as a word
     in them (letter i+1 = basis[i], negative = inverse); the automorphism
-    property then follows by closure.
+    property then follows by closure.  Without a basis the generators are
+    their own basis, each the one-letter word of itself.
+
+    The reduced words are enumerated once, to ``max(depth, ORBIT_DEPTH)``,
+    and each reader takes those up to its own length.
     """
-    if verify_basis is not None:
-        basis_autos = tuple(verify_affine(surface, m) for m in verify_basis)
-        basis_mob = tuple(a.derivative for a in basis_autos)
-        autos = []
-        for word, m in zip(verify_words, matrices):
-            g = word_element(basis_mob, word)
-            target = Mobius.from_matrix(m)
-            if max(
-                abs(x - y)
-                for x, y in zip(
-                    (g.a, g.b, g.c, g.d), (target.a, target.b, target.c, target.d)
-                )
-            ) > 1e-6 and max(
-                abs(x + y)
-                for x, y in zip(
-                    (g.a, g.b, g.c, g.d), (target.a, target.b, target.c, target.d)
-                )
-            ) > 1e-6:
-                raise NotAnAutomorphism(
-                    f"word {word} does not reproduce the generator matrix"
-                )
-            autos.append(
-                AffineAutomorphism(target, sum(a.checked for a in basis_autos))
+    if verify_basis is None:
+        verify_basis = matrices
+        verify_words = [(k + 1,) for k in range(len(matrices))]
+    basis = tuple(verify_affine(surface, m) for m in verify_basis)
+    gens = []
+    for word, m in zip(verify_words, matrices):
+        g = word_element(basis, word)
+        target = Mobius.from_matrix(m)
+        entries = (g.a, g.b, g.c, g.d)
+        wanted = (target.a, target.b, target.c, target.d)
+        same = max(abs(x - y) for x, y in zip(entries, wanted))
+        opposite = max(abs(x + y) for x, y in zip(entries, wanted))
+        if same > 1e-6 and opposite > 1e-6:
+            raise NotAnAutomorphism(
+                f"word {word} does not reproduce the generator matrix"
             )
-        autos = tuple(autos)
-    else:
-        autos = tuple(verify_affine(surface, m) for m in matrices)
-    gens = tuple(a.derivative for a in autos)
-    sample = sample_limit_set(gens, depth)
-    hull = build_hull(sample)
-    paras = tuple(find_parabolic_fixed_points(gens, min(depth, 5)))
-    return VeechGroupData(surface, gens, autos, depth, sample, hull, paras)
+        gens.append(target)
+    gens = tuple(gens)
+    words = group_words(gens, max(depth, ORBIT_DEPTH))
+    sample = sample_limit_set([(w, g) for w, g in words if len(w) <= depth])
+    paras = find_parabolic_fixed_points(
+        [(w, g) for w, g in words if len(w) <= min(depth, PARABOLIC_DEPTH)]
+    )
+    orbit_words = tuple((w, g) for w, g in words if len(w) <= ORBIT_DEPTH)
+    return VeechGroupData(gens, sample, build_hull(sample), tuple(paras), orbit_words)
 
 
 # -- horoball family ----------------------------------------------------------
@@ -265,7 +258,6 @@ class HoroRegion:
     kind: str  # "ball" | "point"
     theta: float
     boundary_point: complex
-    shortest_holonomy: complex
     anchor: complex  # the fiber base X over which this direction is traversed
     ball: Horoball | None = None
     length_level: float | None = None
@@ -347,7 +339,7 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     for theta, hol in dirs:
         xi = boundary_from_direction(theta)
         witness = None
-        for (xp, word, _g) in paras:
+        for (xp, word) in paras:
             if abs(xi - xp) < 1e-6:
                 witness = word
                 break
@@ -359,18 +351,13 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
                 f"direction {theta} meets the limit sample without a parabolic witness"
             )
         foot = _project_boundary_to_hull(hull, xi)
-        family[round(theta, 8)] = HoroRegion(
-            "point", theta, xi, hol, anchor=foot
-        )
+        family[round(theta, 8)] = HoroRegion("point", theta, xi, anchor=foot)
 
     if not ball_dirs:
         return family
 
     # group parabolic directions into orbits under short words
-    orbit_words = [((), Mobius.identity())] + [
-        (w, word_element(gdata.generators, w))
-        for w in reduced_words(len(gdata.generators), ORBIT_DEPTH)
-    ]
+    orbit_words = [((), Mobius.identity())] + list(gdata.orbit_words)
     reps: list[int] = []
     orbit_of: dict[int, tuple[int, Mobius]] = {}
     for i, (_t, _h, xi, _w) in enumerate(ball_dirs):
@@ -440,7 +427,6 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
             "ball",
             theta,
             xi,
-            hol,
             anchor=anchor,
             ball=ball,
             length_level=abs(hol) * math.exp(-0.5 * ball.level),

@@ -3,8 +3,9 @@
 Everything here favors obviousness over speed: exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
 shortening of flat geodesics, sampled and bisected hyperbolic searches,
-per-point geodesic sampling, one distance matrix per ordered pair of
-triangle sides and cylinder decompositions from transverse ray probes.
+per-point geodesic sampling, group words without their elements, one
+distance matrix per ordered pair of triangle sides and cylinder
+decompositions from transverse ray probes.
 """
 
 from __future__ import annotations
@@ -730,6 +731,27 @@ def segment_point(z1, z2, s):
     u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))
     u = u1 + (u2 - u1) * (s / hyp_distance(z1, z2))
     return disk_from_uhp(M.inverse().apply_uhp(1j * math.exp(u)))
+
+
+# -- group words --------------------------------------------------------------
+
+
+def reduced_words(n_gens, depth):
+    """All nonempty reduced words up to ``depth``, shortest first.
+
+    A word is a tuple of nonzero ints: letter ``i+1`` is generator ``i``,
+    ``-(i+1)`` its inverse; adjacent cancelling letters are excluded.
+    """
+    letters = [i + 1 for i in range(n_gens)] + [-(i + 1) for i in range(n_gens)]
+    frontier = [(l,) for l in letters]
+    for _ in range(depth):
+        nxt = []
+        for w in frontier:
+            yield w
+            for l in letters:
+                if l != -w[-1]:
+                    nxt.append(w + (l,))
+        frontier = nxt
 
 
 # -- fans and slimness -------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatbundle import catalog, cli
-from flatbundle.errors import FlatBundleError
+from flatbundle import catalog, cli, paths
+from flatbundle.errors import FlatBundleError, NoCylinders
 
 
 def _data(name):
@@ -259,6 +259,34 @@ class TestRun:
         report = json.loads((tmp_path / "short" / "report.json").read_text())
         suite = report["suites"]["cylinderArea"]
         assert suite["areaViolationsOrUnclosed"] == suite["directionsChecked"] > 0
+
+    def test_failed_assembly_fails_cylinder_suite(self, tmp_path, capsys, monkeypatch):
+        # a direction whose cylinders do not tile the surface fails the
+        # cylinderArea suite; the run still writes its report
+        trace, calls = paths.trace_direction, []
+
+        def failing(surface, theta, max_trace):
+            calls.append(theta)
+            if len(calls) == 1:
+                raise NoCylinders("cylinder areas do not tile the surface")
+            return trace(surface, theta, max_trace)
+
+        monkeypatch.setattr(paths, "trace_direction", failing)
+        out = tmp_path / "bad"
+        code = run_cli(
+            [
+                "run",
+                "--surface", "lshape",
+                "--group", "lshape_lattice",
+                "--max-length", "2.5",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "first failing suite: cylinderArea" in capsys.readouterr().err
+        suite = json.loads((out / "report.json").read_text())["suites"]["cylinderArea"]
+        assert suite["areaViolationsOrUnclosed"] == 1
+        assert suite["directionsChecked"] == len(calls) > 1
 
     def test_failing_suite_exits_nonzero(self, tmp_path, capsys):
         # a cutoff below the shortest saddle leaves every sweep empty

@@ -16,7 +16,7 @@ from flatbundle.errors import (
     NotInDisk,
     NotOnBoundary,
 )
-from flatbundle.veech import build_hull, sample_limit_set
+from flatbundle.veech import build_hull, group_words, sample_limit_set
 
 import oracles
 
@@ -265,7 +265,8 @@ def _beyond(g, u, alpha):
 @pytest.fixture(scope="module")
 def cusped_hull():
     gens = load_group_preset("octagon_cusped")["generators"]
-    return build_hull(sample_limit_set([H.Mobius.from_matrix(m) for m in gens], 6))
+    words = group_words([H.Mobius.from_matrix(m) for m in gens], 6)
+    return build_hull(sample_limit_set(words))
 
 
 balls = st.builds(

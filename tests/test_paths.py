@@ -11,6 +11,7 @@ from flatbundle.errors import (
     FlatBundleError,
     MissingHoroRegion,
     NoClosureFound,
+    NoCylinders,
     NotAFan,
 )
 from flatbundle.hyperbolic import (
@@ -226,6 +227,26 @@ class TestDirectionGraphs:
         assert sorted(graphs) == sorted(balls)
         unclosed = [g for g in graphs.values() if isinstance(g, NoClosureFound)]
         assert (len(unclosed), len(graphs)) == (7, 8)
+
+    def test_failed_assembly_is_kept_per_direction(
+        self, lshape, lshape_family, monkeypatch
+    ):
+        # one direction whose cylinders do not assemble maps to its
+        # NoCylinders; the other directions are traced as before
+        bad = sorted(k for k, reg in lshape_family.items() if reg.kind == "ball")[0]
+        trace = P.trace_direction
+
+        def failing(surface, theta, max_trace):
+            if round(theta, 8) == bad:
+                raise NoCylinders("cylinder areas do not tile the surface")
+            return trace(surface, theta, max_trace)
+
+        monkeypatch.setattr(P, "trace_direction", failing)
+        graphs = P.build_direction_graphs(lshape, lshape_family)
+        assert isinstance(graphs[bad], NoCylinders)
+        assert not any(
+            isinstance(g, FlatBundleError) for k, g in graphs.items() if k != bad
+        )
 
 
 class TestCollapsedLength:

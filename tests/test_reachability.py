@@ -1,5 +1,6 @@
 """Every function, class and method of the package is reachable from
-``flatbundle.cli.main``, and every module-level constant is read somewhere.
+``flatbundle.cli.main``, every module-level constant is read somewhere, and
+every record field is read as an attribute somewhere.
 
 The call graph is name-level: a definition reaches every definition whose
 name it mentions, as a bare name or as an attribute.  A reached class
@@ -22,6 +23,21 @@ ALLOWED = {
     "hyperbolic._mobius_three_points",
     "hyperbolic.Geodesic.distance_to",
     "surface.FlatGeodesic.development",
+}
+
+# Record fields read only by the tests, or kept for the slimness-at-scale
+# item of ROADMAP.md: cylinder sides by boundary circle, the spines of a
+# decomposition, the fiber of a horizontal piece, the indices a structure
+# check rejects, the length level of a horoball, and the generators of the
+# group (the equivariance tests act by them; the package reads the words).
+FIELDS_ALLOWED = {
+    "cylinders.Cylinder.boundary_low",
+    "cylinders.Cylinder.boundary_high",
+    "cylinders.CylinderDecomposition.spines",
+    "paths.HorizontalPiece.fiber",
+    "paths.StructureReport.offending",
+    "veech.HoroRegion.length_level",
+    "veech.VeechGroupData.generators",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -101,3 +117,27 @@ def test_every_module_constant_is_read():
                 read.add(sub.attr)
     unread = {f"{mod}.{name}" for mod, name in assigned if name not in read}
     assert sorted(unread - {"__init__.__version__"}) == [], "assigned, never read"
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    names = _mentions(node.bases + node.decorator_list)
+    return "dataclass" in names or "NamedTuple" in names
+
+
+def test_every_record_field_is_read():
+    # name-level, like the call graph: a field counts as read when any
+    # attribute of that name is loaded anywhere in the package
+    fields, read = set(), set()
+    for mod, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                fields |= {
+                    (f"{mod}.{node.name}.{st.target.id}", st.target.id)
+                    for st in node.body
+                    if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                }
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {qual for qual, name in fields if name not in read}
+    assert sorted(unread - FIELDS_ALLOWED) == [], "record field never read"
+    assert sorted(FIELDS_ALLOWED - unread) == [], "allowlisted but read or gone"

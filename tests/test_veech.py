@@ -22,6 +22,7 @@ from flatbundle.hyperbolic import (
     busemann,
     hyp_distance,
 )
+from flatbundle import veech
 from flatbundle.surface import enumerate_saddle_connections
 from flatbundle.veech import (
     build_group_data,
@@ -29,9 +30,9 @@ from flatbundle.veech import (
     build_hull,
     family_balls,
     find_parabolic_fixed_points,
+    group_words,
     horoball_separation,
     region_for,
-    reduced_words,
     sample_limit_set,
     verify_affine,
     word_element,
@@ -45,6 +46,7 @@ ROT8 = (
     (math.cos(math.pi / 4), -math.sin(math.pi / 4)),
     (math.sin(math.pi / 4), math.cos(math.pi / 4)),
 )
+PRESETS = ["lshape_lattice", "octagon_lattice", "octagon_cusped", "octagon_hyperbolic"]
 
 
 def group_data(name, depth=6):
@@ -64,21 +66,21 @@ class TestVerifyAffine:
     def test_identity(self):
         s = load_catalog_surface("octagon")
         a = verify_affine(s, ((1.0, 0.0), (0.0, 1.0)))
-        assert a.checked > 0
-        assert a.derivative.classify() == "identity"
+        assert a == Mobius.identity()
+        assert a.classify() == "identity"
 
     def test_octagon_shear_parabolic(self):
         # the shear amount is twice the sum of the inverse moduli of the two
         # horizontal cylinders: 2(1/(1+sqrt2)·... ) = 2(1+sqrt2)
         s = load_catalog_surface("octagon")
         a = verify_affine(s, SHEAR)
-        assert a.derivative.classify() == "parabolic"
-        assert abs(abs(a.derivative.trace) - 2.0) < 1e-9
+        assert a.classify() == "parabolic"
+        assert abs(abs(a.trace) - 2.0) < 1e-9
 
     def test_octagon_rotation(self):
         s = load_catalog_surface("octagon")
         a = verify_affine(s, ROT8)
-        assert a.derivative.classify() == "elliptic"
+        assert a.classify() == "elliptic"
 
     def test_diagonal_rejected(self):
         s = load_catalog_surface("octagon")
@@ -94,18 +96,77 @@ class TestVerifyAffine:
         s = load_catalog_surface("lshape")
         for m in (((1.0, 2.0), (0.0, 1.0)), ((1.0, 0.0), (2.0, 1.0))):
             a = verify_affine(s, m)
-            assert a.derivative.classify() == "parabolic"
+            assert a.classify() == "parabolic"
 
     def test_generic_shear_rejected_on_lshape(self):
         s = load_catalog_surface("lshape")
         with pytest.raises(NotAnAutomorphism):
             verify_affine(s, ((1.0, 0.5), (0.0, 1.0)))
 
+    def test_nothing_checked_under_cutoff(self):
+        # this generator stretches every saddle connection past the cutoff,
+        # which is why its preset is verified through a basis
+        s = load_catalog_surface("octagon")
+        m = load_group_preset("octagon_hyperbolic")["generators"][0]
+        with pytest.raises(NotAnAutomorphism, match="no holonomy image"):
+            verify_affine(s, m)
+
+
+class TestVerificationPaths:
+    @pytest.mark.parametrize(
+        "name, direct",
+        [
+            ("lshape_lattice", True),
+            ("octagon_lattice", True),
+            ("octagon_cusped", False),
+            ("octagon_hyperbolic", False),
+        ],
+    )
+    def test_basis_and_direct_give_equal_data(self, name, direct, monkeypatch):
+        # without a basis the generators are verified one by one; the group
+        # data must not depend on the path the verification took
+        p = load_group_preset(name)
+        s = load_catalog_surface(p["surface"])
+        via_basis = build_group_data(
+            s,
+            p["generators"],
+            verify_basis=p["verify_basis"],
+            verify_words=p["verify_words"],
+        )
+        if not direct:
+            # entries too large for a holonomy check at the default cutoff:
+            # that is what the basis is for, so trust the matrices here
+            with pytest.raises(NotAnAutomorphism, match="no holonomy image"):
+                build_group_data(s, p["generators"])
+            monkeypatch.setattr(
+                veech, "verify_affine", lambda _s, m: Mobius.from_matrix(m)
+            )
+        alone = build_group_data(s, p["generators"])
+        assert alone.generators == via_basis.generators
+        assert alone.limit_sample == via_basis.limit_sample
+        assert [(g.start, g.end) for g in alone.hull.sides] == [
+            (g.start, g.end) for g in via_basis.hull.sides
+        ]
+        assert alone.parabolic_fixed_points == via_basis.parabolic_fixed_points
+        assert alone.orbit_words == via_basis.orbit_words
+
+    def test_mismatched_word_rejected(self):
+        p = load_group_preset("octagon_cusped")
+        s = load_catalog_surface(p["surface"])
+        with pytest.raises(NotAnAutomorphism, match="does not reproduce"):
+            build_group_data(
+                s,
+                p["generators"],
+                verify_basis=p["verify_basis"],
+                verify_words=[(1,), (1, 2)],
+            )
+
 
 class TestWordsAndLimitSet:
     def test_reduced_words_counts(self):
         # free group on 2 letters: 4 * 3^(L-1) reduced words of length L
-        words = list(reduced_words(2, 3))
+        gens = (Mobius.from_matrix(SHEAR), Mobius.from_matrix(ROT8))
+        words = [w for w, _g in group_words(gens, 3)]
         by_len = {}
         for w in words:
             by_len[len(w)] = by_len.get(len(w), 0) + 1
@@ -113,13 +174,28 @@ class TestWordsAndLimitSet:
         for w in words:
             assert all(w[i + 1] != -w[i] for i in range(len(w) - 1))
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_group_words_match_word_element(self, name):
+        # the same words in the same order as the reference enumeration, and
+        # each element bit for bit the letter-by-letter product
+        p = load_group_preset(name)
+        gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
+        assert group_words(gens, 6) == [
+            (w, word_element(gens, w)) for w in oracles.reduced_words(len(gens), 6)
+        ]
+
+    def test_group_words_kept_to_orbit_depth(self):
+        _s, g = group_data("octagon_cusped", depth=2)
+        assert len(g.orbit_words) == 160
+        assert g.orbit_words == tuple(group_words(g.generators, veech.ORBIT_DEPTH))
+
     def test_parabolic_generator_fixed_point_in_sample(self):
         # a parabolic orbit converges to its fixed point like 1/n, so the
         # tail of the sample approaches it as depth grows
         g = Mobius.from_matrix(SHEAR)
         fix = g.parabolic_fixed_point()
         gap = lambda depth: min(
-            abs(x - fix) for x in sample_limit_set((g,), depth)
+            abs(x - fix) for x in sample_limit_set(group_words((g,), depth))
         )
         assert gap(40) < gap(5)
         assert gap(40) < 0.02
@@ -131,15 +207,17 @@ class TestWordsAndLimitSet:
     def test_sample_monotone_in_depth(self):
         p = load_group_preset("octagon_hyperbolic")
         gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
-        small = sample_limit_set(gens, 3)
-        big = sample_limit_set(gens, 4)
+        small = sample_limit_set(group_words(gens, 3))
+        big = sample_limit_set(group_words(gens, 4))
         for x in small:
             assert min(abs(x - y) for y in big) < 1e-8
 
     def test_sample_deterministic(self):
         p = load_group_preset("octagon_cusped")
         gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
-        assert sample_limit_set(gens, 5) == sample_limit_set(gens, 5)
+        assert sample_limit_set(group_words(gens, 5)) == sample_limit_set(
+            group_words(gens, 5)
+        )
 
 
 class TestHull:
@@ -160,7 +238,7 @@ class TestHull:
         gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
 
         def max_gap(depth):
-            hull = build_hull(sample_limit_set(gens, depth))
+            hull = build_hull(sample_limit_set(group_words(gens, depth)))
             worst = 0.0
             for k in range(16):
                 z = 0.8 * cmath.exp(2j * math.pi * k / 16)
@@ -175,10 +253,8 @@ class TestHull:
         # point, so the image directions stay inside the deeper sample
         p = load_group_preset("octagon_hyperbolic")
         gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
-        small = []
-        for word in reduced_words(len(gens), 5):
-            small.append(word_element(gens, word).apply_disk(0j))
-        big = sample_limit_set(gens, 6)
+        small = [g.apply_disk(0j) for _w, g in group_words(gens, 5)]
+        big = sample_limit_set(group_words(gens, 6))
         for mob in gens:
             for z in small[:50]:
                 img = mob.apply_disk(z)
@@ -191,16 +267,16 @@ class TestHull:
 class TestParabolicScan:
     def test_shear_found(self):
         g = Mobius.from_matrix(SHEAR)
-        found = find_parabolic_fixed_points((g,), 3)
+        found = find_parabolic_fixed_points(group_words((g,), 3))
         assert len(found) == 1
-        xi, word, _el = found[0]
+        xi, word = found[0]
         assert word == (1,)
         assert abs(xi - boundary_from_direction(0.0)) < 1e-9
 
     def test_purely_hyperbolic_empty(self):
         p = load_group_preset("octagon_hyperbolic")
         gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
-        assert find_parabolic_fixed_points(gens, 4) == []
+        assert find_parabolic_fixed_points(group_words(gens, 4)) == []
 
     def test_conjugate_found_with_translated_fixed_point(self):
         _s, g = group_data("octagon_lattice", depth=4)
@@ -209,8 +285,8 @@ class TestParabolicScan:
         conj = rot @ shear @ rot.inverse()
         target = rot.apply_boundary(shear.parabolic_fixed_point())
         assert abs(conj.apply_boundary(target) - target) < 1e-9
-        found = find_parabolic_fixed_points(g.generators, 3)
-        assert min(abs(x - target) for (x, _w, _g) in found) < 1e-9
+        found = find_parabolic_fixed_points(group_words(g.generators, 3))
+        assert min(abs(x - target) for (x, _w) in found) < 1e-9
 
 
 @pytest.fixture(scope="module")
