@@ -70,33 +70,35 @@ def group_names() -> tuple[str, ...]:
 
 
 def parse_group(d: dict, name: str) -> dict:
-    """A group preset from its JSON form: generator matrices as row tuples.
+    """A group preset from its JSON form: a matrix basis and words over it.
 
-    ``name`` is used when the preset does not name itself; missing
-    ``generators`` read as none, which the group build rejects.  Matrices
-    must be 2x2 numbers; ``verify_basis``, when given, needs one
-    ``verify_words`` word per generator in letters +-1..len(basis).
-    Another shape raises ValueError.
+    The basis is the document's ``generators`` (2x2 numbers, as row tuples)
+    or, without them, the ``basis`` of its catalog ``surface``.  ``words``
+    lists one word per group generator in letters +-1..len(basis) (i+1 is
+    basis[i], negative its inverse) and defaults to one letter per matrix.
+    ``name`` is used when the preset does not name itself.  Another shape
+    raises ValueError; a missing basis reads as none, which the group build
+    rejects.
     """
     if not isinstance(d, dict):
         raise ValueError(f"group {name!r} must be a JSON object")
     g = dict(d)
-    matrices = lambda key: _array(g.get(key, []), (None, 2, 2), float, key)
-    g["generators"] = [tuple(tuple(row) for row in m) for m in matrices("generators")]
-    if g.get("verify_basis") is not None:
-        basis = matrices("verify_basis")
-        words = _array(
-            g.get("verify_words"), (len(g["generators"]), None), int, "verify_words"
-        )
-        if any(not 1 <= abs(l) <= len(basis) for w in words for l in w):
-            raise ValueError(f"verify_words letters must be +-1..{len(basis)}")
-        g["verify_basis"], g["verify_words"] = basis, words
+    if "generators" in g or g.get("surface") not in _SURFACES:
+        key, matrices = "generators", g.pop("generators", [])
+    else:
+        key, matrices = "basis", _data(g["surface"])["basis"]
+    basis = _array(matrices, (None, 2, 2), float, key)
+    g["basis"] = [tuple(tuple(row) for row in m) for m in basis]
+    default = [[k + 1] for k in range(len(basis))]
+    g["words"] = _array(g.get("words", default), (None, None), int, "words")
+    if any(not 1 <= abs(l) <= len(basis) for w in g["words"] for l in w):
+        raise ValueError(f"words letters must be +-1..{len(basis)}")
     g.setdefault("name", name)
     return g
 
 
 def load_group_preset(name: str) -> dict:
-    """A group preset: base surface name, kind, and generator matrices."""
+    """A group preset: base surface name, kind, basis matrices and words."""
     groups = _data("groups")
     if name not in groups:
         raise NotFound(f"unknown group {name!r}; try one of {tuple(sorted(groups))}")
@@ -120,6 +122,6 @@ def describe() -> dict:
             "description": g["description"],
             "surface": g["surface"],
             "kind": g["kind"],
-            "generators": g["generators"],
+            "words": g["words"],
         }
     return out

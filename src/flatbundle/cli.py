@@ -113,11 +113,7 @@ def _build_pipeline(cfg: ExperimentConfig):
             f"{preset['surface']!r}, not {surface.name!r}"
         )
     gdata = build_group_data(
-        surface,
-        preset["generators"],
-        depth=cfg.depth,
-        verify_basis=preset.get("verify_basis"),
-        verify_words=preset.get("verify_words"),
+        surface, preset["basis"], preset["words"], depth=cfg.depth
     )
     saddles = enumerate_saddle_connections(surface, cfg.max_length)
     family = build_horoball_family(gdata, saddles)

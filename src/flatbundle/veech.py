@@ -38,6 +38,7 @@ from .surface import TranslationSurface, cross, enumerate_saddle_connections
 ANGLE_DEDUP = 1e-8
 ORBIT_DEPTH = 4  # word length that groups parabolic directions into orbits
 PARABOLIC_DEPTH = 5  # longest word searched for parabolic fixed points
+VERIFY_LENGTH = 2.5  # saddle-connection cutoff of the affine check
 
 
 # -- generator verification --------------------------------------------------
@@ -55,28 +56,26 @@ def _holonomy_key(v: complex):
     return (r, i)
 
 
-def verify_affine(
-    surface: TranslationSurface, m, *, max_length: float = 2.5
-) -> Mobius:
+def verify_affine(surface: TranslationSurface, m) -> Mobius:
     """Check that a unit-determinant matrix preserves the saddle set.
 
     The saddle-connection holonomies (up to sign) form a complete affine
-    invariant of the marked surface; the check maps every enumerated
-    holonomy forward and backward and requires each image under the length
-    cutoff to be an enumerated holonomy itself.
+    invariant of the marked surface; the check maps every holonomy
+    enumerated to VERIFY_LENGTH forward and backward and requires each image
+    under that cutoff to be an enumerated holonomy itself.
     """
     (a, b), (c, d) = m
     det = a * d - b * c
     if abs(det - 1.0) > 1e-9:
         raise NonInvertible(f"matrix determinant {det} is not 1")
     minv = ((d, -b), (-c, a))
-    saddles = enumerate_saddle_connections(surface, max_length)
+    saddles = enumerate_saddle_connections(surface, VERIFY_LENGTH)
     keys = {_holonomy_key(sc.holonomy) for sc in saddles}
     checked = 0
     for mat in (m, minv):
         for sc in saddles:
             w = _apply_matrix(mat, sc.holonomy)
-            if abs(w) > max_length * (1.0 - 1e-9):
+            if abs(w) > VERIFY_LENGTH * (1.0 - 1e-9):
                 continue
             checked += 1
             if _holonomy_key(w) not in keys:
@@ -85,7 +84,7 @@ def verify_affine(
                 )
     if checked == 0:
         raise NotAnAutomorphism(
-            "no holonomy image fell under the cutoff; increase max_length"
+            "no holonomy image fell under the cutoff; factor it into smaller matrices"
         )
     return Mobius.from_matrix(m)
 
@@ -202,49 +201,26 @@ class VeechGroupData:
 
 
 def build_group_data(
-    surface: TranslationSurface,
-    matrices,
-    *,
-    depth: int = 6,
-    verify_basis=None,
-    verify_words=None,
+    surface: TranslationSurface, basis, words, *, depth: int = 6
 ) -> VeechGroupData:
-    """Verified group data from generator matrices.
+    """Verified group data from a matrix basis and words over it.
 
-    Generators whose matrix entries are too large for a direct holonomy
-    check can be supplied factored: ``verify_basis`` lists small matrices
-    verified directly, and ``verify_words`` writes each generator as a word
-    in them (letter i+1 = basis[i], negative = inverse); the automorphism
-    property then follows by closure.  Without a basis the generators are
-    their own basis, each the one-letter word of itself.
+    Each basis matrix is checked by :func:`verify_affine`.  The group's
+    generators are the elements of ``words`` in the order given (letter i+1
+    is basis[i], negative its inverse), automorphisms by closure; their
+    order fixes the order of the word enumeration.
 
     The reduced words are enumerated once, to ``max(depth, ORBIT_DEPTH)``,
     and each reader takes those up to its own length.
     """
-    if verify_basis is None:
-        verify_basis = matrices
-        verify_words = [(k + 1,) for k in range(len(matrices))]
-    basis = tuple(verify_affine(surface, m) for m in verify_basis)
-    gens = []
-    for word, m in zip(verify_words, matrices):
-        g = word_element(basis, word)
-        target = Mobius.from_matrix(m)
-        entries = (g.a, g.b, g.c, g.d)
-        wanted = (target.a, target.b, target.c, target.d)
-        same = max(abs(x - y) for x, y in zip(entries, wanted))
-        opposite = max(abs(x + y) for x, y in zip(entries, wanted))
-        if same > 1e-6 and opposite > 1e-6:
-            raise NotAnAutomorphism(
-                f"word {word} does not reproduce the generator matrix"
-            )
-        gens.append(target)
-    gens = tuple(gens)
-    words = group_words(gens, max(depth, ORBIT_DEPTH))
-    sample = sample_limit_set([(w, g) for w, g in words if len(w) <= depth])
+    verified = tuple(verify_affine(surface, m) for m in basis)
+    gens = tuple(word_element(verified, w) for w in words)
+    reduced = group_words(gens, max(depth, ORBIT_DEPTH))
+    sample = sample_limit_set([(w, g) for w, g in reduced if len(w) <= depth])
     paras = find_parabolic_fixed_points(
-        [(w, g) for w, g in words if len(w) <= min(depth, PARABOLIC_DEPTH)]
+        [(w, g) for w, g in reduced if len(w) <= min(depth, PARABOLIC_DEPTH)]
     )
-    orbit_words = tuple((w, g) for w, g in words if len(w) <= ORBIT_DEPTH)
+    orbit_words = tuple((w, g) for w, g in reduced if len(w) <= ORBIT_DEPTH)
     return VeechGroupData(gens, sample, build_hull(sample), tuple(paras), orbit_words)
 
 

@@ -44,6 +44,7 @@ PRESETS = (
     ("octagon", "octagon_cusped", 2.5),
     ("octagon", "octagon_hyperbolic", 2.5),
     ("lshape", "lshape_lattice", 2.5),
+    ("double_pentagon", "double_pentagon_lattice", 2.5),
 )
 
 
@@ -57,13 +58,7 @@ def setups():
     for surface_name, group_name, max_length in PRESETS:
         s = load_catalog_surface(surface_name)
         p = load_group_preset(group_name)
-        g = build_group_data(
-            s,
-            p["generators"],
-            depth=6,
-            verify_basis=p.get("verify_basis"),
-            verify_words=p.get("verify_words"),
-        )
+        g = build_group_data(s, p["basis"], p["words"], depth=6)
         saddles = enumerate_saddle_connections(s, max_length)
         out[group_name] = (s, g, saddles, build_horoball_family(g, saddles))
     return out

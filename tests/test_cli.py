@@ -5,6 +5,7 @@ import copy
 import json
 from dataclasses import asdict
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ class TestCatalog:
         listing = json.loads(capsys.readouterr().out)
         assert len(listing["surfaces"]) >= 3
         assert len(listing["groups"]) >= 3
+        assert all("words" in g for g in listing["groups"].values())
 
     def test_unknown_id_suggestion(self, capsys):
         code = run_cli(
@@ -84,13 +86,16 @@ class TestValidation:
             ("--surface", {"polygons": 3}),
             ("--group", {"surface": "octagon", "generators": 5}),
             ("--group", {"surface": "octagon", "generators": [[[1, "x"], [0, 1]]]}),
+            ("--group", {"surface": "octagon", "words": [[1, -3]]}),
+            ("--group", {"generators": [[[1, 2], [0, 1]]], "words": [[1], [0]]}),
             ("--config", [1, 2]),
             ("--config", None),
         ],
         ids=[
             "no-gluings", "empty-gluings", "string-depth", "unknown-field",
             "flat-gluing-pair", "number-polygons", "number-generators",
-            "string-matrix-entry", "list-config", "missing-config",
+            "string-matrix-entry", "basis-letter-out-of-range",
+            "generator-letter-zero", "list-config", "missing-config",
         ],
     )
     def test_bad_input_is_one_error_line(
@@ -125,10 +130,11 @@ json_values = st.recursive(
 )
 
 
-def _substitute(data, doc, value):
-    """``doc`` with the whole, one field or one nested entry set to ``value``."""
+def _substitute(data, doc, value, whole=True):
+    """``doc`` with the whole (when ``whole``), one field or one nested entry
+    set to ``value``."""
     doc = copy.deepcopy(doc)
-    key = data.draw(st.sampled_from([None] + sorted(doc)))
+    key = data.draw(st.sampled_from(([None] if whole else []) + sorted(doc)))
     if key is None:
         return value
     node = doc
@@ -159,14 +165,34 @@ class TestParserFuzz:
         except (FlatBundleError, ValueError):
             pass
 
-    @given(st.data(), st.sampled_from(catalog.group_names()), json_values)
+    @given(
+        st.data(), st.sampled_from(catalog.group_names()), st.booleans(), json_values
+    )
     @settings(max_examples=150, deadline=None)
-    def test_group(self, data, name, value):
-        doc = _substitute(data, _data("groups")[name], value)
+    def test_group(self, data, name, bare, value):
+        # a shipped preset, or the same group as a file with bare generators
+        doc = _data("groups")[name]
+        if bare:
+            doc = dict(doc, generators=_data(doc["surface"])["basis"])
+        doc = _substitute(data, doc, value)
         try:
             catalog.parse_group(doc, name)
         except (FlatBundleError, ValueError):
             pass
+
+    @given(st.data(), st.sampled_from(catalog.group_names()), json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_group_on_mutated_surface_basis(self, data, name, value):
+        preset = _data("groups")[name]
+        surface = _data(preset["surface"])
+        surface.update(_substitute(data, {"basis": surface["basis"]}, value, False))
+        real = catalog._data
+        data_files = lambda n: surface if n == preset["surface"] else real(n)
+        with mock.patch.object(catalog, "_data", data_files):
+            try:
+                catalog.parse_group(preset, name)
+            except (FlatBundleError, ValueError):
+                pass
 
     @given(st.data(), json_values)
     @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatbundle import hyperbolic as H
-from flatbundle.catalog import load_group_preset
+from flatbundle.catalog import load_catalog_surface, load_group_preset
 from flatbundle.errors import (
     DegenerateTriple,
     ElementaryGroup,
@@ -16,7 +16,7 @@ from flatbundle.errors import (
     NotInDisk,
     NotOnBoundary,
 )
-from flatbundle.veech import build_hull, group_words, sample_limit_set
+from flatbundle.veech import build_group_data, build_hull
 
 import oracles
 
@@ -264,9 +264,9 @@ def _beyond(g, u, alpha):
 
 @pytest.fixture(scope="module")
 def cusped_hull():
-    gens = load_group_preset("octagon_cusped")["generators"]
-    words = group_words([H.Mobius.from_matrix(m) for m in gens], 6)
-    return build_hull(sample_limit_set(words))
+    p = load_group_preset("octagon_cusped")
+    s = load_catalog_surface(p["surface"])
+    return build_group_data(s, p["basis"], p["words"], depth=6).hull
 
 
 balls = st.builds(

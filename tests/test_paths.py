@@ -33,16 +33,9 @@ from flatbundle import paths as P
 import oracles
 
 
-def _group(surface, name, **kw):
+def _group(surface, name):
     preset = load_group_preset(name)
-    return build_group_data(
-        surface,
-        preset["generators"],
-        depth=preset.get("depth", 6),
-        verify_basis=preset.get("verify_basis"),
-        verify_words=preset.get("verify_words"),
-        **kw,
-    )
+    return build_group_data(surface, preset["basis"], preset["words"])
 
 
 @pytest.fixture(scope="module")

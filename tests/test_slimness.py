@@ -26,13 +26,7 @@ import oracles
 def lshape_setup():
     s = load_catalog_surface("lshape")
     p = load_group_preset("lshape_lattice")
-    g = build_group_data(
-        s,
-        p["generators"],
-        depth=6,
-        verify_basis=p.get("verify_basis"),
-        verify_words=p.get("verify_words"),
-    )
+    g = build_group_data(s, p["basis"], p["words"], depth=6)
     saddles = enumerate_saddle_connections(s, 3.0)
     return s, build_horoball_family(g, saddles), saddles
 
@@ -147,13 +141,7 @@ class TestConvexCocompact:
         # purely hyperbolic group: no balls, collapse is the identity
         s = load_catalog_surface("octagon")
         p = load_group_preset("octagon_hyperbolic")
-        g = build_group_data(
-            s,
-            p["generators"],
-            depth=6,
-            verify_basis=p.get("verify_basis"),
-            verify_words=p.get("verify_words"),
-        )
+        g = build_group_data(s, p["basis"], p["words"], depth=6)
         saddles = enumerate_saddle_connections(s, 3.0)
         fam = build_horoball_family(g, saddles)
         assert all(reg.kind == "point" for reg in fam.values())

@@ -2,15 +2,21 @@
 
 import cmath
 import dataclasses
+import json
 import math
 import random
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatbundle.catalog import load_catalog_surface, surface_names
+from flatbundle.catalog import load_catalog_surface, parse_surface, surface_names
 from flatbundle.errors import (
+    ConeAngleInvalid,
     GenusTooSmall,
     GluingMismatch,
+    NonPlanarPolygon,
     NotAConnection,
     NotAGeodesic,
 )
@@ -90,6 +96,30 @@ class TestLoading:
         bad[1] += 0.05
         with pytest.raises(GluingMismatch):
             load_surface([bad], gl)
+
+    @given(
+        st.sampled_from(surface_names()),
+        st.data(),
+        st.floats(1.0, 10.0),
+        st.integers(-15, -1),
+        st.floats(0.0, 2 * math.pi),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_perturbed_vertex_loads_or_is_rejected(
+        self, name, data, mantissa, exponent, angle
+    ):
+        # one vertex moved by 1e-15 .. 1: the surface loads, or the polygon
+        # or its gluing is rejected with the documented error
+        path = resources.files("flatbundle") / "data" / f"{name}.json"
+        doc = json.loads(path.read_text())
+        poly = data.draw(st.sampled_from(doc["polygons"]))
+        k = data.draw(st.integers(0, len(poly) - 1))
+        step = mantissa * 10.0**exponent * cmath.exp(1j * angle)
+        poly[k] = [poly[k][0] + step.real, poly[k][1] + step.imag]
+        try:
+            parse_surface(doc, name)
+        except (NonPlanarPolygon, GluingMismatch, ConeAngleInvalid):
+            pass
 
 
 class TestTracing:

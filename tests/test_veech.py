@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from flatbundle.catalog import load_catalog_surface, load_group_preset
+from flatbundle.catalog import load_catalog_surface, load_group_preset, parse_group
 from flatbundle.errors import (
     ElementaryGroup,
     NonInvertible,
@@ -47,19 +47,48 @@ ROT8 = (
     (math.sin(math.pi / 4), math.cos(math.pi / 4)),
 )
 PRESETS = ["lshape_lattice", "octagon_lattice", "octagon_cusped", "octagon_hyperbolic"]
+# the generator matrices each preset stored before it became words over its
+# surface's basis: the reference its word products are checked against
+STORED_GENERATORS = {
+    "lshape_lattice": [((1.0, 2.0), (0.0, 1.0)), ((1.0, 0.0), (2.0, 1.0))],
+    "octagon_lattice": [
+        (
+            (0.7071067811865476, -0.7071067811865476),
+            (0.7071067811865476, 0.7071067811865476),
+        ),
+        ((1.0, 4.82842712474619), (0.0, 1.0)),
+    ],
+    "octagon_cusped": [
+        ((1.0, 4.82842712474619), (0.0, 1.0)),
+        (
+            (-13.071067811865476, 18.899494936611664),
+            (-2.414213562373095, 3.414213562373095),
+        ),
+    ],
+    "octagon_hyperbolic": [
+        (
+            (125.2253967444162, -182.50966799187808),
+            (23.31370849898476, -33.970562748477136),
+        ),
+        (
+            (474.58787847867995, -102.91168824543138),
+            (102.91168824543142, -22.31370849898475),
+        ),
+    ],
+}
 
 
 def group_data(name, depth=6):
     p = load_group_preset(name)
     s = load_catalog_surface(p["surface"])
-    g = build_group_data(
-        s,
-        p["generators"],
-        depth=depth,
-        verify_basis=p.get("verify_basis"),
-        verify_words=p.get("verify_words"),
-    )
-    return s, g
+    return s, build_group_data(s, p["basis"], p["words"], depth=depth)
+
+
+def generators(name):
+    """A preset's generators as products of its words, without verification."""
+    p = load_group_preset(name)
+    basis = tuple(Mobius.from_matrix(m) for m in p["basis"])
+    return tuple(word_element(basis, w) for w in p["words"])
 
 
 class TestVerifyAffine:
@@ -105,14 +134,39 @@ class TestVerifyAffine:
 
     def test_nothing_checked_under_cutoff(self):
         # this generator stretches every saddle connection past the cutoff,
-        # which is why its preset is verified through a basis
-        s = load_catalog_surface("octagon")
-        m = load_group_preset("octagon_hyperbolic")["generators"][0]
+        # which is why its preset is a word over the surface's basis
+        s, g = group_data("octagon_hyperbolic")
+        m = g.generators[0]
         with pytest.raises(NotAnAutomorphism, match="no holonomy image"):
-            verify_affine(s, m)
+            verify_affine(s, ((m.a, m.b), (m.c, m.d)))
 
 
 class TestVerificationPaths:
+    @pytest.mark.parametrize("name", ["octagon", "lshape", "double_pentagon"])
+    def test_catalog_basis_verifies(self, name):
+        s = load_catalog_surface(name)
+        basis = parse_group({"surface": name}, name)["basis"]
+        assert len(basis) == 2
+        for m in basis:
+            assert verify_affine(s, m) == Mobius.from_matrix(m)
+
+    @pytest.mark.parametrize("name", PRESETS + ["double_pentagon_lattice"])
+    def test_generators_are_word_products(self, name):
+        _s, g = group_data(name)
+        assert g.generators == generators(name)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_generators_match_stored_matrices(self, name):
+        # up to sign, as a matrix and its negative act alike
+        for g, m in zip(generators(name), STORED_GENERATORS[name]):
+            stored = [x for row in m for x in row]
+            scale = max(abs(x) for x in stored)
+            gap = min(
+                max(abs(x - sign * y) for x, y in zip((g.a, g.b, g.c, g.d), stored))
+                for sign in (1, -1)
+            )
+            assert gap <= 1e-12 * scale
+
     @pytest.mark.parametrize(
         "name, direct",
         [
@@ -122,26 +176,22 @@ class TestVerificationPaths:
             ("octagon_hyperbolic", False),
         ],
     )
-    def test_basis_and_direct_give_equal_data(self, name, direct, monkeypatch):
-        # without a basis the generators are verified one by one; the group
-        # data must not depend on the path the verification took
+    def test_basis_and_direct_give_equal_data(self, name, direct):
+        # a group file with bare generators is its own basis; the group data
+        # must not depend on which form the file took
         p = load_group_preset(name)
         s = load_catalog_surface(p["surface"])
-        via_basis = build_group_data(
-            s,
-            p["generators"],
-            verify_basis=p["verify_basis"],
-            verify_words=p["verify_words"],
-        )
+        doc = {"surface": p["surface"], "generators": STORED_GENERATORS[name]}
+        bare = parse_group(doc, name)
+        assert bare["words"] == [[1], [2]]
         if not direct:
-            # entries too large for a holonomy check at the default cutoff:
-            # that is what the basis is for, so trust the matrices here
+            # entries too large for a holonomy check at the cutoff: that is
+            # why the preset is a word over the surface's basis
             with pytest.raises(NotAnAutomorphism, match="no holonomy image"):
-                build_group_data(s, p["generators"])
-            monkeypatch.setattr(
-                veech, "verify_affine", lambda _s, m: Mobius.from_matrix(m)
-            )
-        alone = build_group_data(s, p["generators"])
+                build_group_data(s, bare["basis"], bare["words"])
+            return
+        alone = build_group_data(s, bare["basis"], bare["words"])
+        via_basis = build_group_data(s, p["basis"], p["words"])
         assert alone.generators == via_basis.generators
         assert alone.limit_sample == via_basis.limit_sample
         assert [(g.start, g.end) for g in alone.hull.sides] == [
@@ -149,17 +199,6 @@ class TestVerificationPaths:
         ]
         assert alone.parabolic_fixed_points == via_basis.parabolic_fixed_points
         assert alone.orbit_words == via_basis.orbit_words
-
-    def test_mismatched_word_rejected(self):
-        p = load_group_preset("octagon_cusped")
-        s = load_catalog_surface(p["surface"])
-        with pytest.raises(NotAnAutomorphism, match="does not reproduce"):
-            build_group_data(
-                s,
-                p["generators"],
-                verify_basis=p["verify_basis"],
-                verify_words=[(1,), (1, 2)],
-            )
 
 
 class TestWordsAndLimitSet:
@@ -178,8 +217,7 @@ class TestWordsAndLimitSet:
     def test_group_words_match_word_element(self, name):
         # the same words in the same order as the reference enumeration, and
         # each element bit for bit the letter-by-letter product
-        p = load_group_preset(name)
-        gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
+        gens = generators(name)
         assert group_words(gens, 6) == [
             (w, word_element(gens, w)) for w in oracles.reduced_words(len(gens), 6)
         ]
@@ -205,16 +243,14 @@ class TestWordsAndLimitSet:
         assert len(g.limit_sample) > 2
 
     def test_sample_monotone_in_depth(self):
-        p = load_group_preset("octagon_hyperbolic")
-        gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
+        gens = generators("octagon_hyperbolic")
         small = sample_limit_set(group_words(gens, 3))
         big = sample_limit_set(group_words(gens, 4))
         for x in small:
             assert min(abs(x - y) for y in big) < 1e-8
 
     def test_sample_deterministic(self):
-        p = load_group_preset("octagon_cusped")
-        gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
+        gens = generators("octagon_cusped")
         assert sample_limit_set(group_words(gens, 5)) == sample_limit_set(
             group_words(gens, 5)
         )
@@ -234,8 +270,7 @@ class TestHull:
     def test_lattice_hull_fills_disk_with_depth(self):
         # a lattice's hull is the whole disk; the approximation's maximal
         # distance from grid points to the region must shrink with depth
-        p = load_group_preset("octagon_lattice")
-        gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
+        gens = generators("octagon_lattice")
 
         def max_gap(depth):
             hull = build_hull(sample_limit_set(group_words(gens, depth)))
@@ -251,8 +286,7 @@ class TestHull:
     def test_sample_generator_invariance(self):
         # applying a generator to a depth-5 orbit point gives a depth-6 orbit
         # point, so the image directions stay inside the deeper sample
-        p = load_group_preset("octagon_hyperbolic")
-        gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
+        gens = generators("octagon_hyperbolic")
         small = [g.apply_disk(0j) for _w, g in group_words(gens, 5)]
         big = sample_limit_set(group_words(gens, 6))
         for mob in gens:
@@ -274,8 +308,7 @@ class TestParabolicScan:
         assert abs(xi - boundary_from_direction(0.0)) < 1e-9
 
     def test_purely_hyperbolic_empty(self):
-        p = load_group_preset("octagon_hyperbolic")
-        gens = tuple(Mobius.from_matrix(m) for m in p["generators"])
+        gens = generators("octagon_hyperbolic")
         assert find_parabolic_fixed_points(group_words(gens, 4)) == []
 
     def test_conjugate_found_with_translated_fixed_point(self):
