@@ -29,15 +29,18 @@ from .surface import (
     Corner,
     SaddleConnection,
     TranslationSurface,
+    _march,
+    _UnionFind,
     ccw_angle,
     connect,
     cross,
     fold_direction,
     seg_point_dist,
-    trace_ray,
 )
 
 WIDTH_TOL = 1e-6
+#: polygons a separatrix is marched through before it counts as open
+SEPARATRIX_BUDGET = 100000
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class Cylinder:
 
 @dataclass(frozen=True)
 class CylinderDecomposition:
-    direction: float
     saddles: tuple[SaddleConnection, ...]
     cylinders: tuple[Cylinder, ...]
     spines: tuple[tuple[int, ...], ...]
@@ -88,16 +90,21 @@ def _separatrices(surface, u, max_trace):
                 continue
             if phi > surface.interior_angle(corner) - TOL_ANGLE:
                 continue  # along the incoming edge; traced from the partner corner
-            res = trace_ray(surface, p, v0, u, max_trace)
-            if res.outcome != "vertex":
+            steps, j = _march(
+                surface, p, 0j, v0, v0 + u * max_trace, SEPARATRIX_BUDGET
+            )
+            if j is None or j < 0:
                 return NoClosureFound(
                     f"separatrix from {corner} still open after length {max_trace}"
                 )
-            crossings = tuple((st.poly, st.edge) for st in res.steps if st.edge >= 0)
+            last = steps[-1]
+            end = Corner(last.poly, j)
+            crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
             sc = SaddleConnection(
-                corner, res.end, res.length * u, phi, res.end_phi, crossings
+                corner, end, abs(last.exit - v0) * u, phi,
+                ccw_angle(surface.edge_vec(*end), -u), crossings,
             )
-            out.append((sc, [(st.poly, st.t, st.entry, st.exit) for st in res.steps]))
+            out.append((sc, [(st.poly, st.t, st.entry, st.exit) for st in steps]))
     return out
 
 
@@ -174,23 +181,6 @@ def _strips(surface, u, developed):
     return list(groups.values())
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 def trace_direction(surface: TranslationSurface, theta: float, max_trace: float):
     """Classify a flow direction by tracing each outgoing separatrix once.
 
@@ -236,7 +226,7 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
         spine_groups.setdefault(spine_uf.find(("s", k)), []).append(k)
     spines = tuple(tuple(sorted(g)) for g in sorted(spine_groups.values()))
 
-    decomp = CylinderDecomposition(theta, tuple(saddles), tuple(cylinders), spines)
+    decomp = CylinderDecomposition(tuple(saddles), tuple(cylinders), spines)
     if abs(decomp.area - surface.area) > 1e-6:
         raise NoCylinders(
             f"cylinder areas {decomp.area} do not tile the surface {surface.area}"

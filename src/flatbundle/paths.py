@@ -79,8 +79,6 @@ class SaddlePiece:
 class PreferredPath:
     """Alternating horizontal and saddle pieces joining two fiber points."""
 
-    start: FiberPoint
-    end: FiberPoint
     pieces: tuple
 
     @property
@@ -123,7 +121,7 @@ def build_preferred_path(
         prev_base = reg.anchor
         prev_corner = sc.end
     pieces.append(HorizontalPiece(prev_base, y.base, prev_corner))
-    return PreferredPath(x, y, tuple(pieces))
+    return PreferredPath(tuple(pieces))
 
 
 def build_direction_graphs(

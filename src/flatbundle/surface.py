@@ -191,6 +191,25 @@ def _next_corner(gluings: dict, polygons, corner: Corner) -> Corner:
     return Corner(q, e)
 
 
+class _UnionFind:
+    """Disjoint sets of hashable items, each created on first use."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+
 def load_surface(
     polygons: list[list[complex]],
     gluings: dict[tuple[int, int], tuple[int, int]],
@@ -249,17 +268,10 @@ def load_surface(
             )
 
     # connectivity
-    parent = list(range(len(polys)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind()
     for (p, _e), (q, _f) in gluings.items():
-        parent[find(p)] = find(q)
-    if len({find(p) for p in range(len(polys))}) != 1:
+        uf.union(p, q)
+    if len({uf.find(p) for p in range(len(polys))}) != 1:
         raise GluingMismatch("surface is not connected")
 
     # cone classes by walking corners around each glued vertex
@@ -406,95 +418,6 @@ def _march(
     return steps, None
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    ok: bool
-    reason: str
-    crossings: tuple[tuple[int, int], ...]
-    end: Corner | None
-    start_phi: float
-    end_phi: float
-
-
-def trace_segment(
-    surface: TranslationSurface,
-    start: Corner,
-    w: complex,
-    *,
-    budget: int = 20000,
-) -> TraceResult:
-    """March the straight segment of holonomy ``w`` out of ``start``.
-
-    The segment succeeds when it ends exactly at a cone point without meeting
-    one on the way.  The start direction must lie in the corner's wedge
-    (measuring counterclockwise from the outgoing edge); directions along the
-    far wedge boundary are rejected so each edge connection is traced from a
-    single corner.
-    """
-    p, i = start
-    evec = surface.edge_vec(p, i)
-    phi = ccw_angle(evec, w)
-    if phi < TOL_ANGLE:
-        if abs(w - evec) < TOL_VERTEX:
-            end = Corner(p, (i + 1) % surface.n_edges(p))
-            return TraceResult(True, "edge", (), end, 0.0, surface.interior_angle(end))
-        return TraceResult(False, "along-edge", (), None, phi, math.nan)
-    if phi > surface.interior_angle(start) - TOL_ANGLE:
-        return TraceResult(False, "outside-wedge", (), None, phi, math.nan)
-
-    steps, j = _march(surface, p, -surface.vertex(p, i), 0j, w, budget)
-    crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
-    if j is None:
-        return TraceResult(False, "budget", crossings, None, phi, math.nan)
-    last = steps[-1]
-    if j < 0:
-        # the target lies in (or on the boundary of) the last polygon
-        t, verts = last.t, surface.polygons[last.poly]
-        j = next((k for k, v in enumerate(verts) if abs(v + t - w) < TOL_VERTEX), -1)
-        if j < 0:
-            return TraceResult(False, "end-not-cone", crossings, None, phi, math.nan)
-    elif abs(last.exit - w) >= TOL_VERTEX:
-        return TraceResult(False, "hits-cone-point", crossings, None, phi, math.nan)
-    ephi = ccw_angle(surface.edge_vec(last.poly, j), -(w - last.entry))
-    return TraceResult(True, "ok", crossings, Corner(last.poly, j), phi, ephi)
-
-
-@dataclass(frozen=True)
-class RayResult:
-    outcome: str  # "vertex" | "maxlen" | "budget"
-    steps: tuple[RayStep, ...]
-    length: float
-    end: Corner | None
-    end_phi: float
-
-
-def trace_ray(
-    surface: TranslationSurface,
-    poly: int,
-    point: complex,
-    direction: complex,
-    max_length: float,
-    *,
-    budget: int = 100000,
-) -> RayResult:
-    """March a ray from a point of a polygon until it hits a cone point.
-
-    Returns the full list of marching steps so callers can post-process them
-    (cylinder decompositions keep a separatrix's steps as its development).
-    """
-    d = direction / abs(direction)
-    steps, j = _march(surface, poly, 0j, point, point + d * max_length, budget)
-    if j is None:
-        return RayResult("budget", tuple(steps), math.nan, None, math.nan)
-    if j < 0:
-        return RayResult("maxlen", tuple(steps), max_length, None, math.nan)
-    last = steps[-1]
-    ephi = ccw_angle(surface.edge_vec(last.poly, j), -d)
-    return RayResult(
-        "vertex", tuple(steps), abs(last.exit - point), Corner(last.poly, j), ephi
-    )
-
-
 # -- saddle connections ------------------------------------------------------
 
 
@@ -542,21 +465,56 @@ class SaddleConnection:
         )
 
 
+#: polygons :func:`connect` marches through before it gives up
+CONNECT_BUDGET = 20000
+
+
 def connect(surface: TranslationSurface, start: Corner, w: complex) -> SaddleConnection:
-    """Trace ``w`` from ``start`` and return the saddle connection, or raise."""
-    res = trace_segment(surface, start, w)
-    if not res.ok:
-        raise NotAConnection(f"segment from {start} by {w}: {res.reason}")
-    return SaddleConnection(
-        start, res.end, w, res.start_phi, res.end_phi, res.crossings
-    )
+    """The saddle connection of holonomy ``w`` out of ``start``.
+
+    The straight segment is one when it ends exactly at a cone point without
+    meeting one on the way.  The start direction must lie in the corner's
+    wedge (measuring counterclockwise from the outgoing edge); directions
+    along the far wedge boundary are rejected so each edge connection is
+    traced from a single corner.  Raises :class:`NotAConnection` naming the
+    reason: ``along-edge``, ``outside-wedge``, ``budget``, ``end-not-cone``
+    or ``hits-cone-point``.
+    """
+    p, i = start
+    evec = surface.edge_vec(p, i)
+    phi = ccw_angle(evec, w)
+    if phi < TOL_ANGLE:
+        if abs(w - evec) >= TOL_VERTEX:
+            raise NotAConnection(f"segment from {start} by {w}: along-edge")
+        end = Corner(p, (i + 1) % surface.n_edges(p))
+        return SaddleConnection(start, end, w, 0.0, surface.interior_angle(end), ())
+    if phi > surface.interior_angle(start) - TOL_ANGLE:
+        raise NotAConnection(f"segment from {start} by {w}: outside-wedge")
+
+    steps, j = _march(surface, p, -surface.vertex(p, i), 0j, w, CONNECT_BUDGET)
+    if j is None:
+        raise NotAConnection(f"segment from {start} by {w}: budget")
+    last = steps[-1]
+    if j < 0:
+        # the target lies in (or on the boundary of) the last polygon
+        t, verts = last.t, surface.polygons[last.poly]
+        j = next((k for k, v in enumerate(verts) if abs(v + t - w) < TOL_VERTEX), -1)
+        if j < 0:
+            raise NotAConnection(f"segment from {start} by {w}: end-not-cone")
+    elif abs(last.exit - w) >= TOL_VERTEX:
+        raise NotAConnection(f"segment from {start} by {w}: hits-cone-point")
+    ephi = ccw_angle(surface.edge_vec(last.poly, j), -(w - last.entry))
+    crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
+    return SaddleConnection(start, Corner(last.poly, j), w, phi, ephi, crossings)
+
+
+#: polygon placements the enumeration's unfolding visits before it gives up
+UNFOLDING_BUDGET = 500000
 
 
 def enumerate_saddle_connections(
     surface: TranslationSurface,
     max_length: float,
-    *,
-    budget: int = 500000,
 ) -> tuple[SaddleConnection, ...]:
     """All saddle connections of length <= ``max_length``, one per orientation class.
 
@@ -583,9 +541,9 @@ def enumerate_saddle_connections(
             while queue:
                 q, t, lo, hi, entry = queue.pop()
                 work += 1
-                if work > budget:
+                if work > UNFOLDING_BUDGET:
                     raise CutoffTooLarge(
-                        f"unfolding exceeded the work budget ({budget})"
+                        f"unfolding exceeded the work budget ({UNFOLDING_BUDGET})"
                     )
                 verts = [v + t for v in surface.polygons[q]]
                 n = len(verts)
@@ -627,12 +585,10 @@ def enumerate_saddle_connections(
             for w in candidates.values():
                 if not canonical_holonomy(w):
                     continue
-                res = trace_segment(surface, corner, w)
-                if not res.ok:
+                try:
+                    sc = connect(surface, corner, w)
+                except NotAConnection:
                     continue
-                sc = SaddleConnection(
-                    corner, res.end, w, res.start_phi, res.end_phi, res.crossings
-                )
                 found.setdefault(sc.key(), sc)
     out = sorted(
         found.values(),

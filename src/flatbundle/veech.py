@@ -56,37 +56,40 @@ def _holonomy_key(v: complex):
     return (r, i)
 
 
-def verify_affine(surface: TranslationSurface, m) -> Mobius:
-    """Check that a unit-determinant matrix preserves the saddle set.
+def verify_affine(surface: TranslationSurface, basis) -> tuple[Mobius, ...]:
+    """Check that unit-determinant matrices preserve the saddle set.
 
     The saddle-connection holonomies (up to sign) form a complete affine
-    invariant of the marked surface; the check maps every holonomy
-    enumerated to VERIFY_LENGTH forward and backward and requires each image
-    under that cutoff to be an enumerated holonomy itself.
+    invariant of the marked surface; the check enumerates them once to
+    VERIFY_LENGTH, maps every one forward and backward by each matrix of
+    ``basis`` and requires each image under that cutoff to be an enumerated
+    holonomy itself.  Returns the matrices as Mobius maps, in order.
     """
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if abs(det - 1.0) > 1e-9:
-        raise NonInvertible(f"matrix determinant {det} is not 1")
-    minv = ((d, -b), (-c, a))
     saddles = enumerate_saddle_connections(surface, VERIFY_LENGTH)
     keys = {_holonomy_key(sc.holonomy) for sc in saddles}
-    checked = 0
-    for mat in (m, minv):
-        for sc in saddles:
-            w = _apply_matrix(mat, sc.holonomy)
-            if abs(w) > VERIFY_LENGTH * (1.0 - 1e-9):
-                continue
-            checked += 1
-            if _holonomy_key(w) not in keys:
-                raise NotAnAutomorphism(
-                    f"image holonomy {w} of {sc.holonomy} is not a saddle connection"
-                )
-    if checked == 0:
-        raise NotAnAutomorphism(
-            "no holonomy image fell under the cutoff; factor it into smaller matrices"
-        )
-    return Mobius.from_matrix(m)
+    for m in basis:
+        (a, b), (c, d) = m
+        det = a * d - b * c
+        if abs(det - 1.0) > 1e-9:
+            raise NonInvertible(f"matrix determinant {det} is not 1")
+        checked = 0
+        for mat in (m, ((d, -b), (-c, a))):
+            for sc in saddles:
+                w = _apply_matrix(mat, sc.holonomy)
+                if abs(w) > VERIFY_LENGTH * (1.0 - 1e-9):
+                    continue
+                checked += 1
+                if _holonomy_key(w) not in keys:
+                    raise NotAnAutomorphism(
+                        f"image holonomy {w} of {sc.holonomy} "
+                        "is not a saddle connection"
+                    )
+        if checked == 0:
+            raise NotAnAutomorphism(
+                "no holonomy image fell under the cutoff; "
+                "factor it into smaller matrices"
+            )
+    return tuple(Mobius.from_matrix(m) for m in basis)
 
 
 # -- word enumeration ---------------------------------------------------------
@@ -205,7 +208,7 @@ def build_group_data(
 ) -> VeechGroupData:
     """Verified group data from a matrix basis and words over it.
 
-    Each basis matrix is checked by :func:`verify_affine`.  The group's
+    The basis is checked by :func:`verify_affine`.  The group's
     generators are the elements of ``words`` in the order given (letter i+1
     is basis[i], negative its inverse), automorphisms by closure; their
     order fixes the order of the word enumeration.
@@ -213,7 +216,7 @@ def build_group_data(
     The reduced words are enumerated once, to ``max(depth, ORBIT_DEPTH)``,
     and each reader takes those up to its own length.
     """
-    verified = tuple(verify_affine(surface, m) for m in basis)
+    verified = verify_affine(surface, basis)
     gens = tuple(word_element(verified, w) for w in words)
     reduced = group_words(gens, max(depth, ORBIT_DEPTH))
     sample = sample_limit_set([(w, g) for w, g in reduced if len(w) <= depth])

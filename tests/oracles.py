@@ -25,13 +25,19 @@ from flatbundle.hyperbolic import (
     uhp_from_disk,
 )
 from flatbundle.cylinders import (
+    SEPARATRIX_BUDGET,
     WIDTH_TOL,
     Cylinder,
     CylinderDecomposition,
     _separatrices,
-    _UnionFind,
 )
-from flatbundle.errors import FlatBundleError, NoClosureFound, NoCylinders, NotAGeodesic
+from flatbundle.errors import (
+    FlatBundleError,
+    NoClosureFound,
+    NoCylinders,
+    NotAConnection,
+    NotAGeodesic,
+)
 from flatbundle.paths import build_fan, build_preferred_path
 from flatbundle.slimness import (
     _ball_distances,
@@ -46,6 +52,8 @@ from flatbundle.surface import (
     SaddleConnection,
     TranslationSurface,
     _find_exit,
+    _march,
+    _UnionFind,
     bent_junction,
     canonical_holonomy,
     ccw_angle,
@@ -54,8 +62,6 @@ from flatbundle.surface import (
     fold_direction,
     seg_point_dist,
     tighten_chain,
-    trace_ray,
-    trace_segment,
 )
 from flatbundle.veech import family_balls
 
@@ -78,12 +84,11 @@ def brute_saddle_connections(surface, max_length, depth):
             for w in _tree_candidates(surface, polys, corner, max_length, depth):
                 if not canonical_holonomy(w):
                     continue
-                res = trace_segment(surface, corner, w)
-                if res.ok:
-                    sc = SaddleConnection(
-                        corner, res.end, w, res.start_phi, res.end_phi, res.crossings
-                    )
-                    by_key.setdefault(sc.key(), sc)
+                try:
+                    sc = connect(surface, corner, w)
+                except NotAConnection:
+                    continue
+                by_key.setdefault(sc.key(), sc)
     return sorted(by_key.values(), key=lambda sc: (sc.length, sc.start, sc.key()))
 
 
@@ -880,8 +885,8 @@ def _seg_seg(a1, b1, a2, b2):
 def _ray_to_barrier(surface, barriers, poly, z0, n, max_dist):
     """(distance, saddle index) of the first barrier the ray from (poly, z0)
     meets, or None."""
-    res = trace_ray(surface, poly, z0, n, max_dist)
-    for st in res.steps:
+    steps, _how = _march(surface, poly, 0j, z0, z0 + n * max_dist, SEPARATRIX_BUDGET)
+    for st in steps:
         a_pl = st.entry
         b_pl = st.exit if st.exit is not None else st.entry + n * max_dist
         best = None
@@ -992,4 +997,4 @@ def trace_direction_rays(surface, theta, max_trace):
     for k in range(len(saddles)):
         spine_groups.setdefault(spine_uf.find(("s", k)), []).append(k)
     spines = tuple(tuple(sorted(g)) for g in sorted(spine_groups.values()))
-    return CylinderDecomposition(theta, tuple(saddles), tuple(cylinders), spines)
+    return CylinderDecomposition(tuple(saddles), tuple(cylinders), spines)

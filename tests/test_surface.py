@@ -29,7 +29,6 @@ from flatbundle.surface import (
     junction_gaps,
     load_surface,
     tighten_chain,
-    trace_segment,
 )
 
 import oracles
@@ -125,14 +124,26 @@ class TestLoading:
 class TestTracing:
     def test_horizontal_diagonal(self, octagon):
         # the long horizontal diagonal stays inside the polygon
-        res = trace_segment(octagon, Corner(0, 6), complex(1 + SQRT2, 0.0))
-        assert res.ok
-        assert res.end == Corner(0, 3)
-        assert res.crossings == ()
+        sc = connect(octagon, Corner(0, 6), complex(1 + SQRT2, 0.0))
+        assert sc.end == Corner(0, 3)
+        assert sc.crossings == ()
 
     def test_along_edge_is_flagged(self, octagon):
-        res = trace_segment(octagon, Corner(0, 0), complex(1 + SQRT2, 0.0))
-        assert not res.ok and res.reason == "along-edge"
+        with pytest.raises(NotAConnection, match="along-edge"):
+            connect(octagon, Corner(0, 0), complex(1 + SQRT2, 0.0))
+
+    @pytest.mark.parametrize(
+        "start, w, reason",
+        [
+            (Corner(0, 0), complex(1 + SQRT2, 0.0), "along-edge"),
+            (Corner(0, 0), complex(-1.0, 0.0), "outside-wedge"),
+            (Corner(0, 6), complex(0.5, 0.0), "end-not-cone"),
+            (Corner(0, 6), complex(2 * (1 + SQRT2), 0.0), "hits-cone-point"),
+        ],
+    )
+    def test_rejection_names_its_reason(self, octagon, start, w, reason):
+        with pytest.raises(NotAConnection, match=reason):
+            connect(octagon, start, w)
 
     def test_single_edge_is_a_connection(self, octagon):
         sc = connect(octagon, Corner(0, 0), 1 + 0j)
@@ -150,8 +161,7 @@ class TestTracing:
         assert back.start == sc.start and back.end == sc.end
         assert back.holonomy == pytest.approx(sc.holonomy, abs=0)
         # the reverse really is traceable
-        res = trace_segment(octagon, rev.start, rev.holonomy)
-        assert res.ok and res.end == sc.start
+        assert connect(octagon, rev.start, rev.holonomy).end == sc.start
 
 
 class TestEnumeration:

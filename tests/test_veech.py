@@ -94,7 +94,7 @@ def generators(name):
 class TestVerifyAffine:
     def test_identity(self):
         s = load_catalog_surface("octagon")
-        a = verify_affine(s, ((1.0, 0.0), (0.0, 1.0)))
+        (a,) = verify_affine(s, [((1.0, 0.0), (0.0, 1.0))])
         assert a == Mobius.identity()
         assert a.classify() == "identity"
 
@@ -102,35 +102,35 @@ class TestVerifyAffine:
         # the shear amount is twice the sum of the inverse moduli of the two
         # horizontal cylinders: 2(1/(1+sqrt2)·... ) = 2(1+sqrt2)
         s = load_catalog_surface("octagon")
-        a = verify_affine(s, SHEAR)
+        (a,) = verify_affine(s, [SHEAR])
         assert a.classify() == "parabolic"
         assert abs(abs(a.trace) - 2.0) < 1e-9
 
     def test_octagon_rotation(self):
         s = load_catalog_surface("octagon")
-        a = verify_affine(s, ROT8)
+        (a,) = verify_affine(s, [ROT8])
         assert a.classify() == "elliptic"
 
     def test_diagonal_rejected(self):
         s = load_catalog_surface("octagon")
         with pytest.raises(NotAnAutomorphism):
-            verify_affine(s, ((2.0, 0.0), (0.0, 0.5)))
+            verify_affine(s, [((2.0, 0.0), (0.0, 0.5))])
 
     def test_bad_determinant(self):
         s = load_catalog_surface("octagon")
         with pytest.raises(NonInvertible):
-            verify_affine(s, ((2.0, 0.0), (0.0, 1.0)))
+            verify_affine(s, [((2.0, 0.0), (0.0, 1.0))])
 
     def test_lshape_shears(self):
         s = load_catalog_surface("lshape")
-        for m in (((1.0, 2.0), (0.0, 1.0)), ((1.0, 0.0), (2.0, 1.0))):
-            a = verify_affine(s, m)
+        shears = [((1.0, 2.0), (0.0, 1.0)), ((1.0, 0.0), (2.0, 1.0))]
+        for a in verify_affine(s, shears):
             assert a.classify() == "parabolic"
 
     def test_generic_shear_rejected_on_lshape(self):
         s = load_catalog_surface("lshape")
         with pytest.raises(NotAnAutomorphism):
-            verify_affine(s, ((1.0, 0.5), (0.0, 1.0)))
+            verify_affine(s, [((1.0, 0.5), (0.0, 1.0))])
 
     def test_nothing_checked_under_cutoff(self):
         # this generator stretches every saddle connection past the cutoff,
@@ -138,7 +138,7 @@ class TestVerifyAffine:
         s, g = group_data("octagon_hyperbolic")
         m = g.generators[0]
         with pytest.raises(NotAnAutomorphism, match="no holonomy image"):
-            verify_affine(s, ((m.a, m.b), (m.c, m.d)))
+            verify_affine(s, [((m.a, m.b), (m.c, m.d))])
 
 
 class TestVerificationPaths:
@@ -147,8 +147,21 @@ class TestVerificationPaths:
         s = load_catalog_surface(name)
         basis = parse_group({"surface": name}, name)["basis"]
         assert len(basis) == 2
-        for m in basis:
-            assert verify_affine(s, m) == Mobius.from_matrix(m)
+        assert verify_affine(s, basis) == tuple(Mobius.from_matrix(m) for m in basis)
+
+    def test_one_enumeration_per_basis(self, monkeypatch):
+        # every basis matrix is checked against the same saddle enumeration
+        calls = []
+        enumerate_all = veech.enumerate_saddle_connections
+        monkeypatch.setattr(
+            veech,
+            "enumerate_saddle_connections",
+            lambda *args: calls.append(args) or enumerate_all(*args),
+        )
+        p = load_group_preset("lshape_lattice")
+        build_group_data(load_catalog_surface(p["surface"]), p["basis"], p["words"])
+        assert len(p["basis"]) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", PRESETS + ["double_pentagon_lattice"])
     def test_generators_are_word_products(self, name):
