@@ -3,7 +3,11 @@
 Interior points of the disk are complex numbers with |z| < 1; ideal boundary
 points are unit complex numbers.  The upper half plane is used internally
 whenever a computation is easier there; the Cayley transform ``w -> (w - i) /
-(w + i)`` identifies the two, sending ``i`` to the disk center.
+(w + i)`` identifies the two, sending ``i`` to the disk center.  There a
+boundary point has one form, the projective vector ``(p, q)`` of the real
+point ``p / q`` (``_uhp_boundary_vector``): infinity is ``(1, 0)`` like any
+other point, and matrices act on it linearly, so no computation branches on
+infinity or rotates points away from it.
 
 A flat structure on a fixed surface corresponds to a point of the disk: the
 coset of rotations in the unit determinant linear group.  ``saddle_length_at``
@@ -184,39 +188,28 @@ def busemann(xi: complex, z: complex) -> float:
 # -- geodesics ---------------------------------------------------------------
 
 
-def _uhp_boundary_coord(xi: complex) -> complex:
-    """Boundary point as an upper half plane real number, or inf."""
-    xi = _check_boundary(xi)
-    if abs(xi - 1.0) < 1e-12:
-        return complex(math.inf, 0.0)
-    w = 1j * (1 + xi) / (1 - xi)
-    return complex(w.real, 0.0)
-
-
 def _uhp_boundary_vector(xi: complex) -> tuple[float, float]:
     """Boundary point ``exp(2ih)`` as the vector (p, q) = (cos h, -sin h) of
     the upper half plane point p / q; (a b; c d) sends it to (ap+bq, cp+dq)."""
-    h = 0.5 * cmath.phase(xi)
+    h = 0.5 * cmath.phase(_check_boundary(xi))
     return math.cos(h), -math.sin(h)
 
 
 @lru_cache(maxsize=65536)
 def _to_zero_inf(xi1: complex, xi2: complex) -> Mobius:
-    """Isometry sending the geodesic (xi1, xi2) to the upward axis (0, inf)."""
-    x1 = _uhp_boundary_coord(xi1)
-    x2 = _uhp_boundary_coord(xi2)
-    if x1 == x2:
+    """Isometry sending the geodesic (xi1, xi2) to the upward axis (0, inf).
+
+    The row (q, -p) vanishes on (p, q): the rows of the two endpoints send
+    them to 0 and inf.  The center i goes to the unit circle, so its foot
+    on the axis is i.
+    """
+    p1, q1 = _uhp_boundary_vector(xi1)
+    p2, q2 = _uhp_boundary_vector(xi2)
+    det = p1 * q2 - q1 * p2
+    if abs(det) < 1e-12:
         raise DegenerateTriple("geodesic endpoints coincide")
-    if math.isinf(x2.real):
-        return Mobius.from_matrix(((1.0, -x1.real), (0.0, 1.0)))
-    if math.isinf(x1.real):
-        # send x1 = inf -> 0, x2 -> inf
-        return Mobius.from_matrix(((0.0, -1.0), (1.0, -x2.real)))
-    a, b = x1.real, x2.real
-    det = a - b
-    if det > 0:
-        return Mobius.from_matrix(((1.0, -a), (1.0, -b)))
-    return Mobius.from_matrix(((-1.0, a), (1.0, -b)))
+    s = 1.0 if det > 0 else -1.0
+    return Mobius.from_matrix(((q1, -p1), (s * q2, -s * p2)))
 
 
 @dataclass(frozen=True)
@@ -253,23 +246,17 @@ class Geodesic:
 def ideal_endpoints(z1: complex, z2: complex) -> tuple[complex, complex]:
     """Ideal endpoints of the geodesic through two interior points.
 
-    Oriented so the geodesic runs from beyond ``z1`` to beyond ``z2``.
+    Oriented so the geodesic runs from beyond ``z1`` to beyond ``z2``: the
+    isometry ``phi`` of ``segment_points`` sends ``z2`` to ``r u`` with
+    ``|u| = 1``, so they are ``phi^-1(-u)`` and ``phi^-1(u)``.
     """
-    w1 = uhp_from_disk(_check_disk(z1))
-    w2 = uhp_from_disk(_check_disk(z2))
-    if abs(w1 - w2) < 1e-15:
+    _check_disk(z1)
+    _check_disk(z2)
+    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
+    if abs(w) < 1e-15:
         raise DegenerateTriple("points coincide")
-    if abs(w1.real - w2.real) < 1e-12 * (1 + abs(w1) + abs(w2)):
-        lo = complex(w1.real, 0.0)
-        if w1.imag < w2.imag:
-            return (disk_from_uhp(lo), complex(1.0, 0.0))
-        return (complex(1.0, 0.0), disk_from_uhp(lo))
-    c = (abs(w1) ** 2 - abs(w2) ** 2) / (2.0 * (w1.real - w2.real))
-    r = abs(w1 - c)
-    a, b = complex(c - r, 0.0), complex(c + r, 0.0)
-    if w1.real > w2.real:
-        a, b = b, a
-    return (disk_from_uhp(a), disk_from_uhp(b))
+    u = w / abs(w)
+    return (-u + z1) / (1.0 - z1.conjugate() * u), (u + z1) / (1.0 + z1.conjugate() * u)
 
 
 def segment_points(z1: complex, z2: complex, n: int) -> np.ndarray:
@@ -318,19 +305,18 @@ class Horoball:
 def geodesic_max_busemann(g: Geodesic, xi: complex) -> float:
     """Maximum of the Busemann function toward ``xi`` along a geodesic.
 
-    Rotating ``xi`` to the upper half plane infinity makes the Busemann
-    function log(Im w); a geodesic with real endpoints x1, x2 is the
-    semicircle of radius |x1 - x2|/2, so the maximum is the log of that
-    radius.  It is +inf when ``xi`` is an endpoint of ``g``.
+    With ``xi`` at the upper half plane infinity the Busemann function is
+    log(Im w) and the geodesic a semicircle; for the boundary vectors v of
+    ``xi`` and v1, v2 of the endpoints its radius is
+    ``|v1 x v2| / (2 |v x v1| |v x v2|)``.  +inf when ``xi`` is an endpoint.
     """
     if abs(g.start - xi) < 1e-12 or abs(g.end - xi) < 1e-12:
         return math.inf
-    rot = cmath.exp(-1j * cmath.phase(xi))
-    x1 = _uhp_boundary_coord(g.start * rot)
-    x2 = _uhp_boundary_coord(g.end * rot)
-    if math.isinf(x1.real) or math.isinf(x2.real):
-        return math.inf
-    return math.log(abs(x1.real - x2.real) / 2.0)
+    p, q = _uhp_boundary_vector(xi)
+    p1, q1 = _uhp_boundary_vector(g.start)
+    p2, q2 = _uhp_boundary_vector(g.end)
+    denom = 2.0 * abs(p * q1 - q * p1) * abs(p * q2 - q * p2)
+    return math.log(abs(p1 * q2 - q1 * p2) / denom)
 
 
 def segment_clip_by_horoball(
@@ -405,47 +391,24 @@ class ConvexRegion:
 # -- ideal triangles ---------------------------------------------------------
 
 
-def _mobius_three_points(x1: float, x2: float, x3: float) -> Mobius:
-    """Real Moebius map sending (x1, x2, x3) to (0, 1, inf)."""
-    a, b = x2 - x3, -x1 * (x2 - x3)
-    c, d = x2 - x1, -x3 * (x2 - x1)
-    det = a * d - b * c
-    if det <= 0:
-        raise DegenerateTriple("triple is not positively oriented")
-    return Mobius.from_matrix(((a, b), (c, d)))
-
-
 def ideal_incenter(xi1: complex, xi2: complex, xi3: complex) -> complex:
     """Incenter of the ideal triangle on three distinct boundary points.
 
     Equidistant from the three sides (at distance log sqrt 3); equivariant
-    under every disk isometry.
+    under every disk isometry.  The boundary vectors scaled by cross
+    products, ``(v2 x v3) v1 + (v3 x v1) v2 + (v1 x v2) v3``, sum to 0, and
+    ``(p, q) -> p - w q`` makes them equilateral exactly when ``w`` is the
+    incenter (true for 0, 1, inf; an isometry multiplies the map by a
+    constant), so ``w`` solves ``p2 - w q2 = omega (p1 - w q1)`` for a cube
+    root of unity ``omega``; the other root gives the conjugate.
     """
-    pts = [_check_boundary(x) for x in (xi1, xi2, xi3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(pts[i] - pts[j]) < 1e-9:
-                raise DegenerateTriple("boundary points are not distinct")
-    # rotate the disk so no vertex sits near the point 1 (uhp infinity)
-    phases = sorted(cmath.phase(x) % (2 * math.pi) for x in pts)
-    gaps = [
-        (phases[(k + 1) % 3] - phases[k]) % (2 * math.pi) for k in range(3)
-    ]
-    kbig = max(range(3), key=lambda k: gaps[k])
-    rot_angle = phases[kbig] + gaps[kbig] / 2.0
-    rot = cmath.exp(-1j * rot_angle)
-    xs = [_uhp_boundary_coord(x * rot).real for x in pts]
-    if math.isinf(xs[0]) or math.isinf(xs[1]) or math.isinf(xs[2]):
-        raise DegenerateTriple("rotation failed to clear infinity")
-    # orient positively
-    x1, x2, x3 = xs
-    try:
-        M = _mobius_three_points(x1, x2, x3)
-    except DegenerateTriple:
-        M = _mobius_three_points(x1, x3, x2)
-    center_std = complex(0.5, math.sqrt(3.0) / 2.0)
-    w = M.inverse().apply_uhp(center_std)
-    return disk_from_uhp(w) / rot
+    (p1, q1), (p2, q2), (p3, q3) = (_uhp_boundary_vector(x) for x in (xi1, xi2, xi3))
+    k1, k2, k3 = p2 * q3 - q2 * p3, p3 * q1 - q3 * p1, p1 * q2 - q1 * p2
+    if 2.0 * min(abs(k1), abs(k2), abs(k3)) < 1e-9:  # |xi_i - xi_j| = 2 |v_i x v_j|
+        raise DegenerateTriple("boundary points are not distinct")
+    omega = complex(-0.5, math.sqrt(3.0) / 2.0)
+    w = (omega * k1 * p1 - k2 * p2) / (omega * k1 * q1 - k2 * q2)
+    return disk_from_uhp(w if w.imag > 0 else w.conjugate())
 
 
 def balance_point(vx: complex, vy: complex, vz: complex) -> complex:

@@ -155,7 +155,8 @@ def triangle_slimness(
 ) -> float:
     """Thinness constant of one collapsed preferred-path triangle.
 
-    ``chains`` holds the flat chains for the sides (x,y), (y,z), (x,z).
+    ``chains`` holds the flat chains for the sides (x,y), (y,z), (x,z), each
+    a list of saddle connections or an already tightened FlatGeodesic.
     Returns the max over sides of the max sample distance to the union of the
     other two sides.  One distance matrix per unordered pair of sides gives
     both directions: its row minima for side ``i`` against side ``j`` and its
@@ -216,11 +217,7 @@ def random_triangle_chains(surface, saddles, rng):
         a = a.reverse(surface)
     cls = surface.class_of(a.end)
     pool = [sc for sc in saddles if surface.class_of(sc.start) is cls]
-    pool += [
-        sc.reverse(surface)
-        for sc in saddles
-        if surface.class_of(sc.reverse(surface).start) is cls
-    ]
+    pool += [sc.reverse(surface) for sc in saddles if surface.class_of(sc.end) is cls]
     if not pool:
         return None
     b = rng.choice(pool)
@@ -264,7 +261,7 @@ def slimness_sweep(
             y = FiberPoint(rb.anchor, a.end)
             z = FiberPoint(bz, b.end)
             delta = triangle_slimness(
-                surface, family, x, y, z, ([a], [b], list(third.pieces)), step=step
+                surface, family, x, y, z, ([a], [b], third), step=step
             )
         except FlatBundleError as exc:
             rejected[type(exc).__name__] += 1

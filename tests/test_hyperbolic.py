@@ -49,6 +49,15 @@ class TestModels:
         with pytest.raises(NotOnBoundary):
             H.busemann(0.5 + 0j, 0j)
 
+    def test_boundary_guard_on_vector_form(self):
+        g = H.Geodesic(complex(1, 0), complex(-1, 0))
+        with pytest.raises(NotOnBoundary):
+            H.Geodesic(0.5 + 0j, -1 + 0j).to_axis()
+        with pytest.raises(NotOnBoundary):
+            H.geodesic_max_busemann(g, 0.5 + 0j)
+        with pytest.raises(NotOnBoundary):
+            H.segment_clip_by_horoball(0.1j, 0.2 - 0.3j, H.Horoball(0.5 + 0j, 1.0))
+
 
 class TestMobius:
     def test_determinant_guard(self):
@@ -196,7 +205,15 @@ class TestGeodesicsAndHoroballs:
         # toward uhp infinity, the max height on the unit semicircle is 1
         g = H.Geodesic(H.disk_from_uhp(complex(-1, 0)), H.disk_from_uhp(complex(1, 0)))
         top = H.geodesic_max_busemann(g, complex(1, 0))
-        assert top == pytest.approx(0.0, abs=1e-7)
+        assert top == pytest.approx(0.0, abs=1e-12)
+
+    @given(angles, angles)
+    @settings(max_examples=200)
+    def test_point_zero_is_foot_of_center(self, a1, a2):
+        xi1, xi2 = cmath.exp(1j * a1), cmath.exp(1j * a2)
+        assume(abs(xi1 - xi2) > 1e-6)
+        g = H.Geodesic(xi1, xi2)
+        assert abs(g.point(0.0) - g.foot(0j)) < 1e-9
 
 
 class TestRegionsAndIncenters:

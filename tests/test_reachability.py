@@ -24,7 +24,6 @@ from flatbundle import cli
 ALLOWED = {
     "hyperbolic.balance_point",
     "hyperbolic.ideal_incenter",
-    "hyperbolic._mobius_three_points",
     "hyperbolic.Geodesic.distance_to",
     "surface.FlatGeodesic.development",
 }
