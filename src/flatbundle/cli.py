@@ -170,9 +170,10 @@ def _random_path(surface, saddles, family, rng):
     return build_preferred_path(surface, x, y, family, [a, b])
 
 
-def _suite_lipschitz(surface, saddles, family, rng, count) -> dict:
+def _suite_lipschitz(surface, saddles, family, rng, count):
     done, violations, margin = 0, 0, math.inf
     attempts, rejected = 0, Counter()
+    first_path = None
     while saddles and done < count and attempts < count * 40:
         attempts += 1
         try:
@@ -182,6 +183,8 @@ def _suite_lipschitz(surface, saddles, family, rng, count) -> dict:
             rejected[type(exc).__name__] += 1
             continue
         done += 1
+        if first_path is None:
+            first_path = path
         gap = path.d_length - collapsed
         margin = min(margin, gap)
         if gap < -1e-12:
@@ -193,7 +196,7 @@ def _suite_lipschitz(surface, saddles, family, rng, count) -> dict:
         "minMargin": margin if done else None,
         "attempts": attempts,
         "rejected": dict(rejected),
-    }
+    }, first_path
 
 
 def _suite_structure(surface, saddles, rng, count) -> dict:
@@ -294,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     suites["gaussBonnet"] = _suite_gauss_bonnet(surface)
     suites["classification"] = _suite_classification(family)
     suites["cylinderArea"], decomps = _suite_cylinders(graphs)
-    suites["lipschitzCollapse"] = _suite_lipschitz(
+    suites["lipschitzCollapse"], first_path = _suite_lipschitz(
         surface, saddles, family, rng, _COUNTS["paths"]
     )
     suites["structureLemma"], last_fan = _suite_structure(
@@ -336,14 +339,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         )
     if last_fan is not None:
         (out / "ideal-fan.svg").write_text(render.render_ideal_fan(last_fan))
-    path_rng = random.Random(cfg.seed + 1)
-    for _ in range(200 if saddles else 0):
-        try:
-            path = _random_path(surface, saddles, family, path_rng)
-        except FlatBundleError:
-            continue
-        (out / "path.svg").write_text(render.render_path(path))
-        break
+    if first_path is not None:
+        (out / "path.svg").write_text(render.render_path(first_path))
     return report
 
 

@@ -61,6 +61,10 @@ class DirectionInsideHullNotParabolic(FlatBundleError):
     """A saddle direction sits inside the hull arcs but no parabolic witness exists."""
 
 
+class CuspAtHullVertex(FlatBundleError):
+    """A parabolic direction coincides with a vertex of the sampled hull."""
+
+
 class NoCylinders(FlatBundleError):
     """A direction traced to closure but produced no cylinder."""
 

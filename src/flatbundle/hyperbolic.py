@@ -19,10 +19,11 @@ boundary point ``exp(-2i theta)``.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import DegenerateTriple, NonInvertible, NotInDisk, NotOnBoundary
 TOL_DET = 1e-9
 TOL_BOUNDARY = 1e-9
 TOL_CLASSIFY = 1e-9  # trace and identity tolerance of Mobius.classify
+TOL_HOROBALL = 1e-12  # Busemann slack of Horoball.contains
 
 
 def _check_disk(z: complex) -> complex:
@@ -131,11 +133,13 @@ class Mobius:
         return "hyperbolic"
 
     def parabolic_fixed_point(self) -> complex:
-        """The boundary point fixed by this element, which must be parabolic."""
-        if abs(self.c) < 1e-13:
-            return boundary_from_direction(0.0)  # fixes infinity
-        xi = disk_from_uhp(complex((self.a - self.d) / (2.0 * self.c), 0.0))
-        return xi / abs(xi)
+        """The boundary point fixed by this element, which must be parabolic:
+        ``exp(2ih)`` for its vector ``(cos h, -sin h)``, either of the parallel
+        ``(a - d, 2c)`` and ``(2b, d - a)``, whichever is longer."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        p, q = max((a - d, 2.0 * c), (2.0 * b, d - a), key=lambda v: math.hypot(*v))
+        u = complex(p, -q) / math.hypot(p, q)
+        return u * u
 
 
 def hyp_distance(z1: complex, z2: complex) -> float:
@@ -286,20 +290,22 @@ class Horoball:
     base: complex
     level: float
 
-    def contains(self, z: complex, *, tol: float = 1e-12) -> bool:
-        return busemann(self.base, z) >= self.level - tol
+    def contains(self, z: complex) -> bool:
+        return busemann(self.base, z) >= self.level - TOL_HOROBALL
 
     def distance_to_point(self, z: complex) -> float:
         return max(0.0, self.level - busemann(self.base, z))
 
     def closest_point_to(self, z: complex) -> complex:
-        """Point of the closed horoball nearest to ``z``: with the base at the
-        upper half plane infinity the ball is ``Im w >= e^level``, so straight above."""
+        """Point of the closed horoball nearest to ``z``: the rotation about
+        i with rows ``(p, q)`` and ``(-q, p)`` sends the base's vector (p, q)
+        to infinity, where the ball is ``Im w >= e^level``, so straight above."""
         if self.contains(z):
             return z
-        rot = cmath.exp(-1j * cmath.phase(self.base))
-        w = uhp_from_disk(z * rot)
-        return disk_from_uhp(complex(w.real, math.exp(self.level))) / rot
+        p, q = _uhp_boundary_vector(self.base)
+        M = Mobius(p, q, -q, p)
+        w = M.apply_uhp(uhp_from_disk(z))
+        return disk_from_uhp(M.inverse().apply_uhp(complex(w.real, math.exp(self.level))))
 
 
 def geodesic_max_busemann(g: Geodesic, xi: complex) -> float:
@@ -330,9 +336,10 @@ def segment_clip_by_horoball(
     ``q^2 t^2 - t + p^2 <= 0``: an interval of t, or a ray when q = 0.
     """
     total = hyp_distance(z1, z2)
-    if total < 1e-15:
+    try:
+        g = Geodesic(*ideal_endpoints(z1, z2))
+    except DegenerateTriple:  # the points are too close to span a geodesic
         return (0.0, 0.0)
-    g = Geodesic(*ideal_endpoints(z1, z2))
     M = g.to_axis()
     u1 = math.log(abs(M.apply_uhp(uhp_from_disk(z1))))
     u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))
@@ -360,17 +367,21 @@ def segment_clip_by_horoball(
 
 @dataclass(frozen=True)
 class ConvexRegion:
-    """Intersection of left half planes of oriented complete geodesics.
+    """Ideal polygon: the intersection of the left half planes of its sides.
 
-    The sides must bound an ideal polygon, as ``veech.build_hull`` makes
-    them: its complement is the disjoint union of the half planes beyond the
-    sides, so a point outside lies beyond exactly one side (``side_beyond``)
-    and ``project`` sends it to its foot there.  An empty side list is the
-    whole disk (the hull of a dense limit set is approximated by many short
-    sides instead of being special cased).
+    The sides must run counterclockwise from the vertex of least angle in
+    [0, 2 pi), each ending where the next starts, as ``veech.build_hull``
+    makes them.  A point outside lies beyond exactly one side
+    (``side_beyond``) and ``project`` sends it to its foot there; a boundary
+    point off the vertices lies on the arc beyond exactly one side
+    (``side_facing``).  An empty side list is the whole disk.
     """
 
     sides: tuple[Geodesic, ...]
+
+    @cached_property
+    def _start_angles(self) -> list[float]:
+        return [cmath.phase(g.start) % (2 * math.pi) for g in self.sides]
 
     def contains(self, z: complex, *, tol: float = 1e-9) -> bool:
         return all(g.side_of(z) >= -tol for g in self.sides)
@@ -381,6 +392,14 @@ class ConvexRegion:
         # is the one side that z lies beyond
         g = min(self.sides, key=lambda g: g.side_of(z), default=None)
         return g if g is not None and g.side_of(z) < -1e-9 else None
+
+    def side_facing(self, xi: complex) -> Geodesic | None:
+        """The side whose boundary arc, from its start counterclockwise to its
+        end, holds the ideal point ``xi`` (None when there are no sides)."""
+        if not self.sides:
+            return None
+        k = bisect.bisect_right(self._start_angles, cmath.phase(xi) % (2 * math.pi))
+        return self.sides[k - 1]  # k = 0: the last side, across angle 0
 
     def project(self, z: complex) -> complex:
         """Closest point of the region (identity on the region itself)."""

@@ -66,7 +66,7 @@ def _dot(z: complex, r: float, fill: str) -> str:
 def render_horoballs(gdata, family) -> str:
     """Hull shading, horoballs tangent to the boundary, horopoint feet."""
     el = [_disk_boundary()]
-    sample = sorted(gdata.limit_sample, key=lambda z: cmath.phase(z))
+    sample = sorted((g.start for g in gdata.hull.sides), key=cmath.phase)
     if len(sample) >= 3:
         coords = " ".join(",".join(_xy(z)) for z in sample)
         el.append(

@@ -14,8 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
+    CuspAtHullVertex,
+    CutoffTooLarge,
     DirectionInsideHullNotParabolic,
     ElementaryGroup,
     NonInvertible,
@@ -37,6 +40,7 @@ from .surface import TranslationSurface, cross, enumerate_saddle_connections
 
 ANGLE_DEDUP = 1e-8
 ORBIT_DEPTH = 4  # word length that groups parabolic directions into orbits
+MAX_WORDS = 150_000  # most reduced words build_group_data enumerates
 PARABOLIC_DEPTH = 5  # longest word searched for parabolic fixed points
 VERIFY_LENGTH = 2.5  # saddle-connection cutoff of the affine check
 
@@ -130,43 +134,26 @@ def word_element(generators: tuple[Mobius, ...], word) -> Mobius:
 # -- limit set, hull, parabolic points ---------------------------------------
 
 
-def _circular_dedup(points, tol: float) -> list[complex]:
-    """The points sorted by angle, without any point within ``tol`` of the
-    one before it, circularly."""
-    out = []
-    for x in sorted(points, key=lambda z: cmath.phase(z) % (2 * math.pi)):
-        if out and abs(x - out[-1]) < tol:
-            continue
-        out.append(x)
-    if len(out) > 1 and abs(out[0] - out[-1]) < tol:
-        out.pop()
-    return out
-
-
-def sample_limit_set(words) -> tuple[complex, ...]:
+def sample_limit_set(words) -> list[complex]:
     """Boundary directions of the orbit of the center under the elements of
-    ``(word, element)`` pairs.
-
-    Deduplicated at angular tolerance 1e-8 and returned sorted by angle.
-    """
-    pts = []
-    for _word, g in words:
-        z = g.apply_disk(0j)
-        if abs(z) < 1e-9:
-            continue
-        pts.append(z / abs(z))
-    return tuple(_circular_dedup(pts, ANGLE_DEDUP))
+    ``(word, element)`` pairs, in the order of ``words``; ``build_hull``
+    sorts them and drops duplicates."""
+    pts = [g.apply_disk(0j) for _word, g in words]
+    return [z / abs(z) for z in pts if abs(z) >= 1e-9]
 
 
 def build_hull(sample) -> ConvexRegion:
-    """Ideal polygon on the circularly sorted sample points."""
-    dedup = _circular_dedup(set(sample), 1e-10)
-    if len(dedup) < 3:
-        raise ElementaryGroup(f"only {len(dedup)} distinct limit points")
-    sides = tuple(
-        Geodesic(dedup[k], dedup[(k + 1) % len(dedup)]) for k in range(len(dedup))
-    )
-    return ConvexRegion(sides)
+    """Ideal polygon on the sample points sorted by angle in [0, 2 pi),
+    without any point within ANGLE_DEDUP of the one before it, circularly."""
+    pts: list[complex] = []
+    for x in sorted(sample, key=lambda z: cmath.phase(z) % (2 * math.pi)):
+        if not pts or abs(x - pts[-1]) >= ANGLE_DEDUP:
+            pts.append(x)
+    if len(pts) > 1 and abs(pts[0] - pts[-1]) < ANGLE_DEDUP:
+        pts.pop()
+    if len(pts) < 3:
+        raise ElementaryGroup(f"only {len(pts)} distinct limit points")
+    return ConvexRegion(tuple(Geodesic(a, b) for a, b in zip(pts, pts[1:] + pts[:1])))
 
 
 def find_parabolic_fixed_points(words):
@@ -190,8 +177,7 @@ def find_parabolic_fixed_points(words):
 @dataclass(frozen=True)
 class VeechGroupData:
     generators: tuple[Mobius, ...]
-    limit_sample: tuple[complex, ...]
-    hull: ConvexRegion
+    hull: ConvexRegion  # its vertices are the limit-set sample
     parabolic_fixed_points: tuple = field(hash=False, compare=False)
     # the (word, element) pairs of length <= ORBIT_DEPTH, shortest first
     orbit_words: tuple = field(hash=False, compare=False)
@@ -214,17 +200,24 @@ def build_group_data(
     order fixes the order of the word enumeration.
 
     The reduced words are enumerated once, to ``max(depth, ORBIT_DEPTH)``,
-    and each reader takes those up to its own length.
+    and each reader takes those up to its own length; more than MAX_WORDS
+    of them, ``sum_{k <= L} 2n (2n - 1)^(k - 1)`` for n generators and
+    length L, raise CutoffTooLarge before any work is done.
     """
+    length = max(depth, ORBIT_DEPTH)
+    m = 2 * len(words) - 1  # letters that may follow a letter
+    count = (m + 1) * (length if m == 1 else (m**length - 1) // (m - 1))
+    if count > MAX_WORDS:
+        raise CutoffTooLarge(f"depth {depth} gives {count} group words, over {MAX_WORDS}")
     verified = verify_affine(surface, basis)
     gens = tuple(word_element(verified, w) for w in words)
-    reduced = group_words(gens, max(depth, ORBIT_DEPTH))
-    sample = sample_limit_set([(w, g) for w, g in reduced if len(w) <= depth])
+    reduced = group_words(gens, length)
+    hull = build_hull(sample_limit_set([(w, g) for w, g in reduced if len(w) <= depth]))
     paras = find_parabolic_fixed_points(
         [(w, g) for w, g in reduced if len(w) <= min(depth, PARABOLIC_DEPTH)]
     )
     orbit_words = tuple((w, g) for w, g in reduced if len(w) <= ORBIT_DEPTH)
-    return VeechGroupData(gens, sample, build_hull(sample), tuple(paras), orbit_words)
+    return VeechGroupData(gens, hull, tuple(paras), orbit_words)
 
 
 # -- horoball family ----------------------------------------------------------
@@ -252,15 +245,6 @@ def _boundary_foot(g: Geodesic, xi: complex) -> complex:
     if min(abs(p), abs(q)) < 1e-15 * max(abs(p), abs(q)):
         raise NotFound("boundary point is an endpoint of the geodesic")
     return disk_from_uhp(M.inverse().apply_uhp(1j * abs(p / q)))
-
-
-def _project_boundary_to_hull(hull: ConvexRegion, xi: complex) -> complex:
-    """Limit of projecting points tending to ``xi`` onto the region: the foot
-    of ``xi`` on the one side that separates it from the region."""
-    g = hull.side_beyond(0.999999 * xi)
-    if g is None:
-        raise NotFound("no hull side separates the boundary point")
-    return _boundary_foot(g, xi)
 
 
 def _ball_point_toward(xi: complex, c: float) -> complex:
@@ -298,6 +282,12 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     horocycle exactly when ``c >= log(3 |h|^2 / min_v |h x v|)``.  A hull
     side stays one unit clear when c is at least its maximal Busemann value
     plus one.  Each level is the largest of these bounds and 0.
+
+    The hull side facing a direction's ideal point xi (``side_facing``)
+    answers all three hull questions: its endpoints are the sample points
+    nearest to xi, a point's anchor is the foot of xi on it, and no side
+    reaches deeper toward xi (with xi at infinity the sides are semicircles
+    of height their radius, and it alone spans all the vertices).
     """
     # distinct directions with their shortest holonomies
     dirs: list[tuple[float, complex]] = []
@@ -317,20 +307,21 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     ball_dirs = []
     for theta, hol in dirs:
         xi = boundary_from_direction(theta)
-        witness = None
-        for (xp, word) in paras:
-            if abs(xi - xp) < 1e-6:
-                witness = word
-                break
+        side = hull.side_facing(xi)
+        at_vertex = side is not None and (
+            min(abs(xi - side.start), abs(xi - side.end)) < ANGLE_DEDUP
+        )
+        witness = next((word for xp, word in paras if abs(xi - xp) < 1e-6), None)
         if witness is not None:
-            ball_dirs.append((theta, hol, xi, witness))
-            continue
-        if any(abs(xi - s) < ANGLE_DEDUP for s in gdata.limit_sample):
+            if at_vertex:
+                raise CuspAtHullVertex(f"parabolic direction {theta} is a hull vertex")
+            ball_dirs.append((theta, hol, xi, witness, side))
+        elif side is None or at_vertex:
             raise DirectionInsideHullNotParabolic(
                 f"direction {theta} meets the limit sample without a parabolic witness"
             )
-        foot = _project_boundary_to_hull(hull, xi)
-        family[round(theta, 8)] = HoroRegion("point", theta, xi, anchor=foot)
+        else:
+            family[round(theta, 8)] = HoroRegion("point", theta, xi, _boundary_foot(side, xi))
 
     if not ball_dirs:
         return family
@@ -339,24 +330,21 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     orbit_words = [((), Mobius.identity())] + list(gdata.orbit_words)
     reps: list[int] = []
     orbit_of: dict[int, tuple[int, Mobius]] = {}
-    for i, (_t, _h, xi, _w) in enumerate(ball_dirs):
-        placed = False
-        for r in reps:
-            for (_word, g) in orbit_words:
-                if abs(g.apply_boundary(ball_dirs[r][2]) - xi) < 1e-6:
-                    orbit_of[i] = (r, g)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
+    for i, (_t, _h, xi, _w, _s) in enumerate(ball_dirs):
+        images = (
+            (r, g)
+            for r in reps
+            for _word, g in orbit_words
+            if abs(g.apply_boundary(ball_dirs[r][2]) - xi) < 1e-6
+        )
+        orbit_of[i] = next(images, (i, Mobius.identity()))
+        if orbit_of[i][0] == i:  # no earlier representative maps to xi
             reps.append(i)
-            orbit_of[i] = (i, Mobius.identity())
 
     # per-representative minimal admissible level, in closed form
     rep_level: dict[int, float] = {}
     for r in reps:
-        theta, hol, xi, _w = ball_dirs[r]
+        theta, hol, xi, _w, side = ball_dirs[r]
         cross_min = min(
             (
                 abs(cross(hol, sc.holonomy))
@@ -368,35 +356,26 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
         )
         if cross_min is None:
             raise NotFound("need saddle connections in a second direction")
-        hull_level = max(
-            (
-                geodesic_max_busemann(g, xi) + 1.0
-                for g in hull.sides
-                if abs(g.start - xi) >= 1e-9 and abs(g.end - xi) >= 1e-9
-            ),
-            default=0.0,
-        )
+        hull_level = 0.0 if side is None else geodesic_max_busemann(side, xi) + 1.0
         rep_level[r] = max(0.0, math.log(3.0 * abs(hol) ** 2 / cross_min), hull_level)
 
     # transport levels along the orbits
     balls: dict[int, Horoball] = {}
-    for i, (theta, hol, xi, _w) in enumerate(ball_dirs):
+    for i, (theta, hol, xi, _w, _s) in enumerate(ball_dirs):
         r, g = orbit_of[i]
         p = g.apply_disk(_ball_point_toward(ball_dirs[r][2], rep_level[r]))
         balls[i] = Horoball(xi, busemann(xi, p))
 
     # enforce pairwise unit separation by deepening uniformly if needed
-    idx = list(balls)
-    deficit = 0.0
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            sep = horoball_separation(balls[idx[a]], balls[idx[b]])
-            deficit = max(deficit, 1.0 - sep)
+    deficit = max(
+        [0.0]
+        + [1.0 - horoball_separation(b1, b2) for b1, b2 in combinations(balls.values(), 2)]
+    )
     if deficit > 0.0:
         bump = 0.5 * deficit + 1e-6
         balls = {i: Horoball(b.base, b.level + bump) for i, b in balls.items()}
 
-    for i, (theta, hol, xi, witness) in enumerate(ball_dirs):
+    for i, (theta, hol, xi, witness, _s) in enumerate(ball_dirs):
         ball = balls[i]
         if ball.contains(basepoint):
             anchor = _ball_point_toward(xi, ball.level) if abs(basepoint) < 1e-12 else basepoint

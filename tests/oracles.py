@@ -2,10 +2,10 @@
 
 Everything here favors obviousness over speed: exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
-shortening of flat geodesics, sampled and bisected hyperbolic searches,
-per-point geodesic sampling, group words without their elements, one
-distance matrix per ordered pair of triangle sides and cylinder
-decompositions from transverse ray probes.
+shortening of flat geodesics, scans over every hull side, sampled and
+bisected hyperbolic searches, per-point geodesic sampling, group words
+without their elements, one distance matrix per ordered pair of triangle
+sides and cylinder decompositions from transverse ray probes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from flatbundle.hyperbolic import (
     Mobius,
     busemann,
     disk_from_uhp,
+    geodesic_max_busemann,
     hyp_distance,
     ideal_endpoints,
     uhp_from_disk,
@@ -32,11 +33,13 @@ from flatbundle.cylinders import (
     _separatrices,
 )
 from flatbundle.errors import (
+    DegenerateTriple,
     FlatBundleError,
     NoClosureFound,
     NoCylinders,
     NotAConnection,
     NotAGeodesic,
+    NotFound,
 )
 from flatbundle.paths import build_fan, build_preferred_path
 from flatbundle.slimness import (
@@ -63,7 +66,7 @@ from flatbundle.surface import (
     seg_point_dist,
     tighten_chain,
 )
-from flatbundle.veech import family_balls
+from flatbundle.veech import ANGLE_DEDUP, _boundary_foot, family_balls
 
 
 def brute_saddle_connections(surface, max_length, depth):
@@ -217,6 +220,34 @@ def project_to_region(region, z):
     return best
 
 
+def meets_sample_by_scan(hull, xi):
+    """Whether the ideal point ``xi`` lies within ANGLE_DEDUP of a hull
+    vertex (a limit-set sample point), by trying every vertex."""
+    return any(abs(xi - g.start) < ANGLE_DEDUP for g in hull.sides)
+
+
+def boundary_foot_by_nudge(hull, xi):
+    """Foot of ``xi`` on the hull side that a point just inside the circle
+    toward ``xi`` lies beyond, found by ``side_beyond`` over all sides."""
+    g = hull.side_beyond(0.999999 * xi)
+    if g is None:
+        raise NotFound("no hull side separates the boundary point")
+    return _boundary_foot(g, xi)
+
+
+def hull_clearance_by_scan(hull, xi):
+    """One plus the largest Busemann value toward ``xi`` over every hull side
+    without an endpoint at ``xi``; 0 for a hull with no sides."""
+    return max(
+        (
+            geodesic_max_busemann(g, xi) + 1.0
+            for g in hull.sides
+            if abs(g.start - xi) >= 1e-9 and abs(g.end - xi) >= 1e-9
+        ),
+        default=0.0,
+    )
+
+
 def _reflect_through(z, xi):
     """Second ideal endpoint of the geodesic from ``z`` into ``xi``."""
     # rotate xi to the disk point 1 (uhp infinity); the geodesic through z
@@ -256,9 +287,10 @@ def clip_by_horoball(z1, z2, ball):
     ball, so an intersection shorter than the sample spacing is missed.
     """
     total = hyp_distance(z1, z2)
-    if total < 1e-15:
+    try:
+        g = Geodesic(*ideal_endpoints(z1, z2))
+    except DegenerateTriple:  # the points are too close to span a geodesic
         return (0.0, 0.0)
-    g = Geodesic(*ideal_endpoints(z1, z2))
     M = g.to_axis()
     u1 = math.log(abs(M.apply_uhp(uhp_from_disk(z1))))
     u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatbundle import catalog, cli, paths
+from flatbundle import catalog, cli, paths, render, veech
 from flatbundle.errors import FlatBundleError, NoCylinders
 
 
@@ -66,6 +66,17 @@ class TestValidation:
         )
         assert code == 2
         assert "max-trace" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_depth_over_word_budget_fails_before_work(self, tmp_path, capsys, monkeypatch):
+        # 2 * (3^40 - 1) group words; the count is refused before any is built
+        monkeypatch.setattr(veech, "group_words", None)
+        out = tmp_path / "run"
+        code = run_cli(["run", "--group", "lshape_lattice", "--surface", "lshape",
+                        "--depth", "40", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: depth 40 gives")
         assert not out.exists()
 
     def test_group_surface_mismatch(self, capsys):
@@ -267,6 +278,21 @@ class TestRun:
                 assert r1 == r2
             else:
                 assert (out2 / name).read_bytes() == blob
+
+    def test_path_svg_is_first_lipschitz_path(self, tmp_path, monkeypatch):
+        accepted = []
+
+        def recording(surface, path, family):
+            value = paths.collapsed_length(surface, path, family)
+            accepted.append(path)
+            return value
+
+        monkeypatch.setattr(cli, "collapsed_length", recording)
+        out = tmp_path / "run"
+        argv = ["run", "--surface", "lshape", "--group", "lshape_lattice",
+                "--max-length", "2.5", "--seed", "2", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert (out / "path.svg").read_text() == render.render_path(accepted[0])
 
     def test_unclosed_direction_fails_cylinder_suite(self, tmp_path, capsys):
         # at this trace budget no ball direction closes up

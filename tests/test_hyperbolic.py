@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatbundle import hyperbolic as H
@@ -100,6 +100,14 @@ class TestMobius:
         ):
             xi = m.parabolic_fixed_point()
             assert abs(m.apply_boundary(xi) - xi) < 1e-6
+
+    @given(angles, st.floats(-5.0, 5.0).filter(lambda t: abs(t) > 1e-3))
+    def test_fixed_point_of_conjugate_shear(self, a, t):
+        # the rotation r sends the shear's fixed point infinity (the disk
+        # point 1) to r(1); a near 0 puts the fixed point near infinity
+        r = H.Mobius(math.cos(a), -math.sin(a), math.sin(a), math.cos(a))
+        m = r @ H.Mobius(1.0, t, 0.0, 1.0) @ r.inverse()
+        assert abs(m.parabolic_fixed_point() - r.apply_boundary(1 + 0j)) < 1e-9
 
 
 class TestDistance:
@@ -319,6 +327,25 @@ class TestClosedFormsAgainstOracles:
             assume(False)
         assert (hull.side_beyond(z) is None) == hull.contains(z)
 
+    @given(st.lists(angles, min_size=3, max_size=12), angles)
+    @settings(max_examples=300)
+    def test_side_facing_random_polygons(self, vertex_angles, a):
+        # points just inside the circle near xi lie beyond the side facing
+        # xi, and no other side reaches as deep toward xi
+        try:
+            hull = build_hull([cmath.exp(1j * t) for t in vertex_angles])
+        except ElementaryGroup:
+            assume(False)
+        xi = cmath.exp(1j * a)
+        assume(all(abs(xi - g.start) > 1e-6 for g in hull.sides))
+        side = hull.side_facing(xi)
+        assert hull.side_beyond((1.0 - 1e-9) * xi) is side
+        clearance = H.geodesic_max_busemann(side, xi) + 1.0
+        assert clearance == oracles.hull_clearance_by_scan(hull, xi)
+
+    def test_side_facing_without_sides(self):
+        assert H.ConvexRegion(()).side_facing(1j) is None
+
     @given(st.data())
     @settings(max_examples=3, deadline=None)
     def test_project_octagon_cusped_hull(self, cusped_hull, data):
@@ -336,6 +363,7 @@ class TestClosedFormsAgainstOracles:
         assert abs(ball.closest_point_to(z) - ref) < 1e-9
 
     @given(balls, disk_points, disk_points)
+    @example(H.Horoball(1 + 0j, 0.0), 0.75j, complex(2.220446049250313e-16, 0.75))
     @settings(max_examples=300)
     def test_clip(self, ball, z1, z2):
         out, ins = H.segment_clip_by_horoball(z1, z2, ball)

@@ -10,6 +10,9 @@ import pytest
 
 from flatbundle.catalog import load_catalog_surface, load_group_preset, parse_group
 from flatbundle.errors import (
+    CuspAtHullVertex,
+    CutoffTooLarge,
+    DirectionInsideHullNotParabolic,
     ElementaryGroup,
     NonInvertible,
     NotAnAutomorphism,
@@ -20,6 +23,7 @@ from flatbundle.hyperbolic import (
     Mobius,
     boundary_from_direction,
     busemann,
+    geodesic_max_busemann,
     hyp_distance,
 )
 from flatbundle import veech
@@ -206,7 +210,6 @@ class TestVerificationPaths:
         alone = build_group_data(s, bare["basis"], bare["words"])
         via_basis = build_group_data(s, p["basis"], p["words"])
         assert alone.generators == via_basis.generators
-        assert alone.limit_sample == via_basis.limit_sample
         assert [(g.start, g.end) for g in alone.hull.sides] == [
             (g.start, g.end) for g in via_basis.hull.sides
         ]
@@ -235,6 +238,14 @@ class TestWordsAndLimitSet:
             (w, word_element(gens, w)) for w in oracles.reduced_words(len(gens), 6)
         ]
 
+    def test_word_budget_checked_before_enumerating(self, monkeypatch):
+        # two generators give sum_k 4 * 3^(k-1) reduced words up to length k
+        monkeypatch.setattr(veech, "verify_affine", None)  # must not be reached
+        count = sum(4 * 3 ** (k - 1) for k in range(1, 12))
+        assert len(group_words(generators("lshape_lattice"), 4)) == 160
+        with pytest.raises(CutoffTooLarge, match=f"{count} group words"):
+            group_data("lshape_lattice", depth=11)
+
     def test_group_words_kept_to_orbit_depth(self):
         _s, g = group_data("octagon_cusped", depth=2)
         assert len(g.orbit_words) == 160
@@ -253,7 +264,7 @@ class TestWordsAndLimitSet:
 
     def test_nonelementary_witness(self):
         _s, g = group_data("octagon_hyperbolic")
-        assert len(g.limit_sample) > 2
+        assert len({side.start for side in g.hull.sides}) > 2
 
     def test_sample_monotone_in_depth(self):
         gens = generators("octagon_hyperbolic")
@@ -493,3 +504,45 @@ class TestHoroballFamily:
             fam = build_horoball_family(g, enumerate_saddle_connections(s, L))
             for r in fam.values():
                 assert (r.kind == "ball") == (r.witness is not None)
+
+
+class TestHullLookup:
+    @pytest.mark.parametrize("name", PRESETS + ["double_pentagon_lattice"])
+    @pytest.mark.parametrize("depth", [4, 6])
+    @pytest.mark.parametrize("cutoff", [2.5, 5.0])
+    def test_family_matches_scans(self, name, depth, cutoff):
+        # the side facing each direction answers the three hull questions as
+        # the scans over every sample point and every side do, to the bit
+        s, g = group_data(name, depth)
+        hull = g.hull
+        saddles = enumerate_saddle_connections(s, cutoff)
+        inside_not_parabolic = False
+        for sc in saddles:
+            xi = boundary_from_direction(sc.direction)
+            side = hull.side_facing(xi)
+            meets = min(abs(xi - side.start), abs(xi - side.end)) < veech.ANGLE_DEDUP
+            assert meets == oracles.meets_sample_by_scan(hull, xi)
+            parabolic = any(abs(xi - x) < 1e-6 for x, _w in g.parabolic_fixed_points)
+            inside_not_parabolic |= meets and not parabolic
+        # the one preset and cutoff where a direction meets the sample
+        assert inside_not_parabolic == ((name, cutoff) == ("double_pentagon_lattice", 5.0))
+        if inside_not_parabolic:
+            with pytest.raises(DirectionInsideHullNotParabolic, match="0.3141592653589"):
+                build_horoball_family(g, saddles)
+            return
+        for r in build_horoball_family(g, saddles).values():
+            xi = r.boundary_point
+            if r.kind == "point":
+                assert r.anchor == oracles.boundary_foot_by_nudge(hull, xi)
+            else:
+                clearance = geodesic_max_busemann(hull.side_facing(xi), xi) + 1.0
+                assert clearance == oracles.hull_clearance_by_scan(hull, xi)
+
+    def test_cusp_at_hull_vertex_raises(self):
+        # a sample point on a cusp leaves no side facing it alone
+        s, g = group_data("lshape_lattice", depth=4)
+        xi = boundary_from_direction(0.0)
+        vertices = [side.start for side in g.hull.sides] + [xi]
+        g = dataclasses.replace(g, hull=build_hull(vertices))
+        with pytest.raises(CuspAtHullVertex, match="direction 0.0 "):
+            build_horoball_family(g, enumerate_saddle_connections(s, 2.5))
