@@ -366,6 +366,32 @@ def cmd_run(args) -> int:
     return 0
 
 
+_RENDER_DRAWS = 2000
+
+
+def _first_draw(kind: str, saddles, draw, none_reason: str):
+    """The first value ``draw()`` returns, or None after ``_RENDER_DRAWS``
+    draws (none without saddles).  A draw that raises a FlatBundleError is
+    counted by its class, one that returns None as ``none_reason``; one
+    stderr line gives the draws made and the rejections."""
+    attempts, rejected, found = 0, Counter(), None
+    while found is None and attempts < (_RENDER_DRAWS if saddles else 0):
+        attempts += 1
+        try:
+            found = draw()
+        except FlatBundleError as exc:
+            rejected[type(exc).__name__] += 1
+            continue
+        if found is None:
+            rejected[none_reason] += 1
+    print(
+        f"{kind} draws: {attempts} attempts, "
+        f"rejected {json.dumps(dict(sorted(rejected.items())))}",
+        file=sys.stderr,
+    )
+    return found
+
+
 def cmd_render(args) -> int:
     try:
         cfg = _config_from_args(args)
@@ -387,25 +413,19 @@ def cmd_render(args) -> int:
                 raise MissingInput("direction did not close within max-trace")
             svg = render.render_cylinders(surface, result)
         elif args.kind == "ideal-fan":
-            svg = None
-            for _ in range(2000 if saddles else 0):
-                fan = random_fan(surface, saddles, rng)
-                if fan is not None:
-                    svg = render.render_ideal_fan(fan)
-                    break
-            if svg is None:
+            fan = _first_draw(
+                "ideal-fan", saddles, lambda: random_fan(surface, saddles, rng), "noFan"
+            )
+            if fan is None:
                 raise MissingInput("no fan found at this seed and cutoff")
+            svg = render.render_ideal_fan(fan)
         elif args.kind == "path":
-            svg = None
-            for _ in range(2000 if saddles else 0):
-                try:
-                    path = _random_path(surface, saddles, family, rng)
-                except FlatBundleError:
-                    continue
-                svg = render.render_path(path)
-                break
-            if svg is None:
+            path = _first_draw(
+                "path", saddles, lambda: _random_path(surface, saddles, family, rng), "noPath"
+            )
+            if path is None:
                 raise MissingInput("no preferred path found at this seed")
+            svg = render.render_path(path)
         else:  # unreachable behind argparse choices
             raise MissingInput(f"unknown render kind {args.kind!r}")
     except (FlatBundleError, ValueError) as exc:

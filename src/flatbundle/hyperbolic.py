@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .errors import DegenerateTriple, NonInvertible, NotInDisk, NotOnBoundary
 
 TOL_DET = 1e-9
@@ -263,7 +261,7 @@ def ideal_endpoints(z1: complex, z2: complex) -> tuple[complex, complex]:
     return (-u + z1) / (1.0 - z1.conjugate() * u), (u + z1) / (1.0 + z1.conjugate() * u)
 
 
-def segment_points(z1: complex, z2: complex, n: int) -> np.ndarray:
+def segment_points(z1: complex, z2: complex, n: int) -> list[complex]:
     """The n + 1 points at arclength fractions 0, 1/n, ..., 1 from ``z1`` to ``z2``.
 
     The isometry ``phi(z) = (z - z1) / (1 - conj(z1) z)`` sends ``z1`` to 0
@@ -273,11 +271,12 @@ def segment_points(z1: complex, z2: complex, n: int) -> np.ndarray:
     _check_disk(z1)
     _check_disk(z2)
     if abs(z1 - z2) < 1e-15:
-        return np.full(n + 1, z1, dtype=complex)
+        return [z1] * (n + 1)
     w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
     r = abs(w)
-    p = np.tanh((np.arange(n + 1) / n) * math.atanh(r)) * (w / r)
-    return (p + z1) / (1.0 + z1.conjugate() * p)
+    a, u, z1c = math.atanh(r), w / r, z1.conjugate()
+    ps = [math.tanh((i / n) * a) * u for i in range(n + 1)]
+    return [(p + z1) / (1.0 + z1c * p) for p in ps]
 
 
 # -- horoballs ---------------------------------------------------------------

@@ -5,16 +5,20 @@ fiber clearance; distances between samples use a single-chain collapsed
 surrogate: either the direct hyperbolic base distance or a shortcut through
 one collapsed horoball, plus the fiber clearances.  The surrogate upper-bounds
 the collapsed metric, so measured slimness constants are conservative.
+
+The nearest sample of another path is found without comparing every pair:
+the distance from a point to the samples of a geodesic segment is convex
+along it, so the samples next to the point's foot are the only candidates,
+and the samples of a saddle piece share one base point.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import FlatBundleError
 from .hyperbolic import segment_points
@@ -29,23 +33,75 @@ from .veech import family_balls, region_for
 DEFAULT_STEP = 0.05
 _MAX_SAMPLES_PER_PIECE = 400
 MAX_ATTEMPTS_FACTOR = 60  # a sweep gives up after this many draws per triangle
+_QUANTILES = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 # -- sampling ----------------------------------------------------------------
 
 
+def _scale(z: complex) -> float:
+    # hyp_distance(z, q) is 2 asinh(|z - q| / (_scale(z) _scale(q)))
+    return math.sqrt(1.0 - abs(z) ** 2)
+
+
+def _ball_distance(z: complex, ball) -> float:
+    # Horoball.distance_to_point without the argument checks
+    return max(0.0, ball.level - math.log((1.0 - abs(z) ** 2) / abs(ball.base - z) ** 2))
+
+
+class _Segment:
+    """The samples of a horizontal piece from ``z1`` to ``z2``.
+
+    In the frame ``phi(z) = (z - z1) / (1 - conj(z1) z)``, turned so that
+    ``phi(z2) = r`` is positive, the piece is [0, r] on the real diameter
+    and sample k lies at distance ``2 atanh(r) k / n`` from 0.
+    """
+
+    def __init__(self, z1: complex, z2: complex, points: list):
+        w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
+        self.r = abs(w)
+        self.z1, self.z1c, self.turn = z1, z1.conjugate(), w.conjugate() / self.r
+        self.end = 2.0 * self.r / (1.0 + self.r * self.r)  # tanh of the length
+        self.per_unit = (len(points) - 1) / math.atanh(self.r)  # samples per atanh
+        self.points = points  # (base, scale) of each sample
+
+    def nearest(self, z: complex) -> list:
+        """The samples that can be nearest to ``z``: its foot lies at
+        distance ``atanh(2 Re w / (1 + |w|^2))`` from z1, w its frame image."""
+        w = (z - self.z1) / (1.0 - self.z1c * z) * self.turn
+        v = 2.0 * w.real / (1.0 + w.real * w.real + w.imag * w.imag)
+        if v <= 0.0:
+            return self.points[:1]
+        if v >= self.end:
+            return self.points[-1:]
+        k = int(0.5 * math.atanh(v) * self.per_unit)
+        return self.points[k : k + 2]
+
+    def deepest(self, base: complex) -> list:
+        """The samples that can be deepest toward the ideal point ``base``:
+        for ``e^{i alpha}`` its frame image, the Busemann function along the
+        real diameter peaks at ``x = cos(alpha) / (1 + |sin(alpha)|)``."""
+        e = (base - self.z1) / (1.0 - self.z1c * base) * self.turn
+        x = e.real / (abs(e) + abs(e.imag))
+        if x <= 0.0:
+            return self.points[:1]
+        if x >= self.r:
+            return self.points[-1:]
+        k = int(math.atanh(x) * self.per_unit)
+        return self.points[k : k + 2]
+
+
 @dataclass
 class SampleSet:
-    """Vectorized discretization of one collapsed preferred path."""
+    """Discretization of one collapsed preferred path, indexed for
+    nearest-sample queries."""
 
-    base: np.ndarray  # complex base points in the disk
-    clearance: np.ndarray  # fiber travel needed to reach the base point
-    sig: np.ndarray  # integer signature of the carrying piece
-    s: np.ndarray  # arc position within the carrying piece
-    horo: tuple  # per collapsed horoball, each sample's distance to it
-
-    def __len__(self) -> int:
-        return len(self.base)
+    runs: list  # (base, scale, sig, [(clearance, arc position)]) per sample
+    # of a horizontal piece, and per saddle piece, whose samples share a base
+    segments: list  # _Segment per horizontal piece of positive length
+    points: list  # (base, scale) of each saddle piece and zero-length horizontal piece
+    arcs: dict  # piece signature -> sorted arc positions of its samples
+    horo: tuple  # per collapsed ball, the least distance of a sample to it
 
 
 def _canon_hol(hol: complex) -> tuple:
@@ -67,77 +123,133 @@ def sample_path(path, table: dict, balls, *, step: float = DEFAULT_STEP) -> Samp
     """Discretize a preferred path at arc-length ``step`` in the collapsed model.
 
     ``table`` numbers the pieces by signature, shared between the paths
-    compared, so identical pieces compare at arc distance.  Each sample also
-    gets its distance to each of the collapsed ``balls``.
+    compared, so identical pieces compare at arc distance.  The set keeps
+    its least distance to each of the collapsed ``balls``.
     """
-    parts = []  # (base, clearance, arc position, signature) per piece
+    runs, segments, points, arcs = [], [], [], []
     for piece in path.pieces:
         length = piece.length
         if isinstance(piece, HorizontalPiece):
             a, b = _round_z(piece.start), _round_z(piece.end)
             g = table.setdefault(("h", min(a, b), max(a, b)), len(table))
             n = _piece_count(length, step)
-            t = np.arange(n + 1) / n
-            z = segment_points(piece.start, piece.end, n)
-            parts.append((z, np.zeros(n + 1), (1 - t) * length if b < a else t * length, g))
-            continue
-        r, i2, flip = _canon_hol(piece.connection.holonomy)
-        g = table.setdefault(("s", (r, i2), _round_z(piece.at_base)), len(table))
-        if piece.region.kind == "ball":
-            # parabolic saddle: collapses into the spine
-            parts.append((np.full(1, piece.at_base), np.zeros(1), np.zeros(1), g))
-            continue
-        n = _piece_count(length, step)
-        t = (np.arange(n + 1) / n) * length
-        parts.append((
-            np.full(n + 1, piece.at_base),
-            np.minimum(t, length - t),
-            length - t if flip else t,
-            g,
-        ))
-    base = np.concatenate([p[0] for p in parts], dtype=complex)
-    return SampleSet(
-        base,
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([np.full(len(p[0]), p[3]) for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-        tuple(_ball_distances(base, ball) for ball in balls),
+            pts = [(z, _scale(z)) for z in segment_points(piece.start, piece.end, n)]
+            s = [(1 - i / n) * length if b < a else (i / n) * length for i in range(n + 1)]
+            runs += [(z, sz, g, [(0.0, si)]) for (z, sz), si in zip(pts, s)]
+            if pts[0] == pts[-1]:
+                points.append(pts[0])
+            else:
+                segments.append(_Segment(piece.start, piece.end, pts))
+        else:
+            r, i2, flip = _canon_hol(piece.connection.holonomy)
+            g = table.setdefault(("s", (r, i2), _round_z(piece.at_base)), len(table))
+            if piece.region.kind == "ball":
+                # parabolic saddle: collapses into the spine
+                s = [0.0]
+                cs = [(0.0, 0.0)]
+            else:
+                n = _piece_count(length, step)
+                t = [(i / n) * length for i in range(n + 1)]
+                s = [length - ti if flip else ti for ti in t]
+                cs = [(min(ti, length - ti), si) for ti, si in zip(t, s)]
+            q = (piece.at_base, _scale(piece.at_base))
+            runs.append((*q, g, cs))
+            points.append(q)
+        arcs.append((g, s))
+    horo = tuple(
+        min(
+            _ball_distance(z, ball)
+            for z, _ in points + [q for seg in segments for q in seg.deepest(ball.base)]
+        )
+        for ball in balls
     )
+    return SampleSet(runs, segments, points, _sorted_arcs(arcs), horo)
 
 
 # -- collapsed sample distances ----------------------------------------------
 
 
-def _ball_distances(z: np.ndarray, ball) -> np.ndarray:
-    # vectorized Horoball.distance_to_point
-    bus = np.log((1.0 - np.abs(z) ** 2) / np.abs(ball.base - z) ** 2)
-    return np.maximum(0.0, ball.level - bus)
+def _sorted_arcs(pairs) -> dict:
+    # signature -> sorted arc positions, from (signature, positions) pairs
+    arcs: dict = {}
+    for g, s in pairs:
+        arcs.setdefault(g, []).extend(s)
+    for s in arcs.values():
+        s.sort()
+    return arcs
 
 
-def _rho_matrix(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    # vectorized hyp_distance
-    s1, s2 = np.sqrt(1.0 - np.abs(z1) ** 2), np.sqrt(1.0 - np.abs(z2) ** 2)
-    return 2.0 * np.arcsinh(np.abs(z1[:, None] - z2[None, :]) / (s1[:, None] * s2[None, :]))
+def _union(sets: list) -> SampleSet:
+    # the target of the queries: every sample of ``sets`` (no runs needed)
+    return SampleSet(
+        [],
+        [seg for t in sets for seg in t.segments],
+        list(dict.fromkeys(q for t in sets for q in t.points)),
+        _sorted_arcs(item for t in sets for item in t.arcs.items()),
+        tuple(map(min, zip(*(t.horo for t in sets)))),
+    )
 
 
-def sample_distance_matrix(a: SampleSet, b: SampleSet) -> np.ndarray:
-    """Collapsed surrogate distances between two sample sets.
+def _base_distance(z: complex, sz: float, target: SampleSet, balls, cap: float) -> float:
+    """Least base travel from ``z`` to a sample of ``target``: the direct
+    distance or a detour through one collapsed ball.  Once the running
+    minimum is at most ``cap`` it is returned as it stands.
 
-    Base travel is the cheaper of the direct hyperbolic distance and a chain
-    through a single collapsed horoball; fiber clearances are added, except
-    between samples of the same piece, which meet at their arc distance.
-    Every step is symmetric in ``a`` and ``b``, so swapping them gives the
-    transpose exactly.
+    The ball term separates: ``min_q (d(z, ball) + d(q, ball))`` is
+    ``d(z, ball)`` plus the target's least distance to the ball.
     """
-    d = _rho_matrix(a.base, b.base)
-    for da, db in zip(a.horo, b.horo):
-        np.minimum(d, da[:, None] + db[None, :], out=d)
-    d += a.clearance[:, None] + b.clearance[None, :]
-    same = a.sig[:, None] == b.sig[None, :]
-    if same.any():
-        arc = np.abs(a.s[:, None] - b.s[None, :])
-        d = np.where(same, np.minimum(d, arc), d)
-    return d
+    best = math.inf
+    for q, sq in target.points:
+        d = 2.0 * math.asinh(abs(z - q) / (sz * sq))
+        if d < best:
+            best = d
+    for seg in target.segments:
+        if best <= cap:
+            return best
+        for q, sq in seg.nearest(z):
+            d = 2.0 * math.asinh(abs(z - q) / (sz * sq))
+            if d < best:
+                best = d
+    if best <= cap:
+        return best
+    for ball, m in zip(balls, target.horo):
+        if m < best:
+            d = _ball_distance(z, ball) + m
+            if d < best:
+                best = d
+    return best
+
+
+def _arc_distance(s: float, arcs: list) -> float:
+    k = bisect.bisect_left(arcs, s)
+    d = abs(s - arcs[k]) if k < len(arcs) else math.inf
+    return min(d, abs(s - arcs[k - 1])) if k else d
+
+
+def _farthest(a: SampleSet, target: SampleSet, balls, floor: float) -> float:
+    """The larger of ``floor`` and the largest distance from a sample of
+    ``a`` to its nearest sample of ``target``.
+
+    Fiber clearances are added to the base travel, except between samples of
+    the same piece, which meet at their arc distance; the nearest sample of
+    a saddle piece is at one of its ends, where the clearance is 0.  A
+    sample already within ``floor`` of ``target`` is not measured further.
+    """
+    out = floor
+    for z, sz, g, cs in a.runs:
+        arcs = target.arcs.get(g)
+        travel = None
+        for c, s in cs:
+            arc = _arc_distance(s, arcs) if arcs else math.inf
+            if arc <= out:
+                continue
+            if travel is None:
+                # a run of one sample has no clearance, so it is settled
+                # once the base travel is at most out
+                cap = out if len(cs) == 1 else -math.inf
+                travel = _base_distance(z, sz, target, balls, cap)
+            out = max(out, min(travel + c, arc))
+    return out
 
 
 # -- triangle slimness -------------------------------------------------------
@@ -158,9 +270,7 @@ def triangle_slimness(
     ``chains`` holds the flat chains for the sides (x,y), (y,z), (x,z), each
     a list of saddle connections or an already tightened FlatGeodesic.
     Returns the max over sides of the max sample distance to the union of the
-    other two sides.  One distance matrix per unordered pair of sides gives
-    both directions: its row minima for side ``i`` against side ``j`` and its
-    column minima for ``j`` against ``i``.
+    other two sides.
     """
     cxy, cyz, cxz = chains
     paths = (
@@ -171,14 +281,10 @@ def triangle_slimness(
     table: dict = {}
     balls = family_balls(family)
     sides = [sample_path(p, table, balls, step=step) for p in paths]
-    near = {}
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        d = sample_distance_matrix(sides[i], sides[j])
-        near[i, j], near[j, i] = d.min(axis=1), d.min(axis=0)
-    return max(
-        float(np.minimum(near[i, j], near[i, k]).max())
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    )
+    delta = 0.0
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        delta = _farthest(sides[i], _union([sides[j], sides[k]]), balls, delta)
+    return delta
 
 
 # -- sweep harness -----------------------------------------------------------
@@ -197,11 +303,20 @@ class SlimnessReport:
 
 
 def _quantiles(values) -> dict:
+    """Quantiles of ``values`` by linear interpolation between the order
+    statistics, computed as numpy's default ``linear`` method does."""
     if not values:
         return {}
-    arr = np.asarray(values, dtype=float)
-    qs = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
-    return {f"q{int(100 * q):02d}": float(np.quantile(arr, q)) for q in qs}
+    xs = sorted(values)
+    out = {}
+    for q in _QUANTILES:
+        at = (len(xs) - 1) * q
+        k = math.floor(at)
+        lo, hi = xs[k], xs[min(k + 1, len(xs) - 1)]
+        t = at - k
+        diff = hi - lo
+        out[f"q{int(100 * q):02d}"] = hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
+    return out
 
 
 def _short_key(sc) -> str:

@@ -184,8 +184,8 @@ class VeechGroupData:
 
     @property
     def basepoint(self) -> complex:
-        if self.hull.contains(0j):
-            return 0j
+        """The point of the hull nearest the disk center (the center itself
+        when the hull holds it)."""
         return self.hull.project(0j)
 
 

@@ -4,8 +4,9 @@ Everything here favors obviousness over speed: exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
 shortening of flat geodesics, scans over every hull side, sampled and
 bisected hyperbolic searches, per-point geodesic sampling, group words
-without their elements, one distance matrix per ordered pair of triangle
-sides and cylinder decompositions from transverse ray probes.
+without their elements, triangle slimness from one numpy distance matrix
+per ordered pair of sides or from every pair of samples, and cylinder
+decompositions from transverse ray probes.
 """
 
 from __future__ import annotations
@@ -42,11 +43,7 @@ from flatbundle.errors import (
     NotFound,
 )
 from flatbundle.paths import build_fan, build_preferred_path
-from flatbundle.slimness import (
-    _ball_distances,
-    _rho_matrix,
-    sample_path,
-)
+from flatbundle.slimness import _ball_distance, _scale, sample_path
 from flatbundle.surface import (
     TOL_ANGLE,
     TOL_VERTEX,
@@ -811,44 +808,96 @@ def random_fan(surface, saddles, rng):
         return None
 
 
-def _sample_distance_matrix(a, b, balls):
-    """Surrogate distance matrix recomputing both sides' horoball distances."""
-    d = _rho_matrix(a.base, b.base)
-    for ball in balls:
-        da, db = _ball_distances(a.base, ball), _ball_distances(b.base, ball)
-        np.minimum(d, da[:, None] + db[None, :], out=d)
-    d += a.clearance[:, None] + b.clearance[None, :]
-    same = a.sig[:, None] == b.sig[None, :]
-    if same.any():
-        arc = np.abs(a.s[:, None] - b.s[None, :])
-        d = np.where(same, np.minimum(d, arc), d)
-    return d
+def samples_of(samples):
+    """Every sample of a SampleSet as (base, clearance, signature, arc position)."""
+    return [(z, c, g, s) for z, _, g, cs in samples.runs for c, s in cs]
 
 
-def _one_sided_distance(a, targets, balls):
-    """max over samples of ``a`` of the distance to the union of targets."""
-    if not len(a):
-        return 0.0
-    best = np.full(len(a), np.inf)
-    for t in targets:
-        if len(t):
-            np.minimum(best, _sample_distance_matrix(a, t, balls).min(axis=1), out=best)
-    return float(best.max())
-
-
-def triangle_slimness(surface, family, x, y, z, chains, *, step):
-    """Thinness of a preferred-path triangle from six distance matrices, one
-    per ordered pair of sides."""
+def _sides(surface, family, x, y, z, chains, step):
     table: dict = {}
     balls = family_balls(family)
     pairs = ((x, y, chains[0]), (y, z, chains[1]), (x, z, chains[2]))
     sides = [
-        sample_path(build_preferred_path(surface, u, v, family, c), table, balls, step=step)
+        samples_of(
+            sample_path(build_preferred_path(surface, u, v, family, c), table, balls, step=step)
+        )
         for u, v, c in pairs
     ]
+    return sides, balls
+
+
+def _rho_matrix(z1, z2):
+    s1, s2 = np.sqrt(1.0 - np.abs(z1) ** 2), np.sqrt(1.0 - np.abs(z2) ** 2)
+    return 2.0 * np.arcsinh(np.abs(z1[:, None] - z2[None, :]) / (s1[:, None] * s2[None, :]))
+
+
+def _ball_distances(z, ball):
+    bus = np.log((1.0 - np.abs(z) ** 2) / np.abs(ball.base - z) ** 2)
+    return np.maximum(0.0, ball.level - bus)
+
+
+def sample_distance_matrix(a, b, balls):
+    """Collapsed surrogate distances between every sample of ``a`` and of
+    ``b`` (lists from ``samples_of``), as one numpy matrix.
+
+    Base travel is the cheaper of the direct hyperbolic distance and a chain
+    through a single collapsed horoball; fiber clearances are added, except
+    between samples of the same piece, which meet at their arc distance.
+    """
+    (za, ca, ga, sa), (zb, cb, gb, sb) = (
+        tuple(np.array(col) for col in zip(*side)) for side in (a, b)
+    )
+    d = _rho_matrix(za, zb)
+    for ball in balls:
+        np.minimum(d, _ball_distances(za, ball)[:, None] + _ball_distances(zb, ball)[None, :], out=d)
+    d += ca[:, None] + cb[None, :]
+    same = ga[:, None] == gb[None, :]
+    if same.any():
+        d = np.where(same, np.minimum(d, np.abs(sa[:, None] - sb[None, :])), d)
+    return d
+
+
+def triangle_slimness(surface, family, x, y, z, chains, *, step):
+    """Thinness of a preferred-path triangle from six numpy distance
+    matrices, one per ordered pair of sides."""
+    sides, balls = _sides(surface, family, x, y, z, chains, step)
     return max(
-        _one_sided_distance(sides[i], [sides[j] for j in range(3) if j != i], balls)
-        for i in range(3)
+        float(
+            np.minimum(
+                sample_distance_matrix(sides[i], sides[j], balls).min(axis=1),
+                sample_distance_matrix(sides[i], sides[k], balls).min(axis=1),
+            ).max()
+        )
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    )
+
+
+def sample_distance(p, q):
+    """One entry of ``sample_distance_matrix`` from the scalar expressions
+    of ``flatbundle.slimness``; ``p`` and ``q`` are ``samples_of`` entries,
+    each followed by its list of ball distances."""
+    (zp, cp, gp, sp, hp), (zq, cq, gq, sq, hq) = p, q
+    d = 2.0 * math.asinh(abs(zp - zq) / (_scale(zp) * _scale(zq)))
+    for dp, dq in zip(hp, hq):
+        d = min(d, dp + dq)
+    d += cp + cq
+    return min(d, abs(sp - sq)) if gp == gq else d
+
+
+def nearest_distances(a, b, balls):
+    """For each sample of ``a``, the least ``sample_distance`` to a sample of
+    ``b``, comparing every pair."""
+    a, b = ([(*p, [_ball_distance(p[0], ball) for ball in balls]) for p in side] for side in (a, b))
+    return [min(sample_distance(p, q) for q in b) for p in a]
+
+
+def triangle_slimness_by_pairs(surface, family, x, y, z, chains, *, step):
+    """Thinness of a preferred-path triangle comparing every pair of samples
+    in pure Python, with the kernel's scalar expressions."""
+    sides, balls = _sides(surface, family, x, y, z, chains, step)
+    return max(
+        max(nearest_distances(sides[i], sides[j] + sides[k], balls))
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
     )
 
 

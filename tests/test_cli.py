@@ -3,8 +3,12 @@
 import argparse
 import copy
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatbundle import catalog, cli, paths, render, veech
-from flatbundle.errors import FlatBundleError, NoCylinders
+from flatbundle.errors import FlatBundleError, MissingHoroRegion, NoCylinders, NotAGeodesic
 
 
 def _data(name):
@@ -451,3 +455,86 @@ class TestRender:
         )
         assert code == 2
         assert "no parabolic" in capsys.readouterr().err
+
+    def test_draws_are_counted(self, tmp_path, capsys):
+        args = [
+            "render", "--kind", "ideal-fan", "--surface", "lshape",
+            "--group", "lshape_lattice", "--max-length", "2.5", "--seed", "1",
+            "--out", str(tmp_path / "fan.svg"),
+        ]
+        assert run_cli(args) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            'ideal-fan draws: 6 attempts, rejected {"noFan": 5}'
+        ]
+        with mock.patch.object(cli, "random_fan", lambda *_: None):
+            assert run_cli(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'ideal-fan draws: 2000 attempts, rejected {"noFan": 2000}',
+            "error: no fan found at this seed and cutoff",
+        ]
+
+    def test_path_rejections_by_class_leave_the_svg(self, tmp_path, capsys):
+        # draws that raise consume no randomness here, so the path drawn
+        # after them is the one drawn first without them
+        real = cli._random_path
+        failures = iter([MissingHoroRegion("missing"), NotAGeodesic("stuck")])
+
+        def flaky(*args):
+            exc = next(failures, None)
+            if exc is not None:
+                raise exc
+            return real(*args)
+
+        args = [
+            "render", "--kind", "path", "--surface", "octagon",
+            "--group", "octagon_cusped", "--max-length", "2.5", "--seed", "2",
+        ]
+        plain, counted = tmp_path / "plain.svg", tmp_path / "counted.svg"
+        assert run_cli(args + ["--out", str(plain)]) == 0
+        with mock.patch.object(cli, "_random_path", flaky):
+            assert run_cli(args + ["--out", str(counted)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "path draws: 1 attempts, rejected {}",
+            'path draws: 3 attempts, rejected {"MissingHoroRegion": 1, "NotAGeodesic": 1}',
+        ]
+        assert plain.read_bytes() == counted.read_bytes()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# Runs a module or script as __main__ in a fresh interpreter and reports on
+# its last line whether numpy was imported.
+_IMPORTS_NUMPY = """
+import runpy, sys
+target, sys.argv = sys.argv[1], sys.argv[1:]
+try:
+    if target.endswith(".py"):
+        runpy.run_path(target, run_name="__main__")
+    else:
+        runpy.run_module(target, run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print("numpy imported:", "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flatbundle.cli", "run", "--surface", "lshape", "--group", "lshape_lattice",
+         "--max-length", "2.5", "--seed", "1", "--out", "{tmp}/run"],
+        ["flatbundle.cli", "render", "--kind", "path", "--surface", "lshape",
+         "--group", "lshape_lattice", "--max-length", "2.5", "--out", "{tmp}/path.svg"],
+        [str(ROOT / "perfbench" / "setup_child.py"), "lshape", "lshape_lattice", "2.5", "6", "40"],
+    ],
+    ids=["run", "render-path", "perfbench-setup"],
+)
+def test_numpy_is_not_imported(argv, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_NUMPY, *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "numpy imported: False"
