@@ -8,7 +8,6 @@ import json
 import math
 import random
 import sys
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .paths import (
     check_structure_lemma,
     collapsed_length,
     combinatorial_path,
+    draw_until,
     random_fan,
 )
 from .surface import enumerate_saddle_connections
@@ -171,55 +171,42 @@ def _random_path(surface, saddles, family, rng):
 
 
 def _suite_lipschitz(surface, saddles, family, rng, count):
-    done, violations, margin = 0, 0, math.inf
-    attempts, rejected = 0, Counter()
     first_path = None
-    while saddles and done < count and attempts < count * 40:
-        attempts += 1
-        try:
-            path = _random_path(surface, saddles, family, rng)
-            collapsed = collapsed_length(surface, path, family)
-        except FlatBundleError as exc:
-            rejected[type(exc).__name__] += 1
-            continue
-        done += 1
-        if first_path is None:
-            first_path = path
-        gap = path.d_length - collapsed
-        margin = min(margin, gap)
-        if gap < -1e-12:
-            violations += 1
+
+    def draw():
+        nonlocal first_path
+        path = _random_path(surface, saddles, family, rng)
+        collapsed = collapsed_length(surface, path, family)
+        first_path = first_path or path
+        return path.d_length - collapsed
+
+    gaps, attempts, rejected = draw_until(
+        draw, count, count * 40 if saddles else 0, "noPath"
+    )
+    violations = sum(1 for gap in gaps if gap < -1e-12)
     return {
-        "passed": done > 0 and violations == 0,
-        "paths": done,
+        "passed": bool(gaps) and violations == 0,
+        "paths": len(gaps),
         "violations": violations,
-        "minMargin": margin if done else None,
+        "minMargin": min(gaps) if gaps else None,
         "attempts": attempts,
-        "rejected": dict(rejected),
+        "rejected": rejected,
     }, first_path
 
 
 def _suite_structure(surface, saddles, rng, count) -> dict:
-    built, failures = 0, 0
-    attempts, rejected = 0, Counter()
-    last_fan = None
-    while saddles and built < count and attempts < count * 60:
-        attempts += 1
-        fan = random_fan(surface, saddles, rng)
-        if fan is None:
-            rejected["noFan"] += 1
-            continue
-        built += 1
-        last_fan = fan
-        if not check_structure_lemma(fan).ok:
-            failures += 1
+    fans, attempts, rejected = draw_until(
+        lambda: random_fan(surface, saddles, rng),
+        count, count * 60 if saddles else 0, "noFan",
+    )
+    failures = sum(1 for fan in fans if not check_structure_lemma(fan).ok)
     return {
-        "passed": built > 0 and failures == 0,
-        "fans": built,
+        "passed": bool(fans) and failures == 0,
+        "fans": len(fans),
         "failures": failures,
         "attempts": attempts,
-        "rejected": dict(rejected),
-    }, last_fan
+        "rejected": rejected,
+    }, fans[-1] if fans else None
 
 
 def _suite_slimness(surface, family, saddles, seed, step, count):
@@ -250,22 +237,23 @@ def _surrogate_distance(family, key1, key2) -> float:
 
 def _suite_ratio(family, rng, count) -> dict:
     keys = sorted(family)
-    ratios = []
-    attempts, rejected = 0, Counter()
-    for _ in range(count if len(keys) >= 2 else 0):
-        attempts += 1
+
+    def draw():
         k1, k2 = rng.choice(keys), rng.choice(keys)
         if k1 == k2:
-            rejected["sameDirection"] += 1
-            continue
+            return None
         dist = max(_surrogate_distance(family, k1, k2), 0.1)
-        ratios.append(combinatorial_path(family, k1, k2).length / dist)
+        return combinatorial_path(family, k1, k2).length / dist
+
+    ratios, attempts, rejected = draw_until(
+        draw, count, count if len(keys) >= 2 else 0, "sameDirection"
+    )
     return {
         "passed": bool(ratios) and all(math.isfinite(r) for r in ratios),
         "pairs": len(ratios),
         "maxRatio": max(ratios) if ratios else None,
         "attempts": attempts,
-        "rejected": dict(rejected),
+        "rejected": rejected,
     }
 
 
@@ -371,25 +359,16 @@ _RENDER_DRAWS = 2000
 
 def _first_draw(kind: str, saddles, draw, none_reason: str):
     """The first value ``draw()`` returns, or None after ``_RENDER_DRAWS``
-    draws (none without saddles).  A draw that raises a FlatBundleError is
-    counted by its class, one that returns None as ``none_reason``; one
-    stderr line gives the draws made and the rejections."""
-    attempts, rejected, found = 0, Counter(), None
-    while found is None and attempts < (_RENDER_DRAWS if saddles else 0):
-        attempts += 1
-        try:
-            found = draw()
-        except FlatBundleError as exc:
-            rejected[type(exc).__name__] += 1
-            continue
-        if found is None:
-            rejected[none_reason] += 1
+    draws (none without saddles); one stderr line gives the draws made and
+    the rejections, counted as ``draw_until`` counts them."""
+    found, attempts, rejected = draw_until(
+        draw, 1, _RENDER_DRAWS if saddles else 0, none_reason
+    )
     print(
-        f"{kind} draws: {attempts} attempts, "
-        f"rejected {json.dumps(dict(sorted(rejected.items())))}",
+        f"{kind} draws: {attempts} attempts, rejected {json.dumps(rejected)}",
         file=sys.stderr,
     )
-    return found
+    return found[0] if found else None
 
 
 def cmd_render(args) -> int:
@@ -431,7 +410,7 @@ def cmd_render(args) -> int:
     except (FlatBundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out if args.out != "out" else f"{args.kind}.svg")
+    out = Path(args.out or f"{args.kind}.svg")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg)
     print(f"wrote {out}")
@@ -450,7 +429,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-trace", type=float, help="separatrix trace budget")
     p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--step", type=float, help="slimness discretization step")
-    p.add_argument("--out", default="out", help="output directory or file")
+    p.add_argument("--out", help="output directory or file")
 
 
 def _config_from_args(args) -> ExperimentConfig:

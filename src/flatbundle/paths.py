@@ -406,3 +406,28 @@ def combinatorial_path(
     while prev[out[-1]] is not None:
         out.append(prev[out[-1]])
     return CombinatorialPath(tuple(reversed(out)))
+
+
+# -- sampling -----------------------------------------------------------------
+
+
+def draw_until(draw, count: int, max_attempts: int, none_reason: str):
+    """Call ``draw()`` until it has given ``count`` values or been called
+    ``max_attempts`` times.  A call that raises a FlatBundleError is counted
+    under the error's class name, one that returns None under
+    ``none_reason``; any other exception propagates.  Returns the values,
+    the number of calls and the rejections as a dict sorted by reason."""
+    values, attempts, rejected = [], 0, {}
+    while len(values) < count and attempts < max_attempts:
+        attempts += 1
+        try:
+            value = draw()
+        except FlatBundleError as exc:
+            reason = type(exc).__name__
+        else:
+            if value is not None:
+                values.append(value)
+                continue
+            reason = none_reason
+        rejected[reason] = rejected.get(reason, 0) + 1
+    return values, attempts, dict(sorted(rejected.items()))

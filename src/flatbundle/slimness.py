@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import FlatBundleError
@@ -26,6 +25,7 @@ from .paths import (
     FiberPoint,
     HorizontalPiece,
     build_preferred_path,
+    draw_until,
 )
 from .surface import tighten_chain
 from .veech import family_balls, region_for
@@ -325,8 +325,6 @@ def _short_key(sc) -> str:
 
 def random_triangle_chains(surface, saddles, rng):
     """Chains of a random preferred-path triangle, or None if not viable."""
-    if not saddles:
-        return None
     a = rng.choice(saddles)
     if rng.random() < 0.5:
         a = a.reverse(surface)
@@ -354,42 +352,37 @@ def slimness_sweep(
 ) -> SlimnessReport:
     """Measure slimness over randomized preferred-path triangles."""
     rng = random.Random(seed)
-    deltas, descs = [], []
-    rejected: Counter = Counter()
-    attempts = 0
-    while len(deltas) < count and attempts < count * MAX_ATTEMPTS_FACTOR:
-        attempts += 1
+
+    def draw():
         tri = random_triangle_chains(surface, saddles, rng)
         if tri is None:
-            rejected["noTriangle"] += 1
-            continue
+            return None
         a, b, third = tri
-        try:
-            ra = region_for(family, a.direction)
-            rb = region_for(family, b.direction)
-            bz = (
-                region_for(family, third.pieces[-1].direction).anchor
-                if third.pieces
-                else ra.anchor
-            )
-            x = FiberPoint(ra.anchor, a.start)
-            y = FiberPoint(rb.anchor, a.end)
-            z = FiberPoint(bz, b.end)
-            delta = triangle_slimness(
-                surface, family, x, y, z, ([a], [b], third), step=step
-            )
-        except FlatBundleError as exc:
-            rejected[type(exc).__name__] += 1
-            continue
-        deltas.append(delta)
-        descs.append(_short_key(a) + "+" + _short_key(b))
+        ra = region_for(family, a.direction)
+        rb = region_for(family, b.direction)
+        bz = (
+            region_for(family, third.pieces[-1].direction).anchor
+            if third.pieces
+            else ra.anchor
+        )
+        x = FiberPoint(ra.anchor, a.start)
+        y = FiberPoint(rb.anchor, a.end)
+        z = FiberPoint(bz, b.end)
+        return _short_key(a) + "+" + _short_key(b), triangle_slimness(
+            surface, family, x, y, z, ([a], [b], third), step=step
+        )
+
+    per_triangle, attempts, rejected = draw_until(
+        draw, count, count * MAX_ATTEMPTS_FACTOR if saddles else 0, "noTriangle"
+    )
+    deltas = [delta for _, delta in per_triangle]
     return SlimnessReport(
         samples=len(deltas),
         delta_max=max(deltas) if deltas else 0.0,
         delta_quantiles=_quantiles(deltas),
-        per_triangle=tuple(zip(descs, deltas)),
+        per_triangle=tuple(per_triangle),
         attempts=attempts,
-        rejected=dict(sorted(rejected.items())),
+        rejected=rejected,
     )
 
 

@@ -358,6 +358,20 @@ class TestRun:
         )
         assert code == 1
         assert "first failing suite" in capsys.readouterr().err
+        # with no saddle to draw from, no sampling suite draws
+        suites = json.loads((out / "report.json").read_text())["suites"]
+        for name in ("lipschitzCollapse", "structureLemma", "slimness", "combinatorialRatio"):
+            assert (suites[name]["attempts"], suites[name]["rejected"]) == (0, {}), name
+
+    def test_config_out_is_honoured(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "from-config")}))
+        parser = cli.build_parser()
+        cfg = cli._config_from_args(parser.parse_args(["run", "--config", str(config)]))
+        assert cfg.out == str(tmp_path / "from-config")
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "from-flag")]
+        assert cli._config_from_args(parser.parse_args(argv)).out == str(tmp_path / "from-flag")
+        assert cli._config_from_args(parser.parse_args(["run"])).out == "out"
 
 
 # Scientific outputs of the two benchmark workloads at --max-length 2.5

@@ -1,4 +1,5 @@
-"""Every name imported in ``src/flatbundle`` and ``tests`` is used there.
+"""Every name imported in ``src/flatbundle``, ``tests`` and ``perfbench`` is
+used there.
 
 A name counts as used when the module mentions it anywhere else, as a bare
 name or as the root of an attribute chain.  ``from __future__`` imports are
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import flatbundle
 
-ROOTS = (Path(flatbundle.__file__).parent, Path(__file__).parent)
+TESTS = Path(__file__).parent
+ROOTS = (Path(flatbundle.__file__).parent, TESTS, TESTS.parent / "perfbench")
 
 
 def _unused(path: Path) -> list:

@@ -13,6 +13,7 @@ from flatbundle.errors import (
     NoClosureFound,
     NoCylinders,
     NotAFan,
+    NotAGeodesic,
 )
 from flatbundle.hyperbolic import (
     Mobius,
@@ -378,3 +379,49 @@ class TestCombinatorialPath:
     def test_unknown_direction_raises(self, lshape_family):
         with pytest.raises(MissingHoroRegion):
             P.combinatorial_path(lshape_family, 0.123456, 0.654321)
+
+
+class TestDrawUntil:
+    @staticmethod
+    def _draws(outcomes):
+        """A draw giving ``outcomes`` in turn (raising the exceptions among
+        them) and the list of calls made."""
+        calls, it = [], iter(outcomes)
+
+        def draw():
+            calls.append(None)
+            out = next(it)
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        return draw, calls
+
+    def test_stops_at_count(self):
+        draw, calls = self._draws([1, None, 2, 3, 4])
+        assert P.draw_until(draw, 2, 10, "none") == ([1, 2], 3, {"none": 1})
+        assert len(calls) == 3
+
+    def test_stops_at_max_attempts(self):
+        draw, calls = self._draws([None, 1, None, 2, 3])
+        assert P.draw_until(draw, 5, 3, "none") == ([1], 3, {"none": 2})
+        assert len(calls) == 3
+
+    def test_zero_attempts_makes_no_call(self):
+        draw, calls = self._draws([1])
+        assert P.draw_until(draw, 5, 0, "none") == ([], 0, {})
+        assert calls == []
+
+    def test_rejections_by_reason_sorted(self):
+        outcomes = [NotAGeodesic("x"), None, MissingHoroRegion("y"), NotAGeodesic("z"), 0.0]
+        draw, _ = self._draws(outcomes)
+        values, attempts, rejected = P.draw_until(draw, 1, 10, "aNone")
+        assert (values, attempts) == ([0.0], 5)
+        assert rejected == {"MissingHoroRegion": 1, "NotAGeodesic": 2, "aNone": 1}
+        assert list(rejected) == sorted(rejected)
+
+    def test_other_errors_propagate(self):
+        draw, calls = self._draws([None, IndexError("empty")])
+        with pytest.raises(IndexError):
+            P.draw_until(draw, 1, 10, "none")
+        assert len(calls) == 2
