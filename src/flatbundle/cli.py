@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import catalog, render, slimness
 from .cylinders import trace_direction
@@ -23,6 +22,7 @@ from .paths import (
     collapsed_length,
     combinatorial_path,
     draw_until,
+    family_adjacency,
     random_fan,
 )
 from .surface import enumerate_saddle_connections
@@ -34,15 +34,14 @@ _COUNTS = {
     "slim_triangles": 40,
     "ratio_pairs": 60,
 }
-# accepted Python types for each annotated ExperimentConfig field type
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# accepted Python types for each ExperimentConfig field, by its default's type
+_FIELD_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 # -- configuration -----------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     surface: str = "octagon"
     group: str = "octagon_lattice"
     depth: int = 6
@@ -53,11 +52,11 @@ class ExperimentConfig:
     out: str = "out"
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+        for name, default in self._field_defaults.items():
+            value, kind = getattr(self, name), type(default)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
                 raise ValueError(
-                    f"{f.name.replace('_', '-')} must be of type {f.type}, "
+                    f"{name.replace('_', '-')} must be of type {kind.__name__}, "
                     f"not {type(value).__name__}"
                 )
         if self.depth <= 0:
@@ -72,6 +71,8 @@ class ExperimentConfig:
 
 
 def _suggest(name: str, options) -> str:
+    import difflib  # only this error needs it; a run does not pay its import
+
     close = difflib.get_close_matches(name, options, n=1)
     hint = f"; did you mean {close[0]!r}?" if close else ""
     return f"unknown catalog id {name!r}{hint}"
@@ -236,14 +237,14 @@ def _surrogate_distance(family, key1, key2) -> float:
 
 
 def _suite_ratio(family, rng, count) -> dict:
-    keys = sorted(family)
+    keys, adjacency = sorted(family), family_adjacency(family)
 
     def draw():
         k1, k2 = rng.choice(keys), rng.choice(keys)
         if k1 == k2:
             return None
         dist = max(_surrogate_distance(family, k1, k2), 0.1)
-        return combinatorial_path(family, k1, k2).length / dist
+        return combinatorial_path(family, k1, k2, adjacency).length / dist
 
     ratios, attempts, rejected = draw_until(
         draw, count, count if len(keys) >= 2 else 0, "sameDirection"
@@ -300,7 +301,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     )
 
     report = {
-        "config": asdict(cfg),
+        "config": cfg._asdict(),
         "surface": {
             "name": surface.name,
             "genus": surface.genus,
@@ -433,25 +434,25 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    values = {}
     if getattr(args, "config", None):
         data = _read_json(Path(args.config))
         if not isinstance(data, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         for key, value in data.items():
             field = key.replace("-", "_")
-            if field not in {f.name for f in fields(cfg)}:
+            if field not in ExperimentConfig._fields:
                 raise ValueError(f"unknown config field {key!r}")
-            setattr(cfg, field, value)
+            values[field] = value
     for field in (
         "surface", "group", "depth", "max_length", "max_trace", "seed", "step",
     ):
         value = getattr(args, field, None)
         if value is not None:
-            setattr(cfg, field, value)
+            values[field] = value
     if getattr(args, "out", None):
-        cfg.out = args.out
-    return cfg
+        values["out"] = args.out
+    return ExperimentConfig(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:

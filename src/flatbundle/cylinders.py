@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoClosureFound, NoCylinders
 from .surface import (
@@ -43,8 +43,7 @@ WIDTH_TOL = 1e-6
 SEPARATRIX_BUDGET = 100000
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """A cylinder whose height coordinate t runs along the left normal of the
     direction, so it lies left of its t = 0 circle and right of the other."""
 
@@ -55,8 +54,7 @@ class Cylinder:
     boundary_high: tuple[tuple[int, int], ...]  # sides on the t = width circle
 
 
-@dataclass(frozen=True)
-class CylinderDecomposition:
+class CylinderDecomposition(NamedTuple):
     saddles: tuple[SaddleConnection, ...]
     cylinders: tuple[Cylinder, ...]
     spines: tuple[tuple[int, ...], ...]

@@ -22,8 +22,8 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DegenerateTriple, NonInvertible, NotInDisk, NotOnBoundary
 
@@ -58,8 +58,7 @@ def boundary_from_direction(theta: float) -> complex:
     return cmath.exp(-2j * theta)
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(NamedTuple):
     """An orientation preserving isometry, stored as a unit determinant matrix."""
 
     a: float
@@ -214,8 +213,7 @@ def _to_zero_inf(xi1: complex, xi2: complex) -> Mobius:
     return Mobius.from_matrix(((q1, -p1), (s * q2, -s * p2)))
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(NamedTuple):
     """Oriented complete geodesic from ideal point ``start`` to ``end``."""
 
     start: complex
@@ -282,8 +280,7 @@ def segment_points(z1: complex, z2: complex, n: int) -> list[complex]:
 # -- horoballs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Horoball:
+class Horoball(NamedTuple):
     """Sublevel horoball {busemann(base, .) >= level} at an ideal base point."""
 
     base: complex
@@ -364,7 +361,6 @@ def segment_clip_by_horoball(
 # -- convex regions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConvexRegion:
     """Ideal polygon: the intersection of the left half planes of its sides.
 
@@ -376,11 +372,11 @@ class ConvexRegion:
     (``side_facing``).  An empty side list is the whole disk.
     """
 
-    sides: tuple[Geodesic, ...]
+    __slots__ = ("sides", "_start_angles")
 
-    @cached_property
-    def _start_angles(self) -> list[float]:
-        return [cmath.phase(g.start) % (2 * math.pi) for g in self.sides]
+    def __init__(self, sides: tuple[Geodesic, ...]):
+        self.sides = sides
+        self._start_angles = [cmath.phase(g.start) % (2 * math.pi) for g in sides]
 
     def contains(self, z: complex, *, tol: float = 1e-9) -> bool:
         return all(g.side_of(z) >= -tol for g in self.sides)

@@ -10,7 +10,7 @@ to their direction by the horoball family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cylinders import trace_direction
 from .errors import (
@@ -41,16 +41,14 @@ from .veech import HoroRegion, family_balls, family_key, region_for
 # -- preferred paths ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberPoint:
+class FiberPoint(NamedTuple):
     """A cone-point lift in the fiber over a disk point."""
 
     base: complex
     corner: Corner
 
 
-@dataclass(frozen=True)
-class HorizontalPiece:
+class HorizontalPiece(NamedTuple):
     """A base geodesic segment traversed at a fixed cone-point fiber."""
 
     start: complex
@@ -62,8 +60,7 @@ class HorizontalPiece:
         return hyp_distance(self.start, self.end)
 
 
-@dataclass(frozen=True)
-class SaddlePiece:
+class SaddlePiece(NamedTuple):
     """A saddle connection traversed in the fiber over ``at_base``."""
 
     connection: SaddleConnection
@@ -75,8 +72,7 @@ class SaddlePiece:
         return saddle_length_at(self.at_base, self.connection.holonomy)
 
 
-@dataclass(frozen=True)
-class PreferredPath:
+class PreferredPath(NamedTuple):
     """Alternating horizontal and saddle pieces joining two fiber points."""
 
     pieces: tuple
@@ -179,8 +175,7 @@ def collapsed_length(
 # -- fans ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """A triangle with two single-connection sides meeting at the apex.
 
     ``bottom`` is the geodesic side; ``taus`` are the connections from the
@@ -298,8 +293,7 @@ def random_fan(surface: TranslationSurface, saddles, rng) -> Fan | None:
         return None
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Cyclic-order check of the ideal vertices of a fan."""
 
     ok: bool
@@ -343,8 +337,7 @@ def check_structure_lemma(fan: Fan) -> StructureReport:
 # -- combinatorial paths ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CombinatorialPath:
+class CombinatorialPath(NamedTuple):
     """A hop sequence through the horoball family."""
 
     keys: tuple[float, ...]
@@ -357,7 +350,9 @@ class CombinatorialPath:
 JUMP_RADIUS = 2.0
 
 
-def _family_adjacency(family: dict) -> dict:
+def family_adjacency(family: dict) -> dict:
+    """The hop graph of ``combinatorial_path``: each key of the family to
+    the set of keys one horizontal jump away."""
     keys = sorted(family.keys())
     adj: dict = {k: set() for k in keys}
     n = len(keys)
@@ -375,14 +370,15 @@ def _family_adjacency(family: dict) -> dict:
 
 
 def combinatorial_path(
-    family: dict, start_theta: float, end_theta: float
+    family: dict, start_theta: float, end_theta: float, adjacency: dict | None = None
 ) -> CombinatorialPath:
     """Shortest hop path between two directions of the horoball family.
 
     Moves are horizontal jumps between adjacent regions (consecutive in the
     circular direction order, or with anchors within a bounded distance).
     Consecutive regions are always adjacent, so the breadth-first search
-    always reaches the target.
+    always reaches the target.  ``adjacency`` is ``family_adjacency(family)``,
+    built here when not given; a caller asking for many paths builds it once.
     """
     try:
         start = family_key(family, start_theta)
@@ -391,7 +387,7 @@ def combinatorial_path(
         raise MissingHoroRegion(str(exc)) from exc
     if start == end:
         return CombinatorialPath((start,))
-    adj = _family_adjacency(family)
+    adj = family_adjacency(family) if adjacency is None else adjacency
     prev = {start: None}
     frontier = [start]
     while end not in prev:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FlatBundleError
 from .hyperbolic import segment_points
@@ -91,8 +91,7 @@ class _Segment:
         return self.points[k : k + 2]
 
 
-@dataclass
-class SampleSet:
+class SampleSet(NamedTuple):
     """Discretization of one collapsed preferred path, indexed for
     nearest-sample queries."""
 
@@ -290,8 +289,7 @@ def triangle_slimness(
 # -- sweep harness -----------------------------------------------------------
 
 
-@dataclass
-class SlimnessReport:
+class SlimnessReport(NamedTuple):
     """Deterministic summary of a randomized slimness sweep."""
 
     samples: int

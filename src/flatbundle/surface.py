@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -89,8 +88,7 @@ class Corner(NamedTuple):
     vertex: int
 
 
-@dataclass(frozen=True)
-class ConeClass:
+class ConeClass(NamedTuple):
     """One cone point: the cyclically ordered corners glued around it."""
 
     index: int
@@ -430,8 +428,7 @@ def canonical_holonomy(w: complex) -> bool:
     return w.real > 0
 
 
-@dataclass(frozen=True)
-class SaddleConnection:
+class SaddleConnection(NamedTuple):
     """A flat geodesic segment between cone points with none in its interior."""
 
     start: Corner
@@ -638,8 +635,7 @@ def is_local_geodesic(
     return bent_junction(surface, pieces) is None
 
 
-@dataclass(frozen=True)
-class FlatGeodesic:
+class FlatGeodesic(NamedTuple):
     """A geodesic between cone point lifts: a chain of saddle connections."""
 
     pieces: tuple[SaddleConnection, ...]
@@ -729,7 +725,6 @@ def _chain_sleeve(
     return sleeve, i0, j
 
 
-@dataclass(eq=False)
 class _Vertex:
     """A vertex lift on the sleeve boundary.
 
@@ -738,10 +733,12 @@ class _Vertex:
     bounds.
     """
 
-    point: complex
-    first: tuple[int, int]
-    last: tuple[int, int]
-    left: bool
+    __slots__ = ("point", "first", "last", "left")
+
+    def __init__(
+        self, point: complex, first: tuple[int, int], last: tuple[int, int], left: bool
+    ):
+        self.point, self.first, self.last, self.left = point, first, last, left
 
 
 def _blocks(a: complex, b: complex, c: complex, sign: float) -> bool:

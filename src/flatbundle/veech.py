@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     CuspAtHullVertex,
@@ -174,13 +174,12 @@ def find_parabolic_fixed_points(words):
     return found
 
 
-@dataclass(frozen=True)
-class VeechGroupData:
+class VeechGroupData(NamedTuple):
     generators: tuple[Mobius, ...]
     hull: ConvexRegion  # its vertices are the limit-set sample
-    parabolic_fixed_points: tuple = field(hash=False, compare=False)
+    parabolic_fixed_points: tuple
     # the (word, element) pairs of length <= ORBIT_DEPTH, shortest first
-    orbit_words: tuple = field(hash=False, compare=False)
+    orbit_words: tuple
 
     @property
     def basepoint(self) -> complex:
@@ -223,8 +222,7 @@ def build_group_data(
 # -- horoball family ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HoroRegion:
+class HoroRegion(NamedTuple):
     """Horoball (parabolic direction) or horopoint (direction off the hull)."""
 
     kind: str  # "ball" | "point"

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -130,7 +129,7 @@ class TestValidation:
     def test_config_roundtrip(self, tmp_path):
         cfg = cli.ExperimentConfig(surface="lshape", seed=9, max_trace=12.0)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(asdict(cfg)))
+        path.write_text(json.dumps(cfg._asdict()))
         loaded = cli.ExperimentConfig(
             **json.loads(path.read_text())
         )
@@ -212,7 +211,7 @@ class TestParserFuzz:
     @given(st.data(), json_values)
     @settings(max_examples=100, deadline=None)
     def test_config(self, config_path, data, value):
-        doc = _substitute(data, asdict(cli.ExperimentConfig()), value)
+        doc = _substitute(data, cli.ExperimentConfig()._asdict(), value)
         config_path.write_text(json.dumps(doc))
         args = argparse.Namespace(config=str(config_path))
         try:
@@ -516,8 +515,8 @@ class TestRender:
 
 ROOT = Path(__file__).resolve().parent.parent
 # Runs a module or script as __main__ in a fresh interpreter and reports on
-# its last line whether numpy was imported.
-_IMPORTS_NUMPY = """
+# its last line whether numpy and dataclasses were imported.
+_REPORT_IMPORTS = """
 import runpy, sys
 target, sys.argv = sys.argv[1], sys.argv[1:]
 try:
@@ -527,7 +526,8 @@ try:
         runpy.run_module(target, run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert not exc.code, exc.code
-print("numpy imported:", "numpy" in sys.modules)
+print("numpy imported:", "numpy" in sys.modules,
+      "dataclasses imported:", "dataclasses" in sys.modules)
 """
 
 
@@ -548,7 +548,9 @@ def test_numpy_is_not_imported(argv, tmp_path):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORTS_NUMPY, *(a.format(tmp=tmp_path) for a in argv)],
+        [sys.executable, "-c", _REPORT_IMPORTS, *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "numpy imported: False"
+    assert proc.stdout.splitlines()[-1] == (
+        "numpy imported: False dataclasses imported: False"
+    )

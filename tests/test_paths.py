@@ -369,6 +369,15 @@ class TestCombinatorialPath:
         assert path.length >= 1
         assert path.keys[0] == keys[0] and path.keys[-1] == keys[-1]
 
+    def test_adjacency_built_once_gives_the_same_paths(self, lshape_family):
+        keys = sorted(lshape_family)
+        adjacency = P.family_adjacency(lshape_family)
+        for k1 in keys:
+            for k2 in keys:
+                assert P.combinatorial_path(
+                    lshape_family, k1, k2, adjacency
+                ) == P.combinatorial_path(lshape_family, k1, k2)
+
     def test_perturbed_direction_matches_region_for(self, lshape_family):
         for key in sorted(lshape_family):
             theta = key + 5e-8

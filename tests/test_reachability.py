@@ -10,7 +10,6 @@ what they mention is reached too.
 """
 
 import ast
-import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -131,18 +130,18 @@ WATCHED_RUNS = (("lshape", "lshape_lattice"), ("octagon", "octagon_cusped"))
 
 
 def _records() -> dict:
-    """{record class: its field names} for the package's dataclasses and
-    NamedTuples."""
+    """{record class: its field names} for the package's NamedTuples and
+    classes with ``__slots__`` (``flatbundle run`` imports no dataclasses)."""
     records = {}
     for mod, _tree in _modules():
         module = importlib.import_module(f"flatbundle.{mod}")
         for obj in vars(module).values():
             if not isinstance(obj, type) or obj.__module__ != module.__name__:
                 continue
-            if dataclasses.is_dataclass(obj):
-                records[obj] = [f.name for f in dataclasses.fields(obj)]
-            elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
+            if issubclass(obj, tuple) and hasattr(obj, "_fields"):
                 records[obj] = list(obj._fields)
+            elif "__slots__" in vars(obj):
+                records[obj] = list(obj.__slots__)
     return records
 
 
@@ -156,7 +155,7 @@ def _watch_reads(records: dict, unread: set) -> None:
 
     A read is an attribute load on an instance of that very class, or, for
     a NamedTuple, iterating it (unpacking reads every field), made by a
-    frame of a package module, so the methods ``dataclass`` generates do
+    frame of a package module, so the methods ``NamedTuple`` generates do
     not count.
     """
     for cls, names in records.items():

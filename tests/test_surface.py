@@ -1,7 +1,6 @@
 """Tests for glued-polygon surfaces and straight-line geometry on them."""
 
 import cmath
-import dataclasses
 import json
 import math
 import random
@@ -263,7 +262,7 @@ class TestGeodesics:
             sc for sc in enumerate_saddle_connections(lshape, 3.0) if sc.crossings
         )
         poly, e = sc.crossings[0]
-        bad = dataclasses.replace(sc, crossings=((1 - poly, e),) + sc.crossings[1:])
+        bad = sc._replace(crossings=((1 - poly, e),) + sc.crossings[1:])
         with pytest.raises(NotAConnection):
             tighten_chain(lshape, [bad])
 

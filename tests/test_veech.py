@@ -2,7 +2,6 @@
 detection, and the horoball/horopoint family."""
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -389,7 +388,7 @@ class TestHoroballFamily:
         # on the whole horocycle the shortest other saddle is exactly three
         # times the cusp saddle
         s, g = group_data(name)
-        g = dataclasses.replace(g, hull=ConvexRegion(()))
+        g = g._replace(hull=ConvexRegion(()))
         saddles = enumerate_saddle_connections(s, 2.5)
         for r in build_horoball_family(g, saddles).values():
             other = min(
@@ -543,6 +542,6 @@ class TestHullLookup:
         s, g = group_data("lshape_lattice", depth=4)
         xi = boundary_from_direction(0.0)
         vertices = [side.start for side in g.hull.sides] + [xi]
-        g = dataclasses.replace(g, hull=build_hull(vertices))
+        g = g._replace(hull=build_hull(vertices))
         with pytest.raises(CuspAtHullVertex, match="direction 0.0 "):
             build_horoball_family(g, enumerate_saddle_connections(s, 2.5))
