@@ -342,16 +342,21 @@ def segment_clip_by_horoball(
     if u1 > u2:
         u1, u2 = u2, u1
     p, q = _uhp_boundary_vector(ball.base)
-    k = math.exp(0.5 * ball.level)
+    # M's determinant D is 1 only to TOL_DET, and M (p, q) comes out sqrt(D)
+    # too long; unscaled, that moves the ball's level by log D, and the
+    # clipped length by several times that
+    k = math.exp(0.5 * ball.level) / math.sqrt(M.a * M.d - M.b * M.c)
     p, q = k * p, k * q
     p, q = M.a * p + M.b * q, M.c * p + M.d * q
     pp, qq = p * p, q * q
-    if qq == 0.0:
-        lo, hi = math.log(pp), math.inf
-    elif 4.0 * pp * qq > 1.0:
+    if 4.0 * pp * qq > 1.0:
         return (total, 0.0)
+    # a base at a geodesic end that rounds to q ~ 1e-162 overflows the top
+    # root; the ball is then the ray t >= p^2, as for q = 0
+    top = (1.0 + math.sqrt(1.0 - 4.0 * pp * qq)) / (2.0 * qq) if qq > 0.0 else math.inf
+    if top == math.inf:
+        lo, hi = math.log(pp), math.inf
     else:
-        top = (1.0 + math.sqrt(1.0 - 4.0 * pp * qq)) / (2.0 * qq)
         bottom = pp / (qq * top)  # the product of the roots is pp / qq
         lo, hi = (math.log(bottom) if bottom > 0.0 else -math.inf), math.log(top)
     inside = max(0.0, min(hi, u2) - max(lo, u1))

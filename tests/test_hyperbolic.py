@@ -364,6 +364,8 @@ class TestClosedFormsAgainstOracles:
 
     @given(balls, disk_points, disk_points)
     @example(H.Horoball(1 + 0j, 0.0), 0.75j, complex(2.220446049250313e-16, 0.75))
+    @example(H.Horoball(1 + 0j, 1.0), complex(-0.5, 8.097585166383789e-162), 0j)
+    @example(H.Horoball(1 + 0j, 0.0), complex(-6.103515625e-05, 6.103515625e-05), 0.3125 - 0.5j)
     @settings(max_examples=300)
     def test_clip(self, ball, z1, z2):
         out, ins = H.segment_clip_by_horoball(z1, z2, ball)
