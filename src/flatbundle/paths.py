@@ -370,7 +370,7 @@ def family_adjacency(family: dict) -> dict:
 
 
 def combinatorial_path(
-    family: dict, start_theta: float, end_theta: float, adjacency: dict | None = None
+    family: dict, start_theta: float, end_theta: float, adjacency: dict
 ) -> CombinatorialPath:
     """Shortest hop path between two directions of the horoball family.
 
@@ -378,7 +378,7 @@ def combinatorial_path(
     circular direction order, or with anchors within a bounded distance).
     Consecutive regions are always adjacent, so the breadth-first search
     always reaches the target.  ``adjacency`` is ``family_adjacency(family)``,
-    built here when not given; a caller asking for many paths builds it once.
+    built once by a caller asking for many paths.
     """
     try:
         start = family_key(family, start_theta)
@@ -387,13 +387,12 @@ def combinatorial_path(
         raise MissingHoroRegion(str(exc)) from exc
     if start == end:
         return CombinatorialPath((start,))
-    adj = family_adjacency(family) if adjacency is None else adjacency
     prev = {start: None}
     frontier = [start]
     while end not in prev:
         nxt = []
         for k in frontier:
-            for m in adj[k]:
+            for m in adjacency[k]:
                 if m not in prev:
                     prev[m] = k
                     nxt.append(m)

@@ -29,6 +29,7 @@ from flatbundle.paths import (
     check_structure_lemma,
     collapsed_length,
     combinatorial_path,
+    family_adjacency,
     random_fan,
 )
 from flatbundle.surface import enumerate_saddle_connections
@@ -240,13 +241,13 @@ def test_10_convex_cocompact(setups):
 
 def _max_ratio(family, seed: int, pairs: int) -> float:
     rng = random.Random(seed)
-    keys = sorted(family)
+    keys, adjacency = sorted(family), family_adjacency(family)
     ratios = []
     while len(ratios) < pairs:
         k1, k2 = rng.choice(keys), rng.choice(keys)
         if k1 == k2:
             continue
-        result = combinatorial_path(family, k1, k2)
+        result = combinatorial_path(family, k1, k2, adjacency)
         if not isinstance(result, CombinatorialPath):
             continue
         dist = max(cli._surrogate_distance(family, k1, k2), 0.1)

@@ -358,36 +358,34 @@ class TestFans:
 class TestCombinatorialPath:
     def test_same_node(self, lshape_family):
         key = next(iter(lshape_family))
-        path = P.combinatorial_path(lshape_family, key, key)
+        path = P.combinatorial_path(
+            lshape_family, key, key, P.family_adjacency(lshape_family)
+        )
         assert isinstance(path, P.CombinatorialPath)
         assert path.length == 0
 
     def test_reachable(self, lshape_family):
         keys = sorted(lshape_family)
-        path = P.combinatorial_path(lshape_family, keys[0], keys[-1])
+        path = P.combinatorial_path(
+            lshape_family, keys[0], keys[-1], P.family_adjacency(lshape_family)
+        )
         assert isinstance(path, P.CombinatorialPath)
         assert path.length >= 1
         assert path.keys[0] == keys[0] and path.keys[-1] == keys[-1]
 
-    def test_adjacency_built_once_gives_the_same_paths(self, lshape_family):
-        keys = sorted(lshape_family)
-        adjacency = P.family_adjacency(lshape_family)
-        for k1 in keys:
-            for k2 in keys:
-                assert P.combinatorial_path(
-                    lshape_family, k1, k2, adjacency
-                ) == P.combinatorial_path(lshape_family, k1, k2)
-
     def test_perturbed_direction_matches_region_for(self, lshape_family):
+        adjacency = P.family_adjacency(lshape_family)
         for key in sorted(lshape_family):
             theta = key + 5e-8
             assert region_for(lshape_family, theta) is lshape_family[key]
-            path = P.combinatorial_path(lshape_family, theta, theta)
+            path = P.combinatorial_path(lshape_family, theta, theta, adjacency)
             assert path.keys == (key,)
 
     def test_unknown_direction_raises(self, lshape_family):
         with pytest.raises(MissingHoroRegion):
-            P.combinatorial_path(lshape_family, 0.123456, 0.654321)
+            P.combinatorial_path(
+                lshape_family, 0.123456, 0.654321, P.family_adjacency(lshape_family)
+            )
 
 
 class TestDrawUntil:
