@@ -25,7 +25,7 @@ from .paths import (
     family_adjacency,
     random_fan,
 )
-from .surface import enumerate_saddle_connections
+from .surface import enumerate_saddle_connections, tighten_chain
 from .veech import build_group_data, build_horoball_family, family_balls
 
 _COUNTS = {
@@ -168,7 +168,7 @@ def _random_path(surface, saddles, family, rng):
     y = FiberPoint(
         complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)), b.end
     )
-    return build_preferred_path(surface, x, y, family, [a, b])
+    return build_preferred_path(x, y, family, tighten_chain(surface, [a, b]))
 
 
 def _suite_lipschitz(surface, saddles, family, rng, count):
@@ -177,7 +177,7 @@ def _suite_lipschitz(surface, saddles, family, rng, count):
     def draw():
         nonlocal first_path
         path = _random_path(surface, saddles, family, rng)
-        collapsed = collapsed_length(surface, path, family)
+        collapsed = collapsed_length(path, family)
         first_path = first_path or path
         return path.d_length - collapsed
 

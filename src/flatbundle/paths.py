@@ -83,29 +83,18 @@ class PreferredPath(NamedTuple):
 
 
 def build_preferred_path(
-    surface: TranslationSurface,
-    x: FiberPoint,
-    y: FiberPoint,
-    family: dict,
-    chain: list[SaddleConnection] | FlatGeodesic,
+    x: FiberPoint, y: FiberPoint, family: dict, geodesic: FlatGeodesic
 ) -> PreferredPath:
-    """Preferred path from x to y.
+    """Preferred path from x to y along the flat geodesic from x.corner to
+    y.corner.
 
-    ``chain`` is the homotopy hint: a chain of saddle connections from
-    x.corner to y.corner (it is tightened to the flat geodesic first).  The
-    geodesic's pieces become saddle pieces over the base points the horoball
-    family assigns to their directions, joined by horizontal pieces.
+    The geodesic's pieces become saddle pieces over the base points the
+    horoball family assigns to their directions, joined by horizontal pieces.
     """
-    if isinstance(chain, FlatGeodesic):
-        geo = chain
-    elif chain:
-        geo = tighten_chain(surface, list(chain))
-    else:
-        geo = FlatGeodesic(())
     pieces: list = []
     prev_base = x.base
     prev_corner = x.corner
-    for sc in geo.pieces:
+    for sc in geodesic.pieces:
         try:
             reg = region_for(family, sc.direction)
         except NotFound as exc:
@@ -142,9 +131,7 @@ def build_direction_graphs(
     return graphs
 
 
-def collapsed_length(
-    surface: TranslationSurface, path: PreferredPath, family: dict
-) -> float:
+def collapsed_length(path: PreferredPath, family: dict) -> float:
     """Length of the path after collapsing horoball preimages onto trees.
 
     Horizontal sub-segments inside a horoball would contribute the tree
@@ -241,7 +228,7 @@ def _make_fan(surface, taus, bottom) -> Fan:
 def build_fan(
     surface: TranslationSurface,
     first_side: SaddleConnection,
-    bottom,
+    bottom: FlatGeodesic,
 ) -> Fan:
     """Fan with apex ``first_side.start`` over the geodesic ``bottom``.
 
@@ -249,11 +236,10 @@ def build_fan(
     apex-to-junction connections are computed by tightening and must each be
     a single saddle connection.
     """
-    pieces = bottom.pieces if isinstance(bottom, FlatGeodesic) else tuple(bottom)
-    if not pieces:
+    if not bottom.pieces:
         raise NotAFan("empty bottom side")
     taus = [first_side]
-    for sc in pieces:
+    for sc in bottom.pieces:
         try:
             g = tighten_chain(surface, [taus[-1], sc])
         except FlatBundleError as exc:
@@ -263,7 +249,7 @@ def build_fan(
                 f"apex-to-junction geodesic has {len(g.pieces)} pieces"
             )
         taus.append(g.pieces[0])
-    return _make_fan(surface, taus, list(pieces))
+    return _make_fan(surface, taus, list(bottom.pieces))
 
 
 def random_fan(surface: TranslationSurface, saddles, rng) -> Fan | None:

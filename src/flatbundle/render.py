@@ -44,17 +44,17 @@ def _disk_boundary() -> str:
     )
 
 
-def _polyline(points, stroke: str, width: float = 1.5, fill: str = "none") -> str:
+def _polyline(points, stroke: str, width: float = 1.5) -> str:
     coords = " ".join(",".join(_xy(z)) for z in points)
     return (
-        f'<polyline points="{coords}" fill="{fill}" stroke="{stroke}" '
+        f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
         f'stroke-width="{_fmt(width)}"/>'
     )
 
 
-def _geodesic_points(xi1: complex, xi2: complex, n: int = 64):
+def _geodesic_points(xi1: complex, xi2: complex):
     g = Geodesic(xi1, xi2)
-    lo, hi = -6.0, 6.0
+    lo, hi, n = -6.0, 6.0, 64
     return [g.point(lo + (hi - lo) * i / n) for i in range(n + 1)]
 
 

@@ -27,7 +27,7 @@ from .paths import (
     build_preferred_path,
     draw_until,
 )
-from .surface import tighten_chain
+from .surface import FlatGeodesic, tighten_chain
 from .veech import family_balls, region_for
 
 DEFAULT_STEP = 0.05
@@ -255,34 +255,29 @@ def _farthest(a: SampleSet, target: SampleSet, balls, floor: float) -> float:
 
 
 def triangle_slimness(
-    surface,
     family,
     x: FiberPoint,
     y: FiberPoint,
     z: FiberPoint,
-    chains,
+    sides,
     *,
     step: float = DEFAULT_STEP,
 ) -> float:
     """Thinness constant of one collapsed preferred-path triangle.
 
-    ``chains`` holds the flat chains for the sides (x,y), (y,z), (x,z), each
-    a list of saddle connections or an already tightened FlatGeodesic.
+    ``sides`` holds the flat geodesics of the sides (x,y), (y,z), (x,z).
     Returns the max over sides of the max sample distance to the union of the
     other two sides.
     """
-    cxy, cyz, cxz = chains
-    paths = (
-        build_preferred_path(surface, x, y, family, cxy),
-        build_preferred_path(surface, y, z, family, cyz),
-        build_preferred_path(surface, x, z, family, cxz),
-    )
     table: dict = {}
     balls = family_balls(family)
-    sides = [sample_path(p, table, balls, step=step) for p in paths]
+    sets = [
+        sample_path(build_preferred_path(u, v, family, g), table, balls, step=step)
+        for (u, v), g in zip(((x, y), (y, z), (x, z)), sides)
+    ]
     delta = 0.0
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        delta = _farthest(sides[i], _union([sides[j], sides[k]]), balls, delta)
+        delta = _farthest(sets[i], _union([sets[j], sets[k]]), balls, delta)
     return delta
 
 
@@ -317,8 +312,14 @@ def _quantiles(values) -> dict:
     return out
 
 
+def _fmt4(x: float) -> str:
+    s = f"{x:.4f}"
+    return "0.0000" if s == "-0.0000" else s
+
+
 def _short_key(sc) -> str:
-    return f"({sc.start.poly}.{sc.start.vertex}|{sc.holonomy.real:.4f},{sc.holonomy.imag:.4f})"
+    w = sc.holonomy
+    return f"({sc.start.poly}.{sc.start.vertex}|{_fmt4(w.real)},{_fmt4(w.imag)})"
 
 
 def random_triangle_chains(surface, saddles, rng):
@@ -366,8 +367,9 @@ def slimness_sweep(
         x = FiberPoint(ra.anchor, a.start)
         y = FiberPoint(rb.anchor, a.end)
         z = FiberPoint(bz, b.end)
+        sides = (FlatGeodesic((a,)), FlatGeodesic((b,)), third)
         return _short_key(a) + "+" + _short_key(b), triangle_slimness(
-            surface, family, x, y, z, ([a], [b], third), step=step
+            family, x, y, z, sides, step=step
         )
 
     per_triangle, attempts, rejected = draw_until(

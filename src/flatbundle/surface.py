@@ -448,6 +448,15 @@ class SaddleConnection(NamedTuple):
         return fold_direction(math.atan2(self.holonomy.imag, self.holonomy.real))
 
     def reverse(self, surface: TranslationSurface) -> "SaddleConnection":
+        """The same connection run backwards, as :func:`connect` gives it.
+
+        An edge connection (``start_phi`` 0) arrives along its end corner's
+        incoming edge, so its reverse leaves from the next corner
+        counterclockwise, where the same edge is outgoing.
+        """
+        if self.start_phi == 0.0:
+            corner = _next_corner(surface.gluings, surface.polygons, self.end)
+            return connect(surface, corner, -self.holonomy)
         rcross = tuple(surface.gluings[c] for c in reversed(self.crossings))
         return SaddleConnection(
             self.end, self.start, -self.holonomy, self.end_phi, self.start_phi, rcross
@@ -647,9 +656,6 @@ class FlatGeodesic(NamedTuple):
     @property
     def development(self) -> complex:
         return sum((p.holonomy for p in self.pieces), 0j)
-
-    def reverse(self, surface: TranslationSurface) -> "FlatGeodesic":
-        return FlatGeodesic(tuple(p.reverse(surface) for p in reversed(self.pieces)))
 
 
 class _Node(NamedTuple):

@@ -813,15 +813,15 @@ def samples_of(samples):
     return [(z, c, g, s) for z, _, g, cs in samples.runs for c, s in cs]
 
 
-def _sides(surface, family, x, y, z, chains, step):
+def _sides(family, x, y, z, geodesics, step):
     table: dict = {}
     balls = family_balls(family)
-    pairs = ((x, y, chains[0]), (y, z, chains[1]), (x, z, chains[2]))
+    pairs = ((x, y, geodesics[0]), (y, z, geodesics[1]), (x, z, geodesics[2]))
     sides = [
         samples_of(
-            sample_path(build_preferred_path(surface, u, v, family, c), table, balls, step=step)
+            sample_path(build_preferred_path(u, v, family, g), table, balls, step=step)
         )
-        for u, v, c in pairs
+        for u, v, g in pairs
     ]
     return sides, balls
 
@@ -857,10 +857,10 @@ def sample_distance_matrix(a, b, balls):
     return d
 
 
-def triangle_slimness(surface, family, x, y, z, chains, *, step):
+def triangle_slimness(family, x, y, z, geodesics, *, step):
     """Thinness of a preferred-path triangle from six numpy distance
     matrices, one per ordered pair of sides."""
-    sides, balls = _sides(surface, family, x, y, z, chains, step)
+    sides, balls = _sides(family, x, y, z, geodesics, step)
     return max(
         float(
             np.minimum(
@@ -891,10 +891,10 @@ def nearest_distances(a, b, balls):
     return [min(sample_distance(p, q) for q in b) for p in a]
 
 
-def triangle_slimness_by_pairs(surface, family, x, y, z, chains, *, step):
+def triangle_slimness_by_pairs(family, x, y, z, geodesics, *, step):
     """Thinness of a preferred-path triangle comparing every pair of samples
     in pure Python, with the kernel's scalar expressions."""
-    sides, balls = _sides(surface, family, x, y, z, chains, step)
+    sides, balls = _sides(family, x, y, z, geodesics, step)
     return max(
         max(nearest_distances(sides[i], sides[j] + sides[k], balls))
         for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))

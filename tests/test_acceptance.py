@@ -32,7 +32,7 @@ from flatbundle.paths import (
     family_adjacency,
     random_fan,
 )
-from flatbundle.surface import enumerate_saddle_connections
+from flatbundle.surface import enumerate_saddle_connections, tighten_chain
 from flatbundle.veech import (
     build_group_data,
     build_horoball_family,
@@ -203,8 +203,8 @@ def test_08_lipschitz_collapse(setups):
             complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)), b.end
         )
         try:
-            path = build_preferred_path(s, x, y, family, [a, b])
-            collapsed = collapsed_length(s, path, family)
+            path = build_preferred_path(x, y, family, tighten_chain(s, [a, b]))
+            collapsed = collapsed_length(path, family)
         except FlatBundleError:
             continue
         done += 1

@@ -285,8 +285,8 @@ class TestRun:
     def test_path_svg_is_first_lipschitz_path(self, tmp_path, monkeypatch):
         accepted = []
 
-        def recording(surface, path, family):
-            value = paths.collapsed_length(surface, path, family)
+        def recording(path, family):
+            value = paths.collapsed_length(path, family)
             accepted.append(path)
             return value
 

@@ -23,7 +23,11 @@ from flatbundle.hyperbolic import (
     structure_matrix,
     uhp_from_disk,
 )
-from flatbundle.surface import FlatGeodesic, enumerate_saddle_connections
+from flatbundle.surface import (
+    FlatGeodesic,
+    enumerate_saddle_connections,
+    tighten_chain,
+)
 from flatbundle.veech import (
     build_group_data,
     build_horoball_family,
@@ -151,7 +155,7 @@ class TestFiberMap:
 class TestPreferredPath:
     def test_degenerate_path(self, lshape, lshape_saddles, lshape_family):
         x = P.FiberPoint(0.1 + 0.1j, lshape_saddles[0].start)
-        path = P.build_preferred_path(lshape, x, x, lshape_family, [])
+        path = P.build_preferred_path(x, x, lshape_family, FlatGeodesic(()))
         assert len(path.pieces) == 1
         assert path.d_length == pytest.approx(0.0)
 
@@ -162,7 +166,7 @@ class TestPreferredPath:
         reg = region_for(lshape_family, sc.direction)
         x = P.FiberPoint(reg.anchor, sc.start)
         y = P.FiberPoint(reg.anchor, sc.end)
-        path = P.build_preferred_path(lshape, x, y, lshape_family, [sc])
+        path = P.build_preferred_path(x, y, lshape_family, FlatGeodesic((sc,)))
         assert len(path.pieces) == 3
         h0, mid, h2 = path.pieces
         assert h0.length == pytest.approx(0.0, abs=1e-12)
@@ -182,7 +186,7 @@ class TestPreferredPath:
             y = P.FiberPoint(0.2 - 0.1j, b.end)
             try:
                 path = P.build_preferred_path(
-                    lshape, x, y, lshape_family, [a, b]
+                    x, y, lshape_family, tighten_chain(lshape, [a, b])
                 )
             except (MissingHoroRegion, FlatBundleError):
                 continue  # tightening can leave the enumerated family
@@ -208,7 +212,7 @@ class TestPreferredPath:
         y = P.FiberPoint(0j, lshape_saddles[0].end)
         with pytest.raises(MissingHoroRegion):
             P.build_preferred_path(
-                lshape, x, y, sparse, [lshape_saddles[0]]
+                x, y, sparse, FlatGeodesic((lshape_saddles[0],))
             )
 
 
@@ -258,12 +262,12 @@ class TestCollapsedLength:
             )
             try:
                 path = P.build_preferred_path(
-                    lshape, x, y, lshape_family, [a, b]
+                    x, y, lshape_family, tighten_chain(lshape, [a, b])
                 )
             except (MissingHoroRegion, FlatBundleError):
                 continue
             done += 1
-            collapsed = P.collapsed_length(lshape, path, lshape_family)
+            collapsed = P.collapsed_length(path, lshape_family)
             assert collapsed <= path.d_length + 1e-12
 
     def test_no_balls_means_no_collapse(self, octagon, octagon_saddles):
@@ -274,8 +278,8 @@ class TestCollapsedLength:
         sc = octagon_saddles[0]
         x = P.FiberPoint(gdata.basepoint, sc.start)
         y = P.FiberPoint(gdata.basepoint, sc.end)
-        path = P.build_preferred_path(octagon, x, y, family, [sc])
-        collapsed = P.collapsed_length(octagon, path, family)
+        path = P.build_preferred_path(x, y, family, FlatGeodesic((sc,)))
+        collapsed = P.collapsed_length(path, family)
         assert collapsed == pytest.approx(path.d_length, abs=1e-9)
 
     def test_parabolic_saddle_collapses_to_zero(
@@ -286,8 +290,8 @@ class TestCollapsedLength:
         assert reg.kind == "ball"
         x = P.FiberPoint(reg.anchor, sc.start)
         y = P.FiberPoint(reg.anchor, sc.end)
-        path = P.build_preferred_path(lshape, x, y, lshape_family, [sc])
-        collapsed = P.collapsed_length(lshape, path, lshape_family)
+        path = P.build_preferred_path(x, y, lshape_family, FlatGeodesic((sc,)))
+        collapsed = P.collapsed_length(path, lshape_family)
         assert collapsed == pytest.approx(0.0, abs=1e-9)
 
 

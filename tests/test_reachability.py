@@ -1,18 +1,22 @@
 """Every function, class and method of the package is reachable from
 ``flatbundle.cli.main``, every module-level constant is read somewhere, and
-every record field is read on its own class while ``flatbundle run`` works.
+while ``flatbundle run`` works every method of a package class runs and
+every record field is read on its own class.
 
 The call graph is name-level: a definition reaches every definition whose
 name it mentions, as a bare name or as an attribute.  A reached class
 reaches what its body mentions outside its methods, and its dunder methods,
 which Python calls implicitly.  Module-level statements run at import, so
-what they mention is reached too.
+what they mention is reached too.  A method is only reached by name, so
+the watched runs also record which methods are really called.
 """
 
 import ast
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import flatbundle
 from flatbundle import cli
@@ -25,6 +29,16 @@ ALLOWED = {
     "hyperbolic.ideal_incenter",
     "hyperbolic.Geodesic.distance_to",
     "surface.FlatGeodesic.development",
+}
+
+# Methods that only the tests call: acceptance 05 checks balance_point with
+# Geodesic.distance_to, the geodesic certificates read FlatGeodesic's
+# development and length, and the hull tests ask ConvexRegion.contains.
+CALLS_ALLOWED = {
+    "hyperbolic.Geodesic.distance_to",
+    "hyperbolic.ConvexRegion.contains",
+    "surface.FlatGeodesic.development",
+    "surface.FlatGeodesic.length",
 }
 
 # Record fields read only by the tests, or kept for the slimness-at-scale
@@ -176,24 +190,72 @@ def _watch_reads(records: dict, unread: set) -> None:
             cls.__iter__ = iterate
 
 
-def test_every_record_field_is_read(tmp_path):
-    # receiver-exact: a field counts as read only when package code reads it
-    # on an instance of its own class while flatbundle run works
+def _methods() -> dict:
+    """{code object: qualified name} of every non-dunder method, property
+    getter, static method and class method defined in a package class."""
+    methods = {}
+    for mod, _tree in _modules():
+        module = importlib.import_module(f"flatbundle.{mod}")
+        for obj in vars(module).values():
+            if not isinstance(obj, type) or obj.__module__ != module.__name__:
+                continue
+            for name, attr in vars(obj).items():
+                func = attr.fget if isinstance(attr, property) else attr
+                func = getattr(func, "__func__", func)  # static or class method
+                code = getattr(func, "__code__", None)
+                # NamedTuple's generated methods are compiled outside the package
+                if name.startswith("__") or code is None or (
+                    not code.co_filename.startswith(PACKAGE_DIR)
+                ):
+                    continue
+                methods[code] = f"{mod}.{obj.__qualname__}.{name}"
+    return methods
+
+
+@pytest.fixture(scope="module")
+def watched(tmp_path_factory):
+    """(fields never read, methods never called) over the watched runs.
+
+    A field counts as read only when package code reads it on an instance
+    of its own class; a method counts as called when its code starts a
+    frame, as the profile hook sees it.
+    """
     records = _records()
     unread = {(cls, name) for cls, names in records.items() for name in names}
+    methods = _methods()
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in methods:
+            called.add(frame.f_code)
+
     _watch_reads(records, unread)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
     try:
         for surface, group in WATCHED_RUNS:
             cli.run_experiment(cli.ExperimentConfig(
                 surface=surface, group=group, max_length=2.5, seed=1,
-                out=str(tmp_path / group),
+                out=str(tmp_path_factory.mktemp(group)),
             ))
     finally:
+        sys.setprofile(previous)
         for cls in records:
             del cls.__getattribute__
             if issubclass(cls, tuple):
                 del cls.__iter__
-    names = {f"{cls.__module__.split('.')[-1]}.{cls.__qualname__}.{name}"
-             for cls, name in unread}
-    assert sorted(names - FIELDS_ALLOWED) == [], "record field never read"
-    assert sorted(FIELDS_ALLOWED - names) == [], "allowlisted but read or gone"
+    fields = {f"{cls.__module__.split('.')[-1]}.{cls.__qualname__}.{name}"
+              for cls, name in unread}
+    return fields, {methods[code] for code in methods.keys() - called}
+
+
+def test_every_record_field_is_read(watched):
+    fields, _ = watched
+    assert sorted(fields - FIELDS_ALLOWED) == [], "record field never read"
+    assert sorted(FIELDS_ALLOWED - fields) == [], "allowlisted but read or gone"
+
+
+def test_every_method_runs(watched):
+    _, uncalled = watched
+    assert sorted(uncalled - CALLS_ALLOWED) == [], "method never called"
+    assert sorted(CALLS_ALLOWED - uncalled) == [], "allowlisted but called or gone"

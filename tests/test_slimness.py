@@ -14,7 +14,7 @@ from flatbundle import hyperbolic as H
 from flatbundle.catalog import load_catalog_surface, load_group_preset
 from flatbundle.errors import FlatBundleError
 from flatbundle.paths import FiberPoint, build_preferred_path
-from flatbundle.surface import enumerate_saddle_connections
+from flatbundle.surface import FlatGeodesic, enumerate_saddle_connections
 from flatbundle.veech import (
     build_group_data,
     build_horoball_family,
@@ -47,7 +47,7 @@ class TestSampleDistances:
         reg = region_for(fam, sc.direction)
         x = FiberPoint(reg.anchor, sc.start)
         y = FiberPoint(0.2 + 0.1j, sc.end)
-        path = build_preferred_path(s, x, y, fam, [sc])
+        path = build_preferred_path(x, y, fam, FlatGeodesic((sc,)))
         balls = family_balls(fam)
         samples = S.sample_path(path, {}, balls)
         assert S._farthest(samples, samples, balls, 0.0) == 0.0
@@ -127,9 +127,8 @@ class TestTriangleSlimness:
         x = FiberPoint(reg.anchor, sc.start)
         y = FiberPoint(reg.anchor, sc.end)
         # z = x: the side (x,y) coincides with the union of the others
-        delta = S.triangle_slimness(
-            s, fam, x, y, x, ([sc], [sc.reverse(s)], [])
-        )
+        sides = (FlatGeodesic((sc,)), FlatGeodesic((sc.reverse(s),)), FlatGeodesic(()))
+        delta = S.triangle_slimness(fam, x, y, x, sides)
         assert delta == pytest.approx(0.0, abs=S.DEFAULT_STEP)
 
     def test_sweep_finite(self, lshape_setup):
@@ -161,9 +160,9 @@ class TestTriangleSlimness:
                 x = FiberPoint(ra.anchor, a.start)
                 y = FiberPoint(rb.anchor, a.end)
                 z = FiberPoint(ra.anchor, b.end)
-                chains = ([a], [b], list(third.pieces))
-                d1 = S.triangle_slimness(s, fam, x, y, z, chains, step=0.05)
-                d2 = S.triangle_slimness(s, fam, x, y, z, chains, step=0.025)
+                sides = (FlatGeodesic((a,)), FlatGeodesic((b,)), third)
+                d1 = S.triangle_slimness(fam, x, y, z, sides, step=0.05)
+                d2 = S.triangle_slimness(fam, x, y, z, sides, step=0.025)
             except FlatBundleError:
                 continue
             assert abs(d1 - d2) < 0.05
@@ -195,15 +194,15 @@ class TestTriangleSlimness:
             x = FiberPoint(ra.anchor, a.start)
             y = FiberPoint(rb.anchor, a.end)
             z = FiberPoint(rb.anchor, b.end)
-            chains = ([a], [b], list(third.pieces))
+            sides = (FlatGeodesic((a,)), FlatGeodesic((b,)), third)
             try:
-                ref = oracles.triangle_slimness_by_pairs(s, fam, x, y, z, chains, step=0.05)
+                ref = oracles.triangle_slimness_by_pairs(fam, x, y, z, sides, step=0.05)
             except FlatBundleError:
                 continue
-            got = S.triangle_slimness(s, fam, x, y, z, chains)
+            got = S.triangle_slimness(fam, x, y, z, sides)
             assert got == ref
             assert got == pytest.approx(
-                oracles.triangle_slimness(s, fam, x, y, z, chains, step=0.05), abs=1e-12
+                oracles.triangle_slimness(fam, x, y, z, sides, step=0.05), abs=1e-12
             )
             checked += 1
 
@@ -228,11 +227,11 @@ class TestTriangleSlimness:
                 y = FiberPoint(region_for(fam, b.direction).anchor, a.end)
                 last = third.pieces[-1].direction if third.pieces else a.direction
                 z = FiberPoint(region_for(fam, last).anchor, b.end)
-                chains = ([a], [b], third)
-                ref = oracles.triangle_slimness_by_pairs(s, fam, x, y, z, chains, step=0.1)
+                sides = (FlatGeodesic((a,)), FlatGeodesic((b,)), third)
+                ref = oracles.triangle_slimness_by_pairs(fam, x, y, z, sides, step=0.1)
             except FlatBundleError:
                 continue
-            assert S.triangle_slimness(s, fam, x, y, z, chains, step=0.1) == ref
+            assert S.triangle_slimness(fam, x, y, z, sides, step=0.1) == ref
             checked += 1
 
     def test_stability_split(self, lshape_setup):
