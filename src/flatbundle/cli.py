@@ -24,6 +24,7 @@ from .paths import (
     draw_until,
     family_adjacency,
     random_fan,
+    reverse_pairs,
 )
 from .surface import enumerate_saddle_connections, tighten_chain
 from .veech import build_group_data, build_horoball_family, family_balls
@@ -196,8 +197,9 @@ def _suite_lipschitz(surface, saddles, family, rng, count):
 
 
 def _suite_structure(surface, saddles, rng, count) -> dict:
+    pairs = reverse_pairs(surface, saddles)
     fans, attempts, rejected = draw_until(
-        lambda: random_fan(surface, saddles, rng),
+        lambda: random_fan(surface, pairs, rng),
         count, count * 60 if saddles else 0, "noFan",
     )
     failures = sum(1 for fan in fans if not check_structure_lemma(fan).ok)
@@ -393,8 +395,9 @@ def cmd_render(args) -> int:
                 raise MissingInput("direction did not close within max-trace")
             svg = render.render_cylinders(surface, result)
         elif args.kind == "ideal-fan":
+            pairs = reverse_pairs(surface, saddles)
             fan = _first_draw(
-                "ideal-fan", saddles, lambda: random_fan(surface, saddles, rng), "noFan"
+                "ideal-fan", saddles, lambda: random_fan(surface, pairs, rng), "noFan"
             )
             if fan is None:
                 raise MissingInput("no fan found at this seed and cutoff")

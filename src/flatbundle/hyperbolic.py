@@ -280,6 +280,11 @@ def segment_points(z1: complex, z2: complex, n: int) -> list[complex]:
 # -- horoballs ---------------------------------------------------------------
 
 
+def _ball_distance(z: complex, ball) -> float:
+    # Horoball.distance_to_point without the argument checks
+    return max(0.0, ball.level - math.log((1.0 - abs(z) ** 2) / abs(ball.base - z) ** 2))
+
+
 class Horoball(NamedTuple):
     """Sublevel horoball {busemann(base, .) >= level} at an ideal base point."""
 
@@ -375,13 +380,16 @@ class ConvexRegion:
     (``side_beyond``) and ``project`` sends it to its foot there; a boundary
     point off the vertices lies on the arc beyond exactly one side
     (``side_facing``).  An empty side list is the whole disk.
+    ``center_foot`` is the region's point nearest the disk center, projected
+    once when the region is built.
     """
 
-    __slots__ = ("sides", "_start_angles")
+    __slots__ = ("sides", "_start_angles", "center_foot")
 
     def __init__(self, sides: tuple[Geodesic, ...]):
         self.sides = sides
         self._start_angles = [cmath.phase(g.start) % (2 * math.pi) for g in sides]
+        self.center_foot = self.project(0j)
 
     def contains(self, z: complex, *, tol: float = 1e-9) -> bool:
         return all(g.side_of(z) >= -tol for g in self.sides)

@@ -21,6 +21,7 @@ from .errors import (
     NotFound,
 )
 from .hyperbolic import (
+    _ball_distance,
     hyp_distance,
     saddle_length_at,
     segment_clip_by_horoball,
@@ -131,6 +132,11 @@ def build_direction_graphs(
     return graphs
 
 
+# float slack of the clip test in collapsed_length: a ball is clipped unless
+# its distances to a segment's ends exceed the segment's length by more
+CLIP_SLACK = 1e-9
+
+
 def collapsed_length(path: PreferredPath, family: dict) -> float:
     """Length of the path after collapsing horoball preimages onto trees.
 
@@ -139,7 +145,8 @@ def collapsed_length(path: PreferredPath, family: dict) -> float:
     because the fiber is a fixed cone point along a horizontal piece.
     Parabolic saddle pieces lie in a spine and contribute zero; everything
     else contributes its full length.  The result never exceeds the
-    uncollapsed length.
+    uncollapsed length.  A ball farther from a segment's ends than the
+    segment is long cannot meet it and is not clipped.
     """
     balls = family_balls(family)
     total = 0.0
@@ -151,6 +158,11 @@ def collapsed_length(path: PreferredPath, family: dict) -> float:
         full = piece.length
         inside_sum = 0.0
         for ball in balls:
+            # a segment that meets the ball is at least as long as the
+            # distances of its ends to it (triangle inequality)
+            reach = _ball_distance(piece.start, ball) + _ball_distance(piece.end, ball)
+            if reach > full + CLIP_SLACK:
+                continue
             _out, inside = segment_clip_by_horoball(piece.start, piece.end, ball)
             if inside <= 1e-12:
                 continue
@@ -252,22 +264,28 @@ def build_fan(
     return _make_fan(surface, taus, list(bottom.pieces))
 
 
-def random_fan(surface: TranslationSurface, saddles, rng) -> Fan | None:
+def reverse_pairs(surface: TranslationSurface, saddles) -> list:
+    """Each saddle connection with its reverse, ``(sc, sc.reverse(surface))``:
+    the table that the random draws pick from."""
+    return [(sc, sc.reverse(surface)) for sc in saddles]
+
+
+def random_fan(surface: TranslationSurface, pairs, rng) -> Fan | None:
     """A fan over a randomly drawn triangle, or None when the draw is no fan.
 
-    Draws two saddle connections ``a`` and ``b`` from ``saddles``, then one
-    reversal coin for each; the fan has apex ``a.start`` over the geodesic
-    tightened from ``a`` reversed followed by ``b``. When that chain is
-    already locally geodesic it is its own geodesic, so the bottom starts
-    with ``a`` reversed and the triangle is degenerate: the draw is rejected
-    before anything is tightened.
+    Draws two saddle connections ``a`` and ``b`` from ``pairs`` (a
+    ``reverse_pairs`` table), then one reversal coin for each; the fan has
+    apex ``a.start`` over the geodesic tightened from ``a`` reversed
+    followed by ``b``. When that chain is already locally geodesic it is its
+    own geodesic, so the bottom starts with ``a`` reversed and the triangle
+    is degenerate: the draw is rejected before anything is tightened.
     """
-    a, b = rng.choice(saddles), rng.choice(saddles)
+    (a, a_rev), (b, b_rev) = rng.choice(pairs), rng.choice(pairs)
     if rng.random() < 0.5:
-        a = a.reverse(surface)
+        a, a_rev = a_rev, a
     if rng.random() < 0.5:
-        b = b.reverse(surface)
-    chain = [a.reverse(surface), b]
+        b = b_rev
+    chain = [a_rev, b]
     try:
         if is_local_geodesic(surface, chain):
             return None

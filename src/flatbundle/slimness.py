@@ -10,6 +10,26 @@ The nearest sample of another path is found without comparing every pair:
 the distance from a point to the samples of a geodesic segment is convex
 along it, so the samples next to the point's foot are the only candidates,
 and the samples of a saddle piece share one base point.
+
+The farthest sample of a side is found piece by piece, and three rules keep
+most samples unmeasured without changing the maximum (Shubert's bound, "A
+sequential method seeking the global maximum of a function", 1972, for b):
+
+(a) a piece whose arc positions the other sides hold under its signature,
+    each compared exactly, is skipped: each of its samples is at arc
+    distance 0.0 from the other sides, and the running maximum is >= 0;
+(b) along a horizontal piece a sample's distance ``min(travel, arc)`` is
+    1-Lipschitz in arc position, so between two measured samples ``lo`` and
+    ``hi`` at spacing ``h`` no sample exceeds
+    ``(v_lo + v_hi + (hi - lo) h) / 2``; a stretch is split at its middle
+    sample only while that bound is at least the running maximum less
+    ``LIPSCHITZ_SLACK``, which covers the rounding of the distances;
+(c) a horizontal piece keeps only its closed-form frame, and sample k is
+    computed when a query first reads it, by the expressions of
+    ``hyperbolic.segment_points``, so the floats are the same; a
+    nearest-sample or horoball query reads two samples of a piece, and a
+    side's least distance to each ball is found only when a query needs it.
+    The arc positions of the samples are still listed, as plain floats.
 """
 
 from __future__ import annotations
@@ -20,12 +40,13 @@ import random
 from typing import NamedTuple
 
 from .errors import FlatBundleError
-from .hyperbolic import segment_points
+from .hyperbolic import _ball_distance
 from .paths import (
     FiberPoint,
     HorizontalPiece,
     build_preferred_path,
     draw_until,
+    reverse_pairs,
 )
 from .surface import FlatGeodesic, tighten_chain
 from .veech import family_balls, region_for
@@ -34,6 +55,9 @@ DEFAULT_STEP = 0.05
 _MAX_SAMPLES_PER_PIECE = 400
 MAX_ATTEMPTS_FACTOR = 60  # a sweep gives up after this many draws per triangle
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
+# float slack of rule (b): a stretch of samples is skipped only when its
+# Lipschitz bound is below the running maximum by more than this
+LIPSCHITZ_SLACK = 1e-9
 
 
 # -- sampling ----------------------------------------------------------------
@@ -44,26 +68,41 @@ def _scale(z: complex) -> float:
     return math.sqrt(1.0 - abs(z) ** 2)
 
 
-def _ball_distance(z: complex, ball) -> float:
-    # Horoball.distance_to_point without the argument checks
-    return max(0.0, ball.level - math.log((1.0 - abs(z) ** 2) / abs(ball.base - z) ** 2))
-
-
 class _Segment:
-    """The samples of a horizontal piece from ``z1`` to ``z2``.
+    """The n + 1 samples of a horizontal piece from ``z1`` to ``z2``.
 
     In the frame ``phi(z) = (z - z1) / (1 - conj(z1) z)``, turned so that
     ``phi(z2) = r`` is positive, the piece is [0, r] on the real diameter
-    and sample k lies at distance ``2 atanh(r) k / n`` from 0.
+    and sample k lies at distance ``2 atanh(r) k / n`` from 0.  Samples are
+    computed on demand, as ``hyperbolic.segment_points`` computes them, and
+    kept for the next query.
     """
 
-    def __init__(self, z1: complex, z2: complex, points: list):
+    __slots__ = ("z1", "z2", "n", "z1c", "u", "turn", "a", "r", "end", "per_unit", "_memo")
+
+    def __init__(self, z1: complex, z2: complex, n: int):
         w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
         self.r = abs(w)
-        self.z1, self.z1c, self.turn = z1, z1.conjugate(), w.conjugate() / self.r
+        self.z1, self.z2, self.n, self.z1c = z1, z2, n, z1.conjugate()
+        self.u = w / self.r  # phi(z2) / r
+        self.turn = self.u.conjugate()
+        self.a = math.atanh(self.r)
         self.end = 2.0 * self.r / (1.0 + self.r * self.r)  # tanh of the length
-        self.per_unit = (len(points) - 1) / math.atanh(self.r)  # samples per atanh
-        self.points = points  # (base, scale) of each sample
+        self.per_unit = n / self.a  # samples per atanh
+        self._memo: dict = {}
+
+    def point(self, k: int) -> tuple:
+        """(base, scale) of sample k."""
+        q = self._memo.get(k)
+        if q is None:
+            p = math.tanh((k / self.n) * self.a) * self.u
+            z = (p + self.z1) / (1.0 + self.z1c * p)
+            q = self._memo[k] = (z, math.sqrt(1.0 - abs(z) ** 2))
+        return q
+
+    def _from(self, k: int) -> list:
+        # samples k and k + 1, as far as they exist
+        return [self.point(j) for j in range(k, min(k + 2, self.n + 1))]
 
     def nearest(self, z: complex) -> list:
         """The samples that can be nearest to ``z``: its foot lies at
@@ -71,11 +110,10 @@ class _Segment:
         w = (z - self.z1) / (1.0 - self.z1c * z) * self.turn
         v = 2.0 * w.real / (1.0 + w.real * w.real + w.imag * w.imag)
         if v <= 0.0:
-            return self.points[:1]
+            return [self.point(0)]
         if v >= self.end:
-            return self.points[-1:]
-        k = int(0.5 * math.atanh(v) * self.per_unit)
-        return self.points[k : k + 2]
+            return [self.point(self.n)]
+        return self._from(int(0.5 * math.atanh(v) * self.per_unit))
 
     def deepest(self, base: complex) -> list:
         """The samples that can be deepest toward the ideal point ``base``:
@@ -84,23 +122,23 @@ class _Segment:
         e = (base - self.z1) / (1.0 - self.z1c * base) * self.turn
         x = e.real / (abs(e) + abs(e.imag))
         if x <= 0.0:
-            return self.points[:1]
+            return [self.point(0)]
         if x >= self.r:
-            return self.points[-1:]
-        k = int(math.atanh(x) * self.per_unit)
-        return self.points[k : k + 2]
+            return [self.point(self.n)]
+        return self._from(int(math.atanh(x) * self.per_unit))
 
 
 class SampleSet(NamedTuple):
     """Discretization of one collapsed preferred path, indexed for
     nearest-sample queries."""
 
-    runs: list  # (base, scale, sig, [(clearance, arc position)]) per sample
-    # of a horizontal piece, and per saddle piece, whose samples share a base
-    segments: list  # _Segment per horizontal piece of positive length
-    points: list  # (base, scale) of each saddle piece and zero-length horizontal piece
+    runs: list  # (base, scale, sig, [(clearance, arc position)]) per piece
+    # whose samples share a base: saddle pieces and zero-length horizontals
+    lines: list  # (_Segment, sig, arc positions, spacing) per other horizontal
+    points: list  # (base, scale) of each run
     arcs: dict  # piece signature -> sorted arc positions of its samples
-    horo: tuple  # per collapsed ball, the least distance of a sample to it
+    horo: list  # per collapsed ball, the least distance of a sample to it,
+    # filled by the first query that needs it
 
 
 def _canon_hol(hol: complex) -> tuple:
@@ -118,27 +156,28 @@ def _piece_count(length: float, step: float) -> int:
     return min(_MAX_SAMPLES_PER_PIECE, max(1, math.ceil(length / step)))
 
 
-def sample_path(path, table: dict, balls, *, step: float = DEFAULT_STEP) -> SampleSet:
+def sample_path(path, table: dict, *, step: float = DEFAULT_STEP) -> SampleSet:
     """Discretize a preferred path at arc-length ``step`` in the collapsed model.
 
     ``table`` numbers the pieces by signature, shared between the paths
-    compared, so identical pieces compare at arc distance.  The set keeps
-    its least distance to each of the collapsed ``balls``.
+    compared, so identical pieces compare at arc distance.
     """
-    runs, segments, points, arcs = [], [], [], []
+    runs, lines, arcs = [], [], []
     for piece in path.pieces:
         length = piece.length
         if isinstance(piece, HorizontalPiece):
             a, b = _round_z(piece.start), _round_z(piece.end)
             g = table.setdefault(("h", min(a, b), max(a, b)), len(table))
             n = _piece_count(length, step)
-            pts = [(z, _scale(z)) for z in segment_points(piece.start, piece.end, n)]
             s = [(1 - i / n) * length if b < a else (i / n) * length for i in range(n + 1)]
-            runs += [(z, sz, g, [(0.0, si)]) for (z, sz), si in zip(pts, s)]
-            if pts[0] == pts[-1]:
-                points.append(pts[0])
+            z1 = piece.start
+            # a piece whose samples all sit at z1 is a run (segment_points
+            # gives n + 1 copies of z1 for ends this close)
+            seg = None if abs(z1 - piece.end) < 1e-15 else _Segment(z1, piece.end, n)
+            if seg is None or seg.point(n)[0] == z1:
+                runs.append((z1, _scale(z1), g, [(0.0, si) for si in s]))
             else:
-                segments.append(_Segment(piece.start, piece.end, pts))
+                lines.append((seg, g, s, length / n))
         else:
             r, i2, flip = _canon_hol(piece.connection.holonomy)
             g = table.setdefault(("s", (r, i2), _round_z(piece.at_base)), len(table))
@@ -151,18 +190,10 @@ def sample_path(path, table: dict, balls, *, step: float = DEFAULT_STEP) -> Samp
                 t = [(i / n) * length for i in range(n + 1)]
                 s = [length - ti if flip else ti for ti in t]
                 cs = [(min(ti, length - ti), si) for ti, si in zip(t, s)]
-            q = (piece.at_base, _scale(piece.at_base))
-            runs.append((*q, g, cs))
-            points.append(q)
+            runs.append((piece.at_base, _scale(piece.at_base), g, cs))
         arcs.append((g, s))
-    horo = tuple(
-        min(
-            _ball_distance(z, ball)
-            for z, _ in points + [q for seg in segments for q in seg.deepest(ball.base)]
-        )
-        for ball in balls
-    )
-    return SampleSet(runs, segments, points, _sorted_arcs(arcs), horo)
+    points = [(z, sz) for z, sz, _, _ in runs]
+    return SampleSet(runs, lines, points, _sorted_arcs(arcs), [])
 
 
 # -- collapsed sample distances ----------------------------------------------
@@ -179,14 +210,31 @@ def _sorted_arcs(pairs) -> dict:
 
 
 def _union(sets: list) -> SampleSet:
-    # the target of the queries: every sample of ``sets`` (no runs needed)
+    # the target of the queries: every sample of ``sets``, the runs read
+    # through their points
     return SampleSet(
         [],
-        [seg for t in sets for seg in t.segments],
+        [line for t in sets for line in t.lines],
         list(dict.fromkeys(q for t in sets for q in t.points)),
         _sorted_arcs(item for t in sets for item in t.arcs.items()),
-        tuple(map(min, zip(*(t.horo for t in sets)))),
+        [],
     )
+
+
+def _horo(target: SampleSet, balls) -> list:
+    """``target.horo``, computed on the first call: the least distance of
+    a sample to each ball, read at the bases of the runs and at the deepest
+    samples of each line."""
+    if len(target.horo) < len(balls):
+        target.horo[:] = [
+            min(
+                _ball_distance(z, ball)
+                for z, _ in target.points
+                + [q for seg, _, _, _ in target.lines for q in seg.deepest(ball.base)]
+            )
+            for ball in balls
+        ]
+    return target.horo
 
 
 def _base_distance(z: complex, sz: float, target: SampleSet, balls, cap: float) -> float:
@@ -202,7 +250,7 @@ def _base_distance(z: complex, sz: float, target: SampleSet, balls, cap: float) 
         d = 2.0 * math.asinh(abs(z - q) / (sz * sq))
         if d < best:
             best = d
-    for seg in target.segments:
+    for seg, _, _, _ in target.lines:
         if best <= cap:
             return best
         for q, sq in seg.nearest(z):
@@ -211,7 +259,7 @@ def _base_distance(z: complex, sz: float, target: SampleSet, balls, cap: float) 
                 best = d
     if best <= cap:
         return best
-    for ball, m in zip(balls, target.horo):
+    for ball, m in zip(balls, _horo(target, balls)):
         if m < best:
             d = _ball_distance(z, ball) + m
             if d < best:
@@ -232,11 +280,15 @@ def _farthest(a: SampleSet, target: SampleSet, balls, floor: float) -> float:
     Fiber clearances are added to the base travel, except between samples of
     the same piece, which meet at their arc distance; the nearest sample of
     a saddle piece is at one of its ends, where the clearance is 0.  A
-    sample already within ``floor`` of ``target`` is not measured further.
+    sample already within the running maximum of ``target`` is not measured
+    further, and rules (a) and (b) of the module skip whole pieces and
+    stretches.
     """
     out = floor
     for z, sz, g, cs in a.runs:
         arcs = target.arcs.get(g)
+        if arcs and set(s for _, s in cs).issubset(arcs):  # rule (a)
+            continue
         travel = None
         for c, s in cs:
             arc = _arc_distance(s, arcs) if arcs else math.inf
@@ -248,6 +300,33 @@ def _farthest(a: SampleSet, target: SampleSet, balls, floor: float) -> float:
                 cap = out if len(cs) == 1 else -math.inf
                 travel = _base_distance(z, sz, target, balls, cap)
             out = max(out, min(travel + c, arc))
+    for seg, g, s, h in a.lines:
+        arcs = target.arcs.get(g)
+        if arcs and set(s).issubset(arcs):  # rule (a)
+            continue
+
+        def value(k: int) -> float:
+            # the distance of sample k, or an upper bound of it that is at
+            # most out; out is raised to it
+            nonlocal out
+            arc = _arc_distance(s[k], arcs) if arcs else math.inf
+            if arc <= out:
+                return arc
+            z, sz = seg.point(k)
+            v = min(_base_distance(z, sz, target, balls, out), arc)
+            out = max(out, v)
+            return v
+
+        # rule (b): branch and bound over the sample indices
+        stack = [(0, seg.n, value(0), value(seg.n))]
+        while stack:
+            lo, hi, v_lo, v_hi = stack.pop()
+            if hi - lo < 2 or (v_lo + v_hi + (hi - lo) * h) / 2 < out - LIPSCHITZ_SLACK:
+                continue
+            mid = (lo + hi) // 2
+            v_mid = value(mid)
+            stack.append((lo, mid, v_lo, v_mid))
+            stack.append((mid, hi, v_mid, v_hi))
     return out
 
 
@@ -272,7 +351,7 @@ def triangle_slimness(
     table: dict = {}
     balls = family_balls(family)
     sets = [
-        sample_path(build_preferred_path(u, v, family, g), table, balls, step=step)
+        sample_path(build_preferred_path(u, v, family, g), table, step=step)
         for (u, v), g in zip(((x, y), (y, z), (x, z)), sides)
     ]
     delta = 0.0
@@ -322,14 +401,15 @@ def _short_key(sc) -> str:
     return f"({sc.start.poly}.{sc.start.vertex}|{_fmt4(w.real)},{_fmt4(w.imag)})"
 
 
-def random_triangle_chains(surface, saddles, rng):
-    """Chains of a random preferred-path triangle, or None if not viable."""
-    a = rng.choice(saddles)
+def random_triangle_chains(surface, pairs, rng):
+    """Chains of a random preferred-path triangle drawn from ``pairs`` (a
+    ``paths.reverse_pairs`` table), or None if not viable."""
+    a, a_rev = rng.choice(pairs)
     if rng.random() < 0.5:
-        a = a.reverse(surface)
+        a = a_rev
     cls = surface.class_of(a.end)
-    pool = [sc for sc in saddles if surface.class_of(sc.start) is cls]
-    pool += [sc.reverse(surface) for sc in saddles if surface.class_of(sc.end) is cls]
+    pool = [sc for sc, _ in pairs if surface.class_of(sc.start) is cls]
+    pool += [rev for sc, rev in pairs if surface.class_of(sc.end) is cls]
     if not pool:
         return None
     b = rng.choice(pool)
@@ -351,9 +431,10 @@ def slimness_sweep(
 ) -> SlimnessReport:
     """Measure slimness over randomized preferred-path triangles."""
     rng = random.Random(seed)
+    pairs = reverse_pairs(surface, saddles)
 
     def draw():
-        tri = random_triangle_chains(surface, saddles, rng)
+        tri = random_triangle_chains(surface, pairs, rng)
         if tri is None:
             return None
         a, b, third = tri

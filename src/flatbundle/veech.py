@@ -185,7 +185,7 @@ class VeechGroupData(NamedTuple):
     def basepoint(self) -> complex:
         """The point of the hull nearest the disk center (the center itself
         when the hull holds it)."""
-        return self.hull.project(0j)
+        return self.hull.center_foot
 
 
 def build_group_data(

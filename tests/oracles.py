@@ -19,11 +19,14 @@ import numpy as np
 from flatbundle.hyperbolic import (
     Geodesic,
     Mobius,
+    _ball_distance,
     busemann,
     disk_from_uhp,
     geodesic_max_busemann,
     hyp_distance,
     ideal_endpoints,
+    segment_clip_by_horoball,
+    segment_points,
     uhp_from_disk,
 )
 from flatbundle.cylinders import (
@@ -42,8 +45,8 @@ from flatbundle.errors import (
     NotAGeodesic,
     NotFound,
 )
-from flatbundle.paths import build_fan, build_preferred_path
-from flatbundle.slimness import _ball_distance, _scale, sample_path
+from flatbundle.paths import SaddlePiece, build_fan, build_preferred_path
+from flatbundle.slimness import _scale, sample_path
 from flatbundle.surface import (
     TOL_ANGLE,
     TOL_VERTEX,
@@ -788,6 +791,28 @@ def reduced_words(n_gens, depth):
         frontier = nxt
 
 
+# -- collapsed lengths -------------------------------------------------------
+
+
+def collapsed_length_clipping_every_ball(path, family):
+    """``paths.collapsed_length`` without its reach test: every horizontal
+    piece is clipped against every ball of the family."""
+    total = 0.0
+    for piece in path.pieces:
+        if isinstance(piece, SaddlePiece):
+            if piece.region.kind != "ball":
+                total += piece.length
+            continue
+        full = piece.length
+        inside_sum = 0.0
+        for ball in family_balls(family):
+            _out, inside = segment_clip_by_horoball(piece.start, piece.end, ball)
+            if inside > 1e-12:
+                inside_sum += inside
+        total += full - min(inside_sum, full)
+    return total
+
+
 # -- fans and slimness -------------------------------------------------------
 
 
@@ -809,8 +834,12 @@ def random_fan(surface, saddles, rng):
 
 
 def samples_of(samples):
-    """Every sample of a SampleSet as (base, clearance, signature, arc position)."""
-    return [(z, c, g, s) for z, _, g, cs in samples.runs for c, s in cs]
+    """Every sample of a SampleSet as (base, clearance, signature, arc
+    position); the bases of a horizontal piece come from ``segment_points``."""
+    out = [(z, c, g, s) for z, _, g, cs in samples.runs for c, s in cs]
+    for seg, g, s, _ in samples.lines:
+        out += [(z, 0.0, g, si) for z, si in zip(segment_points(seg.z1, seg.z2, seg.n), s)]
+    return out
 
 
 def _sides(family, x, y, z, geodesics, step):
@@ -819,7 +848,7 @@ def _sides(family, x, y, z, geodesics, step):
     pairs = ((x, y, geodesics[0]), (y, z, geodesics[1]), (x, z, geodesics[2]))
     sides = [
         samples_of(
-            sample_path(build_preferred_path(u, v, family, g), table, balls, step=step)
+            sample_path(build_preferred_path(u, v, family, g), table, step=step)
         )
         for u, v, g in pairs
     ]

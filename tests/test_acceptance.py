@@ -31,6 +31,7 @@ from flatbundle.paths import (
     combinatorial_path,
     family_adjacency,
     random_fan,
+    reverse_pairs,
 )
 from flatbundle.surface import enumerate_saddle_connections, tighten_chain
 from flatbundle.veech import (
@@ -177,10 +178,10 @@ def test_07_structure_lemma_sweep():
     built = failures = 0
     for name, count, cutoff in targets:
         s = load_catalog_surface(name)
-        saddles = enumerate_saddle_connections(s, cutoff)
+        pairs = reverse_pairs(s, enumerate_saddle_connections(s, cutoff))
         got = 0
         while got < count:
-            fan = random_fan(s, saddles, rng)
+            fan = random_fan(s, pairs, rng)
             if fan is None:
                 continue
             got += 1

@@ -1,10 +1,13 @@
 """Tests for the bundle-path machinery: fiber lengths, preferred paths,
 collapsed lengths, fans, and combinatorial paths."""
 
+import cmath
 import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from flatbundle.catalog import load_catalog_surface, load_group_preset
 from flatbundle.errors import (
@@ -16,6 +19,7 @@ from flatbundle.errors import (
     NotAGeodesic,
 )
 from flatbundle.hyperbolic import (
+    Horoball,
     Mobius,
     busemann,
     hyp_distance,
@@ -24,11 +28,13 @@ from flatbundle.hyperbolic import (
     uhp_from_disk,
 )
 from flatbundle.surface import (
+    Corner,
     FlatGeodesic,
     enumerate_saddle_connections,
     tighten_chain,
 )
 from flatbundle.veech import (
+    HoroRegion,
     build_group_data,
     build_horoball_family,
     region_for,
@@ -70,9 +76,9 @@ def octagon_saddles(octagon):
 
 
 def _sample_fans(surface, saddles, rng, count):
-    fans = []
+    fans, pairs = [], P.reverse_pairs(surface, saddles)
     while len(fans) < count:
-        fan = P.random_fan(surface, saddles, rng)
+        fan = P.random_fan(surface, pairs, rng)
         if fan is not None:
             fans.append(fan)
     return fans
@@ -295,12 +301,76 @@ class TestCollapsedLength:
         assert collapsed == pytest.approx(0.0, abs=1e-9)
 
 
+def _ball_family(balls):
+    return {
+        k: HoroRegion("ball", 0.0, ball.base, 0j, ball) for k, ball in enumerate(balls)
+    }
+
+
+def _segment_path(z1, z2):
+    return P.PreferredPath((P.HorizontalPiece(z1, z2, Corner(0, 0)),))
+
+
+_disk_points = st.complex_numbers(max_magnitude=0.99).filter(lambda z: abs(z) < 0.99)
+_balls = st.builds(
+    lambda alpha, level: Horoball(cmath.exp(1j * alpha), level),
+    st.floats(0.0, 2 * math.pi), st.floats(-2.0, 3.0),
+)
+
+
+class TestClipReach:
+    """collapsed_length clips a ball only when the segment can reach it;
+    it must agree with clipping every ball."""
+
+    @given(_disk_points, _disk_points, st.lists(_balls, min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_random_segments(self, z1, z2, balls):
+        path, family = _segment_path(z1, z2), _ball_family(balls)
+        assert P.collapsed_length(path, family) == (
+            oracles.collapsed_length_clipping_every_ball(path, family)
+        )
+
+    @given(
+        _balls,
+        st.one_of(st.floats(-1e-6, 1e-6), st.floats(-0.5, 0.5)),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 3.0),
+        st.booleans(),
+        _balls,
+    )
+    @settings(max_examples=400)
+    @example(Horoball(1j, 0.5), 1e-12, 1.0, 1.0, False, Horoball(-1j, 0.0))
+    @example(Horoball(1j, 0.5), -1e-12, 1.0, 1.0, True, Horoball(-1j, 0.0))
+    def test_near_tangent_segments(self, ball, gap, d1, d2, radial, other):
+        # p is the point of the radius to the ball's base at Busemann level
+        # level + gap, inside the ball when gap > 0; the segment runs d1 and
+        # d2 either way from p along the geodesic across the radius there,
+        # tangent to the horocycle when gap is 0, or d1 + d2 along the
+        # radius up to p
+        xi = ball.base
+        p = math.tanh(0.5 * (ball.level + gap)) * xi
+        if radial:
+            z1 = math.tanh(0.5 * (ball.level + gap - d1 - d2)) * xi
+            z2 = p
+        else:
+            z1, z2 = (
+                (w + p) / (1.0 + p.conjugate() * w)
+                for w in (math.tanh(0.5 * d1) * 1j * xi, -math.tanh(0.5 * d2) * 1j * xi)
+            )
+        assume(max(abs(z1), abs(z2)) < 0.99)
+        path, family = _segment_path(z1, z2), _ball_family([ball, other])
+        assert P.collapsed_length(path, family) == (
+            oracles.collapsed_length_clipping_every_ball(path, family)
+        )
+
+
 class TestFans:
     def test_euclidean_triangle_is_k1_fan(self, octagon, octagon_saddles):
         rng = random.Random(21)
+        pairs = P.reverse_pairs(octagon, octagon_saddles)
         found = 0
         while found < 5:
-            fan = P.random_fan(octagon, octagon_saddles, rng)
+            fan = P.random_fan(octagon, pairs, rng)
             if fan is None or fan.k != 1:
                 continue
             found += 1
@@ -312,10 +382,10 @@ class TestFans:
         # rejecting locally geodesic draws before tightening loses no fan
         s = request.getfixturevalue(surface)
         saddles = request.getfixturevalue(f"{surface}_saddles")
-        fans = 0
+        fans, pairs = 0, P.reverse_pairs(s, saddles)
         for seed in range(250):
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            fan = P.random_fan(s, saddles, rng)
+            fan = P.random_fan(s, pairs, rng)
             assert fan == oracles.random_fan(s, saddles, ref_rng)
             assert rng.random() == ref_rng.random()
             fans += fan is not None
@@ -342,10 +412,10 @@ class TestFans:
     ):
         # a geodesic bottom of two parallel connections gives equal ideal
         # vertices; the cyclic-order check must accept the equality
-        found = False
+        found, pairs = False, P.reverse_pairs(octagon, octagon_saddles)
         for fan_seed in range(200):
             rng = random.Random(1000 + fan_seed)
-            fan = P.random_fan(octagon, octagon_saddles, rng)
+            fan = P.random_fan(octagon, pairs, rng)
             if fan is None or fan.k < 2:
                 continue
             dirs = [sc.direction for sc in fan.bottom]

@@ -13,8 +13,14 @@ from hypothesis import strategies as st
 from flatbundle import hyperbolic as H
 from flatbundle.catalog import load_catalog_surface, load_group_preset
 from flatbundle.errors import FlatBundleError
-from flatbundle.paths import FiberPoint, build_preferred_path
-from flatbundle.surface import FlatGeodesic, enumerate_saddle_connections
+from flatbundle.paths import (
+    FiberPoint,
+    HorizontalPiece,
+    PreferredPath,
+    build_preferred_path,
+    reverse_pairs,
+)
+from flatbundle.surface import Corner, FlatGeodesic, enumerate_saddle_connections
 from flatbundle.veech import (
     build_group_data,
     build_horoball_family,
@@ -49,7 +55,7 @@ class TestSampleDistances:
         y = FiberPoint(0.2 + 0.1j, sc.end)
         path = build_preferred_path(x, y, fam, FlatGeodesic((sc,)))
         balls = family_balls(fam)
-        samples = S.sample_path(path, {}, balls)
+        samples = S.sample_path(path, {})
         assert S._farthest(samples, samples, balls, 0.0) == 0.0
         flat = oracles.samples_of(samples)
         assert oracles.nearest_distances(flat, flat, balls) == [0.0] * len(flat)
@@ -62,8 +68,8 @@ segment_ends = st.tuples(deep_points, deep_points).filter(
 )
 
 
-def _segment(z1, z2, n):
-    return S._Segment(z1, z2, [(z, S._scale(z)) for z in H.segment_points(z1, z2, n)])
+def _samples(z1, z2, n):
+    return [(z, S._scale(z)) for z in H.segment_points(z1, z2, n)]
 
 
 def _rho(z, q):
@@ -75,9 +81,9 @@ class TestClosedFormNearest:
     @settings(max_examples=300)
     @example((0.1 + 0.2j, -0.5j), 7, 0.4 + 0.4j)
     def test_nearest_sample_off_the_geodesic(self, ends, n, p):
-        seg = _segment(*ends, n)
+        seg = S._Segment(*ends, n)
         assert min(_rho(p, q) for q, _ in seg.nearest(p)) == min(
-            _rho(p, q) for q, _ in seg.points
+            _rho(p, q) for q, _ in _samples(*ends, n)
         )
 
     @given(segment_ends, st.integers(1, 60), st.floats(-0.5, 1.5))
@@ -90,19 +96,125 @@ class TestClosedFormNearest:
         total = H.hyp_distance(*ends)
         p = oracles.segment_point(*ends, t * total)
         assume(abs(p) < 0.995)
-        seg = _segment(*ends, n)
+        seg = S._Segment(*ends, n)
         assert min(_rho(p, q) for q, _ in seg.nearest(p)) == min(
-            _rho(p, q) for q, _ in seg.points
+            _rho(p, q) for q, _ in _samples(*ends, n)
         )
 
     @given(segment_ends, st.integers(1, 60), angles, st.floats(-3.0, 4.0))
     @settings(max_examples=300)
     def test_deepest_sample_toward_a_ball(self, ends, n, alpha, level):
         ball = H.Horoball(cmath.exp(1j * alpha), level)
-        seg = _segment(*ends, n)
+        seg = S._Segment(*ends, n)
         assert min(S._ball_distance(q, ball) for q, _ in seg.deepest(ball.base)) == min(
-            S._ball_distance(q, ball) for q, _ in seg.points
+            S._ball_distance(q, ball) for q, _ in _samples(*ends, n)
         )
+
+
+class TestLazySamples:
+    @given(segment_ends, st.floats(0.005, 1.0))
+    @settings(max_examples=300)
+    @example((0.1 + 0.2j, -0.5j), 0.05)
+    @example((-0.5j, 0.1 + 0.2j), 0.05)
+    def test_sample_and_arc_position(self, ends, step):
+        # sample k of a horizontal piece is segment_points' point k, and its
+        # arc position is (k / n) length from the piece's lesser rounded end
+        z1, z2 = ends
+        piece = HorizontalPiece(z1, z2, Corner(0, 0))
+        ((seg, _, s, _),) = S.sample_path(PreferredPath((piece,)), {}, step=step).lines
+        n, length = seg.n, piece.length
+        flip = S._round_z(z2) < S._round_z(z1)
+        for k, z in enumerate(H.segment_points(z1, z2, n)):
+            assert seg.point(k)[0] == z
+            assert s[k] == ((1 - k / n) if flip else (k / n)) * length
+
+
+def _setup(surface, group, cutoff):
+    s = load_catalog_surface(surface)
+    p = load_group_preset(group)
+    g = build_group_data(s, p["basis"], p["words"], depth=6)
+    saddles = enumerate_saddle_connections(s, cutoff)
+    return s, build_horoball_family(g, saddles), saddles
+
+
+class TestPruning:
+    @pytest.mark.parametrize(
+        "surface, group, step, count",
+        [
+            ("octagon", "octagon_cusped", 0.1, 8),
+            ("octagon", "octagon_cusped", 0.05, 8),
+            ("lshape", "lshape_lattice", 0.1, 16),
+        ],
+    )
+    def test_positive_deltas_match_pairs(self, surface, group, step, count):
+        # triangles whose delta is positive are the ones the skipped pieces
+        # and the Lipschitz bound could get wrong (32 of them, at 5.0)
+        s, fam, saddles = _setup(surface, group, 5.0)
+        rng, pairs = random.Random(17), reverse_pairs(s, saddles)
+        checked = 0
+        while checked < count:
+            tri = S.random_triangle_chains(s, pairs, rng)
+            if tri is None:
+                continue
+            a, b, third = tri
+            try:
+                x = FiberPoint(region_for(fam, a.direction).anchor, a.start)
+                y = FiberPoint(region_for(fam, b.direction).anchor, a.end)
+                last = third.pieces[-1].direction if third.pieces else a.direction
+                z = FiberPoint(region_for(fam, last).anchor, b.end)
+                sides = (FlatGeodesic((a,)), FlatGeodesic((b,)), third)
+                got = S.triangle_slimness(fam, x, y, z, sides, step=step)
+            except FlatBundleError:
+                continue
+            if got == 0.0:
+                continue
+            assert got == oracles.triangle_slimness_by_pairs(fam, x, y, z, sides, step=step)
+            checked += 1
+
+    def test_reversed_side_is_measured(self, lshape_setup):
+        # a piece run the other way has the same signature but its arc
+        # positions, (1 - k / n) L against (k / n) L, differ in the last
+        # bits: it is not skipped, and its distance is that tiny difference
+        s, fam, saddles = lshape_setup
+        balls = family_balls(fam)
+        positive = 0
+        for sc in saddles:
+            x, y = FiberPoint(0.1 + 0.2j, sc.start), FiberPoint(-0.3j, sc.end)
+            table: dict = {}
+            a = S.sample_path(build_preferred_path(x, y, fam, FlatGeodesic((sc,))), table)
+            back = FlatGeodesic((sc.reverse(s),))
+            b = S.sample_path(build_preferred_path(y, x, fam, back), table)
+            got = S._farthest(a, b, balls, 0.0)
+            flat_a, flat_b = oracles.samples_of(a), oracles.samples_of(b)
+            assert got == max(oracles.nearest_distances(flat_a, flat_b, balls))
+            positive += got > 0.0
+        assert positive > len(saddles) // 2
+
+    def test_sweep_measures_few_samples(self, monkeypatch):
+        # every measured sample of a horizontal piece costs one base travel,
+        # and a saddle piece at most one; the seed-1 sweep of a
+        # lshape_lattice run at --max-length 2.5 measures 830 of its 13622
+        # samples, and 6517 without the Lipschitz bound
+        s, fam, saddles = _setup("lshape", "lshape_lattice", 2.5)
+        samples = measured = 0
+        sample_path, base_distance = S.sample_path, S._base_distance
+
+        def counting_sample_path(*args, **kwargs):
+            nonlocal samples
+            out = sample_path(*args, **kwargs)
+            samples += len(oracles.samples_of(out))
+            return out
+
+        def counting_base_distance(*args):
+            nonlocal measured
+            measured += 1
+            return base_distance(*args)
+
+        monkeypatch.setattr(S, "sample_path", counting_sample_path)
+        monkeypatch.setattr(S, "_base_distance", counting_base_distance)
+        rep = S.slimness_sweep(s, fam, saddles, count=40, seed=1)
+        assert rep.samples == 40 and samples > 10_000
+        assert measured < 0.2 * samples
 
 
 class TestQuantiles:
@@ -147,10 +259,10 @@ class TestTriangleSlimness:
 
     def test_discretization_consistency(self, lshape_setup):
         s, fam, saddles = lshape_setup
-        rng = random.Random(9)
+        rng, pairs = random.Random(9), reverse_pairs(s, saddles)
         checked = 0
         while checked < 5:
-            tri = S.random_triangle_chains(s, saddles, rng)
+            tri = S.random_triangle_chains(s, pairs, rng)
             if tri is None:
                 continue
             a, b, third = tri
@@ -179,10 +291,10 @@ class TestTriangleSlimness:
         # its own scalar expressions, and the numpy six-matrix answer up to
         # the rounding of numpy's elementary functions
         s, fam, saddles = lshape_setup
-        rng = random.Random(31)
+        rng, pairs = random.Random(31), reverse_pairs(s, saddles)
         checked = 0
         while checked < 30:
-            tri = S.random_triangle_chains(s, saddles, rng)
+            tri = S.random_triangle_chains(s, pairs, rng)
             if tri is None:
                 continue
             a, b, third = tri
@@ -215,10 +327,10 @@ class TestTriangleSlimness:
         saddles = enumerate_saddle_connections(s, 2.5)
         fam = build_horoball_family(g, saddles)
         assert {reg.kind for reg in fam.values()} == {"ball", "point"}
-        rng = random.Random(5)
+        rng, pairs = random.Random(5), reverse_pairs(s, saddles)
         checked = 0
         while checked < 40:
-            tri = S.random_triangle_chains(s, saddles, rng)
+            tri = S.random_triangle_chains(s, pairs, rng)
             if tri is None:
                 continue
             a, b, third = tri
