@@ -279,6 +279,8 @@ def random_fan(surface: TranslationSurface, pairs, rng) -> Fan | None:
     followed by ``b``. When that chain is already locally geodesic it is its
     own geodesic, so the bottom starts with ``a`` reversed and the triangle
     is degenerate: the draw is rejected before anything is tightened.
+    :func:`tighten_chain` makes the same test and returns such a chain as
+    it stands.
     """
     (a, a_rev), (b, b_rev) = rng.choice(pairs), rng.choice(pairs)
     if rng.random() < 0.5:

@@ -160,16 +160,20 @@ def sample_path(path, table: dict, *, step: float = DEFAULT_STEP) -> SampleSet:
     """Discretize a preferred path at arc-length ``step`` in the collapsed model.
 
     ``table`` numbers the pieces by signature, shared between the paths
-    compared, so identical pieces compare at arc distance.
+    compared, so identical pieces compare at arc distance.  It keeps the
+    length first seen under each signature: a piece met again, in either
+    direction or as another record that differs only in the last bits of
+    its holonomy, gets arc positions bit-equal to the first one's.
     """
     runs, lines, arcs = [], [], []
     for piece in path.pieces:
-        length = piece.length
         if isinstance(piece, HorizontalPiece):
             a, b = _round_z(piece.start), _round_z(piece.end)
-            g = table.setdefault(("h", min(a, b), max(a, b)), len(table))
+            g, length = table.setdefault(
+                ("h", min(a, b), max(a, b)), (len(table), piece.length)
+            )
             n = _piece_count(length, step)
-            s = [(1 - i / n) * length if b < a else (i / n) * length for i in range(n + 1)]
+            s = [((n - i if b < a else i) / n) * length for i in range(n + 1)]
             z1 = piece.start
             # a piece whose samples all sit at z1 is a run (segment_points
             # gives n + 1 copies of z1 for ends this close)
@@ -180,7 +184,9 @@ def sample_path(path, table: dict, *, step: float = DEFAULT_STEP) -> SampleSet:
                 lines.append((seg, g, s, length / n))
         else:
             r, i2, flip = _canon_hol(piece.connection.holonomy)
-            g = table.setdefault(("s", (r, i2), _round_z(piece.at_base)), len(table))
+            g, length = table.setdefault(
+                ("s", (r, i2), _round_z(piece.at_base)), (len(table), piece.length)
+            )
             if piece.region.kind == "ball":
                 # parabolic saddle: collapses into the spine
                 s = [0.0]
@@ -188,7 +194,7 @@ def sample_path(path, table: dict, *, step: float = DEFAULT_STEP) -> SampleSet:
             else:
                 n = _piece_count(length, step)
                 t = [(i / n) * length for i in range(n + 1)]
-                s = [length - ti if flip else ti for ti in t]
+                s = t[::-1] if flip else t
                 cs = [(min(ti, length - ti), si) for ti, si in zip(t, s)]
             runs.append((piece.at_base, _scale(piece.at_base), g, cs))
         arcs.append((g, s))

@@ -121,6 +121,7 @@ class TranslationSurface:
         polygons: tuple[tuple[complex, ...], ...],
         gluings: dict[tuple[int, int], tuple[int, int]],
         cone_classes: tuple[ConeClass, ...],
+        corner_angles: dict[Corner, float],
         genus: int,
         area: float,
         name: str = "",
@@ -128,6 +129,7 @@ class TranslationSurface:
         self.polygons = polygons
         self.gluings = gluings
         self.cone_classes = cone_classes
+        self.corner_angles = corner_angles
         self.genus = genus
         self.area = area
         self.name = name
@@ -151,8 +153,7 @@ class TranslationSurface:
         return poly[(e + 1) % n] - poly[e % n]
 
     def interior_angle(self, corner: Corner) -> float:
-        p, i = corner
-        return _corner_angle(self.polygons[p], i)
+        return self.corner_angles[corner]
 
     def across(self, p: int, e: int, t: complex = 0j) -> tuple[int, int, complex]:
         """The polygon glued to edge ``e`` of polygon ``p`` placed at ``t``.
@@ -275,6 +276,7 @@ def load_surface(
     # cone classes by walking corners around each glued vertex
     seen: set[Corner] = set()
     classes: list[ConeClass] = []
+    corner_angles: dict[Corner, float] = {}
     for p in range(len(polys)):
         for i in range(len(polys[p])):
             c0 = Corner(p, i)
@@ -292,6 +294,7 @@ def load_surface(
                 if guard > 10 * len(all_edges):
                     raise GluingMismatch("corner walk does not close up")
             angles = [_corner_angle(polys[p], i) for p, i in cycle]
+            corner_angles.update(zip(cycle, angles))
             total = sum(angles)
             k = round(total / TWO_PI)
             if k < 1 or abs(total - k * TWO_PI) > 1e-9:
@@ -320,7 +323,9 @@ def load_surface(
     if abs(gb - TWO_PI * (2 * genus - 2)) > 1e-9:
         raise ConeAngleInvalid("angle excess does not match the genus")
 
-    return TranslationSurface(polys, dict(gluings), tuple(classes), genus, area, name)
+    return TranslationSurface(
+        polys, dict(gluings), tuple(classes), corner_angles, genus, area, name
+    )
 
 
 # -- marching ----------------------------------------------------------------
@@ -892,9 +897,12 @@ def tighten_chain(
     The universal cover of the surface is CAT(0), so the homotopy class of
     the chain (rel endpoints) holds exactly one geodesic, and a chain of
     saddle connections is that geodesic as soon as it is locally geodesic:
-    at every junction both angles are at least pi.  The search follows the
-    homotopy-class shortening of Hershberger & Snoeyink ("Computing minimum
-    length paths of a given homotopy class", CGTA 1994):
+    at every junction both angles are at least pi.  Such a chain is
+    returned as it stands, once its sleeve shows that its crossings match
+    the polygons: its pieces are the caller's own records, and the funnel
+    runs only on chains that bend.  The search follows the homotopy-class
+    shortening of Hershberger & Snoeyink ("Computing minimum length paths
+    of a given homotopy class", CGTA 1994):
 
     * the *sleeve* is the list of placed polygons the chain passes through,
       with the fan of polygons around each junction's cone point on one
@@ -916,6 +924,8 @@ def tighten_chain(
     if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
         return FlatGeodesic(())
     sleeve, i0, j_end = _chain_sleeve(surface, chain)
+    if bent_junction(surface, chain) is None:
+        return FlatGeodesic(tuple(chain))
     for _ in range(MAX_REROUTES):
         pivots = _funnel(surface, sleeve, i0, j_end)
         pieces = [_piece(surface, sleeve, a, b) for a, b in zip(pivots, pivots[1:])]

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
-shortening of flat geodesics, scans over every hull side, sampled and
+shortening of flat geodesics, the funnel run on every chain, even one
+that is already geodesic, scans over every hull side, sampled and
 bisected hyperbolic searches, per-point geodesic sampling, group words
 without their elements, triangle slimness from one numpy distance matrix
 per ordered pair of sides or from every pair of samples, and cylinder
@@ -48,14 +49,19 @@ from flatbundle.errors import (
 from flatbundle.paths import SaddlePiece, build_fan, build_preferred_path
 from flatbundle.slimness import _scale, sample_path
 from flatbundle.surface import (
+    MAX_REROUTES,
     TOL_ANGLE,
     TOL_VERTEX,
     Corner,
     FlatGeodesic,
     SaddleConnection,
     TranslationSurface,
+    _chain_sleeve,
     _find_exit,
+    _funnel,
     _march,
+    _piece,
+    _reroute,
     _UnionFind,
     bent_junction,
     canonical_holonomy,
@@ -715,6 +721,28 @@ def tighten_chain_dijkstra(surface, chain):
         return FlatGeodesic(()), True
     corridor, S, E = _chain_corridor(surface, list(chain))
     return _shorten(corridor, S, E)
+
+
+def tighten_chain_by_funnel(surface, chain):
+    """``surface.tighten_chain`` without its locally geodesic shortcut: every
+    chain goes through the sleeve, the funnel and the reroute loop, and each
+    piece is traced again with ``connect``."""
+    chain = list(chain)
+    if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
+        return FlatGeodesic(())
+    sleeve, i0, j_end = _chain_sleeve(surface, chain)
+    for _ in range(MAX_REROUTES):
+        pivots = _funnel(surface, sleeve, i0, j_end)
+        pieces = [_piece(surface, sleeve, a, b) for a, b in zip(pivots, pivots[1:])]
+        bent = bent_junction(surface, pieces)
+        if bent is None:
+            return FlatGeodesic(tuple(pieces))
+        k, ccw = bent
+        v = pivots[k + 1]
+        if ccw == v.left:
+            raise NotAGeodesic("path grazes a cone point")
+        sleeve = _reroute(surface, sleeve, v)
+    raise NotAGeodesic("geodesic search exceeded its reroute guard")
 
 
 def crossing_class(surface, pieces, start, end):

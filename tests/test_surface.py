@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatbundle import cli
+from flatbundle import surface as surface_module
 from flatbundle.catalog import load_catalog_surface, parse_surface, surface_names
 from flatbundle.errors import (
     ConeAngleInvalid,
@@ -419,6 +421,77 @@ class TestTightenChain:
         chain = _chain(lshape, [((0, 0), 2 + 1j), ((1, 1), -2 + 1j), ((0, 4), 1 - 1j)])
         assert is_local_geodesic(lshape, tuple(chain))
         assert _same_pieces(tighten_chain(lshape, chain).pieces, chain)
+
+    @pytest.mark.parametrize("name", ["lshape", "octagon", "double_pentagon"])
+    def test_locally_geodesic_pair_is_returned_as_it_stands(self, name):
+        # every locally geodesic 2-chain of enumerated connections (each
+        # surface has one cone point, so every pair joins) comes back as the
+        # caller's own records, and the funnel finds the same geodesic
+        surface = load_catalog_surface(name)
+        scs = enumerate_saddle_connections(surface, 2.5)
+        pool = list(scs) + [sc.reverse(surface) for sc in scs]
+        checked = 0
+        for a in pool:
+            for b in pool:
+                chain = [a, b]
+                if abs(a.holonomy + b.holonomy) < 1e-9:
+                    continue
+                if not is_local_geodesic(surface, chain):
+                    continue
+                geo = tighten_chain(surface, chain)
+                assert geo.pieces == (a, b)
+                ref = oracles.tighten_chain_by_funnel(surface, chain)
+                assert [(p.start, p.end, p.crossings) for p in ref.pieces] == [
+                    (p.start, p.end, p.crossings) for p in chain
+                ]
+                assert all(
+                    abs(p.holonomy - q.holonomy) < 1e-9
+                    for p, q in zip(ref.pieces, chain)
+                )
+                checked += 1
+        assert checked > 1000
+
+    def test_locally_geodesic_pair_with_bad_crossing_raises(self, lshape):
+        # the shortcut comes after the sleeve, which checks the crossings
+        scs = enumerate_saddle_connections(lshape, 2.5)
+        a, b = next(
+            (a, b)
+            for a in scs
+            for b in scs
+            if b.crossings
+            and abs(a.holonomy + b.holonomy) > 1e-9
+            and is_local_geodesic(lshape, [a, b])
+        )
+        poly, e = b.crossings[0]
+        bad = b._replace(crossings=((1 - poly, e),) + b.crossings[1:])
+        assert is_local_geodesic(lshape, [a, bad])
+        with pytest.raises(NotAConnection):
+            tighten_chain(lshape, [a, bad])
+
+    @pytest.mark.parametrize(
+        "name, group, funnels, marches",
+        [("lshape", "lshape_lattice", 217, 226), ("octagon", "octagon_cusped", 194, 192)],
+    )
+    def test_funnel_runs_only_on_bent_chains(
+        self, monkeypatch, tmp_path, name, group, funnels, marches
+    ):
+        # a seed-1 run at 2.5 funnels 340 (lshape) and 313 (octagon) times,
+        # and connect marches 424 and 394 times, when locally geodesic
+        # chains go through the funnel too
+        counts = {"_funnel": 0, "_march": 0}
+        for fn in counts:
+            inner = getattr(surface_module, fn)
+
+            def counted(*args, _fn=fn, _inner=inner):
+                counts[_fn] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(surface_module, fn, counted)
+        cli.run_experiment(cli.ExperimentConfig(
+            surface=name, group=group, max_length=2.5, seed=1, out=str(tmp_path)
+        ))
+        assert counts["_funnel"] <= funnels
+        assert counts["_march"] <= marches
 
     @pytest.mark.parametrize("name", ["octagon", "lshape", "double_pentagon"])
     def test_agrees_with_dijkstra_oracle(self, name):
