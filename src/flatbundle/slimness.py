@@ -15,10 +15,11 @@ The farthest sample of a side is found piece by piece, and three rules keep
 most samples unmeasured without changing the maximum (Shubert's bound, "A
 sequential method seeking the global maximum of a function", 1972, for b):
 
-(a) a piece whose arc positions the other sides hold under its signature,
-    each compared exactly, is skipped: each of its samples is at arc
-    distance 0.0 from the other sides, and the running maximum is >= 0;
-(b) along a horizontal piece a sample's distance ``min(travel, arc)`` is
+(a) a piece whose signature the other sides hold is skipped: the signature
+    table gives every piece under one signature the same length, so the
+    samples sit at the same arc positions, each at arc distance 0.0 from
+    the other sides, and the running maximum is >= 0;
+(b) along a horizontal piece a sample's distance, its base travel, is
     1-Lipschitz in arc position, so between two measured samples ``lo`` and
     ``hi`` at spacing ``h`` no sample exceeds
     ``(v_lo + v_hi + (hi - lo) h) / 2``; a stretch is split at its middle
@@ -29,12 +30,12 @@ sequential method seeking the global maximum of a function", 1972, for b):
     ``hyperbolic.segment_points``, so the floats are the same; a
     nearest-sample or horoball query reads two samples of a piece, and a
     side's least distance to each ball is found only when a query needs it.
-    The arc positions of the samples are still listed, as plain floats.
+    A saddle piece keeps only its largest fiber clearance, the only one
+    that can be farthest.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from typing import NamedTuple
@@ -78,12 +79,12 @@ class _Segment:
     kept for the next query.
     """
 
-    __slots__ = ("z1", "z2", "n", "z1c", "u", "turn", "a", "r", "end", "per_unit", "_memo")
+    __slots__ = ("z1", "n", "z1c", "u", "turn", "a", "r", "end", "per_unit", "_memo")
 
     def __init__(self, z1: complex, z2: complex, n: int):
         w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
         self.r = abs(w)
-        self.z1, self.z2, self.n, self.z1c = z1, z2, n, z1.conjugate()
+        self.z1, self.n, self.z1c = z1, n, z1.conjugate()
         self.u = w / self.r  # phi(z2) / r
         self.turn = self.u.conjugate()
         self.a = math.atanh(self.r)
@@ -132,11 +133,11 @@ class SampleSet(NamedTuple):
     """Discretization of one collapsed preferred path, indexed for
     nearest-sample queries."""
 
-    runs: list  # (base, scale, sig, [(clearance, arc position)]) per piece
-    # whose samples share a base: saddle pieces and zero-length horizontals
-    lines: list  # (_Segment, sig, arc positions, spacing) per other horizontal
+    runs: list  # (base, scale, sig, largest clearance) per piece whose
+    # samples share a base: saddle pieces and zero-length horizontals
+    lines: list  # (_Segment, sig, spacing) per other horizontal piece
     points: list  # (base, scale) of each run
-    arcs: dict  # piece signature -> sorted arc positions of its samples
+    sigs: set  # signatures of the pieces
     horo: list  # per collapsed ball, the least distance of a sample to it,
     # filled by the first query that needs it
 
@@ -144,8 +145,8 @@ class SampleSet(NamedTuple):
 def _canon_hol(hol: complex) -> tuple:
     r, i = round(hol.real, 9) + 0.0, round(hol.imag, 9) + 0.0
     if r < 0 or (r == 0 and i < 0):
-        return (-r + 0.0, -i + 0.0, True)
-    return (r, i, False)
+        return (-r + 0.0, -i + 0.0)
+    return (r, i)
 
 
 def _round_z(z: complex) -> tuple:
@@ -160,12 +161,12 @@ def sample_path(path, table: dict, *, step: float = DEFAULT_STEP) -> SampleSet:
     """Discretize a preferred path at arc-length ``step`` in the collapsed model.
 
     ``table`` numbers the pieces by signature, shared between the paths
-    compared, so identical pieces compare at arc distance.  It keeps the
-    length first seen under each signature: a piece met again, in either
-    direction or as another record that differs only in the last bits of
-    its holonomy, gets arc positions bit-equal to the first one's.
+    compared, so identical pieces are known as one.  It keeps the length
+    first seen under each signature: a piece met again, in either direction
+    or as another record that differs only in the last bits of its
+    holonomy, gets the same samples at the same arc positions.
     """
-    runs, lines, arcs = [], [], []
+    runs, lines, sigs = [], [], set()
     for piece in path.pieces:
         if isinstance(piece, HorizontalPiece):
             a, b = _round_z(piece.start), _round_z(piece.end)
@@ -173,46 +174,34 @@ def sample_path(path, table: dict, *, step: float = DEFAULT_STEP) -> SampleSet:
                 ("h", min(a, b), max(a, b)), (len(table), piece.length)
             )
             n = _piece_count(length, step)
-            s = [((n - i if b < a else i) / n) * length for i in range(n + 1)]
             z1 = piece.start
             # a piece whose samples all sit at z1 is a run (segment_points
             # gives n + 1 copies of z1 for ends this close)
             seg = None if abs(z1 - piece.end) < 1e-15 else _Segment(z1, piece.end, n)
             if seg is None or seg.point(n)[0] == z1:
-                runs.append((z1, _scale(z1), g, [(0.0, si) for si in s]))
+                runs.append((z1, _scale(z1), g, 0.0))
             else:
-                lines.append((seg, g, s, length / n))
+                lines.append((seg, g, length / n))
         else:
-            r, i2, flip = _canon_hol(piece.connection.holonomy)
             g, length = table.setdefault(
-                ("s", (r, i2), _round_z(piece.at_base)), (len(table), piece.length)
+                ("s", _canon_hol(piece.connection.holonomy), _round_z(piece.at_base)),
+                (len(table), piece.length),
             )
-            if piece.region.kind == "ball":
-                # parabolic saddle: collapses into the spine
-                s = [0.0]
-                cs = [(0.0, 0.0)]
-            else:
+            c_max = 0.0  # a parabolic saddle collapses into the spine
+            if piece.region.kind != "ball":
+                # sample k has clearance min(t, length - t), t = (k / n) length,
+                # which rises up to the middle and falls after it, also in floats
                 n = _piece_count(length, step)
-                t = [(i / n) * length for i in range(n + 1)]
-                s = t[::-1] if flip else t
-                cs = [(min(ti, length - ti), si) for ti, si in zip(t, s)]
-            runs.append((piece.at_base, _scale(piece.at_base), g, cs))
-        arcs.append((g, s))
-    points = [(z, sz) for z, sz, _, _ in runs]
-    return SampleSet(runs, lines, points, _sorted_arcs(arcs), [])
+                c_max = max(
+                    min(t, length - t)
+                    for t in ((n // 2 / n) * length, ((n + 1) // 2 / n) * length)
+                )
+            runs.append((piece.at_base, _scale(piece.at_base), g, c_max))
+        sigs.add(g)
+    return SampleSet(runs, lines, [(z, sz) for z, sz, _, _ in runs], sigs, [])
 
 
 # -- collapsed sample distances ----------------------------------------------
-
-
-def _sorted_arcs(pairs) -> dict:
-    # signature -> sorted arc positions, from (signature, positions) pairs
-    arcs: dict = {}
-    for g, s in pairs:
-        arcs.setdefault(g, []).extend(s)
-    for s in arcs.values():
-        s.sort()
-    return arcs
 
 
 def _union(sets: list) -> SampleSet:
@@ -222,7 +211,7 @@ def _union(sets: list) -> SampleSet:
         [],
         [line for t in sets for line in t.lines],
         list(dict.fromkeys(q for t in sets for q in t.points)),
-        _sorted_arcs(item for t in sets for item in t.arcs.items()),
+        set().union(*(t.sigs for t in sets)),
         [],
     )
 
@@ -236,7 +225,7 @@ def _horo(target: SampleSet, balls) -> list:
             min(
                 _ball_distance(z, ball)
                 for z, _ in target.points
-                + [q for seg, _, _, _ in target.lines for q in seg.deepest(ball.base)]
+                + [q for seg, _, _ in target.lines for q in seg.deepest(ball.base)]
             )
             for ball in balls
         ]
@@ -256,7 +245,7 @@ def _base_distance(z: complex, sz: float, target: SampleSet, balls, cap: float) 
         d = 2.0 * math.asinh(abs(z - q) / (sz * sq))
         if d < best:
             best = d
-    for seg, _, _, _ in target.lines:
+    for seg, _, _ in target.lines:
         if best <= cap:
             return best
         for q, sq in seg.nearest(z):
@@ -273,53 +262,34 @@ def _base_distance(z: complex, sz: float, target: SampleSet, balls, cap: float) 
     return best
 
 
-def _arc_distance(s: float, arcs: list) -> float:
-    k = bisect.bisect_left(arcs, s)
-    d = abs(s - arcs[k]) if k < len(arcs) else math.inf
-    return min(d, abs(s - arcs[k - 1])) if k else d
-
-
 def _farthest(a: SampleSet, target: SampleSet, balls, floor: float) -> float:
     """The larger of ``floor`` and the largest distance from a sample of
     ``a`` to its nearest sample of ``target``.
 
-    Fiber clearances are added to the base travel, except between samples of
-    the same piece, which meet at their arc distance; the nearest sample of
-    a saddle piece is at one of its ends, where the clearance is 0.  A
-    sample already within the running maximum of ``target`` is not measured
-    further, and rules (a) and (b) of the module skip whole pieces and
-    stretches.
+    Fiber clearances are added to the base travel; the nearest sample of a
+    saddle piece is at one of its ends, where the clearance is 0, so the
+    farthest sample of a run is its base travel plus its largest clearance
+    (float addition is monotonic).  A sample already within the running
+    maximum of ``target`` is not measured further, and rules (a) and (b) of
+    the module skip whole pieces and stretches.
     """
     out = floor
-    for z, sz, g, cs in a.runs:
-        arcs = target.arcs.get(g)
-        if arcs and set(s for _, s in cs).issubset(arcs):  # rule (a)
+    for z, sz, g, c_max in a.runs:
+        if g in target.sigs:  # rule (a)
             continue
-        travel = None
-        for c, s in cs:
-            arc = _arc_distance(s, arcs) if arcs else math.inf
-            if arc <= out:
-                continue
-            if travel is None:
-                # a run of one sample has no clearance, so it is settled
-                # once the base travel is at most out
-                cap = out if len(cs) == 1 else -math.inf
-                travel = _base_distance(z, sz, target, balls, cap)
-            out = max(out, min(travel + c, arc))
-    for seg, g, s, h in a.lines:
-        arcs = target.arcs.get(g)
-        if arcs and set(s).issubset(arcs):  # rule (a)
+        # a run with no clearance is settled once its base travel is at most out
+        cap = out if c_max == 0.0 else -math.inf
+        out = max(out, _base_distance(z, sz, target, balls, cap) + c_max)
+    for seg, g, h in a.lines:
+        if g in target.sigs:  # rule (a)
             continue
 
         def value(k: int) -> float:
             # the distance of sample k, or an upper bound of it that is at
             # most out; out is raised to it
             nonlocal out
-            arc = _arc_distance(s[k], arcs) if arcs else math.inf
-            if arc <= out:
-                return arc
             z, sz = seg.point(k)
-            v = min(_base_distance(z, sz, target, balls, out), arc)
+            v = _base_distance(z, sz, target, balls, out)
             out = max(out, v)
             return v
 

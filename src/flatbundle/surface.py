@@ -713,18 +713,20 @@ def _fan(
 
 def _chain_sleeve(
     surface: TranslationSurface, chain: list[SaddleConnection]
-) -> tuple[list[_Node], int, int]:
-    """Sleeve of a chain: its placements and the start and end vertex indices.
+) -> tuple[list[_Node], int, int, bool]:
+    """Sleeve of a chain: its placements, the start and end vertex indices,
+    and whether the chain bends (``bent_junction`` finds a junction).
 
     Each piece adds the placements its crossings pass through; at a junction
     the fan around the cone point is added on the side of the smaller angle.
     """
     p0, i0 = chain[0].start
     sleeve = [_Node(p0, -surface.vertex(p0, i0), -1)]
-    j = i0
+    j, bent = i0, False
     for k, sc in enumerate(chain):
         if k:
             g_ccw, g_cw = junction_gaps(surface, chain[k - 1], sc)
+            bent = bent or min(g_ccw, g_cw) < math.pi - TOL_GEODESIC
             j = _fan(surface, sleeve, j, sc.start, ccw=g_ccw <= g_cw)
         for poly, e in sc.crossings:
             if sleeve[-1].poly != poly:
@@ -733,7 +735,7 @@ def _chain_sleeve(
         if sleeve[-1].poly != sc.end.poly:
             raise NotAConnection("piece does not end in its end polygon")
         j = sc.end.vertex
-    return sleeve, i0, j
+    return sleeve, i0, j, bent
 
 
 class _Vertex:
@@ -923,8 +925,8 @@ def tighten_chain(
     chain = list(chain)
     if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
         return FlatGeodesic(())
-    sleeve, i0, j_end = _chain_sleeve(surface, chain)
-    if bent_junction(surface, chain) is None:
+    sleeve, i0, j_end, bent = _chain_sleeve(surface, chain)
+    if not bent:
         return FlatGeodesic(tuple(chain))
     for _ in range(MAX_REROUTES):
         pivots = _funnel(surface, sleeve, i0, j_end)

@@ -46,8 +46,8 @@ from flatbundle.errors import (
     NotAGeodesic,
     NotFound,
 )
-from flatbundle.paths import SaddlePiece, build_fan, build_preferred_path
-from flatbundle.slimness import _scale, sample_path
+from flatbundle.paths import HorizontalPiece, SaddlePiece, build_fan, build_preferred_path
+from flatbundle.slimness import _canon_hol, _piece_count, _round_z, _scale
 from flatbundle.surface import (
     MAX_REROUTES,
     TOL_ANGLE,
@@ -730,7 +730,7 @@ def tighten_chain_by_funnel(surface, chain):
     chain = list(chain)
     if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
         return FlatGeodesic(())
-    sleeve, i0, j_end = _chain_sleeve(surface, chain)
+    sleeve, i0, j_end, _ = _chain_sleeve(surface, chain)
     for _ in range(MAX_REROUTES):
         pivots = _funnel(surface, sleeve, i0, j_end)
         pieces = [_piece(surface, sleeve, a, b) for a, b in zip(pivots, pivots[1:])]
@@ -861,12 +861,38 @@ def random_fan(surface, saddles, rng):
         return None
 
 
-def samples_of(samples):
-    """Every sample of a SampleSet as (base, clearance, signature, arc
-    position); the bases of a horizontal piece come from ``segment_points``."""
-    out = [(z, c, g, s) for z, _, g, cs in samples.runs for c, s in cs]
-    for seg, g, s, _ in samples.lines:
-        out += [(z, 0.0, g, si) for z, si in zip(segment_points(seg.z1, seg.z2, seg.n), s)]
+def samples_of(path, table, step):
+    """Every sample of a preferred path as (base, clearance, signature, arc
+    position), piece by piece, with the signatures and lengths of ``table``
+    keyed as ``slimness.sample_path`` keys them.
+
+    Sample k of a piece of ``n`` lies at arc position ``(k / n) length``
+    from its lesser rounded end (horizontal) or from the start of its
+    canonical holonomy (saddle); a piece run the other way computes it as
+    ``((n - k) / n) length`` or reverses the forward list.  The bases of a
+    horizontal piece come from ``segment_points``.
+    """
+    out = []
+    for piece in path.pieces:
+        if isinstance(piece, HorizontalPiece):
+            a, b = _round_z(piece.start), _round_z(piece.end)
+            g, length = table.setdefault(("h", min(a, b), max(a, b)), (len(table), piece.length))
+            n = _piece_count(length, step)
+            s = [((n - k if b < a else k) / n) * length for k in range(n + 1)]
+            zs = segment_points(piece.start, piece.end, n)
+            out += [(z, 0.0, g, sk) for z, sk in zip(zs, s)]
+            continue
+        hol = piece.connection.holonomy
+        g, length = table.setdefault(
+            ("s", _canon_hol(hol), _round_z(piece.at_base)), (len(table), piece.length)
+        )
+        if piece.region.kind == "ball":
+            out.append((piece.at_base, 0.0, g, 0.0))
+            continue
+        n = _piece_count(length, step)
+        t = [(k / n) * length for k in range(n + 1)]
+        s = t[::-1] if _canon_hol(hol) != _round_z(hol) else t  # run backwards
+        out += [(piece.at_base, min(tk, length - tk), g, sk) for tk, sk in zip(t, s)]
     return out
 
 
@@ -875,10 +901,7 @@ def _sides(family, x, y, z, geodesics, step):
     balls = family_balls(family)
     pairs = ((x, y, geodesics[0]), (y, z, geodesics[1]), (x, z, geodesics[2]))
     sides = [
-        samples_of(
-            sample_path(build_preferred_path(u, v, family, g), table, step=step)
-        )
-        for u, v, g in pairs
+        samples_of(build_preferred_path(u, v, family, g), table, step) for u, v, g in pairs
     ]
     return sides, balls
 

@@ -47,11 +47,8 @@ CALLS_ALLOWED = {
 # check rejects, the length level of a horoball, and the generators of the
 # group (the equivariance tests act by them; the package reads the words).
 # A sleeve vertex's first occurrence is read only when tighten_chain
-# reroutes, which the watched runs never do.  A slimness segment's far end
-# is read only by the oracle that enumerates its samples through
-# segment_points.
+# reroutes, which the watched runs never do.
 FIELDS_ALLOWED = {
-    "slimness._Segment.z2",
     "surface._Vertex.first",
     "cylinders.Cylinder.boundary_low",
     "cylinders.Cylinder.boundary_high",

@@ -2,6 +2,7 @@
 and slimness sweeps."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -58,7 +59,7 @@ class TestSampleDistances:
         balls = family_balls(fam)
         samples = S.sample_path(path, {})
         assert S._farthest(samples, samples, balls, 0.0) == 0.0
-        flat = oracles.samples_of(samples)
+        flat = oracles.samples_of(path, {}, S.DEFAULT_STEP)
         assert oracles.nearest_distances(flat, flat, balls) == [0.0] * len(flat)
         d = oracles.sample_distance_matrix(flat, flat, balls)
         assert (d == d.T).all() and (np.diag(d) == 0.0).all()
@@ -118,17 +119,21 @@ class TestLazySamples:
     @example((0.1 + 0.2j, -0.5j), 0.05)
     @example((-0.5j, 0.1 + 0.2j), 0.05)
     def test_sample_and_arc_position(self, ends, step):
-        # sample k of a horizontal piece is segment_points' point k, and its
-        # arc position is (k / n) length from the piece's lesser rounded end,
-        # computed as the forward run computes it
+        # sample k of a horizontal piece is segment_points' point k, as the
+        # oracle lists it, and the oracle's arc position is (k / n) length
+        # from the piece's lesser rounded end, computed as the forward run
+        # computes it
         z1, z2 = ends
-        piece = HorizontalPiece(z1, z2, Corner(0, 0))
-        ((seg, _, s, _),) = S.sample_path(PreferredPath((piece,)), {}, step=step).lines
-        n, length = seg.n, piece.length
+        path = PreferredPath((HorizontalPiece(z1, z2, Corner(0, 0)),))
+        ((seg, _, h),) = S.sample_path(path, {}, step=step).lines
+        n, length = seg.n, path.pieces[0].length
+        assert h == length / n
         flip = S._round_z(z2) < S._round_z(z1)
-        for k, z in enumerate(H.segment_points(z1, z2, n)):
+        samples = oracles.samples_of(path, {}, step)
+        assert len(samples) == n + 1
+        for k, (z, _, _, s) in enumerate(samples):
             assert seg.point(k)[0] == z
-            assert s[k] == ((n - k if flip else k) / n) * length
+            assert s == ((n - k if flip else k) / n) * length
 
 
 def _setup(surface, group, cutoff):
@@ -180,14 +185,15 @@ class TestPruning:
         balls = family_balls(fam)
         for sc in saddles:
             x, y = FiberPoint(0.1 + 0.2j, sc.start), FiberPoint(-0.3j, sc.end)
+            there = build_preferred_path(x, y, fam, FlatGeodesic((sc,)))
+            back = build_preferred_path(y, x, fam, FlatGeodesic((sc.reverse(s),)))
             table: dict = {}
-            a = S.sample_path(build_preferred_path(x, y, fam, FlatGeodesic((sc,))), table)
-            back = FlatGeodesic((sc.reverse(s),))
-            b = S.sample_path(build_preferred_path(y, x, fam, back), table)
-            assert sorted(a.arcs) == sorted(b.arcs)
-            assert all(a.arcs[g] == b.arcs[g] for g in a.arcs)
+            a, b = S.sample_path(there, table), S.sample_path(back, table)
+            assert a.sigs == b.sigs
             assert S._farthest(a, b, balls, 0.0) == 0.0
-            flat_a, flat_b = oracles.samples_of(a), oracles.samples_of(b)
+            table = {}
+            flat_a = oracles.samples_of(there, table, S.DEFAULT_STEP)
+            flat_b = oracles.samples_of(back, table, S.DEFAULT_STEP)
             assert max(oracles.nearest_distances(flat_a, flat_b, balls)) == 0.0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -205,6 +211,50 @@ class TestPruning:
         assert len(deltas) == 40
         assert [d for d in deltas if 0.0 < d < 1e-12] == []
 
+    @pytest.mark.parametrize(
+        "surface, group",
+        [
+            ("lshape", "lshape_lattice"),
+            ("octagon", "octagon_cusped"),
+            ("octagon", "octagon_hyperbolic"),
+        ],
+    )
+    @pytest.mark.parametrize("cutoff", [2.5, 5.0])
+    def test_shared_signatures_share_arc_positions(
+        self, monkeypatch, tmp_path, surface, group, cutoff
+    ):
+        # rule (a) skips a piece whose signature the other sides hold; that
+        # is exact because the sides of a triangle that hold one signature
+        # hold its samples at the same arc positions (with each piece's own
+        # length, two parallel connections of octagon_cusped at 2.5, seed 2,
+        # differ in the last bits)
+        calls = []
+        sample_path = S.sample_path
+
+        def recording_sample_path(path, table, *, step):
+            calls.append((table, path, step))
+            return sample_path(path, table, step=step)
+
+        monkeypatch.setattr(S, "sample_path", recording_sample_path)
+        shared = 0
+        for seed in (1, 2, 3):
+            calls.clear()
+            cli.run_experiment(cli.ExperimentConfig(
+                surface=surface, group=group, max_length=cutoff, seed=seed,
+                out=str(tmp_path),
+            ))
+            for _, tri in itertools.groupby(calls, key=lambda call: id(call[0])):
+                table, arcs = {}, []
+                for _, path, step in tri:
+                    arcs.append({})
+                    for _, _, g, s in oracles.samples_of(path, table, step):
+                        arcs[-1].setdefault(g, set()).add(s)
+                for g in set().union(*arcs):
+                    held = [side[g] for side in arcs if g in side]
+                    shared += len(held) > 1
+                    assert all(s == held[0] for s in held)
+        assert shared > 0
+
     def test_sweep_measures_few_samples(self, monkeypatch):
         # every measured sample of a horizontal piece costs one base travel,
         # and a saddle piece at most one; the seed-1 sweep of a
@@ -214,11 +264,10 @@ class TestPruning:
         samples = measured = 0
         sample_path, base_distance = S.sample_path, S._base_distance
 
-        def counting_sample_path(*args, **kwargs):
+        def counting_sample_path(path, table, *, step):
             nonlocal samples
-            out = sample_path(*args, **kwargs)
-            samples += len(oracles.samples_of(out))
-            return out
+            samples += len(oracles.samples_of(path, dict(table), step))
+            return sample_path(path, table, step=step)
 
         def counting_base_distance(*args):
             nonlocal measured

@@ -394,6 +394,23 @@ STALLED_CHAINS = [
 ]
 
 
+def _count_run_calls(monkeypatch, tmp_path, name, group, fns):
+    """Calls of each ``surface`` function in ``fns`` during a seed-1 run at 2.5."""
+    counts = dict.fromkeys(fns, 0)
+    for fn in fns:
+        inner = getattr(surface_module, fn)
+
+        def counted(*args, _fn=fn, _inner=inner):
+            counts[_fn] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(surface_module, fn, counted)
+    cli.run_experiment(cli.ExperimentConfig(
+        surface=name, group=group, max_length=2.5, seed=1, out=str(tmp_path)
+    ))
+    return counts
+
+
 class TestTightenChain:
     @pytest.mark.parametrize("name,spec", STALLED_CHAINS)
     def test_stalled_chains_converge(self, name, spec):
@@ -478,20 +495,23 @@ class TestTightenChain:
         # a seed-1 run at 2.5 funnels 340 (lshape) and 313 (octagon) times,
         # and connect marches 424 and 394 times, when locally geodesic
         # chains go through the funnel too
-        counts = {"_funnel": 0, "_march": 0}
-        for fn in counts:
-            inner = getattr(surface_module, fn)
-
-            def counted(*args, _fn=fn, _inner=inner):
-                counts[_fn] += 1
-                return _inner(*args)
-
-            monkeypatch.setattr(surface_module, fn, counted)
-        cli.run_experiment(cli.ExperimentConfig(
-            surface=name, group=group, max_length=2.5, seed=1, out=str(tmp_path)
-        ))
+        counts = _count_run_calls(monkeypatch, tmp_path, name, group, ("_funnel", "_march"))
         assert counts["_funnel"] <= funnels
         assert counts["_march"] <= marches
+
+    @pytest.mark.parametrize(
+        "name, group, bends, gaps",
+        [("lshape", "lshape_lattice", 459, 671), ("octagon", "octagon_cusped", 366, 538)],
+    )
+    def test_sleeve_reports_the_bend(self, monkeypatch, tmp_path, name, group, bends, gaps):
+        # a seed-1 run at 2.5 calls bent_junction 799 (lshape) and 679
+        # (octagon) times, and junction_gaps 1011 and 851 times, when
+        # tighten_chain measures the junctions its sleeve has just measured
+        counts = _count_run_calls(
+            monkeypatch, tmp_path, name, group, ("bent_junction", "junction_gaps")
+        )
+        assert counts["bent_junction"] <= bends
+        assert counts["junction_gaps"] <= gaps
 
     @pytest.mark.parametrize("name", ["octagon", "lshape", "double_pentagon"])
     def test_agrees_with_dijkstra_oracle(self, name):
