@@ -27,7 +27,13 @@ from .paths import (
     reverse_pairs,
 )
 from .surface import enumerate_saddle_connections, tighten_chain
-from .veech import build_group_data, build_horoball_family, family_balls
+from .veech import (
+    VERIFY_LENGTH,
+    build_group_data,
+    build_horoball_family,
+    check_word_budget,
+    family_balls,
+)
 
 _COUNTS = {
     "paths": 120,
@@ -114,10 +120,18 @@ def _build_pipeline(cfg: ExperimentConfig):
             f"group {preset.get('name', cfg.group)!r} is defined on surface "
             f"{preset['surface']!r}, not {surface.name!r}"
         )
-    gdata = build_group_data(
-        surface, preset["basis"], preset["words"], depth=cfg.depth
-    )
+    # one enumeration serves the run and the affine check, once the word
+    # budget has passed; a cutoff under the check's needs a second one
+    check_word_budget(len(preset["words"]), cfg.depth)
     saddles = enumerate_saddle_connections(surface, cfg.max_length)
+    checked = (
+        saddles
+        if cfg.max_length >= VERIFY_LENGTH
+        else enumerate_saddle_connections(surface, VERIFY_LENGTH)
+    )
+    gdata = build_group_data(
+        surface, preset["basis"], preset["words"], depth=cfg.depth, saddles=checked
+    )
     family = build_horoball_family(gdata, saddles)
     return surface, gdata, saddles, family
 

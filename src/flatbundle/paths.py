@@ -146,9 +146,17 @@ def collapsed_length(path: PreferredPath, family: dict) -> float:
     Parabolic saddle pieces lie in a spine and contribute zero; everything
     else contributes its full length.  The result never exceeds the
     uncollapsed length.  A ball farther from a segment's ends than the
-    segment is long cannot meet it and is not clipped.
+    segment is long cannot meet it and is not clipped.  Adjacent pieces
+    share an end, so each point's ball distances are measured once.
     """
     balls = family_balls(family)
+    measured: dict[complex, list[float]] = {}
+
+    def distances(z: complex) -> list[float]:
+        if z not in measured:
+            measured[z] = [_ball_distance(z, ball) for ball in balls]
+        return measured[z]
+
     total = 0.0
     for piece in path.pieces:
         if isinstance(piece, SaddlePiece):
@@ -157,11 +165,10 @@ def collapsed_length(path: PreferredPath, family: dict) -> float:
             continue
         full = piece.length
         inside_sum = 0.0
-        for ball in balls:
+        for ball, d1, d2 in zip(balls, distances(piece.start), distances(piece.end)):
             # a segment that meets the ball is at least as long as the
             # distances of its ends to it (triangle inequality)
-            reach = _ball_distance(piece.start, ball) + _ball_distance(piece.end, ball)
-            if reach > full + CLIP_SLACK:
+            if d1 + d2 > full + CLIP_SLACK:
                 continue
             _out, inside = segment_clip_by_horoball(piece.start, piece.end, ball)
             if inside <= 1e-12:

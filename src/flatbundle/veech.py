@@ -36,7 +36,7 @@ from .hyperbolic import (
     disk_from_uhp,
     geodesic_max_busemann,
 )
-from .surface import TranslationSurface, cross, enumerate_saddle_connections
+from .surface import TOL_VERTEX, TranslationSurface, cross, enumerate_saddle_connections
 
 ANGLE_DEDUP = 1e-8
 ORBIT_DEPTH = 4  # word length that groups parabolic directions into orbits
@@ -60,16 +60,19 @@ def _holonomy_key(v: complex):
     return (r, i)
 
 
-def verify_affine(surface: TranslationSurface, basis) -> tuple[Mobius, ...]:
+def verify_affine(saddles, basis) -> tuple[Mobius, ...]:
     """Check that unit-determinant matrices preserve the saddle set.
 
     The saddle-connection holonomies (up to sign) form a complete affine
-    invariant of the marked surface; the check enumerates them once to
-    VERIFY_LENGTH, maps every one forward and backward by each matrix of
-    ``basis`` and requires each image under that cutoff to be an enumerated
-    holonomy itself.  Returns the matrices as Mobius maps, in order.
+    invariant of the marked surface.  ``saddles`` is the surface's
+    enumeration to a cutoff of at least VERIFY_LENGTH, as
+    ``enumerate_saddle_connections`` sorts it; the check keeps the records
+    up to VERIFY_LENGTH (the enumeration's own vertex slack included), maps
+    every one forward and backward by each matrix of ``basis`` and requires
+    each image under that cutoff to be a kept holonomy itself.  Returns the
+    matrices as Mobius maps, in order.
     """
-    saddles = enumerate_saddle_connections(surface, VERIFY_LENGTH)
+    saddles = [sc for sc in saddles if abs(sc.holonomy) <= VERIFY_LENGTH + TOL_VERTEX]
     keys = {_holonomy_key(sc.holonomy) for sc in saddles}
     for m in basis:
         (a, b), (c, d) = m
@@ -188,28 +191,41 @@ class VeechGroupData(NamedTuple):
         return self.hull.center_foot
 
 
-def build_group_data(
-    surface: TranslationSurface, basis, words, *, depth: int = 6
-) -> VeechGroupData:
-    """Verified group data from a matrix basis and words over it.
-
-    The basis is checked by :func:`verify_affine`.  The group's
-    generators are the elements of ``words`` in the order given (letter i+1
-    is basis[i], negative its inverse), automorphisms by closure; their
-    order fixes the order of the word enumeration.
-
-    The reduced words are enumerated once, to ``max(depth, ORBIT_DEPTH)``,
-    and each reader takes those up to its own length; more than MAX_WORDS
-    of them, ``sum_{k <= L} 2n (2n - 1)^(k - 1)`` for n generators and
-    length L, raise CutoffTooLarge before any work is done.
-    """
+def check_word_budget(n_generators: int, depth: int) -> None:
+    """Raise CutoffTooLarge when ``build_group_data`` at ``depth`` would
+    enumerate more than MAX_WORDS reduced words in ``n_generators``
+    generators: ``sum_{k <= L} 2n (2n - 1)^(k - 1)`` for n generators and
+    length ``L = max(depth, ORBIT_DEPTH)``."""
     length = max(depth, ORBIT_DEPTH)
-    m = 2 * len(words) - 1  # letters that may follow a letter
+    m = 2 * n_generators - 1  # letters that may follow a letter
     count = (m + 1) * (length if m == 1 else (m**length - 1) // (m - 1))
     if count > MAX_WORDS:
         raise CutoffTooLarge(f"depth {depth} gives {count} group words, over {MAX_WORDS}")
-    verified = verify_affine(surface, basis)
+
+
+def build_group_data(
+    surface: TranslationSurface, basis, words, *, depth: int = 6, saddles=None
+) -> VeechGroupData:
+    """Verified group data from a matrix basis and words over it.
+
+    The basis is checked by :func:`verify_affine` against ``saddles``, the
+    surface's enumeration to at least VERIFY_LENGTH (enumerated here to
+    VERIFY_LENGTH when None).  The group's generators are the elements of
+    ``words`` in the order given (letter i+1 is basis[i], negative its
+    inverse), automorphisms by closure; their order fixes the order of the
+    word enumeration.
+
+    The reduced words are enumerated once, to ``max(depth, ORBIT_DEPTH)``,
+    and each reader takes those up to its own length; more than MAX_WORDS
+    of them raise CutoffTooLarge (:func:`check_word_budget`) before any
+    work is done.
+    """
+    check_word_budget(len(words), depth)
+    if saddles is None:
+        saddles = enumerate_saddle_connections(surface, VERIFY_LENGTH)
+    verified = verify_affine(saddles, basis)
     gens = tuple(word_element(verified, w) for w in words)
+    length = max(depth, ORBIT_DEPTH)
     reduced = group_words(gens, length)
     hull = build_hull(sample_limit_set([(w, g) for w, g in reduced if len(w) <= depth]))
     paras = find_parabolic_fixed_points(
@@ -264,6 +280,34 @@ def horoball_separation(b1: Horoball, b2: Horoball) -> float:
     return (b1.level - k1) + (b2.level - k2)
 
 
+def distinct_directions(saddles) -> list[tuple[float, complex]]:
+    """The saddles' distinct directions, each with its shortest holonomy.
+
+    One sort by direction, then runs of neighbours closer than ANGLE_DEDUP
+    merge, the last run into the first when they meet across pi.  A run
+    keeps the direction and holonomy of its least ``(length, direction)``
+    saddle.  Sorted by direction.
+    """
+    runs: list[list] = []
+    for sc in sorted(saddles, key=lambda s: s.direction):
+        if runs and sc.direction - runs[-1][-1].direction < ANGLE_DEDUP:
+            runs[-1].append(sc)
+        else:
+            runs.append([sc])
+    if len(runs) > 1 and runs[0][0].direction + math.pi - runs[-1][-1].direction < ANGLE_DEDUP:
+        runs[0] += runs.pop()
+    shortest = (min(run, key=lambda s: (s.length, s.direction)) for run in runs)
+    return sorted((sc.direction, sc.holonomy) for sc in shortest)
+
+
+def _images(cache: dict, r: int, xi: complex, orbit_words) -> list[tuple[complex, Mobius]]:
+    """The images of ``xi``, representative ``r``'s ideal point, under the
+    orbit words, in their order; computed once per representative."""
+    if r not in cache:
+        cache[r] = [(g.apply_boundary(xi), g) for _word, g in orbit_words]
+    return cache[r]
+
+
 def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     """One HoroRegion per saddle-connection direction.
 
@@ -287,17 +331,7 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     reaches deeper toward xi (with xi at infinity the sides are semicircles
     of height their radius, and it alone spans all the vertices).
     """
-    # distinct directions with their shortest holonomies
-    dirs: list[tuple[float, complex]] = []
-    for sc in sorted(saddles, key=lambda s: (s.length, s.direction)):
-        th = sc.direction
-        if any(
-            min(abs(th - t), math.pi - abs(th - t)) < ANGLE_DEDUP for (t, _h) in dirs
-        ):
-            continue
-        dirs.append((th, sc.holonomy))
-    dirs.sort()
-
+    dirs = distinct_directions(saddles)
     paras = gdata.parabolic_fixed_points
     hull = gdata.hull
     basepoint = gdata.basepoint
@@ -328,12 +362,13 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     orbit_words = [((), Mobius.identity())] + list(gdata.orbit_words)
     reps: list[int] = []
     orbit_of: dict[int, tuple[int, Mobius]] = {}
+    rep_images: dict[int, list[tuple[complex, Mobius]]] = {}
     for i, (_t, _h, xi, _w, _s) in enumerate(ball_dirs):
         images = (
             (r, g)
             for r in reps
-            for _word, g in orbit_words
-            if abs(g.apply_boundary(ball_dirs[r][2]) - xi) < 1e-6
+            for image, g in _images(rep_images, r, ball_dirs[r][2], orbit_words)
+            if abs(image - xi) < 1e-6
         )
         orbit_of[i] = next(images, (i, Mobius.identity()))
         if orbit_of[i][0] == i:  # no earlier representative maps to xi

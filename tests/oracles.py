@@ -226,6 +226,37 @@ def project_to_region(region, z):
     return best
 
 
+def side_beyond_by_scan(region, z):
+    """The side ``z`` lies beyond, as the argmin of ``side_of`` over every
+    side, or None when that minimum is not below -1e-9: the region's
+    ``side_beyond`` without its closed-form prefilter."""
+    g = min(region.sides, key=lambda g: g.side_of(z), default=None)
+    return g if g is not None and g.side_of(z) < -1e-9 else None
+
+
+def center_foot_by_scan(region):
+    """The region's point nearest the disk center, through
+    ``side_beyond_by_scan``."""
+    g = side_beyond_by_scan(region, 0j)
+    return 0j if g is None else g.foot(0j)
+
+
+def distinct_directions_by_scan(saddles):
+    """Distinct saddle directions with their shortest holonomies: saddles
+    by increasing (length, direction), each kept unless within ANGLE_DEDUP
+    (mod pi) of a direction kept before it, then sorted by direction."""
+    dirs = []
+    for sc in sorted(saddles, key=lambda s: (s.length, s.direction)):
+        th = sc.direction
+        if any(
+            min(abs(th - t), math.pi - abs(th - t)) < ANGLE_DEDUP for (t, _h) in dirs
+        ):
+            continue
+        dirs.append((th, sc.holonomy))
+    dirs.sort()
+    return dirs
+
+
 def meets_sample_by_scan(hull, xi):
     """Whether the ideal point ``xi`` lies within ANGLE_DEDUP of a hull
     vertex (a limit-set sample point), by trying every vertex."""
@@ -234,8 +265,8 @@ def meets_sample_by_scan(hull, xi):
 
 def boundary_foot_by_nudge(hull, xi):
     """Foot of ``xi`` on the hull side that a point just inside the circle
-    toward ``xi`` lies beyond, found by ``side_beyond`` over all sides."""
-    g = hull.side_beyond(0.999999 * xi)
+    toward ``xi`` lies beyond, found by ``side_beyond_by_scan``."""
+    g = side_beyond_by_scan(hull, 0.999999 * xi)
     if g is None:
         raise NotFound("no hull side separates the boundary point")
     return _boundary_foot(g, xi)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatbundle import catalog, cli, paths, render, veech
+from flatbundle import catalog, cli, hyperbolic, paths, render, veech
 from flatbundle.errors import FlatBundleError, MissingHoroRegion, NoCylinders, NotAGeodesic
 
 
@@ -74,6 +74,7 @@ class TestValidation:
     def test_depth_over_word_budget_fails_before_work(self, tmp_path, capsys, monkeypatch):
         # 2 * (3^40 - 1) group words; the count is refused before any is built
         monkeypatch.setattr(veech, "group_words", None)
+        monkeypatch.setattr(cli, "enumerate_saddle_connections", None)
         out = tmp_path / "run"
         code = run_cli(["run", "--group", "lshape_lattice", "--surface", "lshape",
                         "--depth", "40", "--out", str(out)])
@@ -432,6 +433,48 @@ def test_benchmark_science_pinned(surface, group, tmp_path):
     ):
         got = suites[suite]
         assert got["attempts"] == got[accepted] + sum(got["rejected"].values())
+
+
+def test_traced_gate_projects_the_hull_once(tmp_path, monkeypatch):
+    # perfbench's traced octagon-cusped run fails unless it records a call
+    # of ConvexRegion.project and a read of VeechGroupData.basepoint
+    calls = []
+    project, basepoint = hyperbolic.ConvexRegion.project, veech.VeechGroupData.basepoint
+    monkeypatch.setattr(
+        hyperbolic.ConvexRegion,
+        "project",
+        lambda self, z: calls.append("project") or project(self, z),
+    )
+    monkeypatch.setattr(
+        veech.VeechGroupData,
+        "basepoint",
+        property(lambda self: calls.append("basepoint") or basepoint.fget(self)),
+    )
+    code = run_cli([
+        "run", "--surface", "octagon", "--group", "octagon_cusped", "--max-length", "2.5",
+        "--depth", "6", "--max-trace", "40", "--seed", "1", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 0
+    assert calls.count("project") == 1 and "basepoint" in calls
+
+
+@pytest.mark.parametrize("cutoff, cutoffs", [(2.5, [2.5]), (5.0, [5.0]), (1.5, [1.5, 2.5])])
+def test_set_up_enumerates_once(cutoff, cutoffs, monkeypatch):
+    # the run's enumeration serves the affine check unless its cutoff is
+    # under VERIFY_LENGTH; the hull finds the center's side without
+    # measuring every side
+    enumerated, measured = [], []
+    enumerate_all, side_of = cli.enumerate_saddle_connections, hyperbolic.Geodesic.side_of
+    counting = lambda surface, cutoff: enumerated.append(cutoff) or enumerate_all(surface, cutoff)
+    monkeypatch.setattr(cli, "enumerate_saddle_connections", counting)
+    monkeypatch.setattr(veech, "enumerate_saddle_connections", counting)
+    monkeypatch.setattr(
+        hyperbolic.Geodesic, "side_of", lambda g, z: measured.append(g) or side_of(g, z)
+    )
+    cfg = cli.ExperimentConfig(surface="octagon", group="octagon_cusped", max_length=cutoff)
+    _surface, gdata, _saddles, _family = cli._build_pipeline(cfg)
+    assert enumerated == cutoffs
+    assert len(gdata.hull.sides) > 1000 and len(measured) <= 2
 
 
 class TestRender:

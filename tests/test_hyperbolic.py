@@ -343,6 +343,47 @@ class TestClosedFormsAgainstOracles:
         clearance = H.geodesic_max_busemann(side, xi) + 1.0
         assert clearance == oracles.hull_clearance_by_scan(hull, xi)
 
+    @given(
+        st.lists(angles, min_size=3, max_size=12),
+        st.one_of(angles, st.tuples(st.integers(0, 11), st.floats(-1e-6, 1e-6))),
+        st.one_of(
+            st.floats(0.0, 1.0 - 1e-9),
+            st.floats(-9.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+        ),
+    )
+    @example([0.0, 1.0, 1e-8], 3.5, 1.0 - 1e-9)
+    @settings(max_examples=500)
+    def test_side_beyond_matches_scan(self, vertex_angles, where, r):
+        # the closed-form prefilter keeps the side that the scan over every
+        # side picks, out to |z| = 1 - 1e-9 and next to the vertices
+        try:
+            hull = build_hull([cmath.exp(1j * t) for t in vertex_angles])
+        except ElementaryGroup:
+            assume(False)
+        if isinstance(where, tuple):
+            k, off = where
+            where = vertex_angles[k % len(vertex_angles)] + off
+        z = r * cmath.exp(1j * where)
+        assume(abs(z) < 1.0 - 1e-14)
+        assert hull.side_beyond(z) is oracles.side_beyond_by_scan(hull, z)
+
+    @pytest.mark.parametrize("depth", [4, 6, 8])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "lshape_lattice",
+            "octagon_lattice",
+            "octagon_cusped",
+            "octagon_hyperbolic",
+            "double_pentagon_lattice",
+        ],
+    )
+    def test_center_foot_matches_scan(self, name, depth):
+        p = load_group_preset(name)
+        s = load_catalog_surface(p["surface"])
+        hull = build_group_data(s, p["basis"], p["words"], depth=depth).hull
+        assert hull.center_foot == oracles.center_foot_by_scan(hull)
+
     def test_side_facing_without_sides(self):
         assert H.ConvexRegion(()).side_facing(1j) is None
 

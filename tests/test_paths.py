@@ -37,6 +37,7 @@ from flatbundle.veech import (
     HoroRegion,
     build_group_data,
     build_horoball_family,
+    family_balls,
     region_for,
 )
 from flatbundle import paths as P
@@ -275,6 +276,44 @@ class TestCollapsedLength:
             done += 1
             collapsed = P.collapsed_length(path, lshape_family)
             assert collapsed <= path.d_length + 1e-12
+
+    def test_ball_distances_once_per_point(
+        self, lshape, lshape_saddles, lshape_family, monkeypatch
+    ):
+        # adjacent horizontal pieces share an anchor: each point of a path
+        # is measured against each ball once
+        calls = []
+        measure = P._ball_distance
+        monkeypatch.setattr(
+            P, "_ball_distance", lambda z, ball: calls.append(z) or measure(z, ball)
+        )
+        balls = len(family_balls(lshape_family))
+        rng = random.Random(12)
+        shared = 0
+        for _ in range(40):
+            a, b = rng.choice(lshape_saddles), rng.choice(lshape_saddles)
+            x = P.FiberPoint(0j, a.start)
+            y = P.FiberPoint(complex(rng.uniform(-0.3, 0.3), 0.1), b.end)
+            try:
+                path = P.build_preferred_path(
+                    x, y, lshape_family, tighten_chain(lshape, [a, b])
+                )
+            except FlatBundleError:
+                continue
+            ends = [
+                z
+                for piece in path.pieces
+                if isinstance(piece, P.HorizontalPiece)
+                for z in (piece.start, piece.end)
+            ]
+            calls.clear()
+            collapsed = P.collapsed_length(path, lshape_family)
+            assert len(calls) == balls * len(set(ends))
+            assert collapsed == oracles.collapsed_length_clipping_every_ball(
+                path, lshape_family
+            )
+            shared += len(set(ends)) < len(ends)
+        assert shared > 20
 
     def test_no_balls_means_no_collapse(self, octagon, octagon_saddles):
         # purely hyperbolic group: the family has no balls, nothing collapses

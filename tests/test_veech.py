@@ -4,6 +4,7 @@ detection, and the horoball/horopoint family."""
 import cmath
 import math
 import random
+import types
 
 import pytest
 
@@ -94,63 +95,69 @@ def generators(name):
     return tuple(word_element(basis, w) for w in p["words"])
 
 
+def checked_saddles(surface_name, cutoff=veech.VERIFY_LENGTH):
+    """The enumeration ``verify_affine`` checks against."""
+    return enumerate_saddle_connections(load_catalog_surface(surface_name), cutoff)
+
+
 class TestVerifyAffine:
     def test_identity(self):
-        s = load_catalog_surface("octagon")
-        (a,) = verify_affine(s, [((1.0, 0.0), (0.0, 1.0))])
+        saddles = checked_saddles("octagon")
+        (a,) = verify_affine(saddles, [((1.0, 0.0), (0.0, 1.0))])
         assert a == Mobius.identity()
         assert a.classify() == "identity"
 
     def test_octagon_shear_parabolic(self):
         # the shear amount is twice the sum of the inverse moduli of the two
         # horizontal cylinders: 2(1/(1+sqrt2)·... ) = 2(1+sqrt2)
-        s = load_catalog_surface("octagon")
-        (a,) = verify_affine(s, [SHEAR])
+        saddles = checked_saddles("octagon")
+        (a,) = verify_affine(saddles, [SHEAR])
         assert a.classify() == "parabolic"
         assert abs(abs(a.trace) - 2.0) < 1e-9
 
     def test_octagon_rotation(self):
-        s = load_catalog_surface("octagon")
-        (a,) = verify_affine(s, [ROT8])
+        saddles = checked_saddles("octagon")
+        (a,) = verify_affine(saddles, [ROT8])
         assert a.classify() == "elliptic"
 
     def test_diagonal_rejected(self):
-        s = load_catalog_surface("octagon")
+        saddles = checked_saddles("octagon")
         with pytest.raises(NotAnAutomorphism):
-            verify_affine(s, [((2.0, 0.0), (0.0, 0.5))])
+            verify_affine(saddles, [((2.0, 0.0), (0.0, 0.5))])
 
     def test_bad_determinant(self):
-        s = load_catalog_surface("octagon")
+        saddles = checked_saddles("octagon")
         with pytest.raises(NonInvertible):
-            verify_affine(s, [((2.0, 0.0), (0.0, 1.0))])
+            verify_affine(saddles, [((2.0, 0.0), (0.0, 1.0))])
 
     def test_lshape_shears(self):
-        s = load_catalog_surface("lshape")
+        saddles = checked_saddles("lshape")
         shears = [((1.0, 2.0), (0.0, 1.0)), ((1.0, 0.0), (2.0, 1.0))]
-        for a in verify_affine(s, shears):
+        for a in verify_affine(saddles, shears):
             assert a.classify() == "parabolic"
 
     def test_generic_shear_rejected_on_lshape(self):
-        s = load_catalog_surface("lshape")
+        saddles = checked_saddles("lshape")
         with pytest.raises(NotAnAutomorphism):
-            verify_affine(s, [((1.0, 0.5), (0.0, 1.0))])
+            verify_affine(saddles, [((1.0, 0.5), (0.0, 1.0))])
 
     def test_nothing_checked_under_cutoff(self):
         # this generator stretches every saddle connection past the cutoff,
         # which is why its preset is a word over the surface's basis
-        s, g = group_data("octagon_hyperbolic")
+        _s, g = group_data("octagon_hyperbolic")
+        saddles = checked_saddles("octagon")
         m = g.generators[0]
         with pytest.raises(NotAnAutomorphism, match="no holonomy image"):
-            verify_affine(s, [((m.a, m.b), (m.c, m.d))])
+            verify_affine(saddles, [((m.a, m.b), (m.c, m.d))])
 
 
 class TestVerificationPaths:
     @pytest.mark.parametrize("name", ["octagon", "lshape", "double_pentagon"])
     def test_catalog_basis_verifies(self, name):
-        s = load_catalog_surface(name)
+        saddles = checked_saddles(name)
         basis = parse_group({"surface": name}, name)["basis"]
         assert len(basis) == 2
-        assert verify_affine(s, basis) == tuple(Mobius.from_matrix(m) for m in basis)
+        assert verify_affine(saddles, basis) == tuple(Mobius.from_matrix(m) for m in basis)
 
     def test_one_enumeration_per_basis(self, monkeypatch):
         # every basis matrix is checked against the same saddle enumeration
@@ -162,9 +169,47 @@ class TestVerificationPaths:
             lambda *args: calls.append(args) or enumerate_all(*args),
         )
         p = load_group_preset("lshape_lattice")
-        build_group_data(load_catalog_surface(p["surface"]), p["basis"], p["words"])
+        s = load_catalog_surface(p["surface"])
+        build_group_data(s, p["basis"], p["words"])
         assert len(p["basis"]) == 2
         assert len(calls) == 1
+        # a caller's own enumeration is checked as it stands
+        build_group_data(s, p["basis"], p["words"], saddles=enumerate_all(s, 5.0))
+        assert len(calls) == 1
+
+    def test_records_past_cutoff_are_left_out(self):
+        # the shear takes this record, which no saddle connection has, under
+        # the cutoff; past the cutoff itself, it is not checked
+        saddles = checked_saddles("lshape")
+        stray = types.SimpleNamespace(holonomy=complex(-3.9, 1.0))
+        shear = ((1.0, 2.0), (0.0, 1.0))
+        assert verify_affine(saddles + (stray,), [shear]) == verify_affine(saddles, [shear])
+
+    @pytest.mark.parametrize(
+        "name, basis",
+        [
+            ("lshape", [((1.0, 2.0), (0.0, 1.0)), ((1.0, 0.0), (2.0, 1.0))]),
+            ("lshape", [((1.0, 0.5), (0.0, 1.0))]),
+            ("octagon", [SHEAR, ROT8]),
+            ("octagon", [((2.0, 0.0), (0.0, 0.5))]),
+            ("octagon", [STORED_GENERATORS["octagon_hyperbolic"][0]]),
+            ("double_pentagon", "catalog"),
+        ],
+    )
+    @pytest.mark.parametrize("cutoff", [3.0, 5.0, 10.0])
+    def test_longer_enumeration_checks_alike(self, name, basis, cutoff):
+        # records past VERIFY_LENGTH are left out: the same maps, or the
+        # same error with the same message
+        if basis == "catalog":
+            basis = parse_group({"surface": name}, name)["basis"]
+
+        def outcome(saddles):
+            try:
+                return verify_affine(saddles, basis)
+            except (NotAnAutomorphism, NonInvertible) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(checked_saddles(name, cutoff)) == outcome(checked_saddles(name))
 
     @pytest.mark.parametrize("name", PRESETS + ["double_pentagon_lattice"])
     def test_generators_are_word_products(self, name):
@@ -239,7 +284,9 @@ class TestWordsAndLimitSet:
 
     def test_word_budget_checked_before_enumerating(self, monkeypatch):
         # two generators give sum_k 4 * 3^(k-1) reduced words up to length k
-        monkeypatch.setattr(veech, "verify_affine", None)  # must not be reached
+        # must not be reached
+        monkeypatch.setattr(veech, "enumerate_saddle_connections", None)
+        monkeypatch.setattr(veech, "verify_affine", None)
         count = sum(4 * 3 ** (k - 1) for k in range(1, 12))
         assert len(group_words(generators("lshape_lattice"), 4)) == 160
         with pytest.raises(CutoffTooLarge, match=f"{count} group words"):
@@ -503,6 +550,45 @@ class TestHoroballFamily:
             fam = build_horoball_family(g, enumerate_saddle_connections(s, L))
             for r in fam.values():
                 assert (r.kind == "ball") == (r.witness is not None)
+
+
+class TestDirectionsAndOrbits:
+    @pytest.mark.parametrize("name", ["lshape", "octagon", "double_pentagon"])
+    @pytest.mark.parametrize("cutoff", [2.5, 5.0, 10.0, 15.0])
+    def test_distinct_directions_match_scan(self, name, cutoff):
+        saddles = checked_saddles(name, cutoff)
+        assert veech.distinct_directions(saddles) == (
+            oracles.distinct_directions_by_scan(saddles)
+        )
+
+    def test_directions_merge_across_pi(self):
+        def saddle(direction, length):
+            hol = length * cmath.exp(1j * direction)
+            return types.SimpleNamespace(direction=direction, length=length, holonomy=hol)
+
+        saddles = [
+            saddle(2e-9, 2.0),
+            saddle(1.0, 1.0),
+            saddle(math.pi - 3e-9, 1.5),
+            saddle(1.0 + 5e-9, 0.5),
+            saddle(2.0, 1.0),
+        ]
+        dirs = veech.distinct_directions(saddles)
+        assert dirs == oracles.distinct_directions_by_scan(saddles)
+        assert [t for t, _h in dirs] == [1.0 + 5e-9, 2.0, math.pi - 3e-9]
+
+    def test_orbit_images_once_per_representative(self, monkeypatch):
+        # 161 images (the identity and the 160 words to ORBIT_DEPTH) for each
+        # of the three representatives that a later direction scans
+        s, g = group_data("lshape_lattice")
+        saddles = enumerate_saddle_connections(s, 2.5)
+        calls = []
+        apply = Mobius.apply_boundary
+        monkeypatch.setattr(
+            Mobius, "apply_boundary", lambda m, xi: calls.append(xi) or apply(m, xi)
+        )
+        build_horoball_family(g, saddles)
+        assert len(calls) <= 3 * 161
 
 
 class TestHullLookup:
