@@ -12,7 +12,13 @@ from typing import NamedTuple
 
 from . import catalog, render, slimness
 from .cylinders import trace_direction
-from .errors import FlatBundleError, MissingInput, NoClosureFound, UnknownCatalogId
+from .errors import (
+    CutoffTooLarge,
+    FlatBundleError,
+    MissingInput,
+    NoClosureFound,
+    UnknownCatalogId,
+)
 from .hyperbolic import hyp_distance
 from .paths import (
     FiberPoint,
@@ -33,6 +39,7 @@ from .veech import (
     build_horoball_family,
     check_word_budget,
     family_balls,
+    verify_affine,
 )
 
 _COUNTS = {
@@ -123,15 +130,18 @@ def _build_pipeline(cfg: ExperimentConfig):
     # one enumeration serves the run and the affine check, once the word
     # budget has passed; a cutoff under the check's needs a second one
     check_word_budget(len(preset["words"]), cfg.depth)
-    saddles = enumerate_saddle_connections(surface, cfg.max_length)
+    try:
+        saddles = enumerate_saddle_connections(surface, cfg.max_length)
+    except CutoffTooLarge:
+        # a basis that fails its check says so, not that the cutoff is large
+        verify_affine(enumerate_saddle_connections(surface, VERIFY_LENGTH), preset["basis"])
+        raise
     checked = (
         saddles
         if cfg.max_length >= VERIFY_LENGTH
         else enumerate_saddle_connections(surface, VERIFY_LENGTH)
     )
-    gdata = build_group_data(
-        surface, preset["basis"], preset["words"], depth=cfg.depth, saddles=checked
-    )
+    gdata = build_group_data(checked, preset["basis"], preset["words"], depth=cfg.depth)
     family = build_horoball_family(gdata, saddles)
     return surface, gdata, saddles, family
 

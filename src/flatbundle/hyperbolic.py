@@ -372,10 +372,6 @@ def segment_clip_by_horoball(
 # -- convex regions ----------------------------------------------------------
 
 
-def _start_angle(g: Geodesic) -> float:
-    return cmath.phase(g.start) % (2 * math.pi)
-
-
 class ConvexRegion:
     """Ideal polygon: the intersection of the left half planes of its sides.
 
@@ -407,10 +403,11 @@ class ConvexRegion:
     or one within ~1e-6 of pi, is kept.
     """
 
-    __slots__ = ("sides", "center_foot")
+    __slots__ = ("sides", "_start_angles", "center_foot")
 
     def __init__(self, sides: tuple[Geodesic, ...]):
         self.sides = sides
+        self._start_angles = [cmath.phase(g.start) % (2 * math.pi) for g in sides]
         self.center_foot = self.project(0j)
 
     def contains(self, z: complex, *, tol: float = 1e-9) -> bool:
@@ -439,9 +436,7 @@ class ConvexRegion:
         end, holds the ideal point ``xi`` (None when there are no sides)."""
         if not self.sides:
             return None
-        k = bisect.bisect_right(
-            self.sides, cmath.phase(xi) % (2 * math.pi), key=_start_angle
-        )
+        k = bisect.bisect_right(self._start_angles, cmath.phase(xi) % (2 * math.pi))
         return self.sides[k - 1]  # k = 0: the last side, across angle 0
 
     def project(self, z: complex) -> complex:

@@ -36,7 +36,7 @@ from .hyperbolic import (
     disk_from_uhp,
     geodesic_max_busemann,
 )
-from .surface import TOL_VERTEX, TranslationSurface, cross, enumerate_saddle_connections
+from .surface import TOL_VERTEX, cross
 
 ANGLE_DEDUP = 1e-8
 ORBIT_DEPTH = 4  # word length that groups parabolic directions into orbits
@@ -203,17 +203,14 @@ def check_word_budget(n_generators: int, depth: int) -> None:
         raise CutoffTooLarge(f"depth {depth} gives {count} group words, over {MAX_WORDS}")
 
 
-def build_group_data(
-    surface: TranslationSurface, basis, words, *, depth: int = 6, saddles=None
-) -> VeechGroupData:
+def build_group_data(saddles, basis, words, *, depth: int = 6) -> VeechGroupData:
     """Verified group data from a matrix basis and words over it.
 
     The basis is checked by :func:`verify_affine` against ``saddles``, the
-    surface's enumeration to at least VERIFY_LENGTH (enumerated here to
-    VERIFY_LENGTH when None).  The group's generators are the elements of
-    ``words`` in the order given (letter i+1 is basis[i], negative its
-    inverse), automorphisms by closure; their order fixes the order of the
-    word enumeration.
+    surface's enumeration to at least VERIFY_LENGTH.  The group's
+    generators are the elements of ``words`` in the order given (letter i+1
+    is basis[i], negative its inverse), automorphisms by closure; their
+    order fixes the order of the word enumeration.
 
     The reduced words are enumerated once, to ``max(depth, ORBIT_DEPTH)``,
     and each reader takes those up to its own length; more than MAX_WORDS
@@ -221,8 +218,6 @@ def build_group_data(
     work is done.
     """
     check_word_budget(len(words), depth)
-    if saddles is None:
-        saddles = enumerate_saddle_connections(surface, VERIFY_LENGTH)
     verified = verify_affine(saddles, basis)
     gens = tuple(word_element(verified, w) for w in words)
     length = max(depth, ORBIT_DEPTH)
@@ -287,6 +282,11 @@ def distinct_directions(saddles) -> list[tuple[float, complex]]:
     merge, the last run into the first when they meet across pi.  A run
     keeps the direction and holonomy of its least ``(length, direction)``
     saddle.  Sorted by direction.
+
+    This is the pairwise scan (keep each saddle, shortest first, unless its
+    direction is within ANGLE_DEDUP of one kept before it) as long as every
+    run spans less than ANGLE_DEDUP: a longer chain of near neighbours
+    merges here into one direction where the scan would keep several.
     """
     runs: list[list] = []
     for sc in sorted(saddles, key=lambda s: s.direction):

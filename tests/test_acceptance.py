@@ -35,6 +35,7 @@ from flatbundle.paths import (
 )
 from flatbundle.surface import enumerate_saddle_connections, tighten_chain
 from flatbundle.veech import (
+    VERIFY_LENGTH,
     build_group_data,
     build_horoball_family,
     family_balls,
@@ -60,7 +61,9 @@ def setups():
     for surface_name, group_name, max_length in PRESETS:
         s = load_catalog_surface(surface_name)
         p = load_group_preset(group_name)
-        g = build_group_data(s, p["basis"], p["words"], depth=6)
+        g = build_group_data(
+            enumerate_saddle_connections(s, VERIFY_LENGTH), p["basis"], p["words"], depth=6
+        )
         saddles = enumerate_saddle_connections(s, max_length)
         out[group_name] = (s, g, saddles, build_horoball_family(g, saddles))
     return out

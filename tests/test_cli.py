@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatbundle import catalog, cli, hyperbolic, paths, render, veech
-from flatbundle.errors import FlatBundleError, MissingHoroRegion, NoCylinders, NotAGeodesic
+from flatbundle.errors import (
+    CutoffTooLarge,
+    FlatBundleError,
+    MissingHoroRegion,
+    NoCylinders,
+    NotAGeodesic,
+)
 
 
 def _data(name):
@@ -82,6 +88,28 @@ class TestValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: depth 40 gives")
         assert not out.exists()
+
+    def test_bad_basis_reported_over_cutoff(self, tmp_path, capsys, monkeypatch):
+        # a run whose enumeration exceeds its budget still reports the
+        # basis's own failure when the basis is not an automorphism
+        enumerate_all = cli.enumerate_saddle_connections
+
+        def budgeted(surface, cutoff):
+            if cutoff > veech.VERIFY_LENGTH:
+                raise CutoffTooLarge("unfolding exceeded the work budget")
+            return enumerate_all(surface, cutoff)
+
+        monkeypatch.setattr(cli, "enumerate_saddle_connections", budgeted)
+        group = tmp_path / "bad.json"
+        group.write_text(json.dumps({"surface": "lshape", "generators": [[[1, 0.5], [0, 1]]]}))
+        argv = ["run", "--surface", "lshape", "--max-length", "150",
+                "--out", str(tmp_path / "run")]
+        assert run_cli(argv + ["--group", str(group)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "is not a saddle connection" in err[0]
+        # a basis that passes leaves the cutoff's own error
+        assert run_cli(argv + ["--group", "lshape_lattice"]) == 2
+        assert capsys.readouterr().err.startswith("error: unfolding exceeded")
 
     def test_group_surface_mismatch(self, capsys):
         code = run_cli(
@@ -467,7 +495,6 @@ def test_set_up_enumerates_once(cutoff, cutoffs, monkeypatch):
     enumerate_all, side_of = cli.enumerate_saddle_connections, hyperbolic.Geodesic.side_of
     counting = lambda surface, cutoff: enumerated.append(cutoff) or enumerate_all(surface, cutoff)
     monkeypatch.setattr(cli, "enumerate_saddle_connections", counting)
-    monkeypatch.setattr(veech, "enumerate_saddle_connections", counting)
     monkeypatch.setattr(
         hyperbolic.Geodesic, "side_of", lambda g, z: measured.append(g) or side_of(g, z)
     )

@@ -16,7 +16,8 @@ from flatbundle.errors import (
     NotInDisk,
     NotOnBoundary,
 )
-from flatbundle.veech import build_group_data, build_hull
+from flatbundle.surface import enumerate_saddle_connections
+from flatbundle.veech import VERIFY_LENGTH, build_group_data, build_hull
 
 import oracles
 
@@ -291,7 +292,9 @@ def _beyond(g, u, alpha):
 def cusped_hull():
     p = load_group_preset("octagon_cusped")
     s = load_catalog_surface(p["surface"])
-    return build_group_data(s, p["basis"], p["words"], depth=6).hull
+    return build_group_data(
+        enumerate_saddle_connections(s, VERIFY_LENGTH), p["basis"], p["words"], depth=6
+    ).hull
 
 
 balls = st.builds(
@@ -381,7 +384,9 @@ class TestClosedFormsAgainstOracles:
     def test_center_foot_matches_scan(self, name, depth):
         p = load_group_preset(name)
         s = load_catalog_surface(p["surface"])
-        hull = build_group_data(s, p["basis"], p["words"], depth=depth).hull
+        hull = build_group_data(
+            enumerate_saddle_connections(s, VERIFY_LENGTH), p["basis"], p["words"], depth=depth
+        ).hull
         assert hull.center_foot == oracles.center_foot_by_scan(hull)
 
     def test_side_facing_without_sides(self):

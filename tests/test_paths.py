@@ -34,6 +34,7 @@ from flatbundle.surface import (
     tighten_chain,
 )
 from flatbundle.veech import (
+    VERIFY_LENGTH,
     HoroRegion,
     build_group_data,
     build_horoball_family,
@@ -47,7 +48,9 @@ import oracles
 
 def _group(surface, name):
     preset = load_group_preset(name)
-    return build_group_data(surface, preset["basis"], preset["words"])
+    return build_group_data(
+        enumerate_saddle_connections(surface, VERIFY_LENGTH), preset["basis"], preset["words"]
+    )
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ from flatbundle.paths import (
 )
 from flatbundle.surface import Corner, FlatGeodesic, enumerate_saddle_connections
 from flatbundle.veech import (
+    VERIFY_LENGTH,
     build_group_data,
     build_horoball_family,
     family_balls,
@@ -41,7 +42,9 @@ angles = st.floats(0.0, 2 * math.pi - 1e-9)
 def lshape_setup():
     s = load_catalog_surface("lshape")
     p = load_group_preset("lshape_lattice")
-    g = build_group_data(s, p["basis"], p["words"], depth=6)
+    g = build_group_data(
+        enumerate_saddle_connections(s, VERIFY_LENGTH), p["basis"], p["words"], depth=6
+    )
     saddles = enumerate_saddle_connections(s, 3.0)
     return s, build_horoball_family(g, saddles), saddles
 
@@ -139,7 +142,9 @@ class TestLazySamples:
 def _setup(surface, group, cutoff):
     s = load_catalog_surface(surface)
     p = load_group_preset(group)
-    g = build_group_data(s, p["basis"], p["words"], depth=6)
+    g = build_group_data(
+        enumerate_saddle_connections(s, VERIFY_LENGTH), p["basis"], p["words"], depth=6
+    )
     saddles = enumerate_saddle_connections(s, cutoff)
     return s, build_horoball_family(g, saddles), saddles
 
@@ -387,7 +392,9 @@ class TestTriangleSlimness:
         # clearance; the kernel reads each at its ends
         s = load_catalog_surface("octagon")
         p = load_group_preset("octagon_cusped")
-        g = build_group_data(s, p["basis"], p["words"], depth=6)
+        g = build_group_data(
+            enumerate_saddle_connections(s, VERIFY_LENGTH), p["basis"], p["words"], depth=6
+        )
         saddles = enumerate_saddle_connections(s, 2.5)
         fam = build_horoball_family(g, saddles)
         assert {reg.kind for reg in fam.values()} == {"ball", "point"}
@@ -422,7 +429,9 @@ class TestConvexCocompact:
         # purely hyperbolic group: no balls, collapse is the identity
         s = load_catalog_surface("octagon")
         p = load_group_preset("octagon_hyperbolic")
-        g = build_group_data(s, p["basis"], p["words"], depth=6)
+        g = build_group_data(
+            enumerate_saddle_connections(s, VERIFY_LENGTH), p["basis"], p["words"], depth=6
+        )
         saddles = enumerate_saddle_connections(s, 3.0)
         fam = build_horoball_family(g, saddles)
         assert all(reg.kind == "point" for reg in fam.values())

@@ -85,7 +85,9 @@ STORED_GENERATORS = {
 def group_data(name, depth=6):
     p = load_group_preset(name)
     s = load_catalog_surface(p["surface"])
-    return s, build_group_data(s, p["basis"], p["words"], depth=depth)
+    return s, build_group_data(
+        checked_saddles(p["surface"]), p["basis"], p["words"], depth=depth
+    )
 
 
 def generators(name):
@@ -159,23 +161,21 @@ class TestVerificationPaths:
         assert len(basis) == 2
         assert verify_affine(saddles, basis) == tuple(Mobius.from_matrix(m) for m in basis)
 
-    def test_one_enumeration_per_basis(self, monkeypatch):
-        # every basis matrix is checked against the same saddle enumeration
-        calls = []
-        enumerate_all = veech.enumerate_saddle_connections
-        monkeypatch.setattr(
-            veech,
-            "enumerate_saddle_connections",
-            lambda *args: calls.append(args) or enumerate_all(*args),
-        )
+    def test_one_enumeration_per_basis(self):
+        # every basis matrix is checked against the same saddle enumeration,
+        # read once
+        class Counted(tuple):
+            reads = 0
+
+            def __iter__(self):
+                Counted.reads += 1
+                return super().__iter__()
+
         p = load_group_preset("lshape_lattice")
-        s = load_catalog_surface(p["surface"])
-        build_group_data(s, p["basis"], p["words"])
+        saddles = Counted(checked_saddles(p["surface"]))
+        build_group_data(saddles, p["basis"], p["words"])
         assert len(p["basis"]) == 2
-        assert len(calls) == 1
-        # a caller's own enumeration is checked as it stands
-        build_group_data(s, p["basis"], p["words"], saddles=enumerate_all(s, 5.0))
-        assert len(calls) == 1
+        assert Counted.reads == 1
 
     def test_records_past_cutoff_are_left_out(self):
         # the shear takes this record, which no saddle connection has, under
@@ -241,7 +241,7 @@ class TestVerificationPaths:
         # a group file with bare generators is its own basis; the group data
         # must not depend on which form the file took
         p = load_group_preset(name)
-        s = load_catalog_surface(p["surface"])
+        saddles = checked_saddles(p["surface"])
         doc = {"surface": p["surface"], "generators": STORED_GENERATORS[name]}
         bare = parse_group(doc, name)
         assert bare["words"] == [[1], [2]]
@@ -249,10 +249,10 @@ class TestVerificationPaths:
             # entries too large for a holonomy check at the cutoff: that is
             # why the preset is a word over the surface's basis
             with pytest.raises(NotAnAutomorphism, match="no holonomy image"):
-                build_group_data(s, bare["basis"], bare["words"])
+                build_group_data(saddles, bare["basis"], bare["words"])
             return
-        alone = build_group_data(s, bare["basis"], bare["words"])
-        via_basis = build_group_data(s, p["basis"], p["words"])
+        alone = build_group_data(saddles, bare["basis"], bare["words"])
+        via_basis = build_group_data(saddles, p["basis"], p["words"])
         assert alone.generators == via_basis.generators
         assert [(g.start, g.end) for g in alone.hull.sides] == [
             (g.start, g.end) for g in via_basis.hull.sides
@@ -283,14 +283,14 @@ class TestWordsAndLimitSet:
         ]
 
     def test_word_budget_checked_before_enumerating(self, monkeypatch):
-        # two generators give sum_k 4 * 3^(k-1) reduced words up to length k
-        # must not be reached
-        monkeypatch.setattr(veech, "enumerate_saddle_connections", None)
-        monkeypatch.setattr(veech, "verify_affine", None)
+        # two generators give sum_k 4 * 3^(k-1) reduced words up to length k;
+        # the count is refused before the saddle list or the check is read
+        monkeypatch.setattr(veech, "verify_affine", None)  # must not be reached
         count = sum(4 * 3 ** (k - 1) for k in range(1, 12))
         assert len(group_words(generators("lshape_lattice"), 4)) == 160
+        p = load_group_preset("lshape_lattice")
         with pytest.raises(CutoffTooLarge, match=f"{count} group words"):
-            group_data("lshape_lattice", depth=11)
+            build_group_data(None, p["basis"], p["words"], depth=11)
 
     def test_group_words_kept_to_orbit_depth(self):
         _s, g = group_data("octagon_cusped", depth=2)
