@@ -13,7 +13,6 @@ from typing import NamedTuple
 from . import catalog, render, slimness
 from .cylinders import trace_direction
 from .errors import (
-    CutoffTooLarge,
     FlatBundleError,
     MissingInput,
     NoClosureFound,
@@ -32,14 +31,13 @@ from .paths import (
     random_fan,
     reverse_pairs,
 )
-from .surface import enumerate_saddle_connections, tighten_chain
+from .surface import TOL_VERTEX, enumerate_saddle_connections, tighten_chain
 from .veech import (
     VERIFY_LENGTH,
     build_group_data,
     build_horoball_family,
     check_word_budget,
     family_balls,
-    verify_affine,
 )
 
 _COUNTS = {
@@ -127,21 +125,18 @@ def _build_pipeline(cfg: ExperimentConfig):
             f"group {preset.get('name', cfg.group)!r} is defined on surface "
             f"{preset['surface']!r}, not {surface.name!r}"
         )
-    # one enumeration serves the run and the affine check, once the word
-    # budget has passed; a cutoff under the check's needs a second one
+    # the word budget and then the basis are checked before the run pays
+    # for its own enumeration; a cutoff up to the check's is served by the
+    # check's enumeration, since restricting an enumeration to a smaller
+    # cutoff gives that cutoff's
     check_word_budget(len(preset["words"]), cfg.depth)
-    try:
-        saddles = enumerate_saddle_connections(surface, cfg.max_length)
-    except CutoffTooLarge:
-        # a basis that fails its check says so, not that the cutoff is large
-        verify_affine(enumerate_saddle_connections(surface, VERIFY_LENGTH), preset["basis"])
-        raise
-    checked = (
-        saddles
-        if cfg.max_length >= VERIFY_LENGTH
-        else enumerate_saddle_connections(surface, VERIFY_LENGTH)
-    )
+    checked = enumerate_saddle_connections(surface, VERIFY_LENGTH)
     gdata = build_group_data(checked, preset["basis"], preset["words"], depth=cfg.depth)
+    saddles = (
+        tuple(sc for sc in checked if abs(sc.holonomy) <= cfg.max_length + TOL_VERTEX)
+        if cfg.max_length <= VERIFY_LENGTH
+        else enumerate_saddle_connections(surface, cfg.max_length)
+    )
     family = build_horoball_family(gdata, saddles)
     return surface, gdata, saddles, family
 

@@ -29,10 +29,11 @@ from .surface import (
     Corner,
     SaddleConnection,
     TranslationSurface,
+    _connection,
+    _edge_connection,
     _march,
     _UnionFind,
     ccw_angle,
-    connect,
     cross,
     fold_direction,
     seg_point_dist,
@@ -83,7 +84,7 @@ def _separatrices(surface, u, max_trace):
                 # along the outgoing edge: the edge is itself a saddle
                 # connection, which the marcher cannot follow
                 if abs(cmath.phase(evec / u)) < TOL_ANGLE:
-                    sc = connect(surface, corner, evec)
+                    sc = _edge_connection(surface, corner, evec)
                     out.append((sc, [(p, 0j, v0, v0 + evec)]))
                 continue
             if phi > surface.interior_angle(corner) - TOL_ANGLE:
@@ -96,11 +97,9 @@ def _separatrices(surface, u, max_trace):
                     f"separatrix from {corner} still open after length {max_trace}"
                 )
             last = steps[-1]
-            end = Corner(last.poly, j)
             crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
-            sc = SaddleConnection(
-                corner, end, abs(last.exit - v0) * u, phi,
-                ccw_angle(surface.edge_vec(*end), -u), crossings,
+            sc = _connection(
+                surface, corner, Corner(last.poly, j), abs(last.exit - v0) * u, crossings
             )
             out.append((sc, [(st.poly, st.t, st.entry, st.exit) for st in steps]))
     return out

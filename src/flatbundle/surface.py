@@ -1,10 +1,13 @@
 """Translation surfaces from glued polygons.
 
 A surface is a finite collection of convex planar polygons together with a
-pairing of their edges by translations.  Everything downstream (saddle
-connection enumeration, direction tracing, flat geodesics) reduces to marching
-straight segments through the glued polygons, so the marching primitives here
-are written once and shared.
+pairing of their edges by translations.  Everything downstream is built from
+saddle connections, and each record is built once, by :func:`_connection`
+(or :func:`_edge_connection` for a polygon edge), from the route that found
+it: the enumeration's unfolding proves which vertices a straight segment
+reaches, a sleeve's funnel path crosses every portal of its sleeve, and
+only a separatrix, whose end is not known in advance, is marched through
+the glued polygons (:func:`_march`).
 
 Every cone angle is at least 2*pi, so the universal cover is CAT(0) and each
 homotopy class of chains of saddle connections holds exactly one flat
@@ -453,15 +456,17 @@ class SaddleConnection(NamedTuple):
         return fold_direction(math.atan2(self.holonomy.imag, self.holonomy.real))
 
     def reverse(self, surface: TranslationSurface) -> "SaddleConnection":
-        """The same connection run backwards, as :func:`connect` gives it.
+        """The same connection run backwards.
 
-        An edge connection (``start_phi`` 0) arrives along its end corner's
-        incoming edge, so its reverse leaves from the next corner
-        counterclockwise, where the same edge is outgoing.
+        Its angles are the forward record's, swapped, so it is bit-equal to
+        the record a trace of the reverse segment gives.  An edge connection
+        (``start_phi`` 0) arrives along its end corner's incoming edge, so
+        its reverse is the edge out of the next corner counterclockwise,
+        where the same edge is outgoing.
         """
         if self.start_phi == 0.0:
             corner = _next_corner(surface.gluings, surface.polygons, self.end)
-            return connect(surface, corner, -self.holonomy)
+            return _edge_connection(surface, corner, -self.holonomy)
         rcross = tuple(surface.gluings[c] for c in reversed(self.crossings))
         return SaddleConnection(
             self.end, self.start, -self.holonomy, self.end_phi, self.start_phi, rcross
@@ -476,47 +481,37 @@ class SaddleConnection(NamedTuple):
         )
 
 
-#: polygons :func:`connect` marches through before it gives up
-CONNECT_BUDGET = 20000
+def _connection(
+    surface: TranslationSurface,
+    start: Corner,
+    end: Corner,
+    w: complex,
+    crossings: tuple[tuple[int, int], ...],
+) -> SaddleConnection:
+    """The record of the segment of holonomy ``w`` from ``start`` to ``end``
+    through ``crossings``, as the route that found it gives them.
 
-
-def connect(surface: TranslationSurface, start: Corner, w: complex) -> SaddleConnection:
-    """The saddle connection of holonomy ``w`` out of ``start``.
-
-    The straight segment is one when it ends exactly at a cone point without
-    meeting one on the way.  The start direction must lie in the corner's
-    wedge (measuring counterclockwise from the outgoing edge); directions
-    along the far wedge boundary are rejected so each edge connection is
-    traced from a single corner.  Raises :class:`NotAConnection` naming the
-    reason: ``along-edge``, ``outside-wedge``, ``budget``, ``end-not-cone``
-    or ``hits-cone-point``.
+    Each end angle is measured counterclockwise from its corner's outgoing
+    edge: to ``w`` at the start and to ``-w`` at the end.
     """
-    p, i = start
-    evec = surface.edge_vec(p, i)
-    phi = ccw_angle(evec, w)
-    if phi < TOL_ANGLE:
-        if abs(w - evec) >= TOL_VERTEX:
-            raise NotAConnection(f"segment from {start} by {w}: along-edge")
-        end = Corner(p, (i + 1) % surface.n_edges(p))
-        return SaddleConnection(start, end, w, 0.0, surface.interior_angle(end), ())
-    if phi > surface.interior_angle(start) - TOL_ANGLE:
-        raise NotAConnection(f"segment from {start} by {w}: outside-wedge")
+    return SaddleConnection(
+        start,
+        end,
+        w,
+        ccw_angle(surface.edge_vec(*start), w),
+        ccw_angle(surface.edge_vec(*end), -w),
+        crossings,
+    )
 
-    steps, j = _march(surface, p, -surface.vertex(p, i), 0j, w, CONNECT_BUDGET)
-    if j is None:
-        raise NotAConnection(f"segment from {start} by {w}: budget")
-    last = steps[-1]
-    if j < 0:
-        # the target lies in (or on the boundary of) the last polygon
-        t, verts = last.t, surface.polygons[last.poly]
-        j = next((k for k, v in enumerate(verts) if abs(v + t - w) < TOL_VERTEX), -1)
-        if j < 0:
-            raise NotAConnection(f"segment from {start} by {w}: end-not-cone")
-    elif abs(last.exit - w) >= TOL_VERTEX:
-        raise NotAConnection(f"segment from {start} by {w}: hits-cone-point")
-    ephi = ccw_angle(surface.edge_vec(last.poly, j), -(w - last.entry))
-    crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
-    return SaddleConnection(start, Corner(last.poly, j), w, phi, ephi, crossings)
+
+def _edge_connection(
+    surface: TranslationSurface, start: Corner, w: complex
+) -> SaddleConnection:
+    """The record of the outgoing edge of ``start``, of holonomy ``w``: it
+    leaves at angle 0 and arrives along the end corner's incoming edge."""
+    p, i = start
+    end = Corner(p, (i + 1) % surface.n_edges(p))
+    return SaddleConnection(start, end, w, 0.0, surface.interior_angle(end), ())
 
 
 #: polygon placements the enumeration's unfolding visits before it gives up
@@ -530,27 +525,34 @@ def enumerate_saddle_connections(
     """All saddle connections of length <= ``max_length``, one per orientation class.
 
     The representative of each class is the one whose direction lies in
-    [0, pi).  Candidates come from a breadth-first unfolding around every
-    corner pruned to the disk of radius ``max_length``; each candidate is then
-    validated by marching it through the glued surface.
+    [0, pi).  Around every corner a depth-first unfolding, pruned to the
+    disk of radius ``max_length``, keeps with each placed polygon the window
+    of directions from the corner that reach it and the edges crossed on the
+    way.  A vertex strictly inside its placement's window (by more than
+    ``10 * TOL_ANGLE``) is reached by a straight segment that meets no cone
+    point before it, so it is a saddle connection with those crossings; a
+    vertex on the window's edge lies beyond the cone point that cut the
+    window, or along the corner's outgoing edge, which is the edge
+    connection.  No segment is marched.
     """
-    found: dict[tuple, SaddleConnection] = {}
+    found: list[SaddleConnection] = []
     work = 0
     atol = TOL_ANGLE * 10.0
     for p in range(len(surface.polygons)):
         for i in range(len(surface.polygons[p])):
             corner = Corner(p, i)
-            t0 = -surface.vertex(p, i)
-            th0 = cmath.phase(surface.edge_vec(p, i))
+            evec = surface.edge_vec(p, i)
+            if canonical_holonomy(evec) and abs(evec) <= max_length + TOL_VERTEX:
+                found.append(_edge_connection(surface, corner, evec))
+            th0 = cmath.phase(evec)
+            # stack of (poly, t, lo, hi, entry, crossings): placements with
+            # the window of directions from the origin that reach them
             wedge = (th0, th0 + surface.interior_angle(corner))
-            # stack of (poly, t, lo, hi): placements with the window of
-            # directions from the origin that reach them
-            queue: list[tuple[int, complex, float, float, int]] = [
-                (p, t0, *wedge, -1)
+            stack: list[tuple[int, complex, float, float, int, tuple]] = [
+                (p, -surface.vertex(p, i), *wedge, -1, ())
             ]
-            candidates: dict[tuple, complex] = {}
-            while queue:
-                q, t, lo, hi, entry = queue.pop()
+            while stack:
+                q, t, lo, hi, entry, crossings = stack.pop()
                 work += 1
                 if work > UNFOLDING_BUDGET:
                     raise CutoffTooLarge(
@@ -564,9 +566,9 @@ def enumerate_saddle_connections(
                         continue
                     a = cmath.phase(v)
                     a += TWO_PI * round((mid - a) / TWO_PI)
-                    if lo - atol <= a <= hi + atol:
-                        ck = (round(v.real, DEDUP_DIGITS), round(v.imag, DEDUP_DIGITS))
-                        candidates.setdefault(ck, v)
+                    if lo + atol < a < hi - atol and canonical_holonomy(v):
+                        end = Corner(q, j)
+                        found.append(_connection(surface, corner, end, v, crossings))
                 for e in range(n):
                     if e == entry:
                         continue  # a straight segment cannot recross its entry edge
@@ -592,20 +594,9 @@ def enumerate_saddle_connections(
                         # pass through an earlier cone point
                         continue
                     r, f, t2 = surface.across(q, e, t)
-                    queue.append((r, t2, nlo, nhi, f))
-            for w in candidates.values():
-                if not canonical_holonomy(w):
-                    continue
-                try:
-                    sc = connect(surface, corner, w)
-                except NotAConnection:
-                    continue
-                found.setdefault(sc.key(), sc)
-    out = sorted(
-        found.values(),
-        key=lambda sc: (sc.length, sc.direction, sc.start, sc.end, sc.crossings),
-    )
-    return tuple(out)
+                    stack.append((r, t2, nlo, nhi, f, crossings + ((q, e),)))
+    found.sort(key=lambda sc: (sc.length, sc.direction, sc.start, sc.end, sc.crossings))
+    return tuple(found)
 
 
 # -- flat geodesics ----------------------------------------------------------
@@ -859,19 +850,29 @@ def _funnel(
 def _piece(
     surface: TranslationSurface, sleeve: list[_Node], a: _Vertex, b: _Vertex
 ) -> SaddleConnection:
-    """The saddle connection from pivot ``a`` to pivot ``b``.
+    """The saddle connection from pivot ``a`` to pivot ``b``, read off the sleeve.
 
-    It leaves ``a`` from the last placement around ``a``; when it runs back
-    along that corner's incoming edge it starts from the next corner
-    counterclockwise, where the same edge is outgoing.
+    It leaves ``a`` from the last placement around ``a``, crosses the exit
+    edges of that placement and of each later one before the first
+    placement around ``b`` (the funnel path crosses every portal), and
+    arrives at ``b`` there.  A piece along the corner's outgoing edge is
+    that edge; one that runs back along its incoming edge is the edge out of
+    the next corner counterclockwise, where the same edge is outgoing.
     """
     k, j = a.last
     corner = Corner(sleeve[k].poly, j)
     w = b.point - a.point
     phi = ccw_angle(surface.edge_vec(*corner), w)
+    if phi < TOL_ANGLE:
+        return _edge_connection(surface, corner, w)
     if phi > surface.interior_angle(corner) - TOL_ANGLE:
         corner = _next_corner(surface.gluings, surface.polygons, corner)
-    return connect(surface, corner, w)
+        return _edge_connection(surface, corner, w)
+    kb, jb = b.first
+    crossings = tuple(
+        (sleeve[m].poly, _exit_edge(surface, sleeve, m)) for m in range(k, kb)
+    )
+    return _connection(surface, corner, Corner(sleeve[kb].poly, jb), w, crossings)
 
 
 def _reroute(
@@ -911,7 +912,8 @@ def tighten_chain(
       side;
     * the funnel algorithm (Lee & Preparata 1984) gives the shortest path
       through the sleeve, bending only at vertex lifts (the pivots), and
-      each piece between pivots is traced with :func:`connect`;
+      each piece between pivots is read off the sleeve (:func:`_piece`):
+      the path crosses every portal, so no piece is traced again;
     * at the first pivot whose angle outside the sleeve is below pi, the
       placements around that cone point are replaced by the fan on the
       other side and the funnel runs again.  The old path lies in the new

@@ -1,6 +1,9 @@
 """Slow independent reference implementations used to check fast code paths.
 
-Everything here favors obviousness over speed: exhaustive unfolding trees,
+Everything here favors obviousness over speed: the reference tracer
+``connect``, which marches a segment through the glued polygons to find
+where it ends (the package builds each record from the route that found
+it and marches only separatrices), exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
 shortening of flat geodesics, the funnel run on every chain, even one
 that is already geodesic, scans over every hull side, sampled and
@@ -66,13 +69,57 @@ from flatbundle.surface import (
     bent_junction,
     canonical_holonomy,
     ccw_angle,
-    connect,
     cross,
     fold_direction,
     seg_point_dist,
     tighten_chain,
 )
 from flatbundle.veech import ANGLE_DEDUP, _boundary_foot, family_balls
+
+
+#: polygons :func:`connect` marches through before it gives up
+CONNECT_BUDGET = 20000
+
+
+def connect(surface: TranslationSurface, start: Corner, w: complex) -> SaddleConnection:
+    """The saddle connection of holonomy ``w`` out of ``start``, by marching.
+
+    The straight segment is one when it ends exactly at a cone point without
+    meeting one on the way.  The start direction must lie in the corner's
+    wedge (measuring counterclockwise from the outgoing edge); directions
+    along the far wedge boundary are rejected so each edge connection is
+    traced from a single corner.  The end angle is measured to ``-w``, as
+    the package measures it.  Raises :class:`NotAConnection` naming the
+    reason: ``along-edge``, ``outside-wedge``, ``budget``, ``end-not-cone``
+    or ``hits-cone-point``.
+    """
+    p, i = start
+    evec = surface.edge_vec(p, i)
+    phi = ccw_angle(evec, w)
+    if phi < TOL_ANGLE:
+        if abs(w - evec) >= TOL_VERTEX:
+            raise NotAConnection(f"segment from {start} by {w}: along-edge")
+        end = Corner(p, (i + 1) % surface.n_edges(p))
+        return SaddleConnection(start, end, w, 0.0, surface.interior_angle(end), ())
+    if phi > surface.interior_angle(start) - TOL_ANGLE:
+        raise NotAConnection(f"segment from {start} by {w}: outside-wedge")
+
+    steps, j = _march(surface, p, -surface.vertex(p, i), 0j, w, CONNECT_BUDGET)
+    if j is None:
+        raise NotAConnection(f"segment from {start} by {w}: budget")
+    last = steps[-1]
+    if j < 0:
+        # the target lies in (or on the boundary of) the last polygon
+        t, verts = last.t, surface.polygons[last.poly]
+        j = next((k for k, v in enumerate(verts) if abs(v + t - w) < TOL_VERTEX), -1)
+        if j < 0:
+            raise NotAConnection(f"segment from {start} by {w}: end-not-cone")
+    elif abs(last.exit - w) >= TOL_VERTEX:
+        raise NotAConnection(f"segment from {start} by {w}: hits-cone-point")
+    end = Corner(last.poly, j)
+    ephi = ccw_angle(surface.edge_vec(*end), -w)
+    crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
+    return SaddleConnection(start, end, w, phi, ephi, crossings)
 
 
 def brute_saddle_connections(surface, max_length, depth):
@@ -757,7 +804,8 @@ def tighten_chain_dijkstra(surface, chain):
 def tighten_chain_by_funnel(surface, chain):
     """``surface.tighten_chain`` without its locally geodesic shortcut: every
     chain goes through the sleeve, the funnel and the reroute loop, and each
-    piece is traced again with ``connect``."""
+    piece is read off the sleeve by ``surface._piece``, as there (tests
+    compare those pieces with ``connect``'s trace)."""
     chain = list(chain)
     if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
         return FlatGeodesic(())

@@ -111,6 +111,27 @@ class TestValidation:
         assert run_cli(argv + ["--group", "lshape_lattice"]) == 2
         assert capsys.readouterr().err.startswith("error: unfolding exceeded")
 
+    def test_bad_basis_is_reported_before_the_run_enumerates(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a basis that is not an automorphism fails its check on the check's
+        # own enumeration, before the run enumerates to a large cutoff
+        cutoffs = []
+        enumerate_all = cli.enumerate_saddle_connections
+        monkeypatch.setattr(
+            cli,
+            "enumerate_saddle_connections",
+            lambda surface, cutoff: cutoffs.append(cutoff) or enumerate_all(surface, cutoff),
+        )
+        group = tmp_path / "shear.json"
+        group.write_text(json.dumps({"surface": "lshape", "generators": [[[1, 0.5], [0, 1]]]}))
+        argv = ["run", "--surface", "lshape", "--group", str(group), "--max-length", "60",
+                "--out", str(tmp_path / "run")]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "is not a saddle connection" in err[0]
+        assert cutoffs == [veech.VERIFY_LENGTH]
+
     def test_group_surface_mismatch(self, capsys):
         code = run_cli(
             ["run", "--surface", "octagon", "--group", "lshape_lattice"]
@@ -486,10 +507,11 @@ def test_traced_gate_projects_the_hull_once(tmp_path, monkeypatch):
     assert calls.count("project") == 1 and "basepoint" in calls
 
 
-@pytest.mark.parametrize("cutoff, cutoffs", [(2.5, [2.5]), (5.0, [5.0]), (1.5, [1.5, 2.5])])
+@pytest.mark.parametrize("cutoff, cutoffs", [(2.5, [2.5]), (5.0, [2.5, 5.0]), (1.5, [2.5])])
 def test_set_up_enumerates_once(cutoff, cutoffs, monkeypatch):
-    # the run's enumeration serves the affine check unless its cutoff is
-    # under VERIFY_LENGTH; the hull finds the center's side without
+    # the affine check's enumeration at VERIFY_LENGTH comes first and
+    # serves every cutoff up to it; a larger cutoff enumerates once more
+    # after the basis has passed; the hull finds the center's side without
     # measuring every side
     enumerated, measured = [], []
     enumerate_all, side_of = cli.enumerate_saddle_connections, hyperbolic.Geodesic.side_of

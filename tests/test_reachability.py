@@ -46,10 +46,7 @@ CALLS_ALLOWED = {
 # decomposition, the fiber of a horizontal piece, the indices a structure
 # check rejects, the length level of a horoball, and the generators of the
 # group (the equivariance tests act by them; the package reads the words).
-# A sleeve vertex's first occurrence is read only when tighten_chain
-# reroutes, which the watched runs never do.
 FIELDS_ALLOWED = {
-    "surface._Vertex.first",
     "cylinders.Cylinder.boundary_low",
     "cylinders.Cylinder.boundary_high",
     "cylinders.CylinderDecomposition.spines",

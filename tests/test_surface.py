@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatbundle import cli
+from flatbundle import cli, cylinders
 from flatbundle import surface as surface_module
 from flatbundle.catalog import load_catalog_surface, parse_surface, surface_names
 from flatbundle.errors import (
@@ -22,9 +22,9 @@ from flatbundle.errors import (
     NotAGeodesic,
 )
 from flatbundle.surface import (
+    TOL_VERTEX,
     Corner,
     canonical_holonomy,
-    connect,
     enumerate_saddle_connections,
     is_local_geodesic,
     junction_gaps,
@@ -33,6 +33,7 @@ from flatbundle.surface import (
 )
 
 import oracles
+from oracles import connect
 
 SQRT2 = math.sqrt(2.0)
 
@@ -167,16 +168,14 @@ class TestTracing:
     @pytest.mark.parametrize("cutoff", [2.5, 5.0])
     @pytest.mark.parametrize("name", ["lshape", "octagon", "double_pentagon"])
     def test_reverse_is_the_connect_record(self, name, cutoff):
-        # one record form: a reverse is what connect traces from its start
-        # (an edge's reverse leaves along the glued copy of the edge), and a
-        # single connection is its own geodesic in either orientation
+        # one record form: a reverse is bit-equal to what connect traces
+        # from its start (an edge's reverse leaves along the glued copy of
+        # the edge), and a single connection is its own geodesic in either
+        # orientation
         s = load_catalog_surface(name)
         for x in enumerate_saddle_connections(s, cutoff):
             r = x.reverse(s)
-            c = connect(s, r.start, r.holonomy)
-            assert (r.start, r.end, r.crossings) == (c.start, c.end, c.crossings)
-            assert r.start_phi == pytest.approx(c.start_phi, abs=1e-9)
-            assert r.end_phi == pytest.approx(c.end_phi, abs=1e-9)
+            assert r == connect(s, r.start, r.holonomy)
             for y in (x, r):
                 assert [p.key() for p in tighten_chain(s, [y]).pieces] == [y.key()]
 
@@ -216,6 +215,20 @@ class TestEnumeration:
         assert len(scs) == 2
         assert scs[0].key() != scs[1].key()
         assert scs[0].holonomy == pytest.approx(scs[1].holonomy, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["lshape", "octagon", "double_pentagon"])
+    def test_records_are_the_traced_records(self, name):
+        # every record the unfolding builds is bit-equal to the reference
+        # trace of its segment, and the enumeration at 15 restricted to a
+        # smaller cutoff is the enumeration at that cutoff, so this holds
+        # for every record at 2.5, 5 and 10 too
+        s = load_catalog_surface(name)
+        full = enumerate_saddle_connections(s, 15.0)
+        for sc in full:
+            assert sc == connect(s, sc.start, sc.holonomy)
+        for cutoff in (1.0, 1.5, 2.0, 2.5, 5.0, 10.0):
+            kept = tuple(sc for sc in full if abs(sc.holonomy) <= cutoff + TOL_VERTEX)
+            assert enumerate_saddle_connections(s, cutoff) == kept
 
     def test_canonical_direction(self, octagon):
         for sc in enumerate_saddle_connections(octagon, 2.5):
@@ -329,10 +342,12 @@ def _same_pieces(a, b):
 
 
 def _assert_certified(surface, chain, geo):
-    """Development, length and angle certificates of a tightened chain."""
+    """Development, length, angle and record certificates of a tightened
+    chain: each piece read off the sleeve is bit-equal to its trace."""
     dev = sum((sc.holonomy for sc in chain), 0j)
     assert geo.length <= sum(sc.length for sc in chain) + 1e-9
     assert is_local_geodesic(surface, geo.pieces)
+    assert all(p == connect(surface, p.start, p.holonomy) for p in geo.pieces)
     if not geo.pieces:
         # a chain that develops to a closed loop tightens to the empty chain
         assert abs(dev) < 1e-9
@@ -493,11 +508,41 @@ class TestTightenChain:
         self, monkeypatch, tmp_path, name, group, funnels, marches
     ):
         # a seed-1 run at 2.5 funnels 340 (lshape) and 313 (octagon) times,
-        # and connect marches 424 and 394 times, when locally geodesic
-        # chains go through the funnel too
+        # and connect marched 424 and 394 times, when locally geodesic
+        # chains went through the funnel too; pieces are now read off the
+        # sleeve, so tighten_chain marches none (see the separatrix test)
         counts = _count_run_calls(monkeypatch, tmp_path, name, group, ("_funnel", "_march"))
         assert counts["_funnel"] <= funnels
         assert counts["_march"] <= marches
+
+    @pytest.mark.parametrize(
+        "name, group, exits", [("lshape", "lshape_lattice", 29), ("octagon", "octagon_cusped", 4)]
+    )
+    def test_only_separatrices_are_marched(self, monkeypatch, tmp_path, name, group, exits):
+        # the enumeration and tighten_chain build each record from the route
+        # that found it, so only a separatrix, whose end is not known, is
+        # marched: a seed-1 run at 2.5 made 337 (lshape) and 197 (octagon)
+        # _find_exit calls when both traced their segments again
+        inside, calls = [], []
+        separatrices, find_exit = cylinders._separatrices, surface_module._find_exit
+
+        def watched(*args):
+            inside.append(True)
+            try:
+                return separatrices(*args)
+            finally:
+                inside.pop()
+
+        def counted(*args):
+            calls.append(bool(inside))
+            return find_exit(*args)
+
+        monkeypatch.setattr(cylinders, "_separatrices", watched)
+        monkeypatch.setattr(surface_module, "_find_exit", counted)
+        cli.run_experiment(cli.ExperimentConfig(
+            surface=name, group=group, max_length=2.5, seed=1, out=str(tmp_path)
+        ))
+        assert 0 < len(calls) <= exits and all(calls)
 
     @pytest.mark.parametrize(
         "name, group, bends, gaps",
