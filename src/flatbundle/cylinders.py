@@ -5,10 +5,12 @@ in that direction (a separatrix) closes up into a saddle connection.  The
 complement of those saddle connections is then a union of flat cylinders.
 ``trace_direction`` semi-decides this: it traces each outgoing separatrix
 once and either assembles the decomposition or reports that one survived
-the trace budget, which proves nothing about longer budgets.  The heights of
-the vertices and separatrices, taken along the left normal of the direction,
-cut each polygon into strips; the strips glued across polygon edges make up
-the cylinders, and each strip spans its cylinder's width.
+the trace budget, which proves nothing about longer budgets.  A separatrix
+keeps no route but its record's crossings, which place its pieces in the
+polygons.  The heights of the vertices and separatrices, taken along the
+left normal of the direction, cut each polygon into strips; the strips glued
+across polygon edges make up the cylinders, and each strip spans its
+cylinder's width.
 
 A decomposition records its *spines* (connected components of the union of
 boundary saddle connections) and, per cylinder, the boundary sides on each of
@@ -36,7 +38,6 @@ from .surface import (
     ccw_angle,
     cross,
     fold_direction,
-    seg_point_dist,
 )
 
 WIDTH_TOL = 1e-6
@@ -68,10 +69,9 @@ class CylinderDecomposition(NamedTuple):
 def _separatrices(surface, u, max_trace):
     """Saddle connections leaving the cone points in direction ``u``.
 
-    Each comes with its development, the marching steps as (poly,
-    translation, entry, exit) with the points in the start polygon's frame.
-    Returns a NoClosureFound value when a separatrix is still open after
-    ``max_trace``.
+    Each record carries the route its march walked (``crossings``), the one
+    route kept for it.  Returns a NoClosureFound value when a separatrix is
+    still open after ``max_trace``.
     """
     out = []
     for p in range(len(surface.polygons)):
@@ -84,59 +84,63 @@ def _separatrices(surface, u, max_trace):
                 # along the outgoing edge: the edge is itself a saddle
                 # connection, which the marcher cannot follow
                 if abs(cmath.phase(evec / u)) < TOL_ANGLE:
-                    sc = _edge_connection(surface, corner, evec)
-                    out.append((sc, [(p, 0j, v0, v0 + evec)]))
+                    out.append(_edge_connection(surface, corner, evec))
                 continue
             if phi > surface.interior_angle(corner) - TOL_ANGLE:
                 continue  # along the incoming edge; traced from the partner corner
-            steps, j = _march(
+            crossings, last, _t, point, j = _march(
                 surface, p, 0j, v0, v0 + u * max_trace, SEPARATRIX_BUDGET
             )
             if j is None or j < 0:
                 return NoClosureFound(
                     f"separatrix from {corner} still open after length {max_trace}"
                 )
-            last = steps[-1]
-            crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
-            sc = _connection(
-                surface, corner, Corner(last.poly, j), abs(last.exit - v0) * u, crossings
-            )
-            out.append((sc, [(st.poly, st.t, st.entry, st.exit) for st in steps]))
+            out.append(_connection(
+                surface, corner, Corner(last, j), abs(point - v0) * u, crossings
+            ))
     return out
 
 
-def _piece_heights(surface, u, developed):
-    """Per polygon, (height, saddle index) of each piece of the developed saddles.
+def _piece_heights(surface, u, saddles):
+    """Per polygon, (height, saddle index) of each piece of the given separatrices.
 
-    The height of a polygon-local point ``z`` is ``cross(u, z)``.  A piece
-    lying along a glued polygon edge bounds the polygons on both sides of
-    the gluing, so it is listed in the partner polygon as well.
+    The height of a polygon-local point ``z`` is ``cross(u, z)``.  A
+    separatrix from ``v0`` crosses the polygon placed at ``t`` at height
+    ``cross(u, v0 - t)``, with the placements developed along its
+    crossings.  Only an edge record (``start_phi`` 0) lies along a glued
+    edge: a marched segment that ran along an edge would meet the edge's end
+    points, which are cone points, where the march stops.  An edge bounds
+    the polygons on both sides of its gluing, so it is listed in the
+    partner polygon as well.
     """
     pieces: dict[int, list[tuple[float, int]]] = {}
-    for k, segs in enumerate(developed):
-        for (poly, t, a, b) in segs:
-            la, lb = a - t, b - t
-            pieces.setdefault(poly, []).append((cross(u, la), k))
-            for e in range(surface.n_edges(poly)):
-                va, vb = surface.vertex(poly, e), surface.vertex(poly, e + 1)
-                if max(seg_point_dist(va, vb, la), seg_point_dist(va, vb, lb)) < TOL_VERTEX:
-                    q, _f, shift = surface.across(poly, e)
-                    pieces.setdefault(q, []).append((cross(u, la - shift), k))
+    for k, sc in enumerate(saddles):
+        p, i = sc.start
+        v0 = surface.vertex(p, i)
+        pieces.setdefault(p, []).append((cross(u, v0), k))
+        t = 0j
+        for poly, e in sc.crossings:
+            q, _f, t = surface.across(poly, e, t)
+            pieces.setdefault(q, []).append((cross(u, v0 - t), k))
+        if sc.start_phi == 0.0:
+            q, _f, shift = surface.across(p, i)
+            pieces.setdefault(q, []).append((cross(u, v0 - shift), k))
     return pieces
 
 
-def _strips(surface, u, developed):
+def _strips(surface, u, saddles):
     """The cylinders of a periodic direction as connected sets of strips.
 
-    In each polygon the heights of its vertices and of the pieces crossing
-    it, merged within ``TOL_VERTEX``, cut it into strips.  A strip holds no
+    In each polygon the heights of its vertices and of the pieces of the
+    separatrix records ``saddles`` crossing it (:func:`_piece_heights`),
+    merged within ``TOL_VERTEX``, cut it into strips.  A strip holds no
     saddle, so it lies in one cylinder and spans its width; the strips
     crossing a glued edge match one to one in height order.  Returns one
     ``(strip widths, sides)`` pair per connected set of strips, where a
     piece of saddle ``k`` puts side ``(k, +1)`` on the strip above it and
     ``(k, -1)`` on the strip below.
     """
-    pieces = _piece_heights(surface, u, developed)
+    pieces = _piece_heights(surface, u, saddles)
     vertex_level, width, sides = {}, {}, {}
     for p, verts in enumerate(surface.polygons):
         heights = [cross(u, v) for v in verts]
@@ -193,10 +197,9 @@ def trace_direction(surface: TranslationSurface, theta: float, max_trace: float)
     found = _separatrices(surface, u, max_trace)
     if isinstance(found, NoClosureFound):
         return found
-    found.sort(key=lambda f: (round(f[0].length, 9), f[0].key()))
-    saddles = [sc for sc, _dev in found]
+    saddles = sorted(found, key=lambda sc: (round(sc.length, 9), sc.key()))
     cylinders = []
-    for widths, sides in _strips(surface, u, [dev for _sc, dev in found]):
+    for widths, sides in _strips(surface, u, saddles):
         if max(widths) - min(widths) > WIDTH_TOL:
             raise NoCylinders(
                 f"inconsistent widths {min(widths)}..{max(widths)} in one cylinder"

@@ -7,7 +7,10 @@ saddle connections, and each record is built once, by :func:`_connection`
 it: the enumeration's unfolding proves which vertices a straight segment
 reaches, a sleeve's funnel path crosses every portal of its sleeve, and
 only a separatrix, whose end is not known in advance, is marched through
-the glued polygons (:func:`_march`).
+the glued polygons (:func:`_march`).  A record's ``crossings`` are the one
+route kept for a straight segment: the march returns the crossings it
+walked, and the polygons a record passes through are developed from them
+with :meth:`TranslationSurface.across`.
 
 Every cone angle is at least 2*pi, so the universal cover is CAT(0) and each
 homotopy class of chains of saddle connections holds exactly one flat
@@ -381,16 +384,6 @@ def _find_exit(
     return best
 
 
-class RayStep(NamedTuple):
-    """The part of a marched segment inside one placed polygon."""
-
-    poly: int
-    t: complex
-    entry: complex
-    exit: complex | None  # None where the segment ends inside the polygon
-    edge: int  # edge crossed on leaving, -1 at the final step
-
-
 def _march(
     surface: TranslationSurface,
     poly: int,
@@ -398,30 +391,31 @@ def _march(
     c: complex,
     W: complex,
     budget: int,
-) -> tuple[list[RayStep], int | None]:
+) -> tuple[tuple[tuple[int, int], ...], int, complex, complex | None, int | None]:
     """Walk the segment ``[c, W]`` through the glued polygons.
 
     It starts in polygon ``poly`` placed at ``t`` and stops at the first cone
     point it meets, where it ends, or after ``budget`` polygons.  Returns the
-    steps and how the walk stopped: the index of the vertex of the last
-    step's polygon that it hit, -1 when ``W`` lies in that polygon (within
-    ``TOL_VERTEX``), or None when the budget ran out.
+    route it walked as ``(crossings, poly, t, point, how)``: the
+    ``(polygon, edge)`` crossings, the last polygon and its placement, the
+    point where it met a cone point (None when it met none), and how it
+    stopped: the index of the last polygon's vertex that it hit, -1 when
+    ``W`` lies in that polygon (within ``TOL_VERTEX``), or None when the
+    budget ran out.
     """
-    steps: list[RayStep] = []
+    crossings: list[tuple[int, int]] = []
     entry = -1
     for _ in range(budget):
         ex = _find_exit(surface, poly, t, c, W, entry)
         remaining = abs(W - c)
         if ex is None or ex.s * remaining >= remaining - TOL_VERTEX:
-            steps.append(RayStep(poly, t, c, None, -1))
-            return steps, -1
+            return tuple(crossings), poly, t, None, -1
         if ex.at_vertex >= 0:
-            steps.append(RayStep(poly, t, c, ex.point, -1))
-            return steps, ex.at_vertex
-        steps.append(RayStep(poly, t, c, ex.point, ex.edge))
+            return tuple(crossings), poly, t, ex.point, ex.at_vertex
+        crossings.append((poly, ex.edge))
         poly, entry, t = surface.across(poly, ex.edge, t)
         c = ex.point
-    return steps, None
+    return tuple(crossings), poly, t, None, None
 
 
 # -- saddle connections ------------------------------------------------------
@@ -892,6 +886,31 @@ def _reroute(
 MAX_REROUTES = 100
 
 
+def _shortest_in_sleeve(
+    surface: TranslationSurface, sleeve: list[_Node], i0: int, j_end: int
+) -> FlatGeodesic:
+    """The geodesic through a chain's sleeve: funnel, read the pieces off the
+    sleeve, and reroute around the first pivot bent below pi on its outside
+    until no junction bends.
+
+    Raises ``NotAGeodesic`` when the funnel bends at a grazed vertex (the
+    small angle lies inside the sleeve) or the reroute guard is reached.
+    """
+    for _ in range(MAX_REROUTES):
+        pivots = _funnel(surface, sleeve, i0, j_end)
+        pieces = [_piece(surface, sleeve, a, b) for a, b in zip(pivots, pivots[1:])]
+        bent = bent_junction(surface, pieces)
+        if bent is None:
+            return FlatGeodesic(tuple(pieces))
+        k, ccw = bent
+        v = pivots[k + 1]
+        if ccw == v.left:
+            # small angle inside the sleeve: the funnel bent at a grazed vertex
+            raise NotAGeodesic("path grazes a cone point")
+        sleeve = _reroute(surface, sleeve, v)
+    raise NotAGeodesic("geodesic search exceeded its reroute guard")
+
+
 def tighten_chain(
     surface: TranslationSurface, chain: list[SaddleConnection]
 ) -> FlatGeodesic:
@@ -921,8 +940,8 @@ def tighten_chain(
       the path; ``MAX_REROUTES`` is only a guard.
 
     Raises ``NotAGeodesic`` when consecutive pieces do not share a cone
-    point or the guard is reached, and ``NotAConnection`` when a piece's
-    crossings do not match the polygons.
+    point, the path grazes a cone point or the guard is reached, and
+    ``NotAConnection`` when a piece's crossings do not match the polygons.
     """
     chain = list(chain)
     if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
@@ -930,16 +949,4 @@ def tighten_chain(
     sleeve, i0, j_end, bent = _chain_sleeve(surface, chain)
     if not bent:
         return FlatGeodesic(tuple(chain))
-    for _ in range(MAX_REROUTES):
-        pivots = _funnel(surface, sleeve, i0, j_end)
-        pieces = [_piece(surface, sleeve, a, b) for a, b in zip(pivots, pivots[1:])]
-        bent = bent_junction(surface, pieces)
-        if bent is None:
-            return FlatGeodesic(tuple(pieces))
-        k, ccw = bent
-        v = pivots[k + 1]
-        if ccw == v.left:
-            # small angle inside the sleeve: the funnel bent at a grazed vertex
-            raise NotAGeodesic("path grazes a cone point")
-        sleeve = _reroute(surface, sleeve, v)
-    raise NotAGeodesic("geodesic search exceeded its reroute guard")
+    return _shortest_in_sleeve(surface, sleeve, i0, j_end)

@@ -10,7 +10,8 @@ that is already geodesic, scans over every hull side, sampled and
 bisected hyperbolic searches, per-point geodesic sampling, group words
 without their elements, triangle slimness from one numpy distance matrix
 per ordered pair of sides or from every pair of samples, and cylinder
-decompositions from transverse ray probes.
+decompositions from transverse ray probes, which march each separatrix and
+each probe with a step loop of their own.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from flatbundle.errors import (
 from flatbundle.paths import HorizontalPiece, SaddlePiece, build_fan, build_preferred_path
 from flatbundle.slimness import _canon_hol, _piece_count, _round_z, _scale
 from flatbundle.surface import (
-    MAX_REROUTES,
     TOL_ANGLE,
     TOL_VERTEX,
     Corner,
@@ -61,10 +61,8 @@ from flatbundle.surface import (
     TranslationSurface,
     _chain_sleeve,
     _find_exit,
-    _funnel,
     _march,
-    _piece,
-    _reroute,
+    _shortest_in_sleeve,
     _UnionFind,
     bent_junction,
     canonical_holonomy,
@@ -104,21 +102,21 @@ def connect(surface: TranslationSurface, start: Corner, w: complex) -> SaddleCon
     if phi > surface.interior_angle(start) - TOL_ANGLE:
         raise NotAConnection(f"segment from {start} by {w}: outside-wedge")
 
-    steps, j = _march(surface, p, -surface.vertex(p, i), 0j, w, CONNECT_BUDGET)
+    crossings, last, t, point, j = _march(
+        surface, p, -surface.vertex(p, i), 0j, w, CONNECT_BUDGET
+    )
     if j is None:
         raise NotAConnection(f"segment from {start} by {w}: budget")
-    last = steps[-1]
     if j < 0:
         # the target lies in (or on the boundary of) the last polygon
-        t, verts = last.t, surface.polygons[last.poly]
+        verts = surface.polygons[last]
         j = next((k for k, v in enumerate(verts) if abs(v + t - w) < TOL_VERTEX), -1)
         if j < 0:
             raise NotAConnection(f"segment from {start} by {w}: end-not-cone")
-    elif abs(last.exit - w) >= TOL_VERTEX:
+    elif abs(point - w) >= TOL_VERTEX:
         raise NotAConnection(f"segment from {start} by {w}: hits-cone-point")
-    end = Corner(last.poly, j)
+    end = Corner(last, j)
     ephi = ccw_angle(surface.edge_vec(*end), -w)
-    crossings = tuple((st.poly, st.edge) for st in steps if st.edge >= 0)
     return SaddleConnection(start, end, w, phi, ephi, crossings)
 
 
@@ -803,25 +801,15 @@ def tighten_chain_dijkstra(surface, chain):
 
 def tighten_chain_by_funnel(surface, chain):
     """``surface.tighten_chain`` without its locally geodesic shortcut: every
-    chain goes through the sleeve, the funnel and the reroute loop, and each
-    piece is read off the sleeve by ``surface._piece``, as there (tests
-    compare those pieces with ``connect``'s trace)."""
+    chain goes through the sleeve, the funnel and the reroute loop
+    (``surface._shortest_in_sleeve``), and each piece is read off the sleeve
+    by ``surface._piece``, as there (tests compare those pieces with
+    ``connect``'s trace)."""
     chain = list(chain)
     if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
         return FlatGeodesic(())
     sleeve, i0, j_end, _ = _chain_sleeve(surface, chain)
-    for _ in range(MAX_REROUTES):
-        pivots = _funnel(surface, sleeve, i0, j_end)
-        pieces = [_piece(surface, sleeve, a, b) for a, b in zip(pivots, pivots[1:])]
-        bent = bent_junction(surface, pieces)
-        if bent is None:
-            return FlatGeodesic(tuple(pieces))
-        k, ccw = bent
-        v = pivots[k + 1]
-        if ccw == v.left:
-            raise NotAGeodesic("path grazes a cone point")
-        sleeve = _reroute(surface, sleeve, v)
-    raise NotAGeodesic("geodesic search exceeded its reroute guard")
+    return _shortest_in_sleeve(surface, sleeve, i0, j_end)
 
 
 def crossing_class(surface, pieces, start, end):
@@ -1093,6 +1081,20 @@ def _continuations(surface, saddles):
     return pairs
 
 
+def along_edges(surface, poly, a, b):
+    """Edges of polygon ``poly`` that both polygon-local points ``a`` and
+    ``b`` lie within ``TOL_VERTEX`` of: a piece from ``a`` to ``b`` runs
+    along each of them."""
+    return [
+        e
+        for e in range(surface.n_edges(poly))
+        if max(
+            seg_point_dist(surface.vertex(poly, e), surface.vertex(poly, e + 1), z)
+            for z in (a, b)
+        ) < TOL_VERTEX
+    ]
+
+
 def _barrier_segments(surface, developed):
     """Per-polygon local segments of the developed saddles, those along a
     glued edge mirrored into the partner polygon."""
@@ -1101,12 +1103,44 @@ def _barrier_segments(surface, developed):
         for (poly, t, a, b) in segs:
             la, lb = a - t, b - t
             barriers.setdefault(poly, []).append((k, la, lb))
-            for e in range(surface.n_edges(poly)):
-                va, vb = surface.vertex(poly, e), surface.vertex(poly, e + 1)
-                if max(seg_point_dist(va, vb, la), seg_point_dist(va, vb, lb)) < 1e-9:
-                    q, _f, shift = surface.across(poly, e)
-                    barriers.setdefault(q, []).append((k, la - shift, lb - shift))
+            for e in along_edges(surface, poly, la, lb):
+                q, _f, shift = surface.across(poly, e)
+                barriers.setdefault(q, []).append((k, la - shift, lb - shift))
     return barriers
+
+
+def _steps(surface, poly, z0, W):
+    """The pieces of the segment ``[z0, W]`` from polygon ``poly`` placed at
+    0, marched up to the first cone point it meets or to ``W``: ``(poly,
+    translation, entry, exit)`` with the points in the start polygon's
+    frame and ``exit`` None where the segment ends inside a polygon."""
+    out = []
+    t, c, entry = 0j, z0, -1
+    for _ in range(SEPARATRIX_BUDGET):
+        ex = _find_exit(surface, poly, t, c, W, entry)
+        if ex is None or ex.s * abs(W - c) >= abs(W - c) - TOL_VERTEX:
+            out.append((poly, t, c, None))
+            return out
+        out.append((poly, t, c, ex.point))
+        if ex.at_vertex >= 0:
+            return out
+        poly, entry, t = surface.across(poly, ex.edge, t)
+        c = ex.point
+    return out
+
+
+def develop(surface, sc, u, max_trace):
+    """The pieces of the separatrix ``sc`` leaving in direction ``u``, as
+    :func:`_steps` marches them again up to ``max_trace``; an edge is its
+    own one piece.  The march must pass through the record's polygons."""
+    p, i = sc.start
+    v0, evec = surface.vertex(p, i), surface.edge_vec(p, i)
+    if ccw_angle(evec, u) < TOL_ANGLE:
+        return [(p, 0j, v0, v0 + evec)]
+    steps = _steps(surface, p, v0, v0 + u * max_trace)
+    polys = [p] + [surface.gluings[c][0] for c in sc.crossings]
+    assert [st[0] for st in steps] == polys and steps[-1][3] is not None, sc
+    return steps
 
 
 def _seg_seg(a1, b1, a2, b2):
@@ -1125,13 +1159,12 @@ def _seg_seg(a1, b1, a2, b2):
 def _ray_to_barrier(surface, barriers, poly, z0, n, max_dist):
     """(distance, saddle index) of the first barrier the ray from (poly, z0)
     meets, or None."""
-    steps, _how = _march(surface, poly, 0j, z0, z0 + n * max_dist, SEPARATRIX_BUDGET)
-    for st in steps:
-        a_pl = st.entry
-        b_pl = st.exit if st.exit is not None else st.entry + n * max_dist
+    for (q, t, a_pl, b_pl) in _steps(surface, poly, z0, z0 + n * max_dist):
+        if b_pl is None:
+            b_pl = a_pl + n * max_dist
         best = None
-        for (k, sa, sb) in barriers.get(st.poly, ()):
-            hit = _seg_seg(a_pl - st.t, b_pl - st.t, sa, sb)
+        for (k, sa, sb) in barriers.get(q, ()):
+            hit = _seg_seg(a_pl - t, b_pl - t, sa, sb)
             if hit is not None and (best is None or hit < best[0]):
                 best = (hit, k)
         if best is not None:
@@ -1172,9 +1205,8 @@ def trace_direction_rays(surface, theta, max_trace):
     found = _separatrices(surface, u, max_trace)
     if isinstance(found, NoClosureFound):
         return found
-    found.sort(key=lambda f: (round(f[0].length, 9), f[0].key()))
-    saddles = [sc for sc, _dev in found]
-    developed = [dev for _sc, dev in found]
+    saddles = sorted(found, key=lambda sc: (round(sc.length, 9), sc.key()))
+    developed = [develop(surface, sc, u, max_trace) for sc in saddles]
     n = 1j * u
     barriers = _barrier_segments(surface, developed)
 

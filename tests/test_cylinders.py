@@ -10,7 +10,12 @@ import pytest
 import oracles
 from flatbundle.catalog import load_catalog_surface
 from flatbundle.cylinders import NoClosureFound, trace_direction
-from flatbundle.surface import TOL_VERTEX, enumerate_saddle_connections, load_surface
+from flatbundle.surface import (
+    TOL_VERTEX,
+    enumerate_saddle_connections,
+    fold_direction,
+    load_surface,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -197,6 +202,13 @@ BUILDERS = {
 }
 
 
+def _probe_directions(s):
+    """One angle per direction of a saddle connection of length <= 3."""
+    return {
+        round(sc.direction, 9): sc.direction for sc in enumerate_saddle_connections(s, 3.0)
+    }.values()
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_strips_match_ray_probes(name):
     # every direction of a saddle connection of length <= 3 (40, 60 and 98
@@ -205,8 +217,7 @@ def test_strips_match_ray_probes(name):
     # spines, cylinders and circles, and widths and circumferences within
     # 1e-12
     s = BUILDERS[name]()
-    thetas = {round(sc.direction, 9): sc.direction for sc in enumerate_saddle_connections(s, 3.0)}
-    for theta in thetas.values():
+    for theta in _probe_directions(s):
         d = trace_direction(s, theta, 80.0)
         ref = oracles.trace_direction_rays(s, theta, 80.0)
         assert [sc.key() for sc in d.saddles] == [sc.key() for sc in ref.saddles]
@@ -218,6 +229,31 @@ def test_strips_match_ray_probes(name):
             ), theta
             assert c.width == pytest.approx(c_ref.width, abs=1e-12)
             assert c.circumference == pytest.approx(c_ref.circumference, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_only_edge_records_lie_along_edges(name):
+    # a marched separatrix meets the end points of any edge it runs along,
+    # and those are cone points, where the march stops: over the directions
+    # of test_strips_match_ray_probes, a piece of a separatrix, developed by
+    # the reference's own march, has both ends on one of its polygon's
+    # edges exactly when the record is an edge (start_phi 0), so only an
+    # edge record is listed in the partner polygon too
+    s = BUILDERS[name]()
+    edges = 0
+    for theta in _probe_directions(s):
+        u = cmath.exp(1j * fold_direction(theta))
+        for sc in trace_direction(s, theta, 80.0).saddles:
+            along = [
+                oracles.along_edges(s, poly, a - t, b - t)
+                for poly, t, a, b in oracles.develop(s, sc, u, 80.0)
+            ]
+            if sc.start_phi == 0.0:
+                assert along == [[sc.start.vertex]], (theta, sc)
+                edges += 1
+            else:
+                assert not any(along), (theta, sc)
+    assert edges > 0
 
 
 class TestOrder:
