@@ -97,6 +97,14 @@ def _read_json(path: Path):
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _resolve(name: str, names, load, parse):
     """A catalog entry by id, or one parsed from a JSON file of the same shape."""
     if name in names:
@@ -215,11 +223,10 @@ def _suite_lipschitz(surface, saddles, family, rng, count):
     }, first_path
 
 
-def _suite_structure(surface, saddles, rng, count) -> dict:
-    pairs = reverse_pairs(surface, saddles)
+def _suite_structure(surface, pairs, rng, count) -> dict:
     fans, attempts, rejected = draw_until(
         lambda: random_fan(surface, pairs, rng),
-        count, count * 60 if saddles else 0, "noFan",
+        count, count * 60 if pairs else 0, "noFan",
     )
     failures = sum(1 for fan in fans if not check_structure_lemma(fan).ok)
     return {
@@ -231,9 +238,9 @@ def _suite_structure(surface, saddles, rng, count) -> dict:
     }, fans[-1] if fans else None
 
 
-def _suite_slimness(surface, family, saddles, seed, step, count):
+def _suite_slimness(surface, family, pairs, seed, step, count):
     report = slimness.slimness_sweep(
-        surface, family, saddles, count=count, seed=seed, step=step
+        surface, family, pairs, count=count, seed=seed, step=step
     )
     full, second = slimness.stability_split(report)
     return {
@@ -302,6 +309,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     surface, gdata, saddles, family = _build_pipeline(cfg)
     rng = random.Random(cfg.seed)
     graphs = build_direction_graphs(surface, family, max_trace=cfg.max_trace)
+    pairs = reverse_pairs(surface, saddles)  # the fan and triangle draws' table
 
     suites: dict = {}
     suites["gaussBonnet"] = _suite_gauss_bonnet(surface)
@@ -311,10 +319,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         surface, saddles, family, rng, _COUNTS["paths"]
     )
     suites["structureLemma"], last_fan = _suite_structure(
-        surface, saddles, rng, _COUNTS["fans"]
+        surface, pairs, rng, _COUNTS["fans"]
     )
     suites["slimness"], slim_report = _suite_slimness(
-        surface, family, saddles, rng.randrange(2**31), cfg.step,
+        surface, family, pairs, rng.randrange(2**31), cfg.step,
         _COUNTS["slim_triangles"],
     )
     suites["combinatorialRatio"] = _suite_ratio(
@@ -334,23 +342,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     }
 
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     rows = ["triangle,delta"]
     rows += [f"{desc},{val!r}" for desc, val in slim_report.per_triangle]
-    (out / "deltas.csv").write_text("\n".join(rows) + "\n")
+    _write(out / "deltas.csv", "\n".join(rows) + "\n")
 
-    (out / "horoballs.svg").write_text(render.render_horoballs(gdata, family))
+    _write(out / "horoballs.svg", render.render_horoballs(gdata, family))
     if decomps:
-        (out / "cylinders.svg").write_text(
-            render.render_cylinders(surface, decomps[0])
-        )
+        _write(out / "cylinders.svg", render.render_cylinders(surface, decomps[0]))
     if last_fan is not None:
-        (out / "ideal-fan.svg").write_text(render.render_ideal_fan(last_fan))
+        _write(out / "ideal-fan.svg", render.render_ideal_fan(last_fan))
     if first_path is not None:
-        (out / "path.svg").write_text(render.render_path(first_path))
+        _write(out / "path.svg", render.render_path(first_path))
     return report
 
 
@@ -430,12 +433,11 @@ def cmd_render(args) -> int:
             svg = render.render_path(path)
         else:  # unreachable behind argparse choices
             raise MissingInput(f"unknown render kind {args.kind!r}")
+        out = Path(args.out or f"{args.kind}.svg")
+        _write(out, svg)
     except (FlatBundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out or f"{args.kind}.svg")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg)
     print(f"wrote {out}")
     return 0
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateTriple, NonInvertible, NotInDisk, NotOnBoundary
@@ -197,7 +196,6 @@ def _uhp_boundary_vector(xi: complex) -> tuple[float, float]:
     return math.cos(h), -math.sin(h)
 
 
-@lru_cache(maxsize=65536)
 def _to_zero_inf(xi1: complex, xi2: complex) -> Mobius:
     """Isometry sending the geodesic (xi1, xi2) to the upward axis (0, inf).
 
@@ -223,10 +221,11 @@ class Geodesic(NamedTuple):
     def to_axis(self) -> Mobius:
         return _to_zero_inf(self.start, self.end)
 
-    def point(self, u: float) -> complex:
-        """Arclength parametrization; u = 0 is the closest point to the center."""
+    def points(self, us) -> list[complex]:
+        """The points at arclength parameters ``us``, mapped by one axis
+        isometry; u = 0 is the closest point to the center."""
         M = self.to_axis().inverse()
-        return disk_from_uhp(M.apply_uhp(1j * math.exp(u)))
+        return [disk_from_uhp(M.apply_uhp(1j * math.exp(u))) for u in us]
 
     def side_of(self, z: complex) -> float:
         """Positive on the left of the oriented geodesic (seen from start to end)."""
@@ -248,7 +247,7 @@ def ideal_endpoints(z1: complex, z2: complex) -> tuple[complex, complex]:
     """Ideal endpoints of the geodesic through two interior points.
 
     Oriented so the geodesic runs from beyond ``z1`` to beyond ``z2``: the
-    isometry ``phi`` of ``segment_points`` sends ``z2`` to ``r u`` with
+    isometry ``phi`` of ``Segment`` sends ``z2`` to ``r u`` with
     ``|u| = 1``, so they are ``phi^-1(-u)`` and ``phi^-1(u)``.
     """
     _check_disk(z1)
@@ -260,22 +259,65 @@ def ideal_endpoints(z1: complex, z2: complex) -> tuple[complex, complex]:
     return (-u + z1) / (1.0 - z1.conjugate() * u), (u + z1) / (1.0 + z1.conjugate() * u)
 
 
-def segment_points(z1: complex, z2: complex, n: int) -> list[complex]:
-    """The n + 1 points at arclength fractions 0, 1/n, ..., 1 from ``z1`` to ``z2``.
+class Segment:
+    """The n + 1 points at arclength fractions 0, 1/n, ..., 1 of the
+    segment from ``z1`` to ``z2``, each with its scale ``sqrt(1 - |z|^2)``.
 
     The isometry ``phi(z) = (z - z1) / (1 - conj(z1) z)`` sends ``z1`` to 0
-    and ``z2`` to ``r exp(i theta)``; the point at fraction ``t`` is
-    ``phi^-1(tanh(t atanh r) exp(i theta))``.
+    and ``z2`` to ``r u`` with ``|u| = 1``; turned by ``conj(u)``, the
+    segment is [0, r] on the real diameter, and point k is
+    ``phi^-1(tanh((k / n) atanh r) u)``.  Points are computed when first
+    read and kept.  Ends closer than 1e-15 give n + 1 copies of ``z1``.
     """
-    _check_disk(z1)
-    _check_disk(z2)
-    if abs(z1 - z2) < 1e-15:
-        return [z1] * (n + 1)
-    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
-    r = abs(w)
-    a, u, z1c = math.atanh(r), w / r, z1.conjugate()
-    ps = [math.tanh((i / n) * a) * u for i in range(n + 1)]
-    return [(p + z1) / (1.0 + z1c * p) for p in ps]
+
+    __slots__ = ("z1", "n", "z1c", "u", "turn", "a", "r", "end", "per_unit", "_memo")
+
+    def __init__(self, z1: complex, z2: complex, n: int):
+        w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
+        self.r = abs(w) if abs(z1 - z2) >= 1e-15 else 0.0
+        self.z1, self.n, self.z1c = z1, n, z1.conjugate()
+        self.u = w / self.r if self.r else 0j  # phi(z2) / r
+        self.turn = self.u.conjugate()
+        self.a = math.atanh(self.r)
+        self.end = 2.0 * self.r / (1.0 + self.r * self.r)  # tanh of the length
+        self.per_unit = n / self.a if self.r else math.inf  # points per atanh
+        self._memo: dict = {}
+
+    def point(self, k: int) -> tuple:
+        """(point, scale) of point k."""
+        q = self._memo.get(k)
+        if q is None:
+            p = math.tanh((k / self.n) * self.a) * self.u
+            z = (p + self.z1) / (1.0 + self.z1c * p)
+            q = self._memo[k] = (z, math.sqrt(1.0 - abs(z) ** 2))
+        return q
+
+    def _from(self, k: int) -> list:
+        # points k and k + 1, as far as they exist
+        return [self.point(j) for j in range(k, min(k + 2, self.n + 1))]
+
+    def nearest(self, z: complex) -> list:
+        """The points that can be nearest to ``z``: its foot lies at
+        distance ``atanh(2 Re w / (1 + |w|^2))`` from z1, w its turned image."""
+        w = (z - self.z1) / (1.0 - self.z1c * z) * self.turn
+        v = 2.0 * w.real / (1.0 + w.real * w.real + w.imag * w.imag)
+        if v <= 0.0:
+            return [self.point(0)]
+        if v >= self.end:
+            return [self.point(self.n)]
+        return self._from(int(0.5 * math.atanh(v) * self.per_unit))
+
+    def deepest(self, base: complex) -> list:
+        """The points that can be deepest toward the ideal point ``base``:
+        for ``e^{i alpha}`` its turned image, the Busemann function along the
+        real diameter peaks at ``x = cos(alpha) / (1 + |sin(alpha)|)``."""
+        e = (base - self.z1) / (1.0 - self.z1c * base) * self.turn
+        x = e.real / (abs(e) + abs(e.imag))
+        if x <= 0.0:
+            return [self.point(0)]
+        if x >= self.r:
+            return [self.point(self.n)]
+        return self._from(int(math.atanh(x) * self.per_unit))
 
 
 # -- horoballs ---------------------------------------------------------------
@@ -327,46 +369,48 @@ def geodesic_max_busemann(g: Geodesic, xi: complex) -> float:
     return math.log(abs(p1 * q2 - q1 * p2) / denom)
 
 
-def segment_clip_by_horoball(
-    z1: complex, z2: complex, ball: Horoball
-) -> tuple[float, float]:
-    """(length outside, length inside) of the segment [z1, z2] w.r.t. a horoball.
+def segment_clip_by_horoball(z1: complex, z2: complex, balls) -> list[float]:
+    """The length of the segment [z1, z2] inside each of ``balls``.
 
-    In the upper half plane the ball is ``Im w >= |q w - p|^2`` for (p, q)
-    the ``_uhp_boundary_vector`` of its base scaled by ``e^(level/2)``.
-    Once the segment is ``i t`` with ``log t`` in [u1, u2], the ball is
-    ``q^2 t^2 - t + p^2 <= 0``: an interval of t, or a ray when q = 0.
+    The segment's isometry M onto the axis (0, inf) is built once, and
+    there the segment is ``i t`` with ``log t`` in [u1, u2].  In the upper
+    half plane a ball is ``Im w >= |q w - p|^2`` for (p, q) the
+    ``_uhp_boundary_vector`` of its base scaled by ``e^(level/2)``; moved
+    by M it is ``q^2 t^2 - t + p^2 <= 0``: an interval of t, or a ray when
+    q = 0.
     """
-    total = hyp_distance(z1, z2)
     try:
-        g = Geodesic(*ideal_endpoints(z1, z2))
+        M = Geodesic(*ideal_endpoints(z1, z2)).to_axis()
     except DegenerateTriple:  # the points are too close to span a geodesic
-        return (0.0, 0.0)
-    M = g.to_axis()
+        return [0.0] * len(balls)
     u1 = math.log(abs(M.apply_uhp(uhp_from_disk(z1))))
     u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))
     if u1 > u2:
         u1, u2 = u2, u1
-    p, q = _uhp_boundary_vector(ball.base)
     # M's determinant D is 1 only to TOL_DET, and M (p, q) comes out sqrt(D)
     # too long; unscaled, that moves the ball's level by log D, and the
     # clipped length by several times that
-    k = math.exp(0.5 * ball.level) / math.sqrt(M.a * M.d - M.b * M.c)
-    p, q = k * p, k * q
-    p, q = M.a * p + M.b * q, M.c * p + M.d * q
-    pp, qq = p * p, q * q
-    if 4.0 * pp * qq > 1.0:
-        return (total, 0.0)
-    # a base at a geodesic end that rounds to q ~ 1e-162 overflows the top
-    # root; the ball is then the ray t >= p^2, as for q = 0
-    top = (1.0 + math.sqrt(1.0 - 4.0 * pp * qq)) / (2.0 * qq) if qq > 0.0 else math.inf
-    if top == math.inf:
-        lo, hi = math.log(pp), math.inf
-    else:
-        bottom = pp / (qq * top)  # the product of the roots is pp / qq
-        lo, hi = (math.log(bottom) if bottom > 0.0 else -math.inf), math.log(top)
-    inside = max(0.0, min(hi, u2) - max(lo, u1))
-    return (total - inside, inside)
+    root = math.sqrt(M.a * M.d - M.b * M.c)
+    inside = []
+    for ball in balls:
+        p, q = _uhp_boundary_vector(ball.base)
+        k = math.exp(0.5 * ball.level) / root
+        p, q = k * p, k * q
+        p, q = M.a * p + M.b * q, M.c * p + M.d * q
+        pp, qq = p * p, q * q
+        if 4.0 * pp * qq > 1.0:
+            inside.append(0.0)
+            continue
+        # a base at a geodesic end that rounds to q ~ 1e-162 overflows the
+        # top root; the ball is then the ray t >= p^2, as for q = 0
+        top = (1.0 + math.sqrt(1.0 - 4.0 * pp * qq)) / (2.0 * qq) if qq > 0.0 else math.inf
+        if top == math.inf:
+            lo, hi = math.log(pp), math.inf
+        else:
+            bottom = pp / (qq * top)  # the product of the roots is pp / qq
+            lo, hi = (math.log(bottom) if bottom > 0.0 else -math.inf), math.log(top)
+        inside.append(max(0.0, min(hi, u2) - max(lo, u1)))
+    return inside
 
 
 # -- convex regions ----------------------------------------------------------
@@ -417,7 +461,9 @@ class ConvexRegion:
         """The side that ``z`` lies beyond, or None when ``contains(z)``."""
         x, y = z.real, z.imag
         q = x * x + y * y + 1.0
-        near = []
+        # side_of is -tanh of the signed distance: the most negative value
+        # under -1e-9, first met, is the one side that z lies beyond
+        beyond, least = None, -1e-9
         for g in self.sides:
             a, b = g.start, g.end
             s = a.real * b.imag - a.imag * b.real
@@ -425,11 +471,10 @@ class ConvexRegion:
                 1.0 + a.real * b.real + a.imag * b.imag
             )
             if (e if s > 0.0 else -e) > -TOL_BEYOND:
-                near.append(g)
-        # side_of is -tanh of the signed distance: the most negative value
-        # is the one side that z lies beyond
-        g = min(near, key=lambda g: g.side_of(z), default=None)
-        return g if g is not None and g.side_of(z) < -1e-9 else None
+                v = g.side_of(z)
+                if v < least:
+                    beyond, least = g, v
+        return beyond
 
     def side_facing(self, xi: complex) -> Geodesic | None:
         """The side whose boundary arc, from its start counterclockwise to its

@@ -146,8 +146,9 @@ def collapsed_length(path: PreferredPath, family: dict) -> float:
     Parabolic saddle pieces lie in a spine and contribute zero; everything
     else contributes its full length.  The result never exceeds the
     uncollapsed length.  A ball farther from a segment's ends than the
-    segment is long cannot meet it and is not clipped.  Adjacent pieces
-    share an end, so each point's ball distances are measured once.
+    segment is long cannot meet it and is not clipped; a segment is clipped
+    once, against the balls it can meet.  Adjacent pieces share an end, so
+    each point's ball distances are measured once.
     """
     balls = family_balls(family)
     measured: dict[complex, list[float]] = {}
@@ -164,16 +165,18 @@ def collapsed_length(path: PreferredPath, family: dict) -> float:
                 total += piece.length
             continue
         full = piece.length
+        # a segment that meets a ball is at least as long as the distances
+        # of its ends to it (triangle inequality)
+        near = [
+            ball
+            for ball, d1, d2 in zip(balls, distances(piece.start), distances(piece.end))
+            if d1 + d2 <= full + CLIP_SLACK
+        ]
         inside_sum = 0.0
-        for ball, d1, d2 in zip(balls, distances(piece.start), distances(piece.end)):
-            # a segment that meets the ball is at least as long as the
-            # distances of its ends to it (triangle inequality)
-            if d1 + d2 > full + CLIP_SLACK:
-                continue
-            _out, inside = segment_clip_by_horoball(piece.start, piece.end, ball)
-            if inside <= 1e-12:
-                continue
-            inside_sum += inside
+        if near:
+            for inside in segment_clip_by_horoball(piece.start, piece.end, near):
+                if inside > 1e-12:
+                    inside_sum += inside
         total += full - min(inside_sum, full)
     return total
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .hyperbolic import Geodesic, boundary_from_direction, segment_points
+from .hyperbolic import Geodesic, Segment, boundary_from_direction
 from .paths import HorizontalPiece, SaddlePiece
 
 CANVAS = 1000
@@ -53,9 +53,8 @@ def _polyline(points, stroke: str, width: float = 1.5) -> str:
 
 
 def _geodesic_points(xi1: complex, xi2: complex):
-    g = Geodesic(xi1, xi2)
     lo, hi, n = -6.0, 6.0, 64
-    return [g.point(lo + (hi - lo) * i / n) for i in range(n + 1)]
+    return Geodesic(xi1, xi2).points([lo + (hi - lo) * i / n for i in range(n + 1)])
 
 
 def _dot(z: complex, r: float, fill: str) -> str:
@@ -170,8 +169,8 @@ def render_path(path) -> str:
         if isinstance(piece, HorizontalPiece):
             if piece.length < 1e-12:
                 continue
-            pts = segment_points(piece.start, piece.end, 32)
-            el.append(_polyline(pts, "#4878cf", 2.0))
+            seg = Segment(piece.start, piece.end, 32)
+            el.append(_polyline([seg.point(k)[0] for k in range(33)], "#4878cf", 2.0))
         elif isinstance(piece, SaddlePiece):
             el.append(_dot(piece.at_base, 5.0, "#d65f5f"))
     if path.pieces:

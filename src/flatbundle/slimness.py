@@ -25,9 +25,9 @@ sequential method seeking the global maximum of a function", 1972, for b):
     ``(v_lo + v_hi + (hi - lo) h) / 2``; a stretch is split at its middle
     sample only while that bound is at least the running maximum less
     ``LIPSCHITZ_SLACK``, which covers the rounding of the distances;
-(c) a horizontal piece keeps only its closed-form frame, and sample k is
-    computed when a query first reads it, by the expressions of
-    ``hyperbolic.segment_points``, so the floats are the same; a
+(c) a horizontal piece keeps only its closed-form frame, a
+    ``hyperbolic.Segment``, which computes sample k when a query first
+    reads it (``render.render_path`` draws a piece from the same points); a
     nearest-sample or horoball query reads two samples of a piece, and a
     side's least distance to each ball is found only when a query needs it.
     A saddle piece keeps only its largest fiber clearance, the only one
@@ -41,13 +41,12 @@ import random
 from typing import NamedTuple
 
 from .errors import FlatBundleError
-from .hyperbolic import _ball_distance
+from .hyperbolic import Segment, _ball_distance
 from .paths import (
     FiberPoint,
     HorizontalPiece,
     build_preferred_path,
     draw_until,
-    reverse_pairs,
 )
 from .surface import FlatGeodesic, tighten_chain
 from .veech import family_balls, region_for
@@ -69,73 +68,13 @@ def _scale(z: complex) -> float:
     return math.sqrt(1.0 - abs(z) ** 2)
 
 
-class _Segment:
-    """The n + 1 samples of a horizontal piece from ``z1`` to ``z2``.
-
-    In the frame ``phi(z) = (z - z1) / (1 - conj(z1) z)``, turned so that
-    ``phi(z2) = r`` is positive, the piece is [0, r] on the real diameter
-    and sample k lies at distance ``2 atanh(r) k / n`` from 0.  Samples are
-    computed on demand, as ``hyperbolic.segment_points`` computes them, and
-    kept for the next query.
-    """
-
-    __slots__ = ("z1", "n", "z1c", "u", "turn", "a", "r", "end", "per_unit", "_memo")
-
-    def __init__(self, z1: complex, z2: complex, n: int):
-        w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
-        self.r = abs(w)
-        self.z1, self.n, self.z1c = z1, n, z1.conjugate()
-        self.u = w / self.r  # phi(z2) / r
-        self.turn = self.u.conjugate()
-        self.a = math.atanh(self.r)
-        self.end = 2.0 * self.r / (1.0 + self.r * self.r)  # tanh of the length
-        self.per_unit = n / self.a  # samples per atanh
-        self._memo: dict = {}
-
-    def point(self, k: int) -> tuple:
-        """(base, scale) of sample k."""
-        q = self._memo.get(k)
-        if q is None:
-            p = math.tanh((k / self.n) * self.a) * self.u
-            z = (p + self.z1) / (1.0 + self.z1c * p)
-            q = self._memo[k] = (z, math.sqrt(1.0 - abs(z) ** 2))
-        return q
-
-    def _from(self, k: int) -> list:
-        # samples k and k + 1, as far as they exist
-        return [self.point(j) for j in range(k, min(k + 2, self.n + 1))]
-
-    def nearest(self, z: complex) -> list:
-        """The samples that can be nearest to ``z``: its foot lies at
-        distance ``atanh(2 Re w / (1 + |w|^2))`` from z1, w its frame image."""
-        w = (z - self.z1) / (1.0 - self.z1c * z) * self.turn
-        v = 2.0 * w.real / (1.0 + w.real * w.real + w.imag * w.imag)
-        if v <= 0.0:
-            return [self.point(0)]
-        if v >= self.end:
-            return [self.point(self.n)]
-        return self._from(int(0.5 * math.atanh(v) * self.per_unit))
-
-    def deepest(self, base: complex) -> list:
-        """The samples that can be deepest toward the ideal point ``base``:
-        for ``e^{i alpha}`` its frame image, the Busemann function along the
-        real diameter peaks at ``x = cos(alpha) / (1 + |sin(alpha)|)``."""
-        e = (base - self.z1) / (1.0 - self.z1c * base) * self.turn
-        x = e.real / (abs(e) + abs(e.imag))
-        if x <= 0.0:
-            return [self.point(0)]
-        if x >= self.r:
-            return [self.point(self.n)]
-        return self._from(int(math.atanh(x) * self.per_unit))
-
-
 class SampleSet(NamedTuple):
     """Discretization of one collapsed preferred path, indexed for
     nearest-sample queries."""
 
     runs: list  # (base, scale, sig, largest clearance) per piece whose
     # samples share a base: saddle pieces and zero-length horizontals
-    lines: list  # (_Segment, sig, spacing) per other horizontal piece
+    lines: list  # (Segment, sig, spacing) per other horizontal piece
     points: list  # (base, scale) of each run
     sigs: set  # signatures of the pieces
     horo: list  # per collapsed ball, the least distance of a sample to it,
@@ -175,10 +114,8 @@ def sample_path(path, table: dict, *, step: float = DEFAULT_STEP) -> SampleSet:
             )
             n = _piece_count(length, step)
             z1 = piece.start
-            # a piece whose samples all sit at z1 is a run (segment_points
-            # gives n + 1 copies of z1 for ends this close)
-            seg = None if abs(z1 - piece.end) < 1e-15 else _Segment(z1, piece.end, n)
-            if seg is None or seg.point(n)[0] == z1:
+            seg = Segment(z1, piece.end, n)
+            if seg.point(n)[0] == z1:  # every sample sits at z1: a run
                 runs.append((z1, _scale(z1), g, 0.0))
             else:
                 lines.append((seg, g, length / n))
@@ -377,15 +314,25 @@ def _short_key(sc) -> str:
     return f"({sc.start.poly}.{sc.start.vertex}|{_fmt4(w.real)},{_fmt4(w.imag)})"
 
 
-def random_triangle_chains(surface, pairs, rng):
+def class_pools(surface, pairs) -> dict:
+    """The connections of ``pairs`` (a ``paths.reverse_pairs`` table) that
+    leave each cone point, by its index: the forward records from it, then
+    the reverses of those that end there."""
+    return {
+        cc.index: [sc for sc, _ in pairs if surface.class_of(sc.start) is cc]
+        + [rev for sc, rev in pairs if surface.class_of(sc.end) is cc]
+        for cc in surface.cone_classes
+    }
+
+
+def random_triangle_chains(surface, pairs, pools, rng):
     """Chains of a random preferred-path triangle drawn from ``pairs`` (a
-    ``paths.reverse_pairs`` table), or None if not viable."""
+    ``paths.reverse_pairs`` table) and its ``class_pools``, or None if not
+    viable."""
     a, a_rev = rng.choice(pairs)
     if rng.random() < 0.5:
         a = a_rev
-    cls = surface.class_of(a.end)
-    pool = [sc for sc, _ in pairs if surface.class_of(sc.start) is cls]
-    pool += [rev for sc, rev in pairs if surface.class_of(sc.end) is cls]
+    pool = pools[surface.class_of(a.end).index]
     if not pool:
         return None
     b = rng.choice(pool)
@@ -399,18 +346,19 @@ def random_triangle_chains(surface, pairs, rng):
 def slimness_sweep(
     surface,
     family,
-    saddles,
+    pairs,
     *,
     count: int,
     seed: int,
     step: float = DEFAULT_STEP,
 ) -> SlimnessReport:
-    """Measure slimness over randomized preferred-path triangles."""
+    """Measure slimness over randomized preferred-path triangles drawn from
+    ``pairs``, a ``paths.reverse_pairs`` table."""
     rng = random.Random(seed)
-    pairs = reverse_pairs(surface, saddles)
+    pools = class_pools(surface, pairs)
 
     def draw():
-        tri = random_triangle_chains(surface, pairs, rng)
+        tri = random_triangle_chains(surface, pairs, pools, rng)
         if tri is None:
             return None
         a, b, third = tri
@@ -430,7 +378,7 @@ def slimness_sweep(
         )
 
     per_triangle, attempts, rejected = draw_until(
-        draw, count, count * MAX_ATTEMPTS_FACTOR if saddles else 0, "noTriangle"
+        draw, count, count * MAX_ATTEMPTS_FACTOR if pairs else 0, "noTriangle"
     )
     deltas = [delta for _, delta in per_triangle]
     return SlimnessReport(

@@ -29,6 +29,7 @@ counterclockwise and edge ``i`` runs from vertex ``i`` to vertex ``i + 1``.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from collections import deque
 from typing import NamedTuple, Sequence
@@ -519,19 +520,28 @@ def enumerate_saddle_connections(
     """All saddle connections of length <= ``max_length``, one per orientation class.
 
     The representative of each class is the one whose direction lies in
-    [0, pi).  Around every corner a depth-first unfolding, pruned to the
-    disk of radius ``max_length``, keeps with each placed polygon the window
-    of directions from the corner that reach it and the edges crossed on the
+    [0, pi).  Around every corner an unfolding, pruned to the disk of
+    radius ``max_length``, keeps with each placed polygon the window of
+    directions from the corner that reach it and the edges crossed on the
     way.  A vertex strictly inside its placement's window (by more than
     ``10 * TOL_ANGLE``) is reached by a straight segment that meets no cone
     point before it, so it is a saddle connection with those crossings; a
     vertex on the window's edge lies beyond the cone point that cut the
     window, or along the corner's outgoing edge, which is the edge
     connection.  No segment is marched.
+
+    The placements are expanded nearest first (by the distance of the edge
+    entered), so when ``UNFOLDING_BUDGET`` trips, at any cutoff, the
+    unfolding has reached no farther than the radius that budget covers
+    (~140 on lshape), and its time, memory and route lengths stay those of
+    that radius.  The tree of placements does not depend on the order, and
+    the records are sorted.
     """
     found: list[SaddleConnection] = []
     work = 0
     atol = TOL_ANGLE * 10.0
+    # one crossing per edge, shared by every route that takes it
+    steps = [[((q, e),) for e in range(len(poly))] for q, poly in enumerate(surface.polygons)]
     for p in range(len(surface.polygons)):
         for i in range(len(surface.polygons[p])):
             corner = Corner(p, i)
@@ -539,14 +549,13 @@ def enumerate_saddle_connections(
             if canonical_holonomy(evec) and abs(evec) <= max_length + TOL_VERTEX:
                 found.append(_edge_connection(surface, corner, evec))
             th0 = cmath.phase(evec)
-            # stack of (poly, t, lo, hi, entry, crossings): placements with
-            # the window of directions from the origin that reach them
+            # heap of (distance, parent's work, edge, poly, t, lo, hi, entry,
+            # crossings): placements with the window of directions from the
+            # origin that reach them; no two entries tie on the first three
             wedge = (th0, th0 + surface.interior_angle(corner))
-            stack: list[tuple[int, complex, float, float, int, tuple]] = [
-                (p, -surface.vertex(p, i), *wedge, -1, ())
-            ]
-            while stack:
-                q, t, lo, hi, entry, crossings = stack.pop()
+            heap = [(0.0, 0, -1, p, -surface.vertex(p, i), *wedge, -1, ())]
+            while heap:
+                _, _, _, q, t, lo, hi, entry, crossings = heapq.heappop(heap)
                 work += 1
                 if work > UNFOLDING_BUDGET:
                     raise CutoffTooLarge(
@@ -567,7 +576,8 @@ def enumerate_saddle_connections(
                     if e == entry:
                         continue  # a straight segment cannot recross its entry edge
                     A, B = verts[e], verts[(e + 1) % n]
-                    if seg_point_dist(A, B, 0j) > max_length:
+                    d = seg_point_dist(A, B, 0j)
+                    if d > max_length:
                         continue
                     if abs(A) <= TOL_VERTEX or abs(B) <= TOL_VERTEX:
                         continue  # blocked by a cone point at the origin
@@ -588,7 +598,9 @@ def enumerate_saddle_connections(
                         # pass through an earlier cone point
                         continue
                     r, f, t2 = surface.across(q, e, t)
-                    stack.append((r, t2, nlo, nhi, f, crossings + ((q, e),)))
+                    heapq.heappush(
+                        heap, (d, work, e, r, t2, nlo, nhi, f, crossings + steps[q][e])
+                    )
     found.sort(key=lambda sc: (sc.length, sc.direction, sc.start, sc.end, sc.crossings))
     return tuple(found)
 

@@ -269,7 +269,7 @@ def horoball_separation(b1: Horoball, b2: Horoball) -> float:
     at any single interior point.
     """
     g = Geodesic(b1.base, b2.base)
-    mid = g.point(0.0)
+    (mid,) = g.points([0.0])
     k1 = busemann(b1.base, mid)
     k2 = busemann(b2.base, mid)
     return (b1.level - k1) + (b2.level - k2)

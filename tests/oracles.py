@@ -7,11 +7,12 @@ it and marches only separatrices), exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
 shortening of flat geodesics, the funnel run on every chain, even one
 that is already geodesic, scans over every hull side, sampled and
-bisected hyperbolic searches, per-point geodesic sampling, group words
-without their elements, triangle slimness from one numpy distance matrix
-per ordered pair of sides or from every pair of samples, and cylinder
-decompositions from transverse ray probes, which march each separatrix and
-each probe with a step loop of their own.
+bisected hyperbolic searches, per-point geodesic sampling, segment
+points listed all at once, group words without their elements, triangle
+slimness from one numpy distance matrix per ordered pair of sides or from
+every pair of samples, and cylinder decompositions from transverse ray
+probes, which march each separatrix and each probe with a step loop of
+their own.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from flatbundle.hyperbolic import (
     Geodesic,
     Mobius,
     _ball_distance,
+    _check_disk,
     busemann,
     disk_from_uhp,
     geodesic_max_busemann,
     hyp_distance,
     ideal_endpoints,
     segment_clip_by_horoball,
-    segment_points,
     uhp_from_disk,
 )
 from flatbundle.cylinders import (
@@ -378,7 +379,7 @@ def clip_by_horoball(z1, z2, ball):
     u2 = math.log(abs(M.apply_uhp(uhp_from_disk(z2))))
     if u1 > u2:
         u1, u2 = u2, u1
-    f = lambda u: busemann(ball.base, g.point(u)) - ball.level
+    f = lambda u: busemann(ball.base, g.points([u])[0]) - ball.level
     n = 64
     us = [u1 + (u2 - u1) * k / n for k in range(n + 1)]
     vals = [f(u) for u in us]
@@ -865,6 +866,25 @@ def segment_point(z1, z2, s):
     return disk_from_uhp(M.inverse().apply_uhp(1j * math.exp(u)))
 
 
+def segment_points(z1, z2, n):
+    """The n + 1 points at arclength fractions 0, 1/n, ..., 1 from ``z1`` to
+    ``z2``, listed at once: the reference for ``hyperbolic.Segment``.
+
+    The isometry ``phi(z) = (z - z1) / (1 - conj(z1) z)`` sends ``z1`` to 0
+    and ``z2`` to ``r exp(i theta)``; the point at fraction ``t`` is
+    ``phi^-1(tanh(t atanh r) exp(i theta))``.
+    """
+    _check_disk(z1)
+    _check_disk(z2)
+    if abs(z1 - z2) < 1e-15:
+        return [z1] * (n + 1)
+    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
+    r = abs(w)
+    a, u, z1c = math.atanh(r), w / r, z1.conjugate()
+    ps = [math.tanh((i / n) * a) * u for i in range(n + 1)]
+    return [(p + z1) / (1.0 + z1c * p) for p in ps]
+
+
 # -- group words --------------------------------------------------------------
 
 
@@ -900,8 +920,7 @@ def collapsed_length_clipping_every_ball(path, family):
             continue
         full = piece.length
         inside_sum = 0.0
-        for ball in family_balls(family):
-            _out, inside = segment_clip_by_horoball(piece.start, piece.end, ball)
+        for inside in segment_clip_by_horoball(piece.start, piece.end, family_balls(family)):
             if inside > 1e-12:
                 inside_sum += inside
         total += full - min(inside_sum, full)

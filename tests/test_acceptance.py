@@ -163,11 +163,8 @@ def test_06_decay_inequality():
             # L is measured in the Teichmueller metric, which is half the
             # curvature -1 disk metric: a length-L segment spans 2L here
             best = min(
-                min(
-                    saddle_length_at(g.point(u0 + 2 * L * i / n), vx),
-                    saddle_length_at(g.point(u0 + 2 * L * i / n), vy),
-                )
-                for i in range(n + 1)
+                min(saddle_length_at(z, vx), saddle_length_at(z, vy))
+                for z in g.points([u0 + 2 * L * i / n for i in range(n + 1)])
             )
             if best > 2 * math.sqrt(3 * area) * math.exp(-L / 2) + 1e-12:
                 violations += 1
@@ -221,12 +218,13 @@ def test_08_lipschitz_collapse(setups):
 def test_09_slimness_stability(setups):
     # non-lattice subgroup preset: parabolic-plus-hyperbolic on the octagon
     s, g, saddles, family = setups["octagon_cusped"]
-    r1 = slimness.slimness_sweep(s, family, saddles, count=200, seed=11, step=0.05)
+    pairs = reverse_pairs(s, saddles)
+    r1 = slimness.slimness_sweep(s, family, pairs, count=200, seed=11, step=0.05)
     assert r1.samples == 200
     assert math.isfinite(r1.delta_max)
     full, second = slimness.stability_split(r1)
     assert second <= full + 1e-12
-    r2 = slimness.slimness_sweep(s, family, saddles, count=200, seed=11, step=0.025)
+    r2 = slimness.slimness_sweep(s, family, pairs, count=200, seed=11, step=0.025)
     assert abs(r1.delta_max - r2.delta_max) < 0.05
     _report(9, f"slimness stable over 200 triangles (delta_max {r1.delta_max:.3f})")
 
@@ -235,7 +233,7 @@ def test_10_convex_cocompact(setups):
     s, g, saddles, family = setups["octagon_hyperbolic"]
     assert all(reg.kind == "point" for reg in family.values())
     assert family_balls(family) == []
-    rep = slimness.slimness_sweep(s, family, saddles, count=50, seed=12)
+    rep = slimness.slimness_sweep(s, family, reverse_pairs(s, saddles), count=50, seed=12)
     assert rep.samples == 50
     assert math.isfinite(rep.delta_max)
     full, second = slimness.stability_split(rep)

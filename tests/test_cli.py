@@ -22,6 +22,9 @@ from flatbundle.errors import (
     NoCylinders,
     NotAGeodesic,
 )
+from flatbundle.surface import Corner
+
+import oracles
 
 
 def _data(name):
@@ -175,6 +178,23 @@ class TestValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_run_out_over_a_file_is_one_error_line(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["run", "--surface", "lshape", "--group", "lshape_lattice",
+                "--max-length", "2.5", "--out", str(taken)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {taken / 'report.json'}: File exists"]
+
+    def test_render_out_over_a_directory_is_one_error_line(self, tmp_path, capsys):
+        argv = ["render", "--kind", "horoballs", "--surface", "lshape",
+                "--group", "lshape_lattice", "--max-length", "2.5", "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: cannot write {tmp_path}: Is a directory"]
+        assert captured.out == ""
 
     def test_config_roundtrip(self, tmp_path):
         cfg = cli.ExperimentConfig(surface="lshape", seed=9, max_trace=12.0)
@@ -545,6 +565,13 @@ class TestRender:
         assert blob == f2.read_bytes()
         assert blob.startswith(b"<svg")
         assert b'width="1000"' in blob
+
+    def test_path_is_drawn_through_the_reference_points(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(render, "_polyline", lambda points, *_: drawn.append(points) or "")
+        z1, z2 = 0.1 + 0.2j, -0.5j
+        render.render_path(paths.PreferredPath((paths.HorizontalPiece(z1, z2, Corner(0, 0)),)))
+        assert drawn == [oracles.segment_points(z1, z2, 32)]
 
     def test_cylinders_unavailable_is_missing_input(self, tmp_path, capsys):
         # purely hyperbolic preset: no parabolic direction to decompose

@@ -1,5 +1,5 @@
 """Every name imported in ``src/flatbundle``, ``tests`` and ``perfbench`` is
-used there.
+used there, and ``src/flatbundle`` keeps no memo caches.
 
 A name counts as used when the module mentions it anywhere else, as a bare
 name or as the root of an attribute chain.  ``from __future__`` imports are
@@ -31,3 +31,36 @@ def _unused(path: Path) -> list:
 def test_no_unused_imports():
     unused = [u for root in ROOTS for path in sorted(root.glob("*.py")) for u in _unused(path)]
     assert unused == []
+
+
+MEMO_CACHES = {"lru_cache", "cache"}
+
+
+def _memo_caches(path: Path) -> list:
+    """Each mention of ``functools.lru_cache`` or ``functools.cache``: as a
+    decorator, called, or under any name it was imported as."""
+    tree = ast.parse(path.read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in MEMO_CACHES}
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in MEMO_CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+    ]
+
+
+def test_package_keeps_no_memo_caches():
+    # a process-wide memo hides repeated work from the per-call counts and
+    # makes a run's time depend on what ran before it in the process
+    found = [c for path in sorted(ROOTS[0].glob("*.py")) for c in _memo_caches(path)]
+    assert found == []

@@ -74,7 +74,7 @@ segment_ends = st.tuples(deep_points, deep_points).filter(
 
 
 def _samples(z1, z2, n):
-    return [(z, S._scale(z)) for z in H.segment_points(z1, z2, n)]
+    return [(z, S._scale(z)) for z in oracles.segment_points(z1, z2, n)]
 
 
 def _rho(z, q):
@@ -86,7 +86,7 @@ class TestClosedFormNearest:
     @settings(max_examples=300)
     @example((0.1 + 0.2j, -0.5j), 7, 0.4 + 0.4j)
     def test_nearest_sample_off_the_geodesic(self, ends, n, p):
-        seg = S._Segment(*ends, n)
+        seg = H.Segment(*ends, n)
         assert min(_rho(p, q) for q, _ in seg.nearest(p)) == min(
             _rho(p, q) for q, _ in _samples(*ends, n)
         )
@@ -101,7 +101,7 @@ class TestClosedFormNearest:
         total = H.hyp_distance(*ends)
         p = oracles.segment_point(*ends, t * total)
         assume(abs(p) < 0.995)
-        seg = S._Segment(*ends, n)
+        seg = H.Segment(*ends, n)
         assert min(_rho(p, q) for q, _ in seg.nearest(p)) == min(
             _rho(p, q) for q, _ in _samples(*ends, n)
         )
@@ -110,7 +110,7 @@ class TestClosedFormNearest:
     @settings(max_examples=300)
     def test_deepest_sample_toward_a_ball(self, ends, n, alpha, level):
         ball = H.Horoball(cmath.exp(1j * alpha), level)
-        seg = S._Segment(*ends, n)
+        seg = H.Segment(*ends, n)
         assert min(S._ball_distance(q, ball) for q, _ in seg.deepest(ball.base)) == min(
             S._ball_distance(q, ball) for q, _ in _samples(*ends, n)
         )
@@ -163,9 +163,10 @@ class TestPruning:
         # and the Lipschitz bound could get wrong (32 of them, at 5.0)
         s, fam, saddles = _setup(surface, group, 5.0)
         rng, pairs = random.Random(17), reverse_pairs(s, saddles)
+        pools = S.class_pools(s, pairs)
         checked = 0
         while checked < count:
-            tri = S.random_triangle_chains(s, pairs, rng)
+            tri = S.random_triangle_chains(s, pairs, pools, rng)
             if tri is None:
                 continue
             a, b, third = tri
@@ -281,7 +282,7 @@ class TestPruning:
 
         monkeypatch.setattr(S, "sample_path", counting_sample_path)
         monkeypatch.setattr(S, "_base_distance", counting_base_distance)
-        rep = S.slimness_sweep(s, fam, saddles, count=40, seed=1)
+        rep = S.slimness_sweep(s, fam, reverse_pairs(s, saddles), count=40, seed=1)
         assert rep.samples == 40 and samples > 10_000
         assert measured < 0.2 * samples
 
@@ -314,7 +315,7 @@ class TestTriangleSlimness:
 
     def test_sweep_finite(self, lshape_setup):
         s, fam, saddles = lshape_setup
-        rep = S.slimness_sweep(s, fam, saddles, count=20, seed=1)
+        rep = S.slimness_sweep(s, fam, reverse_pairs(s, saddles), count=20, seed=1)
         assert rep.samples == 20
         assert math.isfinite(rep.delta_max)
         assert rep.delta_max == max(v for _, v in rep.per_triangle)
@@ -322,16 +323,17 @@ class TestTriangleSlimness:
 
     def test_deterministic_given_config(self, lshape_setup):
         s, fam, saddles = lshape_setup
-        r1 = S.slimness_sweep(s, fam, saddles, count=8, seed=3)
-        r2 = S.slimness_sweep(s, fam, saddles, count=8, seed=3)
+        r1 = S.slimness_sweep(s, fam, reverse_pairs(s, saddles), count=8, seed=3)
+        r2 = S.slimness_sweep(s, fam, reverse_pairs(s, saddles), count=8, seed=3)
         assert r1.per_triangle == r2.per_triangle
 
     def test_discretization_consistency(self, lshape_setup):
         s, fam, saddles = lshape_setup
         rng, pairs = random.Random(9), reverse_pairs(s, saddles)
+        pools = S.class_pools(s, pairs)
         checked = 0
         while checked < 5:
-            tri = S.random_triangle_chains(s, pairs, rng)
+            tri = S.random_triangle_chains(s, pairs, pools, rng)
             if tri is None:
                 continue
             a, b, third = tri
@@ -351,7 +353,7 @@ class TestTriangleSlimness:
 
     def test_sweep_counts_rejections(self, lshape_setup):
         s, fam, saddles = lshape_setup
-        rep = S.slimness_sweep(s, fam, saddles, count=20, seed=2)
+        rep = S.slimness_sweep(s, fam, reverse_pairs(s, saddles), count=20, seed=2)
         assert rep.rejected and all(n > 0 for n in rep.rejected.values())
         assert rep.attempts == rep.samples + sum(rep.rejected.values())
 
@@ -361,9 +363,10 @@ class TestTriangleSlimness:
         # the rounding of numpy's elementary functions
         s, fam, saddles = lshape_setup
         rng, pairs = random.Random(31), reverse_pairs(s, saddles)
+        pools = S.class_pools(s, pairs)
         checked = 0
         while checked < 30:
-            tri = S.random_triangle_chains(s, pairs, rng)
+            tri = S.random_triangle_chains(s, pairs, pools, rng)
             if tri is None:
                 continue
             a, b, third = tri
@@ -399,9 +402,10 @@ class TestTriangleSlimness:
         fam = build_horoball_family(g, saddles)
         assert {reg.kind for reg in fam.values()} == {"ball", "point"}
         rng, pairs = random.Random(5), reverse_pairs(s, saddles)
+        pools = S.class_pools(s, pairs)
         checked = 0
         while checked < 40:
-            tri = S.random_triangle_chains(s, pairs, rng)
+            tri = S.random_triangle_chains(s, pairs, pools, rng)
             if tri is None:
                 continue
             a, b, third = tri
@@ -419,7 +423,7 @@ class TestTriangleSlimness:
 
     def test_stability_split(self, lshape_setup):
         s, fam, saddles = lshape_setup
-        rep = S.slimness_sweep(s, fam, saddles, count=16, seed=4)
+        rep = S.slimness_sweep(s, fam, reverse_pairs(s, saddles), count=16, seed=4)
         full, second = S.stability_split(rep)
         assert second <= full + 1e-12
 
@@ -436,7 +440,7 @@ class TestConvexCocompact:
         fam = build_horoball_family(g, saddles)
         assert all(reg.kind == "point" for reg in fam.values())
         assert family_balls(fam) == []
-        rep = S.slimness_sweep(s, fam, saddles, count=10, seed=2)
+        rep = S.slimness_sweep(s, fam, reverse_pairs(s, saddles), count=10, seed=2)
         assert rep.samples == 10
         assert math.isfinite(rep.delta_max)
         full, second = S.stability_split(rep)

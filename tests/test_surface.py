@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -16,6 +17,7 @@ from flatbundle import surface as surface_module
 from flatbundle.catalog import load_catalog_surface, parse_surface, surface_names
 from flatbundle.errors import (
     ConeAngleInvalid,
+    CutoffTooLarge,
     GenusTooSmall,
     GluingMismatch,
     NonPlanarPolygon,
@@ -25,6 +27,7 @@ from flatbundle.errors import (
 from flatbundle.surface import (
     TOL_VERTEX,
     Corner,
+    TranslationSurface,
     canonical_holonomy,
     enumerate_saddle_connections,
     is_local_geodesic,
@@ -235,6 +238,30 @@ class TestEnumeration:
         for sc in enumerate_saddle_connections(octagon, 2.5):
             assert canonical_holonomy(sc.holonomy)
             assert 0.0 <= sc.direction < math.pi
+
+    def test_budget_bounds_the_unfolding_at_any_cutoff(self, monkeypatch):
+        # nearest placements first: when the budget trips at a cutoff the
+        # disk never prunes, the unfolding has gone no farther than the
+        # radius the budget covers (~22 here) and keeps no deep routes; a
+        # depth-first one places polygons ~2000 away and peaks at ~33 MB
+        monkeypatch.setattr(surface_module, "UNFOLDING_BUDGET", 2000)
+        s = load_catalog_surface("lshape")
+        reached = []
+        across = TranslationSurface.across
+        monkeypatch.setattr(
+            TranslationSurface,
+            "across",
+            lambda self, p, e, t=0j: reached.append(abs(t)) or across(self, p, e, t),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffTooLarge):
+                enumerate_saddle_connections(s, 1e5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(reached) < 30.0
+        assert peak < 5e6
 
 
 class TestGeodesics:
