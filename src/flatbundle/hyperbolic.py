@@ -30,7 +30,6 @@ TOL_DET = 1e-9
 TOL_BOUNDARY = 1e-9
 TOL_CLASSIFY = 1e-9  # trace and identity tolerance of Mobius.classify
 TOL_HOROBALL = 1e-12  # Busemann slack of Horoball.contains
-TOL_BEYOND = 1e-12  # slack of ConvexRegion.side_beyond's closed-form prefilter
 
 
 def _check_disk(z: complex) -> complex:
@@ -428,30 +427,25 @@ class ConvexRegion:
     ``center_foot`` is the region's point nearest the disk center, projected
     once when the region is built.
 
-    ``side_beyond`` first drops, in closed form, every side that ``z``
-    cannot lie beyond.  A side (a, b) is the circle orthogonal to the unit
-    circle through a and b, and ``z`` lies beyond it when it is inside
-    that circle for a counterclockwise arc a -> b under pi, outside for an
-    arc over pi.  With ``s = Im(conj(a) b)``, the sine of the arc, that is
-    the sign of ``s`` times ``E = 2 Re(conj(z) (a + b)) - (|z|^2 + 1)
-    (1 + Re(conj(a) b))``; ``E / (s (1 - |z|^2))`` is the sinh of the
-    distance beyond.  The filter is conservative: it keeps a side unless
-    that signed ``E`` is below ``-TOL_BEYOND``.  ``E`` sums terms of size
-    at most 4, so it rounds by ~1e-15; over 4e5 random polygons and points
-    out to ``|z| = 1 - 1e-9`` the side that ``side_of`` finds deepest, with
-    its own rounding, never had signed ``E`` below -3e-16.  So the argmin
-    over the kept sides is the one over all of them, bit for bit.
-    A diametral side, or one whose ``s`` rounds to the wrong sign, has
-    ``|E|`` of the size of ``a + b``, far under the slack, and is kept.
-    At the disk center ``E = -(1 + Re(conj(a) b))``: only an arc over pi,
-    or one within ~1e-6 of pi, is kept.
+    ``side_beyond`` measures at most four sides.  Each side's circle is
+    orthogonal to the unit circle, so the disk center has power 1 with
+    respect to it: a ray from the center that enters the circle's disk
+    leaves it only past the unit circle.  So a point beyond a side whose
+    arc is at most pi is seen from the center through that arc, and lies
+    beyond the side facing ``z / |z|`` or, when that direction rounds
+    across a vertex, one of its two neighbours.  Only the side with the
+    widest arc can hold the center beyond it; it is found once, and it is
+    the one side measured for the center itself.
     """
 
-    __slots__ = ("sides", "_start_angles", "center_foot")
+    __slots__ = ("sides", "_start_angles", "_widest", "center_foot")
 
     def __init__(self, sides: tuple[Geodesic, ...]):
         self.sides = sides
         self._start_angles = [cmath.phase(g.start) % (2 * math.pi) for g in sides]
+        n = len(sides)
+        arc = lambda k: (self._start_angles[(k + 1) % n] - self._start_angles[k]) % (2 * math.pi)
+        self._widest = max(range(n), key=arc, default=None)
         self.center_foot = self.project(0j)
 
     def contains(self, z: complex, *, tol: float = 1e-9) -> bool:
@@ -459,30 +453,28 @@ class ConvexRegion:
 
     def side_beyond(self, z: complex) -> Geodesic | None:
         """The side that ``z`` lies beyond, or None when ``contains(z)``."""
-        x, y = z.real, z.imag
-        q = x * x + y * y + 1.0
+        if not self.sides:
+            return None
+        k = self._facing(z)
+        # the center has no direction: only the widest side can hold it
+        near = {(k + d) % len(self.sides) for d in (-1, 0, 1)} if z else set()
         # side_of is -tanh of the signed distance: the most negative value
-        # under -1e-9, first met, is the one side that z lies beyond
+        # under -1e-9, first met in side order, is the one side z lies beyond
         beyond, least = None, -1e-9
-        for g in self.sides:
-            a, b = g.start, g.end
-            s = a.real * b.imag - a.imag * b.real
-            e = 2.0 * (x * (a.real + b.real) + y * (a.imag + b.imag)) - q * (
-                1.0 + a.real * b.real + a.imag * b.imag
-            )
-            if (e if s > 0.0 else -e) > -TOL_BEYOND:
-                v = g.side_of(z)
-                if v < least:
-                    beyond, least = g, v
+        for i in sorted(near | {self._widest}):
+            v = self.sides[i].side_of(z)
+            if v < least:
+                beyond, least = self.sides[i], v
         return beyond
 
     def side_facing(self, xi: complex) -> Geodesic | None:
         """The side whose boundary arc, from its start counterclockwise to its
         end, holds the ideal point ``xi`` (None when there are no sides)."""
-        if not self.sides:
-            return None
-        k = bisect.bisect_right(self._start_angles, cmath.phase(xi) % (2 * math.pi))
-        return self.sides[k - 1]  # k = 0: the last side, across angle 0
+        return self.sides[self._facing(xi)] if self.sides else None
+
+    def _facing(self, xi: complex) -> int:
+        # -1 (the last side) below the first start, across angle 0
+        return bisect.bisect_right(self._start_angles, cmath.phase(xi) % (2 * math.pi)) - 1
 
     def project(self, z: complex) -> complex:
         """Closest point of the region (identity on the region itself)."""

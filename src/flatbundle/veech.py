@@ -300,14 +300,6 @@ def distinct_directions(saddles) -> list[tuple[float, complex]]:
     return sorted((sc.direction, sc.holonomy) for sc in shortest)
 
 
-def _images(cache: dict, r: int, xi: complex, orbit_words) -> list[tuple[complex, Mobius]]:
-    """The images of ``xi``, representative ``r``'s ideal point, under the
-    orbit words, in their order; computed once per representative."""
-    if r not in cache:
-        cache[r] = [(g.apply_boundary(xi), g) for _word, g in orbit_words]
-    return cache[r]
-
-
 def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
     """One HoroRegion per saddle-connection direction.
 
@@ -355,61 +347,46 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
         else:
             family[round(theta, 8)] = HoroRegion("point", theta, xi, _boundary_foot(side, xi))
 
-    if not ball_dirs:
-        return family
-
-    # group parabolic directions into orbits under short words
+    # one pass over the ball directions: a direction that no earlier
+    # representative's image matches becomes one, with its level in closed
+    # form; a representative's images are computed when first scanned
     orbit_words = [((), Mobius.identity())] + list(gdata.orbit_words)
-    reps: list[int] = []
-    orbit_of: dict[int, tuple[int, Mobius]] = {}
-    rep_images: dict[int, list[tuple[complex, Mobius]]] = {}
-    for i, (_t, _h, xi, _w, _s) in enumerate(ball_dirs):
-        images = (
-            (r, g)
-            for r in reps
-            for image, g in _images(rep_images, r, ball_dirs[r][2], orbit_words)
-            if abs(image - xi) < 1e-6
-        )
-        orbit_of[i] = next(images, (i, Mobius.identity()))
-        if orbit_of[i][0] == i:  # no earlier representative maps to xi
-            reps.append(i)
-
-    # per-representative minimal admissible level, in closed form
-    rep_level: dict[int, float] = {}
-    for r in reps:
-        theta, hol, xi, _w, side = ball_dirs[r]
-        cross_min = min(
-            (
-                abs(cross(hol, sc.holonomy))
-                for sc in saddles
-                if min(abs(sc.direction - theta), math.pi - abs(sc.direction - theta))
-                > ANGLE_DEDUP
-            ),
-            default=None,
-        )
-        if cross_min is None:
-            raise NotFound("need saddle connections in a second direction")
-        hull_level = 0.0 if side is None else geodesic_max_busemann(side, xi) + 1.0
-        rep_level[r] = max(0.0, math.log(3.0 * abs(hol) ** 2 / cross_min), hull_level)
-
-    # transport levels along the orbits
-    balls: dict[int, Horoball] = {}
-    for i, (theta, hol, xi, _w, _s) in enumerate(ball_dirs):
-        r, g = orbit_of[i]
-        p = g.apply_disk(_ball_point_toward(ball_dirs[r][2], rep_level[r]))
-        balls[i] = Horoball(xi, busemann(xi, p))
+    reps: list[list] = []  # [ideal point, ball point, images or None]
+    balls: list[Horoball] = []
+    for theta, hol, xi, _w, side in ball_dirs:
+        for rep in reps:
+            rep[2] = rep[2] or [(g.apply_boundary(rep[0]), g) for _word, g in orbit_words]
+            g = next((g for image, g in rep[2] if abs(image - xi) < 1e-6), None)
+            if g is not None:
+                break
+        else:
+            cross_min = min(
+                (
+                    abs(cross(hol, sc.holonomy))
+                    for sc in saddles
+                    if min(abs(sc.direction - theta), math.pi - abs(sc.direction - theta))
+                    > ANGLE_DEDUP
+                ),
+                default=None,
+            )
+            if cross_min is None:
+                raise NotFound("need saddle connections in a second direction")
+            hull_level = 0.0 if side is None else geodesic_max_busemann(side, xi) + 1.0
+            level = max(0.0, math.log(3.0 * abs(hol) ** 2 / cross_min), hull_level)
+            rep, g = [xi, _ball_point_toward(xi, level), None], Mobius.identity()
+            reps.append(rep)
+        balls.append(Horoball(xi, busemann(xi, g.apply_disk(rep[1]))))
 
     # enforce pairwise unit separation by deepening uniformly if needed
     deficit = max(
         [0.0]
-        + [1.0 - horoball_separation(b1, b2) for b1, b2 in combinations(balls.values(), 2)]
+        + [1.0 - horoball_separation(b1, b2) for b1, b2 in combinations(balls, 2)]
     )
     if deficit > 0.0:
         bump = 0.5 * deficit + 1e-6
-        balls = {i: Horoball(b.base, b.level + bump) for i, b in balls.items()}
+        balls = [Horoball(b.base, b.level + bump) for b in balls]
 
-    for i, (theta, hol, xi, witness, _s) in enumerate(ball_dirs):
-        ball = balls[i]
+    for (theta, hol, xi, witness, _s), ball in zip(ball_dirs, balls):
         if ball.contains(basepoint):
             anchor = _ball_point_toward(xi, ball.level) if abs(basepoint) < 1e-12 else basepoint
         else:

@@ -275,7 +275,8 @@ def project_to_region(region, z):
 def side_beyond_by_scan(region, z):
     """The side ``z`` lies beyond, as the argmin of ``side_of`` over every
     side, or None when that minimum is not below -1e-9: the region's
-    ``side_beyond`` without its closed-form prefilter."""
+    ``side_beyond`` without its rule of four sides (the side facing the
+    point's direction, its two neighbours and the widest side)."""
     g = min(region.sides, key=lambda g: g.side_of(z), default=None)
     return g if g is not None and g.side_of(z) < -1e-9 else None
 

@@ -361,10 +361,17 @@ class TestClosedFormsAgainstOracles:
         ),
     )
     @example([0.0, 1.0, 1e-8], 3.5, 1.0 - 1e-9)
+    # near the center, facing a short side: only the widest side, whose arc
+    # is over pi, holds the point beyond it
+    @example([0.0, 0.5, 1.0, 1.5, 2.0], 1.25, 0.05)
+    # a direction 1e-16 short of a vertex angle rounds across it: the point
+    # lies beyond a neighbour of the side the bisection faces
+    @example([5.245, 6.231, 3.719, 4.929, 2.327], (3, -1e-16), 0.99999999)
     @settings(max_examples=500)
     def test_side_beyond_matches_scan(self, vertex_angles, where, r):
-        # the closed-form prefilter keeps the side that the scan over every
-        # side picks, out to |z| = 1 - 1e-9 and next to the vertices
+        # the side facing z / |z|, its two neighbours and the widest side
+        # hold the side that the scan over every side picks, out to
+        # |z| = 1 - 1e-9 and next to the vertices
         try:
             hull = build_hull([cmath.exp(1j * t) for t in vertex_angles])
         except ElementaryGroup:
@@ -394,6 +401,24 @@ class TestClosedFormsAgainstOracles:
             enumerate_saddle_connections(s, VERIFY_LENGTH), p["basis"], p["words"], depth=depth
         ).hull
         assert hull.center_foot == oracles.center_foot_by_scan(hull)
+
+    def test_side_beyond_measures_four_sides(self, cusped_hull, monkeypatch):
+        # on the 1371-side hull, whose widest side (3.55 rad) holds the
+        # center beyond it: the center measures that side alone
+        calls = []
+        side_of = H.Geodesic.side_of
+        monkeypatch.setattr(
+            H.Geodesic, "side_of", lambda g, z: calls.append(g) or side_of(g, z)
+        )
+        assert len(cusped_hull.sides) == 1371
+        zs = [0j] + [
+            r * cmath.exp(0.05j * k) for k in range(126) for r in (0.3, 0.9, 1.0 - 1e-9)
+        ]
+        for z in zs:
+            calls.clear()
+            g = cusped_hull.side_beyond(z)
+            assert len(calls) <= (4 if z else 1)
+            assert g is oracles.side_beyond_by_scan(cusped_hull, z)
 
     def test_side_facing_without_sides(self):
         assert H.ConvexRegion(()).side_facing(1j) is None

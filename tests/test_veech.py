@@ -16,6 +16,7 @@ from flatbundle.errors import (
     ElementaryGroup,
     NonInvertible,
     NotAnAutomorphism,
+    NotFound,
 )
 from flatbundle.hyperbolic import (
     ConvexRegion,
@@ -589,6 +590,37 @@ class TestDirectionsAndOrbits:
         )
         build_horoball_family(g, saddles)
         assert len(calls) <= 3 * 161
+        # octagon_cusped: two representatives, and only the first is scanned
+        s, g = group_data("octagon_cusped")
+        calls.clear()
+        build_horoball_family(g, enumerate_saddle_connections(s, 2.5))
+        assert len(calls) <= 161
+
+    @pytest.mark.parametrize("name", ["lshape_lattice", "octagon_cusped"])
+    def test_global_bump_deepens_every_ball(self, name, monkeypatch):
+        # no preset needs the bump (balls are at least 5.7 apart): with every
+        # pair 0.5 apart each ball goes 0.5 * (1 - 0.5) + 1e-6 deeper
+        s, g = group_data(name)
+        saddles = enumerate_saddle_connections(s, 2.5)
+        before = family_balls(build_horoball_family(g, saddles))
+        monkeypatch.setattr(veech, "horoball_separation", lambda b1, b2: 0.5)
+        after = family_balls(build_horoball_family(g, saddles))
+        assert len(after) == len(before) >= 2
+        for b0, b1 in zip(before, after):
+            assert b1.base == b0.base
+            assert b1.level == b0.level + (0.25 + 1e-6)
+
+    def test_family_key_nearest_fallback(self, lattice):
+        _s, _g, _saddles, fam = lattice
+        key = max(fam)
+        # 6e-9 off rounds to the next 8-digit key, which is not in the family
+        assert round(key + 6e-9, 8) not in fam
+        assert veech.family_key(fam, key + 6e-9) == key
+        # within 1e-9 below pi: the nearest key mod pi is 0.0
+        assert 0.0 in fam and round(math.pi - 5e-10, 8) not in fam
+        assert veech.family_key(fam, math.pi - 5e-10) == 0.0
+        with pytest.raises(NotFound, match="no hororegion"):
+            veech.family_key(fam, key + 2e-7)
 
 
 class TestHullLookup:
