@@ -358,12 +358,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-        report = run_experiment(cfg)
-    except (FlatBundleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _config_from_args(args)
+    report = run_experiment(cfg)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -397,47 +393,37 @@ def _first_draw(kind: str, saddles, draw, none_reason: str):
 
 
 def cmd_render(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-        cfg.validate()
-        surface, gdata, saddles, family = _build_pipeline(cfg)
-        rng = random.Random(cfg.seed)
-        if args.kind == "horoballs":
-            svg = render.render_horoballs(gdata, family)
-        elif args.kind == "cylinders":
-            ball_keys = [
-                k for k in sorted(family) if family[k].kind == "ball"
-            ]
-            if not ball_keys:
-                raise MissingInput("no parabolic direction to decompose")
-            result = trace_direction(
-                surface, family[ball_keys[0]].theta, cfg.max_trace
-            )
-            if isinstance(result, NoClosureFound):
-                raise MissingInput("direction did not close within max-trace")
-            svg = render.render_cylinders(surface, result)
-        elif args.kind == "ideal-fan":
-            pairs = reverse_pairs(surface, saddles)
-            fan = _first_draw(
-                "ideal-fan", saddles, lambda: random_fan(surface, pairs, rng), "noFan"
-            )
-            if fan is None:
-                raise MissingInput("no fan found at this seed and cutoff")
-            svg = render.render_ideal_fan(fan)
-        elif args.kind == "path":
-            path = _first_draw(
-                "path", saddles, lambda: _random_path(surface, saddles, family, rng), "noPath"
-            )
-            if path is None:
-                raise MissingInput("no preferred path found at this seed")
-            svg = render.render_path(path)
-        else:  # unreachable behind argparse choices
-            raise MissingInput(f"unknown render kind {args.kind!r}")
-        out = Path(args.out or f"{args.kind}.svg")
-        _write(out, svg)
-    except (FlatBundleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _config_from_args(args)
+    cfg.validate()
+    surface, gdata, saddles, family = _build_pipeline(cfg)
+    rng = random.Random(cfg.seed)
+    if args.kind == "horoballs":
+        svg = render.render_horoballs(gdata, family)
+    elif args.kind == "cylinders":
+        ball_keys = [k for k in sorted(family) if family[k].kind == "ball"]
+        if not ball_keys:
+            raise MissingInput("no parabolic direction to decompose")
+        result = trace_direction(surface, family[ball_keys[0]].theta, cfg.max_trace)
+        if isinstance(result, NoClosureFound):
+            raise MissingInput("direction did not close within max-trace")
+        svg = render.render_cylinders(surface, result)
+    elif args.kind == "ideal-fan":
+        pairs = reverse_pairs(surface, saddles)
+        fan = _first_draw(
+            "ideal-fan", saddles, lambda: random_fan(surface, pairs, rng), "noFan"
+        )
+        if fan is None:
+            raise MissingInput("no fan found at this seed and cutoff")
+        svg = render.render_ideal_fan(fan)
+    else:  # path, the last of argparse's choices
+        path = _first_draw(
+            "path", saddles, lambda: _random_path(surface, saddles, family, rng), "noPath"
+        )
+        if path is None:
+            raise MissingInput("no preferred path found at this seed")
+        svg = render.render_path(path)
+    out = Path(args.out or f"{args.kind}.svg")
+    _write(out, svg)
     print(f"wrote {out}")
     return 0
 
@@ -507,8 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input and library errors exit 2 with one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FlatBundleError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

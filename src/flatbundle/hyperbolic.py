@@ -322,11 +322,6 @@ class Segment:
 # -- horoballs ---------------------------------------------------------------
 
 
-def _ball_distance(z: complex, ball) -> float:
-    # Horoball.distance_to_point without the argument checks
-    return max(0.0, ball.level - math.log((1.0 - abs(z) ** 2) / abs(ball.base - z) ** 2))
-
-
 class Horoball(NamedTuple):
     """Sublevel horoball {busemann(base, .) >= level} at an ideal base point."""
 
@@ -337,7 +332,8 @@ class Horoball(NamedTuple):
         return busemann(self.base, z) >= self.level - TOL_HOROBALL
 
     def distance_to_point(self, z: complex) -> float:
-        return max(0.0, self.level - busemann(self.base, z))
+        # busemann without its checks: the slimness kernel calls this per sample
+        return max(0.0, self.level - math.log((1.0 - abs(z) ** 2) / abs(self.base - z) ** 2))
 
     def closest_point_to(self, z: complex) -> complex:
         """Point of the closed horoball nearest to ``z``: the rotation about

@@ -20,12 +20,7 @@ from .errors import (
     NotAFan,
     NotFound,
 )
-from .hyperbolic import (
-    _ball_distance,
-    hyp_distance,
-    saddle_length_at,
-    segment_clip_by_horoball,
-)
+from .hyperbolic import hyp_distance, saddle_length_at, segment_clip_by_horoball
 from .surface import (
     Corner,
     FlatGeodesic,
@@ -132,11 +127,6 @@ def build_direction_graphs(
     return graphs
 
 
-# float slack of the clip test in collapsed_length: a ball is clipped unless
-# its distances to a segment's ends exceed the segment's length by more
-CLIP_SLACK = 1e-9
-
-
 def collapsed_length(path: PreferredPath, family: dict) -> float:
     """Length of the path after collapsing horoball preimages onto trees.
 
@@ -145,19 +135,11 @@ def collapsed_length(path: PreferredPath, family: dict) -> float:
     because the fiber is a fixed cone point along a horizontal piece.
     Parabolic saddle pieces lie in a spine and contribute zero; everything
     else contributes its full length.  The result never exceeds the
-    uncollapsed length.  A ball farther from a segment's ends than the
-    segment is long cannot meet it and is not clipped; a segment is clipped
-    once, against the balls it can meet.  Adjacent pieces share an end, so
-    each point's ball distances are measured once.
+    uncollapsed length.  Each horizontal piece is clipped once, against
+    every ball of the family: the clip maps the segment onto the axis once
+    and then reads each ball's interval in closed form.
     """
     balls = family_balls(family)
-    measured: dict[complex, list[float]] = {}
-
-    def distances(z: complex) -> list[float]:
-        if z not in measured:
-            measured[z] = [_ball_distance(z, ball) for ball in balls]
-        return measured[z]
-
     total = 0.0
     for piece in path.pieces:
         if isinstance(piece, SaddlePiece):
@@ -165,18 +147,10 @@ def collapsed_length(path: PreferredPath, family: dict) -> float:
                 total += piece.length
             continue
         full = piece.length
-        # a segment that meets a ball is at least as long as the distances
-        # of its ends to it (triangle inequality)
-        near = [
-            ball
-            for ball, d1, d2 in zip(balls, distances(piece.start), distances(piece.end))
-            if d1 + d2 <= full + CLIP_SLACK
-        ]
         inside_sum = 0.0
-        if near:
-            for inside in segment_clip_by_horoball(piece.start, piece.end, near):
-                if inside > 1e-12:
-                    inside_sum += inside
+        for inside in segment_clip_by_horoball(piece.start, piece.end, balls):
+            if inside > 1e-12:
+                inside_sum += inside
         total += full - min(inside_sum, full)
     return total
 

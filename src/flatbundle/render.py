@@ -136,9 +136,9 @@ def render_cylinders(surface, decomp) -> str:
         z0 = surface.vertex(sc.start.poly, sc.start.vertex) + offsets[sc.start.poly]
         z1 = z0 + sc.holonomy
         color = color_of.get(si, "#888888")
+        (x0, y0), (x1, y1) = to_xy(z0).split(","), to_xy(z1).split(",")
         el.append(
-            f'<line x1="{to_xy(z0).split(",")[0]}" y1="{to_xy(z0).split(",")[1]}" '
-            f'x2="{to_xy(z1).split(",")[0]}" y2="{to_xy(z1).split(",")[1]}" '
+            f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
             f'stroke="{color}" stroke-width="3"/>'
         )
     return _svg(el)

@@ -41,7 +41,7 @@ import random
 from typing import NamedTuple
 
 from .errors import FlatBundleError
-from .hyperbolic import Segment, _ball_distance
+from .hyperbolic import Segment
 from .paths import (
     FiberPoint,
     HorizontalPiece,
@@ -160,7 +160,7 @@ def _horo(target: SampleSet, balls) -> list:
     if len(target.horo) < len(balls):
         target.horo[:] = [
             min(
-                _ball_distance(z, ball)
+                ball.distance_to_point(z)
                 for z, _ in target.points
                 + [q for seg, _, _ in target.lines for q in seg.deepest(ball.base)]
             )
@@ -193,7 +193,7 @@ def _base_distance(z: complex, sz: float, target: SampleSet, balls, cap: float) 
         return best
     for ball, m in zip(balls, _horo(target, balls)):
         if m < best:
-            d = _ball_distance(z, ball) + m
+            d = ball.distance_to_point(z) + m
             if d < best:
                 best = d
     return best

@@ -256,23 +256,16 @@ def _boundary_foot(g: Geodesic, xi: complex) -> complex:
     return disk_from_uhp(M.inverse().apply_uhp(1j * abs(p / q)))
 
 
-def _ball_point_toward(xi: complex, c: float) -> complex:
-    """The point at hyperbolic distance c from the center toward ``xi``."""
-    return math.tanh(0.5 * c) * xi
-
-
 def horoball_separation(b1: Horoball, b2: Horoball) -> float:
     """Signed distance between two horoballs (negative when they overlap).
 
-    Along the geodesic joining the base points the two Busemann functions
-    have exact unit slope, so the boundary crossings follow from the values
-    at any single interior point.
+    Penner's lambda-length in closed form.  Along the geodesic joining the
+    base points each Busemann function has unit slope, so the gap is
+    ``c1 + c2`` less their values at any one point of it.  Both read 0 at
+    the disk center, so at its foot on the geodesic, d away, each reads
+    ``log cosh d``, and ``cosh d = 2 / |xi1 - xi2|``.
     """
-    g = Geodesic(b1.base, b2.base)
-    (mid,) = g.points([0.0])
-    k1 = busemann(b1.base, mid)
-    k2 = busemann(b2.base, mid)
-    return (b1.level - k1) + (b2.level - k2)
+    return b1.level + b2.level + 2.0 * math.log(abs(b1.base - b2.base) / 2.0)
 
 
 def distinct_directions(saddles) -> list[tuple[float, complex]]:
@@ -373,7 +366,7 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
                 raise NotFound("need saddle connections in a second direction")
             hull_level = 0.0 if side is None else geodesic_max_busemann(side, xi) + 1.0
             level = max(0.0, math.log(3.0 * abs(hol) ** 2 / cross_min), hull_level)
-            rep, g = [xi, _ball_point_toward(xi, level), None], Mobius.identity()
+            rep, g = [xi, math.tanh(0.5 * level) * xi, None], Mobius.identity()
             reps.append(rep)
         balls.append(Horoball(xi, busemann(xi, g.apply_disk(rep[1]))))
 
@@ -387,15 +380,11 @@ def build_horoball_family(gdata: VeechGroupData, saddles) -> dict:
         balls = [Horoball(b.base, b.level + bump) for b in balls]
 
     for (theta, hol, xi, witness, _s), ball in zip(ball_dirs, balls):
-        if ball.contains(basepoint):
-            anchor = _ball_point_toward(xi, ball.level) if abs(basepoint) < 1e-12 else basepoint
-        else:
-            anchor = ball.closest_point_to(basepoint)
         family[round(theta, 8)] = HoroRegion(
             "ball",
             theta,
             xi,
-            anchor=anchor,
+            anchor=ball.closest_point_to(basepoint),
             ball=ball,
             length_level=abs(hol) * math.exp(-0.5 * ball.level),
             witness=witness,

@@ -25,14 +25,12 @@ import numpy as np
 from flatbundle.hyperbolic import (
     Geodesic,
     Mobius,
-    _ball_distance,
     _check_disk,
     busemann,
     disk_from_uhp,
     geodesic_max_busemann,
     hyp_distance,
     ideal_endpoints,
-    segment_clip_by_horoball,
     uhp_from_disk,
 )
 from flatbundle.cylinders import (
@@ -51,7 +49,7 @@ from flatbundle.errors import (
     NotAGeodesic,
     NotFound,
 )
-from flatbundle.paths import HorizontalPiece, SaddlePiece, build_fan, build_preferred_path
+from flatbundle.paths import HorizontalPiece, build_fan, build_preferred_path
 from flatbundle.slimness import _canon_hol, _piece_count, _round_z, _scale
 from flatbundle.surface import (
     TOL_ANGLE,
@@ -360,6 +358,15 @@ def horoball_closest_point(ball, z):
         else:
             hi_u = mid
     return at(0.5 * (lo_u + hi_u))
+
+
+def horoball_separation_by_midpoint(b1, b2):
+    """Signed distance between two Horoballs from the two Busemann values
+    at the midpoint of the geodesic joining their bases (each function has
+    unit slope along it)."""
+    g = Geodesic(b1.base, b2.base)
+    (mid,) = g.points([0.0])
+    return (b1.level - busemann(b1.base, mid)) + (b2.level - busemann(b2.base, mid))
 
 
 def clip_by_horoball(z1, z2, ball):
@@ -907,27 +914,6 @@ def reduced_words(n_gens, depth):
         frontier = nxt
 
 
-# -- collapsed lengths -------------------------------------------------------
-
-
-def collapsed_length_clipping_every_ball(path, family):
-    """``paths.collapsed_length`` without its reach test: every horizontal
-    piece is clipped against every ball of the family."""
-    total = 0.0
-    for piece in path.pieces:
-        if isinstance(piece, SaddlePiece):
-            if piece.region.kind != "ball":
-                total += piece.length
-            continue
-        full = piece.length
-        inside_sum = 0.0
-        for inside in segment_clip_by_horoball(piece.start, piece.end, family_balls(family)):
-            if inside > 1e-12:
-                inside_sum += inside
-        total += full - min(inside_sum, full)
-    return total
-
-
 # -- fans and slimness -------------------------------------------------------
 
 
@@ -1054,7 +1040,7 @@ def sample_distance(p, q):
 def nearest_distances(a, b, balls):
     """For each sample of ``a``, the least ``sample_distance`` to a sample of
     ``b``, comparing every pair."""
-    a, b = ([(*p, [_ball_distance(p[0], ball) for ball in balls]) for p in side] for side in (a, b))
+    a, b = ([(*p, [ball.distance_to_point(p[0]) for ball in balls]) for p in side] for side in (a, b))
     return [min(sample_distance(p, q) for q in b) for p in a]
 
 

@@ -439,6 +439,15 @@ class TestClosedFormsAgainstOracles:
         ref = oracles.horoball_closest_point(ball, z)
         assert abs(ball.closest_point_to(z) - ref) < 1e-9
 
+    @given(balls, deep_points)
+    @settings(max_examples=300)
+    def test_distance_to_point(self, ball, z):
+        # the method skips busemann's argument checks; it must still be the
+        # distance to the nearest point of the ball
+        d = ball.distance_to_point(z)
+        assert d == pytest.approx(H.hyp_distance(z, ball.closest_point_to(z)), abs=1e-9)
+        assert d == pytest.approx(max(0.0, ball.level - H.busemann(ball.base, z)), abs=1e-12)
+
     @given(balls, disk_points, disk_points)
     @example(H.Horoball(1 + 0j, 0.0), 0.75j, complex(2.220446049250313e-16, 0.75))
     @example(H.Horoball(1 + 0j, 1.0), complex(-0.5, 8.097585166383789e-162), 0j)

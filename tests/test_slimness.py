@@ -111,8 +111,8 @@ class TestClosedFormNearest:
     def test_deepest_sample_toward_a_ball(self, ends, n, alpha, level):
         ball = H.Horoball(cmath.exp(1j * alpha), level)
         seg = H.Segment(*ends, n)
-        assert min(S._ball_distance(q, ball) for q, _ in seg.deepest(ball.base)) == min(
-            S._ball_distance(q, ball) for q, _ in _samples(*ends, n)
+        assert min(ball.distance_to_point(q) for q, _ in seg.deepest(ball.base)) == min(
+            ball.distance_to_point(q) for q, _ in _samples(*ends, n)
         )
 
 

@@ -7,6 +7,8 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatbundle.catalog import load_catalog_surface, load_group_preset, parse_group
 from flatbundle.errors import (
@@ -477,6 +479,21 @@ class TestHoroballFamily:
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
                 assert horoball_separation(balls[i], balls[j]) >= 1.0 - 1e-6
+
+    @given(
+        st.floats(0.0, 2 * math.pi),
+        st.floats(1e-5, math.pi),
+        st.floats(-2.0, 5.0),
+        st.floats(-2.0, 5.0),
+    )
+    @settings(max_examples=300)
+    def test_separation_closed_form(self, alpha, gap, c1, c2):
+        # Penner's closed form against the Busemann values at the midpoint
+        # of the geodesic between the bases; abs only where it is near 0
+        b1 = Horoball(cmath.exp(1j * alpha), c1)
+        b2 = Horoball(cmath.exp(1j * (alpha + gap)), c2)
+        ref = oracles.horoball_separation_by_midpoint(b1, b2)
+        assert horoball_separation(b1, b2) == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_symmetric_levels(self, lattice):
         # the octagon's rotation by pi/4 permutes the direction orbits, so
