@@ -11,11 +11,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import catalog, render, slimness
-from .cylinders import trace_direction
 from .errors import (
     FlatBundleError,
     MissingInput,
-    NoClosureFound,
     UnknownCatalogId,
 )
 from .hyperbolic import hyp_distance
@@ -400,13 +398,14 @@ def cmd_render(args) -> int:
     if args.kind == "horoballs":
         svg = render.render_horoballs(gdata, family)
     elif args.kind == "cylinders":
-        ball_keys = [k for k in sorted(family) if family[k].kind == "ball"]
-        if not ball_keys:
+        # the picture run writes to cylinders.svg
+        graphs = build_direction_graphs(surface, family, max_trace=cfg.max_trace)
+        if not graphs:
             raise MissingInput("no parabolic direction to decompose")
-        result = trace_direction(surface, family[ball_keys[0]].theta, cfg.max_trace)
-        if isinstance(result, NoClosureFound):
-            raise MissingInput("direction did not close within max-trace")
-        svg = render.render_cylinders(surface, result)
+        _suite, decomps = _suite_cylinders(graphs)
+        if not decomps:
+            raise MissingInput("no direction decomposed within max-trace")
+        svg = render.render_cylinders(surface, decomps[0])
     elif args.kind == "ideal-fan":
         pairs = reverse_pairs(surface, saddles)
         fan = _first_draw(

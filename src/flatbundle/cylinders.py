@@ -5,12 +5,14 @@ in that direction (a separatrix) closes up into a saddle connection.  The
 complement of those saddle connections is then a union of flat cylinders.
 ``trace_direction`` semi-decides this: it traces each outgoing separatrix
 once and either assembles the decomposition or reports that one survived
-the trace budget, which proves nothing about longer budgets.  A separatrix
-keeps no route but its record's crossings, which place its pieces in the
-polygons.  The heights of the vertices and separatrices, taken along the
-left normal of the direction, cut each polygon into strips; the strips glued
-across polygon edges make up the cylinders, and each strip spans its
-cylinder's width.
+the trace budget, which proves nothing about longer budgets.  Everything
+here is read in one coordinate, the height along the left normal of the
+direction: a separatrix is walked at its own height through the glued
+polygons until a vertex lies at that height (:func:`_walk`), and keeps no
+route but its record's crossings, which place its pieces in the polygons.
+The heights of the vertices and separatrices cut each polygon into strips;
+the strips glued across polygon edges make up the cylinders, and each strip
+spans its cylinder's width.
 
 A decomposition records its *spines* (connected components of the union of
 boundary saddle connections) and, per cylinder, the boundary sides on each of
@@ -33,7 +35,6 @@ from .surface import (
     TranslationSurface,
     _connection,
     _edge_connection,
-    _march,
     _UnionFind,
     ccw_angle,
     cross,
@@ -41,7 +42,7 @@ from .surface import (
 )
 
 WIDTH_TOL = 1e-6
-#: polygons a separatrix is marched through before it counts as open
+#: polygons a separatrix is walked through before it counts as open
 SEPARATRIX_BUDGET = 100000
 
 
@@ -66,10 +67,57 @@ class CylinderDecomposition(NamedTuple):
         return sum(c.circumference * c.width for c in self.cylinders)
 
 
+def _walk(surface, corner, u, max_trace):
+    """The separatrix leaving ``corner`` in direction ``u``, walked at its height.
+
+    The leaf from the corner's vertex ``v0`` lies at height ``h = cross(u,
+    v0)``, and a vertex ``V`` of the polygon placed at ``t`` lies
+    ``cross(u, V + t) - h`` above it.  A vertex within ``TOL_VERTEX`` of the
+    leaf, other than the start corner, ends it: the nearest one along ``u``.
+    Otherwise the leaf leaves across the one edge that climbs from below
+    the leaf to above it, which is never the edge it came in by.  Returns
+    the record, or None while the leaf is open: its next end or exit lies
+    within ``TOL_VERTEX`` of ``max_trace`` or beyond, or it has passed
+    through ``SEPARATRIX_BUDGET`` polygons.
+    """
+    p, i = corner
+    v0 = surface.vertex(p, i)
+    h = cross(u, v0)
+
+    def along(z):
+        """How far along the leaf from ``v0`` the point ``z`` lies."""
+        return ((z - v0) * u.conjugate()).real
+
+    poly, t, crossings = p, 0j, []
+    for _ in range(SEPARATRIX_BUDGET):
+        verts = [v + t for v in surface.polygons[poly]]
+        d = [cross(u, v) - h for v in verts]
+        ends = [
+            (along(v), Corner(poly, k))
+            for k, v in enumerate(verts)
+            if abs(d[k]) < TOL_VERTEX and (crossings or k != i)
+        ]
+        if ends:
+            length, end = min(ends)
+            if length >= max_trace - TOL_VERTEX:
+                return None
+            return _connection(surface, corner, end, length * u, tuple(crossings))
+        n = len(verts)
+        k = next(k for k in range(n) if d[k] < 0.0 < d[(k + 1) % n])
+        a, b = verts[k], verts[(k + 1) % n]
+        exit_point = a + (b - a) * (d[k] / (d[k] - d[(k + 1) % n]))
+        if along(exit_point) >= max_trace - TOL_VERTEX:
+            return None
+        crossings.append((poly, k))
+        poly, _f, t = surface.across(poly, k, t)
+    return None
+
+
 def _separatrices(surface, u, max_trace):
     """Saddle connections leaving the cone points in direction ``u``.
 
-    Each record carries the route its march walked (``crossings``), the one
+    A separatrix along a corner's outgoing edge is that edge; any other is
+    walked (:func:`_walk`) and carries the crossings it walked, the one
     route kept for it.  Returns a NoClosureFound value when a separatrix is
     still open after ``max_trace``.
     """
@@ -78,26 +126,19 @@ def _separatrices(surface, u, max_trace):
         for i in range(surface.n_edges(p)):
             corner = Corner(p, i)
             evec = surface.edge_vec(p, i)
-            v0 = surface.vertex(p, i)
             phi = ccw_angle(evec, u)
             if phi < TOL_ANGLE:
-                # along the outgoing edge: the edge is itself a saddle
-                # connection, which the marcher cannot follow
-                if abs(cmath.phase(evec / u)) < TOL_ANGLE:
-                    out.append(_edge_connection(surface, corner, evec))
+                # along the outgoing edge: the edge is itself a saddle connection
+                out.append(_edge_connection(surface, corner, evec))
                 continue
             if phi > surface.interior_angle(corner) - TOL_ANGLE:
                 continue  # along the incoming edge; traced from the partner corner
-            crossings, last, _t, point, j = _march(
-                surface, p, 0j, v0, v0 + u * max_trace, SEPARATRIX_BUDGET
-            )
-            if j is None or j < 0:
+            sc = _walk(surface, corner, u, max_trace)
+            if sc is None:
                 return NoClosureFound(
                     f"separatrix from {corner} still open after length {max_trace}"
                 )
-            out.append(_connection(
-                surface, corner, Corner(last, j), abs(point - v0) * u, crossings
-            ))
+            out.append(sc)
     return out
 
 
@@ -108,10 +149,10 @@ def _piece_heights(surface, u, saddles):
     separatrix from ``v0`` crosses the polygon placed at ``t`` at height
     ``cross(u, v0 - t)``, with the placements developed along its
     crossings.  Only an edge record (``start_phi`` 0) lies along a glued
-    edge: a marched segment that ran along an edge would meet the edge's end
-    points, which are cone points, where the march stops.  An edge bounds
-    the polygons on both sides of its gluing, so it is listed in the
-    partner polygon as well.
+    edge: a walked separatrix that ran along an edge would find the edge's
+    end points, which are vertices, at its own height, and a vertex at the
+    leaf's height ends the walk.  An edge bounds the polygons on both sides
+    of its gluing, so it is listed in the partner polygon as well.
     """
     pieces: dict[int, list[tuple[float, int]]] = {}
     for k, sc in enumerate(saddles):

@@ -374,6 +374,8 @@ def segment_clip_by_horoball(z1: complex, z2: complex, balls) -> list[float]:
     by M it is ``q^2 t^2 - t + p^2 <= 0``: an interval of t, or a ray when
     q = 0.
     """
+    if not balls:
+        return []
     try:
         M = Geodesic(*ideal_endpoints(z1, z2)).to_axis()
     except DegenerateTriple:  # the points are too close to span a geodesic

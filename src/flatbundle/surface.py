@@ -5,12 +5,11 @@ pairing of their edges by translations.  Everything downstream is built from
 saddle connections, and each record is built once, by :func:`_connection`
 (or :func:`_edge_connection` for a polygon edge), from the route that found
 it: the enumeration's unfolding proves which vertices a straight segment
-reaches, a sleeve's funnel path crosses every portal of its sleeve, and
-only a separatrix, whose end is not known in advance, is marched through
-the glued polygons (:func:`_march`).  A record's ``crossings`` are the one
-route kept for a straight segment: the march returns the crossings it
-walked, and the polygons a record passes through are developed from them
-with :meth:`TranslationSurface.across`.
+reaches, a sleeve's funnel path crosses every portal of its sleeve, and a
+separatrix, whose end is not known in advance, is walked at its height
+through the glued polygons by ``cylinders``.  A record's ``crossings`` are
+the one route kept for a straight segment, and the polygons a record passes
+through are developed from them with :meth:`TranslationSurface.across`.
 
 Every cone angle is at least 2*pi, so the universal cover is CAT(0) and each
 homotopy class of chains of saddle connections holds exactly one flat
@@ -333,90 +332,6 @@ def load_surface(
     return TranslationSurface(
         polys, dict(gluings), tuple(classes), corner_angles, genus, area, name
     )
-
-
-# -- marching ----------------------------------------------------------------
-
-
-class _Exit(NamedTuple):
-    s: float  # parameter along [c, W]
-    edge: int
-    point: complex
-    at_vertex: int  # vertex index if the crossing is (numerically) a vertex, else -1
-
-
-def _find_exit(
-    surface: TranslationSurface,
-    poly: int,
-    t: complex,
-    c: complex,
-    W: complex,
-    skip_edge: int,
-) -> _Exit | None:
-    """First boundary crossing of the segment ``[c, W]`` in placed polygon."""
-    verts = [v + t for v in surface.polygons[poly]]
-    n = len(verts)
-    d1 = W - c
-    best: _Exit | None = None
-    for k in range(n):
-        if k == skip_edge:
-            continue
-        A = verts[k]
-        B = verts[(k + 1) % n]
-        d2 = B - A
-        den = cross(d1, d2)
-        if abs(den) < 1e-15 * (abs(d1) * abs(d2) + 1e-30):
-            continue
-        s = cross(A - c, d2) / den
-        u = cross(A - c, d1) / den
-        slack = TOL_VERTEX / abs(d2)
-        if u < -slack or u > 1.0 + slack:
-            continue
-        if s * abs(d1) < TOL_VERTEX:
-            continue
-        X = c + s * d1
-        at_vertex = -1
-        if abs(X - A) < TOL_VERTEX:
-            at_vertex = k
-        elif abs(X - B) < TOL_VERTEX:
-            at_vertex = (k + 1) % n
-        if best is None or s < best.s - 1e-15:
-            best = _Exit(s, k, X, at_vertex)
-    return best
-
-
-def _march(
-    surface: TranslationSurface,
-    poly: int,
-    t: complex,
-    c: complex,
-    W: complex,
-    budget: int,
-) -> tuple[tuple[tuple[int, int], ...], int, complex, complex | None, int | None]:
-    """Walk the segment ``[c, W]`` through the glued polygons.
-
-    It starts in polygon ``poly`` placed at ``t`` and stops at the first cone
-    point it meets, where it ends, or after ``budget`` polygons.  Returns the
-    route it walked as ``(crossings, poly, t, point, how)``: the
-    ``(polygon, edge)`` crossings, the last polygon and its placement, the
-    point where it met a cone point (None when it met none), and how it
-    stopped: the index of the last polygon's vertex that it hit, -1 when
-    ``W`` lies in that polygon (within ``TOL_VERTEX``), or None when the
-    budget ran out.
-    """
-    crossings: list[tuple[int, int]] = []
-    entry = -1
-    for _ in range(budget):
-        ex = _find_exit(surface, poly, t, c, W, entry)
-        remaining = abs(W - c)
-        if ex is None or ex.s * remaining >= remaining - TOL_VERTEX:
-            return tuple(crossings), poly, t, None, -1
-        if ex.at_vertex >= 0:
-            return tuple(crossings), poly, t, ex.point, ex.at_vertex
-        crossings.append((poly, ex.edge))
-        poly, entry, t = surface.across(poly, ex.edge, t)
-        c = ex.point
-    return tuple(crossings), poly, t, None, None
 
 
 # -- saddle connections ------------------------------------------------------

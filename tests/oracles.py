@@ -1,9 +1,10 @@
 """Slow independent reference implementations used to check fast code paths.
 
-Everything here favors obviousness over speed: the reference tracer
-``connect``, which marches a segment through the glued polygons to find
-where it ends (the package builds each record from the route that found
-it and marches only separatrices), exhaustive unfolding trees,
+Everything here favors obviousness over speed: the segment marcher
+``_march`` and the reference tracer ``connect``, which marches a segment
+through the glued polygons to find where it ends (the package builds each
+record from the route that found it and walks a separatrix at its height,
+so it marches nothing), exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
 shortening of flat geodesics, the funnel run on every chain, even one
 that is already geodesic, scans over every hull side, sampled and
@@ -11,14 +12,15 @@ bisected hyperbolic searches, per-point geodesic sampling, segment
 points listed all at once, group words without their elements, triangle
 slimness from one numpy distance matrix per ordered pair of sides or from
 every pair of samples, and cylinder decompositions from transverse ray
-probes, which march each separatrix and each probe with a step loop of
-their own.
+probes, which march each separatrix (``march_separatrices``) and each
+probe.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from flatbundle.cylinders import (
     WIDTH_TOL,
     Cylinder,
     CylinderDecomposition,
-    _separatrices,
 )
 from flatbundle.errors import (
     DegenerateTriple,
@@ -59,8 +60,6 @@ from flatbundle.surface import (
     SaddleConnection,
     TranslationSurface,
     _chain_sleeve,
-    _find_exit,
-    _march,
     _shortest_in_sleeve,
     _UnionFind,
     bent_junction,
@@ -72,6 +71,90 @@ from flatbundle.surface import (
     tighten_chain,
 )
 from flatbundle.veech import ANGLE_DEDUP, _boundary_foot, family_balls
+
+
+# -- the segment marcher ------------------------------------------------------
+
+
+class _Exit(NamedTuple):
+    s: float  # parameter along [c, W]
+    edge: int
+    point: complex
+    at_vertex: int  # vertex index if the crossing is (numerically) a vertex, else -1
+
+
+def _find_exit(
+    surface: TranslationSurface,
+    poly: int,
+    t: complex,
+    c: complex,
+    W: complex,
+    skip_edge: int,
+) -> _Exit | None:
+    """First boundary crossing of the segment ``[c, W]`` in placed polygon."""
+    verts = [v + t for v in surface.polygons[poly]]
+    n = len(verts)
+    d1 = W - c
+    best: _Exit | None = None
+    for k in range(n):
+        if k == skip_edge:
+            continue
+        A = verts[k]
+        B = verts[(k + 1) % n]
+        d2 = B - A
+        den = cross(d1, d2)
+        if abs(den) < 1e-15 * (abs(d1) * abs(d2) + 1e-30):
+            continue
+        s = cross(A - c, d2) / den
+        u = cross(A - c, d1) / den
+        slack = TOL_VERTEX / abs(d2)
+        if u < -slack or u > 1.0 + slack:
+            continue
+        if s * abs(d1) < TOL_VERTEX:
+            continue
+        X = c + s * d1
+        at_vertex = -1
+        if abs(X - A) < TOL_VERTEX:
+            at_vertex = k
+        elif abs(X - B) < TOL_VERTEX:
+            at_vertex = (k + 1) % n
+        if best is None or s < best.s - 1e-15:
+            best = _Exit(s, k, X, at_vertex)
+    return best
+
+
+def _march(
+    surface: TranslationSurface,
+    poly: int,
+    t: complex,
+    c: complex,
+    W: complex,
+    budget: int,
+) -> tuple[tuple[tuple[int, int], ...], int, complex, complex | None, int | None]:
+    """Walk the segment ``[c, W]`` through the glued polygons.
+
+    It starts in polygon ``poly`` placed at ``t`` and stops at the first cone
+    point it meets, where it ends, or after ``budget`` polygons.  Returns the
+    route it walked as ``(crossings, poly, t, point, how)``: the
+    ``(polygon, edge)`` crossings, the last polygon and its placement, the
+    point where it met a cone point (None when it met none), and how it
+    stopped: the index of the last polygon's vertex that it hit, -1 when
+    ``W`` lies in that polygon (within ``TOL_VERTEX``), or None when the
+    budget ran out.
+    """
+    crossings: list[tuple[int, int]] = []
+    entry = -1
+    for _ in range(budget):
+        ex = _find_exit(surface, poly, t, c, W, entry)
+        remaining = abs(W - c)
+        if ex is None or ex.s * remaining >= remaining - TOL_VERTEX:
+            return tuple(crossings), poly, t, None, -1
+        if ex.at_vertex >= 0:
+            return tuple(crossings), poly, t, ex.point, ex.at_vertex
+        crossings.append((poly, ex.edge))
+        poly, entry, t = surface.across(poly, ex.edge, t)
+        c = ex.point
+    return tuple(crossings), poly, t, None, None
 
 
 #: polygons :func:`connect` marches through before it gives up
@@ -1115,6 +1198,45 @@ def _barrier_segments(surface, developed):
     return barriers
 
 
+def march_separatrices(surface, u, max_trace):
+    """``cylinders._separatrices`` by marching each separatrix as a segment.
+
+    A separatrix that is not an edge is marched toward ``v0 + u *
+    max_trace`` and ends at the first cone point the segment meets, at the
+    distance it marched.  Same records in the same order, or a
+    NoClosureFound value when one is still open.
+    """
+    out = []
+    for p in range(len(surface.polygons)):
+        for i in range(surface.n_edges(p)):
+            corner = Corner(p, i)
+            evec, v0 = surface.edge_vec(p, i), surface.vertex(p, i)
+            phi = ccw_angle(evec, u)
+            if phi < TOL_ANGLE:
+                out.append(connect(surface, corner, evec))
+                continue
+            if phi > surface.interior_angle(corner) - TOL_ANGLE:
+                continue
+            crossings, last, _t, point, j = _march(
+                surface, p, 0j, v0, v0 + u * max_trace, SEPARATRIX_BUDGET
+            )
+            if j is None or j < 0:
+                return NoClosureFound(
+                    f"separatrix from {corner} still open after length {max_trace}"
+                )
+            w = abs(point - v0) * u
+            end = Corner(last, j)
+            out.append(SaddleConnection(
+                corner,
+                end,
+                w,
+                ccw_angle(evec, w),
+                ccw_angle(surface.edge_vec(*end), -w),
+                crossings,
+            ))
+    return out
+
+
 def _steps(surface, poly, z0, W):
     """The pieces of the segment ``[z0, W]`` from polygon ``poly`` placed at
     0, marched up to the first cone point it meets or to ``W``: ``(poly,
@@ -1204,11 +1326,13 @@ def trace_direction_rays(surface, theta, max_trace):
     Six rays per separatrix piece, started ``SIDE_EPS`` off the leaf on each
     side, give each side's width and the side across the cylinder; the
     angle rule at the cone points (``_continuations``) joins the sides of
-    one boundary circle.  Same separatrices, orders and output type.
+    one boundary circle.  The separatrices are marched
+    (:func:`march_separatrices`), not walked at their height; same orders
+    and output type.
     """
     theta = fold_direction(theta)
     u = cmath.exp(1j * theta)
-    found = _separatrices(surface, u, max_trace)
+    found = march_separatrices(surface, u, max_trace)
     if isinstance(found, NoClosureFound):
         return found
     saddles = sorted(found, key=lambda sc: (round(sc.length, 9), sc.key()))

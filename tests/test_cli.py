@@ -588,6 +588,39 @@ class TestRender:
         assert code == 2
         assert "no parabolic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "surface, group", [("lshape", "lshape_lattice"), ("octagon", "octagon_cusped")]
+    )
+    def test_cylinders_draws_what_run_writes(self, tmp_path, capsys, surface, group):
+        # render draws the first decomposition in key order, the one run
+        # writes to cylinders.svg
+        args = ["--surface", surface, "--group", group, "--max-length", "2.5"]
+        assert run_cli(["run", *args, "--out", str(tmp_path / "run")]) == 0
+        svg = tmp_path / "c.svg"
+        assert run_cli(["render", "--kind", "cylinders", *args, "--out", str(svg)]) == 0
+        capsys.readouterr()
+        assert svg.read_bytes() == (tmp_path / "run" / "cylinders.svg").read_bytes()
+
+    def test_cylinders_without_a_decomposition_is_missing_input(self, tmp_path, capsys):
+        # at this trace budget no ball direction closes up (as in
+        # test_unclosed_direction_fails_cylinder_suite)
+        code = run_cli(
+            [
+                "render",
+                "--kind", "cylinders",
+                "--surface", "octagon",
+                "--group", "octagon_lattice",
+                "--max-length", "2.5",
+                "--max-trace", "1",
+                "--out", str(tmp_path / "c.svg"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no direction decomposed within max-trace"
+        ]
+        assert not (tmp_path / "c.svg").exists()
+
     def test_draws_are_counted(self, tmp_path, capsys):
         args = [
             "render", "--kind", "ideal-fan", "--surface", "lshape",

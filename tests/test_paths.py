@@ -37,6 +37,7 @@ from flatbundle.veech import (
     build_horoball_family,
     region_for,
 )
+from flatbundle import hyperbolic
 from flatbundle import paths as P
 
 import oracles
@@ -287,6 +288,29 @@ class TestCollapsedLength:
         path = P.build_preferred_path(x, y, family, FlatGeodesic((sc,)))
         collapsed = P.collapsed_length(path, family)
         assert collapsed == pytest.approx(path.d_length, abs=1e-9)
+
+    def test_no_balls_means_no_clip(self, monkeypatch, octagon, octagon_saddles):
+        # without a ball the clip returns before it maps a horizontal piece
+        # onto the axis, which takes one ideal_endpoints call per piece
+        gdata = _group(octagon, "octagon_hyperbolic")
+        family = build_horoball_family(gdata, octagon_saddles)
+        sc = octagon_saddles[0]
+        x = P.FiberPoint(gdata.basepoint, sc.start)
+        y = P.FiberPoint(gdata.basepoint + 0.3 - 0.2j, sc.end)
+        path = P.build_preferred_path(x, y, family, FlatGeodesic((sc,)))
+        assert any(
+            isinstance(piece, P.HorizontalPiece) and piece.length > 0.1
+            for piece in path.pieces
+        )
+        calls = []
+        ideal_endpoints = hyperbolic.ideal_endpoints
+        monkeypatch.setattr(
+            hyperbolic,
+            "ideal_endpoints",
+            lambda *args: calls.append(args) or ideal_endpoints(*args),
+        )
+        assert P.collapsed_length(path, family) == pytest.approx(path.d_length, abs=1e-9)
+        assert calls == []
 
     def test_parabolic_saddle_collapses_to_zero(
         self, lshape, lshape_saddles, lshape_family

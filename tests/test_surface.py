@@ -583,33 +583,33 @@ class TestTightenChain:
         assert counts["_funnel"] <= funnels
 
     @pytest.mark.parametrize(
-        "name, group, exits", [("lshape", "lshape_lattice", 29), ("octagon", "octagon_cusped", 4)]
+        "name, group", [("lshape", "lshape_lattice"), ("octagon", "octagon_cusped")]
     )
-    def test_only_separatrices_are_marched(self, monkeypatch, tmp_path, name, group, exits):
+    def test_each_separatrix_is_walked_once(self, monkeypatch, tmp_path, name, group):
         # the enumeration and tighten_chain build each record from the route
         # that found it, so only a separatrix, whose end is not known, is
-        # marched: a seed-1 run at 2.5 made 337 (lshape) and 197 (octagon)
-        # _find_exit calls when both traced their segments again
-        inside, calls = [], []
-        separatrices, find_exit = cylinders._separatrices, surface_module._find_exit
+        # walked, once per direction and corner in a run: a seed-1 run at 2.5
+        # walks 19 (lshape) and 4 (octagon) of them
+        walked, found = [], []
+        walk, separatrices = cylinders._walk, cylinders._separatrices
 
-        def watched(*args):
-            inside.append(True)
-            try:
-                return separatrices(*args)
-            finally:
-                inside.pop()
+        def counted(surface, corner, u, max_trace):
+            walked.append((u, corner))
+            return walk(surface, corner, u, max_trace)
 
-        def counted(*args):
-            calls.append(bool(inside))
-            return find_exit(*args)
+        def listed(surface, u, max_trace):
+            out = separatrices(surface, u, max_trace)
+            # every direction of these runs closes, so each walk gives a record
+            found.extend((u, sc.start) for sc in out if sc.start_phi != 0.0)
+            return out
 
-        monkeypatch.setattr(cylinders, "_separatrices", watched)
-        monkeypatch.setattr(surface_module, "_find_exit", counted)
+        monkeypatch.setattr(cylinders, "_walk", counted)
+        monkeypatch.setattr(cylinders, "_separatrices", listed)
         cli.run_experiment(cli.ExperimentConfig(
             surface=name, group=group, max_length=2.5, seed=1, out=str(tmp_path)
         ))
-        assert 0 < len(calls) <= exits and all(calls)
+        assert 0 < len(walked) == len(set(walked)) == len(found)
+        assert set(walked) == set(found)
 
     @pytest.mark.parametrize(
         "name, group, bends, gaps",
