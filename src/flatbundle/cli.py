@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
@@ -501,5 +502,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def script_main() -> int:
+    """``main`` for ``python -m flatbundle.cli`` and the ``flatbundle`` script.
+
+    The process exits once the command returns, so every object then alive
+    is moved to the collector's permanent generation, which the collections
+    at interpreter shutdown do not walk.  ``main`` itself leaves the
+    collector as it found it.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script_main())

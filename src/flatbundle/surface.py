@@ -104,9 +104,6 @@ class ConeClass(NamedTuple):
     # corner's outgoing edge sits
     starts: tuple[float, ...]
 
-    def start_of(self, corner: Corner) -> float:
-        return self.starts[self.corners.index(corner)]
-
 
 def _corner_angle(poly: Sequence[complex], i: int) -> float:
     """Interior angle of a polygon at vertex ``i``; a straight corner is pi."""
@@ -140,9 +137,12 @@ class TranslationSurface:
         self.area = area
         self.name = name
         self.corner_class: dict[Corner, int] = {}
+        # angular coordinate of each corner's outgoing edge around its cone point
+        self.corner_start: dict[Corner, float] = {}
         for cc in cone_classes:
-            for c in cc.corners:
+            for c, start in zip(cc.corners, cc.starts):
                 self.corner_class[c] = cc.index
+                self.corner_start[c] = start
 
     # -- basic polygon queries ------------------------------------------------
 
@@ -178,8 +178,7 @@ class TranslationSurface:
 
         ``phi`` is measured counterclockwise from the corner's outgoing edge.
         """
-        cc = self.class_of(corner)
-        return (cc.start_of(corner) + phi) % cc.angle
+        return (self.corner_start[corner] + phi) % self.class_of(corner).angle
 
     def __repr__(self) -> str:
         return (
@@ -593,8 +592,10 @@ def _cross(surface: TranslationSurface, sleeve: list[_Node], e: int) -> None:
     if e == entry:
         sleeve.pop()
         return
-    q, f, t = surface.across(poly, e, t)
-    sleeve.append(_Node(q, t, f))
+    q, f = surface.gluings[(poly, e)]
+    verts = surface.polygons[poly]
+    # the arithmetic of ``across``: edge f of q placed on edge e
+    sleeve.append(_Node(q, verts[(e + 1) % len(verts)] + t - surface.polygons[q][f], f))
 
 
 def _exit_edge(surface: TranslationSurface, sleeve: list[_Node], k: int) -> int:
@@ -611,15 +612,16 @@ def _fan(
     Each step crosses the corner's incoming edge (``ccw``) or its outgoing
     edge; returns the vertex index of the cone point in the final placement.
     """
+    polygons, gluings = surface.polygons, surface.gluings
+    target_poly, target_j = target
     for _ in range(len(surface.corner_class) + 1):
         poly = sleeve[-1].poly
-        if Corner(poly, j) == target:
+        if poly == target_poly and j == target_j:
             return j
-        n = surface.n_edges(poly)
-        e = (j - 1) % n if ccw else j
-        q, f = surface.gluings[(poly, e)]
+        e = (j - 1) % len(polygons[poly]) if ccw else j
+        q, f = gluings[(poly, e)]
         _cross(surface, sleeve, e)
-        j = f if ccw else (f + 1) % surface.n_edges(q)
+        j = f if ccw else (f + 1) % len(polygons[q])
     raise NotAGeodesic("segments do not share a cone point")
 
 
@@ -633,7 +635,7 @@ def _chain_sleeve(
     the fan around the cone point is added on the side of the smaller angle.
     """
     p0, i0 = chain[0].start
-    sleeve = [_Node(p0, -surface.vertex(p0, i0), -1)]
+    sleeve = [_Node(p0, -surface.polygons[p0][i0], -1)]
     j, bent = i0, False
     for k, sc in enumerate(chain):
         if k:
@@ -698,19 +700,13 @@ def _funnel(
     A vertex within ``TOL_VERTEX`` of a chord blocks it, so no piece passes
     through a cone point.
     """
-
-    def at(k: int, j: int) -> complex:
-        return surface.vertex(sleeve[k].poly, j) + sleeve[k].t
-
-    def straight(k: int, j: int) -> bool:
-        angle = surface.interior_angle(Corner(sleeve[k].poly, j))
-        return abs(angle - math.pi) < TOL_ANGLE
-
-    start = _Vertex(at(0, i0), (0, i0), (0, i0), True)
+    polygons, angles = surface.polygons, surface.corner_angles
+    start = _Vertex(polygons[sleeve[0].poly][i0] + sleeve[0].t, (0, i0), (0, i0), True)
     path = [start]
     apex = start
-    cur = {True: start, False: start}  # latest boundary vertex on each side
-    chains = {True: deque(), False: deque()}
+    # per side, indexed by ``left``: the latest boundary vertex, the chain
+    cur = [start, start]
+    chains = [deque(), deque()]
 
     def add(v: _Vertex) -> None:
         nonlocal apex
@@ -729,8 +725,9 @@ def _funnel(
         cur[v.left] = v
 
     last = len(sleeve) - 1
-    for k, node in enumerate(sleeve):
-        n = surface.n_edges(node.poly)
+    for k, (poly, t, _) in enumerate(sleeve):
+        verts = polygons[poly]
+        n = len(verts)
         if k < last:
             # the exit edge e has vertex e + 1 on the left and e on the right
             e = _exit_edge(surface, sleeve, k)
@@ -741,30 +738,39 @@ def _funnel(
             stops = ((True, (j_end + 1) % n), (False, (j_end - 1) % n))
         # boundary vertices up to the exit: clockwise on the left,
         # counterclockwise on the right
-        walks = {True: [], False: []}
+        walks = [[], []]
         for left, stop in stops:
             j = cur[left].last[1]
+            step = -1 if left else 1
             while j != stop:
-                j = (j + (-1 if left else 1)) % n
+                j = (j + step) % n
                 walks[left].append(j)
         # a straight corner goes in as soon as it is next on its side, so no
         # chord between the two sides runs along the edges through it
-        while walks[True] or walks[False]:
-            left = bool(walks[True]) and (
-                not walks[False]
-                or straight(k, walks[True][0])
-                or not straight(k, walks[False][0])
+        lefts, rights = walks[True], walks[False]
+        il = ir = 0
+        while il < len(lefts) or ir < len(rights):
+            left = il < len(lefts) and (
+                ir == len(rights)
+                or abs(angles[(poly, lefts[il])] - math.pi) < TOL_ANGLE
+                or abs(angles[(poly, rights[ir])] - math.pi) >= TOL_ANGLE
             )
-            j = walks[left].pop(0)
-            add(_Vertex(at(k, j), (k, j), (k, j), left))
+            if left:
+                j = lefts[il]
+                il += 1
+            else:
+                j = rights[ir]
+                ir += 1
+            add(_Vertex(verts[j] + t, (k, j), (k, j), left))
         if k < last:
-            f = sleeve[k + 1].entry
+            q, _, f = sleeve[k + 1]
             cur[True].last = (k + 1, f)
-            cur[False].last = (k + 1, (f + 1) % surface.n_edges(sleeve[k + 1].poly))
+            cur[False].last = (k + 1, (f + 1) % len(polygons[q]))
     for left in (True, False):
         if cur[left].last[1] == j_end:
             return path + list(chains[left])
-    add(_Vertex(at(last, j_end), (last, j_end), (last, j_end), True))
+    # verts and t are still the last placement's
+    add(_Vertex(verts[j_end] + t, (last, j_end), (last, j_end), True))
     return path + list(chains[True])
 
 

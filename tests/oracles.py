@@ -7,7 +7,8 @@ record from the route that found it and walks a separatrix at its height,
 so it marches nothing), exhaustive unfolding trees,
 numerical integration, dense graph searches, all-pairs visibility
 shortening of flat geodesics, the funnel run on every chain, even one
-that is already geodesic, scans over every hull side, sampled and
+that is already geodesic, the sleeve kernel reading the surface through
+its accessors (``tighten_chain_reference``), scans over every hull side, sampled and
 bisected hyperbolic searches, per-point geodesic sampling, segment
 points listed all at once, group words without their elements, triangle
 slimness from one numpy distance matrix per ordered pair of sides or from
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -53,20 +55,28 @@ from flatbundle.errors import (
 from flatbundle.paths import HorizontalPiece, build_fan, build_preferred_path
 from flatbundle.slimness import _canon_hol, _piece_count, _round_z, _scale
 from flatbundle.surface import (
+    MAX_REROUTES,
     TOL_ANGLE,
+    TOL_GEODESIC,
     TOL_VERTEX,
     Corner,
     FlatGeodesic,
     SaddleConnection,
     TranslationSurface,
+    _blocks,
     _chain_sleeve,
+    _exit_edge,
+    _Node,
+    _piece,
     _shortest_in_sleeve,
     _UnionFind,
+    _Vertex,
     bent_junction,
     canonical_holonomy,
     ccw_angle,
     cross,
     fold_direction,
+    junction_gaps,
     seg_point_dist,
     tighten_chain,
 )
@@ -902,6 +912,152 @@ def tighten_chain_by_funnel(surface, chain):
         return FlatGeodesic(())
     sleeve, i0, j_end, _ = _chain_sleeve(surface, chain)
     return _shortest_in_sleeve(surface, sleeve, i0, j_end)
+
+
+# -- the sleeve kernel as it read the surface through its accessors ----------
+
+
+def _ref_cross(surface, sleeve, e):
+    """``surface._cross`` placing the next polygon with ``across``."""
+    poly, t, entry = sleeve[-1]
+    if e == entry:
+        sleeve.pop()
+        return
+    q, f, t = surface.across(poly, e, t)
+    sleeve.append(_Node(q, t, f))
+
+
+def _ref_fan(surface, sleeve, j, target, ccw):
+    """``surface._fan`` building a ``Corner`` at every step."""
+    for _ in range(len(surface.corner_class) + 1):
+        poly = sleeve[-1].poly
+        if Corner(poly, j) == target:
+            return j
+        n = surface.n_edges(poly)
+        e = (j - 1) % n if ccw else j
+        q, f = surface.gluings[(poly, e)]
+        _ref_cross(surface, sleeve, e)
+        j = f if ccw else (f + 1) % surface.n_edges(q)
+    raise NotAGeodesic("segments do not share a cone point")
+
+
+def _ref_chain_sleeve(surface, chain):
+    """``surface._chain_sleeve`` on the reference fan and crossing."""
+    p0, i0 = chain[0].start
+    sleeve = [_Node(p0, -surface.vertex(p0, i0), -1)]
+    j, bent = i0, False
+    for k, sc in enumerate(chain):
+        if k:
+            g_ccw, g_cw = junction_gaps(surface, chain[k - 1], sc)
+            bent = bent or min(g_ccw, g_cw) < math.pi - TOL_GEODESIC
+            j = _ref_fan(surface, sleeve, j, sc.start, ccw=g_ccw <= g_cw)
+        for poly, e in sc.crossings:
+            if sleeve[-1].poly != poly:
+                raise NotAConnection("crossing does not leave the current polygon")
+            _ref_cross(surface, sleeve, e)
+        if sleeve[-1].poly != sc.end.poly:
+            raise NotAConnection("piece does not end in its end polygon")
+        j = sc.end.vertex
+    return sleeve, i0, j, bent
+
+
+def _ref_funnel(surface, sleeve, i0, j_end):
+    """``surface._funnel`` reading vertices and corner angles through the
+    surface's accessors, with the sides in dicts and each walk popped from
+    its front."""
+
+    def at(k, j):
+        return surface.vertex(sleeve[k].poly, j) + sleeve[k].t
+
+    def straight(k, j):
+        angle = surface.interior_angle(Corner(sleeve[k].poly, j))
+        return abs(angle - math.pi) < TOL_ANGLE
+
+    start = _Vertex(at(0, i0), (0, i0), (0, i0), True)
+    path = [start]
+    apex = start
+    cur = {True: start, False: start}
+    chains = {True: deque(), False: deque()}
+
+    def add(v):
+        nonlocal apex
+        own, other = chains[v.left], chains[not v.left]
+        sign = 1.0 if v.left else -1.0
+        while own:
+            prev = own[-2] if len(own) > 1 else apex
+            if _blocks(prev.point, v.point, own[-1].point, -sign):
+                break
+            own.pop()
+        if not own:
+            while other and _blocks(apex.point, v.point, other[0].point, sign):
+                apex = other.popleft()
+                path.append(apex)
+        own.append(v)
+        cur[v.left] = v
+
+    last = len(sleeve) - 1
+    for k, node in enumerate(sleeve):
+        n = surface.n_edges(node.poly)
+        if k < last:
+            e = _exit_edge(surface, sleeve, k)
+            stops = ((True, (e + 1) % n), (False, e))
+        elif j_end in (cur[True].last[1], cur[False].last[1]):
+            stops = ()
+        else:
+            stops = ((True, (j_end + 1) % n), (False, (j_end - 1) % n))
+        walks = {True: [], False: []}
+        for left, stop in stops:
+            j = cur[left].last[1]
+            while j != stop:
+                j = (j + (-1 if left else 1)) % n
+                walks[left].append(j)
+        while walks[True] or walks[False]:
+            left = bool(walks[True]) and (
+                not walks[False]
+                or straight(k, walks[True][0])
+                or not straight(k, walks[False][0])
+            )
+            j = walks[left].pop(0)
+            add(_Vertex(at(k, j), (k, j), (k, j), left))
+        if k < last:
+            f = sleeve[k + 1].entry
+            cur[True].last = (k + 1, f)
+            cur[False].last = (k + 1, (f + 1) % surface.n_edges(sleeve[k + 1].poly))
+    for left in (True, False):
+        if cur[left].last[1] == j_end:
+            return path + list(chains[left])
+    add(_Vertex(at(last, j_end), (last, j_end), (last, j_end), True))
+    return path + list(chains[True])
+
+
+def tighten_chain_reference(surface, chain):
+    """``surface.tighten_chain`` on the reference kernel above: the same
+    shortcut for a chain that does not bend, the same reroute loop, and each
+    piece read off the sleeve by ``surface._piece``."""
+    chain = list(chain)
+    if abs(sum((sc.holonomy for sc in chain), 0j)) < TOL_VERTEX:
+        return FlatGeodesic(())
+    sleeve, i0, j_end, bent = _ref_chain_sleeve(surface, chain)
+    if not bent:
+        return FlatGeodesic(tuple(chain))
+    for _ in range(MAX_REROUTES):
+        pivots = _ref_funnel(surface, sleeve, i0, j_end)
+        pieces = [_piece(surface, sleeve, a, b) for a, b in zip(pivots, pivots[1:])]
+        bent = bent_junction(surface, pieces)
+        if bent is None:
+            return FlatGeodesic(tuple(pieces))
+        k, ccw = bent
+        v = pivots[k + 1]
+        if ccw == v.left:
+            raise NotAGeodesic("path grazes a cone point")
+        # ``surface._reroute`` on the reference fan and crossing
+        (k0, j0), (k1, j1) = v.first, v.last
+        rerouted = sleeve[: k0 + 1]
+        _ref_fan(surface, rerouted, j0, Corner(sleeve[k1].poly, j1), ccw=not v.left)
+        for m in range(k1, len(sleeve) - 1):
+            _ref_cross(surface, rerouted, _exit_edge(surface, sleeve, m))
+        sleeve = rerouted
+    raise NotAGeodesic("geodesic search exceeded its reroute guard")
 
 
 def crossing_class(surface, pieces, start, end):

@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -706,3 +707,58 @@ def test_numpy_is_not_imported(argv, tmp_path):
     assert proc.stdout.splitlines()[-1] == (
         "numpy imported: False dataclasses imported: False"
     )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys):
+    # only the command-line entry point freezes the collector, since its
+    # process exits next; in-process callers keep theirs as it was
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    try:
+        assert run_cli(["catalog"]) == 0
+        assert run_cli(["run", "--surface", "octagn", "--group", "octagon_lattice"]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+# how the ``flatbundle`` script that pip writes from pyproject.toml calls it
+_SCRIPT = "import sys; from flatbundle.cli import script_main; sys.exit(script_main())"
+
+
+@pytest.mark.parametrize(
+    "entry", [["-m", "flatbundle.cli"], ["-c", _SCRIPT]], ids=["module", "script"]
+)
+def test_command_line_exit_codes_and_outputs(entry, tmp_path, monkeypatch, capsys):
+    # the entry point freezes the collector before the interpreter exits;
+    # exit codes, printed output and written files are those of main
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+
+    def command(*argv):
+        return subprocess.run(
+            [sys.executable, *entry, *argv], capture_output=True, text=True, env=env,
+            cwd=tmp_path,
+        )
+
+    listing = command("catalog", "--json")
+    assert listing.returncode == 0
+    assert "octagon_cusped" in json.loads(listing.stdout)["groups"]
+    bad = command("run", "--surface", "octagn", "--group", "octagon_lattice")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ") and len(bad.stderr.splitlines()) == 1
+    args = ["run", "--surface", "octagon", "--group", "octagon_cusped",
+            "--max-length", "2.5", "--seed", "1", "--out", "run"]
+    done = command(*args)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "report written to run/report.json"
+    written = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == done.stdout
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == written

@@ -1,5 +1,6 @@
 """Every name imported in ``src/flatbundle``, ``tests`` and ``perfbench`` is
-used there, and ``src/flatbundle`` keeps no memo caches.
+used there, ``src/flatbundle`` keeps no memo caches, and only its
+``cli.py`` imports ``gc``.
 
 A name counts as used when the module mentions it anywhere else, as a bare
 name or as the root of an attribute chain.  ``from __future__`` imports are
@@ -64,3 +65,18 @@ def test_package_keeps_no_memo_caches():
     # makes a run's time depend on what ran before it in the process
     found = [c for path in sorted(ROOTS[0].glob("*.py")) for c in _memo_caches(path)]
     assert found == []
+
+
+def _imports_gc(path: Path) -> bool:
+    return any(
+        (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_only_the_cli_imports_gc():
+    # the collector's state belongs to the whole process: only the command
+    # line entry point, whose process exits next, may change it
+    importers = [path.name for path in sorted(ROOTS[0].glob("*.py")) if _imports_gc(path)]
+    assert importers == ["cli.py"]
